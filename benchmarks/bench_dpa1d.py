@@ -1,4 +1,4 @@
-"""Benchmark of the suffix-cluster enumeration kernels and lattice reuse.
+"""Benchmark of the suffix-cluster enumeration kernels and table reuse.
 
 Run as a script::
 
@@ -7,15 +7,21 @@ Run as a script::
 It times, on an enumeration-bound panel of dense random SPGs (the
 Theorem-1 suffix-cluster enumeration dominating, DP array work small):
 
-* ``IdealLattice.warm`` — the full lattice enumeration + flat DP table
-  build — under the ``python`` reference kernel and the ``vector``
-  frontier-batched kernel, on fresh lattices, best of ``--repeats``;
-* the cross-period lattice reuse that ``choose_period`` probes and
-  sweep cells get from the keep-loosest caches: six solve caps walked
-  loosest-first on one lattice versus a fresh lattice per cap.
+* the full lattice enumeration + flat DP table build (``ideals()`` then
+  ``suffix_table(cap)``) under the ``python`` reference kernel and the
+  ``vector`` frontier-batched kernel, on fresh lattices, best of
+  ``--repeats``;
+* the cross-period reuse ``choose_period`` probes get from the kept
+  suffix table: six solve caps walked loosest-first on one lattice
+  versus a fresh lattice per cap;
+* the probe pattern that ``choose_period`` actually produces: a loose
+  cap whose table exceeds DPA1D's 1M transition budget (the build
+  raises ``BudgetExceeded``), then the 10x tighter cap on the same
+  lattice, against the tighter cap on a fresh lattice.
 
-Every kernel must produce a byte-identical suffix table (masks, works,
-counts, prefix indices); the script exits nonzero on any divergence.
+Every kernel, and every reused or probed lattice, must produce a
+byte-identical suffix table (masks, works, counts, prefix indices); the
+script exits nonzero on any divergence.
 The vector kernel's panel-geomean speedup is gated by ``FLOOR`` (3x);
 a miss on a noisy host is reported as a warning in ``floor_met`` so
 timing jitter cannot mask a real output divergence.  Results land in
@@ -36,8 +42,8 @@ from _common import merge_bench_sections
 #: Minimum acceptable panel-geomean speedup of vector over python.
 FLOOR = 3.0
 
-#: (n, elevation, seed): dense SPGs whose warm() cost is dominated by
-#: the enumeration (0.5M-3.5M DP transitions each at CAP_FRACTION).
+#: (n, elevation, seed): dense SPGs whose table-build cost is dominated
+#: by the enumeration (0.5M-3.5M DP transitions each at CAP_FRACTION).
 PANELS = ((40, 8, 2011), (36, 7, 2014), (40, 8, 2013))
 
 #: Solve cap as a fraction of total graph weight — deep enough DFS trees
@@ -45,6 +51,13 @@ PANELS = ((40, 8, 2011), (36, 7, 2014), (40, 8, 2013))
 CAP_FRACTION = 0.35
 
 IDEAL_BUDGET = 1 << 22
+
+#: DPA1D's default transition budget (``solve_uniline``).
+TRANSITION_BUDGET = 1_000_000
+
+#: (panel index, loose cap fraction): the loose probe's table has ~3.5M
+#: transitions, so it blows the budget; the 10x tighter one has ~48k.
+PROBE = (2, 0.35)
 
 
 def _panel(n: int, elevation: int, seed: int):
@@ -56,16 +69,22 @@ def _panel(n: int, elevation: int, seed: int):
     return spg, sum(spg.weights) * CAP_FRACTION
 
 
-def _table_fingerprint(lat, cap: float):
-    M, W, counts, offsets, pidx, total = lat.suffix_table(cap)
+def _table_fingerprint(tbl):
+    M, W, counts, offsets, pidx, total = tbl
     return (
         M.tobytes(), W.tobytes(), counts.tobytes(), offsets.tobytes(),
         pidx.tobytes(), total,
     )
 
 
+def _warm(lat, cap: float):
+    """Enumerate the ideals, then return the suffix table at ``cap``."""
+    lat.ideals()
+    return lat.suffix_table(cap)
+
+
 def _time_warm(spg, cap: float, kernel: str, repeats: int):
-    """Best-of-``repeats`` fresh-lattice warm time + table fingerprint."""
+    """Best-of-``repeats`` fresh-lattice build time + table fingerprint."""
     from repro.core.partition import IdealLattice
 
     samples = []
@@ -75,10 +94,11 @@ def _time_warm(spg, cap: float, kernel: str, repeats: int):
         gc.collect()
         lat = IdealLattice(spg, budget=IDEAL_BUDGET, kernel=kernel)
         t0 = time.perf_counter()
-        stats = lat.warm(cap)
+        tbl = _warm(lat, cap)
         samples.append(time.perf_counter() - t0)
-        fp = _table_fingerprint(lat, cap)
-        del lat
+        stats = {"ideals": len(lat.ideals()), "transitions": tbl[5]}
+        fp = _table_fingerprint(tbl)
+        del lat, tbl
     gc.collect()
     return min(samples), samples, fp, stats
 
@@ -116,11 +136,9 @@ def bench_reuse(repeats: int) -> dict:
     """Cross-period reuse: the ``choose_period`` walk on one lattice.
 
     Six caps, loosest first (the period search's own order), on a single
-    lattice — every cap after the first is a filtered view of the
-    loosest-cap table — against a fresh lattice per cap, which is what
-    every probe paid before the keep-loosest caches and the per-worker
-    ``LatticeCache``.  Both sides run the vector kernel, so the ratio
-    isolates the reuse itself.
+    lattice — every cap after the first is a filtered copy of the
+    loosest-cap table — against a fresh lattice per cap.  Both sides run
+    the vector kernel, so the ratio isolates the reuse itself.
     """
     from repro.core.partition import IdealLattice
 
@@ -137,8 +155,7 @@ def bench_reuse(repeats: int) -> dict:
         cold_fps = []
         for c in caps:
             lat = IdealLattice(spg, budget=IDEAL_BUDGET, kernel="vector")
-            lat.warm(c)
-            cold_fps.append(_table_fingerprint(lat, c))
+            cold_fps.append(_table_fingerprint(_warm(lat, c)))
             del lat
         cold_samples.append(time.perf_counter() - t0)
         gc.collect()
@@ -146,8 +163,7 @@ def bench_reuse(repeats: int) -> dict:
         lat = IdealLattice(spg, budget=IDEAL_BUDGET, kernel="vector")
         reused_fps = []
         for c in caps:
-            lat.warm(c)
-            reused_fps.append(_table_fingerprint(lat, c))
+            reused_fps.append(_table_fingerprint(_warm(lat, c)))
         reused_samples.append(time.perf_counter() - t0)
         del lat
         equal = equal and cold_fps == reused_fps
@@ -164,6 +180,61 @@ def bench_reuse(repeats: int) -> dict:
     }
 
 
+def bench_probe(repeats: int) -> dict:
+    """A budget-blowing loose probe, then the 10x tighter cap.
+
+    ``probed`` times both requests on one lattice (the failed build
+    included), ``fresh`` the tighter cap alone on a fresh lattice; the
+    two tighter tables must be byte-identical.  Vector kernel.
+    """
+    from repro.core.errors import BudgetExceeded
+    from repro.core.partition import IdealLattice
+
+    panel, frac = PROBE
+    spg, _cap = _panel(*PANELS[panel])
+    loose = sum(spg.weights) * frac
+    tight = loose / 10
+    probed_samples, fresh_samples = [], []
+    equal = True
+    raised = True
+    transitions = 0
+    for _ in range(repeats):
+        gc.collect()
+        lat = IdealLattice(spg, budget=IDEAL_BUDGET, kernel="vector")
+        lat.ideals()
+        t0 = time.perf_counter()
+        try:
+            lat.suffix_table(loose, TRANSITION_BUDGET)
+            raised = False
+        except BudgetExceeded:
+            pass
+        tbl = lat.suffix_table(tight, TRANSITION_BUDGET)
+        probed_samples.append(time.perf_counter() - t0)
+        transitions = tbl[5]
+        probed_fp = _table_fingerprint(tbl)
+        del lat, tbl
+        gc.collect()
+        lat = IdealLattice(spg, budget=IDEAL_BUDGET, kernel="vector")
+        lat.ideals()
+        t0 = time.perf_counter()
+        tbl = lat.suffix_table(tight, TRANSITION_BUDGET)
+        fresh_samples.append(time.perf_counter() - t0)
+        equal = equal and _table_fingerprint(tbl) == probed_fp
+        del lat, tbl
+    return {
+        "panel": "n{}_e{}_s{}".format(*PANELS[panel]),
+        "loose_cap_fraction": frac,
+        "transition_budget": TRANSITION_BUDGET,
+        "loose_raised": raised,
+        "tight_transitions": transitions,
+        "probed_seconds": min(probed_samples),
+        "probed_samples": probed_samples,
+        "fresh_seconds": min(fresh_samples),
+        "fresh_samples": fresh_samples,
+        "outputs_equal": equal,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -175,15 +246,20 @@ def main(argv=None) -> int:
 
     kernels = bench_kernels(args.repeats)
     reuse = bench_reuse(args.repeats)
+    probe = bench_probe(args.repeats)
     section = {
         "workload": (
-            f"IdealLattice.warm (full enumeration + DP table) on "
-            f"{len(PANELS)} dense panels, cap {CAP_FRACTION} x total "
-            f"weight, best of {args.repeats}"
+            f"IdealLattice ideals + suffix_table (full enumeration + DP "
+            f"table) on {len(PANELS)} dense panels, cap {CAP_FRACTION} x "
+            f"total weight, best of {args.repeats}"
         ),
         **kernels,
         "cross_period_reuse": reuse,
-        "outputs_equal": kernels["outputs_equal"] and reuse["outputs_equal"],
+        "probe_after_budget_failure": probe,
+        "outputs_equal": (
+            kernels["outputs_equal"] and reuse["outputs_equal"]
+            and probe["outputs_equal"]
+        ),
     }
     if not section["floor_met"]:
         print(
@@ -196,7 +272,7 @@ def main(argv=None) -> int:
     print(json.dumps({"dpa1d": section}, indent=1, sort_keys=True))
     print(f"\nwritten to {out_path}")
     if not section["outputs_equal"]:
-        print("ERROR: kernels diverged on the suffix table",
+        print("ERROR: suffix tables diverged (kernels, reuse or probe)",
               file=sys.stderr)
         return 1
     return 0

@@ -26,7 +26,6 @@ from repro.core.visualize import (
 from repro.core.kernels import (
     EnumerationKernel,
     KERNELS,
-    LatticeCache,
     get_kernel,
     kernel_names,
     register_kernel,
@@ -64,7 +63,6 @@ __all__ = [
     "render_mapping",
     "EnumerationKernel",
     "KERNELS",
-    "LatticeCache",
     "get_kernel",
     "kernel_names",
     "register_kernel",

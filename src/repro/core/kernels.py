@@ -1,26 +1,31 @@
-"""Pluggable suffix-cluster enumeration kernels + cross-cell lattice reuse.
+"""Pluggable suffix-cluster enumeration kernels.
 
 The Theorem-1 DP peels "last clusters" off an SPG: the non-empty up-sets
 ``H`` of an order ideal with weight below the period cap.  Enumerating
-them is the output-sensitive hot loop feeding DPA1D; this module makes
-the enumeration strategy a registry choice (mirroring the topology /
-solver / eviction registries) so alternative engines are one
-``register_kernel`` away:
+them is the output-sensitive hot loop feeding DPA1D.  For word-sized
+graphs (n <= 62) :class:`~repro.core.partition.IdealLattice` builds one
+flat suffix table per lattice by handing a kernel whole chunks of
+ideals (:meth:`EnumerationKernel.enumerate_bulk`, the only kernel entry
+point); this module makes that bulk enumeration a registry choice
+(mirroring the topology / solver / eviction registries):
 
-* ``python`` — the reference implementation: a recursive DFS with
-  exclusion-by-list-position and incremental removable-frontier
-  tracking.  Works for any graph size and defines the canonical
-  enumeration order (a DFS preorder) that every downstream tie-break
-  depends on.
-* ``vector`` — an explicit-stack, frontier-batched bitset enumeration
-  for word-sized graphs (n <= 62): whole DFS layers expand as ``uint64``
-  numpy batches (one vectorised weight-pruning pass, ``pred_mask &
-  remaining`` freshness tests as bit-twiddling on arrays), then the
-  exact DFS preorder is reconstructed from per-layer subtree sizes.
-  Masks *and* works come out byte-identical to the reference kernel —
-  works accumulate ``parent_work + w[stage]`` in the same IEEE order —
-  so golden fixtures do not move.  Graphs beyond a machine word fall
-  back to ``python``.
+* ``python`` — the reference implementation: :func:`reference_dfs`, a
+  recursive DFS with exclusion-by-list-position and incremental
+  removable-frontier tracking, looped over the chunk.  It defines the
+  canonical enumeration order (a DFS preorder) that every downstream
+  tie-break depends on.
+* ``vector`` — an explicit-stack, frontier-batched bitset enumeration:
+  the chunk's DFS trees expand as one forest, whole layers at a time,
+  as ``uint64`` numpy batches (one vectorised weight-pruning pass,
+  ``pred_mask & remaining`` freshness tests as bit-twiddling on arrays),
+  then the exact DFS preorder is reconstructed from per-layer subtree
+  sizes.  Masks *and* works come out byte-identical to the reference
+  kernel — works accumulate ``parent_work + w[stage]`` in the same IEEE
+  order — so golden fixtures do not move.
+
+Graphs wider than a machine word never reach a kernel: the lattice
+reads their suffix clusters one ideal at a time through
+:func:`reference_dfs`, whatever kernel is selected.
 
 Kernel selection is ambient: an explicit ``kernel=`` argument wins, then
 a process default installed by :func:`set_default_kernel` (the CLI's
@@ -28,28 +33,16 @@ a process default installed by :func:`set_default_kernel` (the CLI's
 (inherited by pool workers), then the built-in default.  Because every
 kernel produces identical output, the choice never enters fingerprints
 or reports.
-
-The module also hosts the **per-worker lattice cache**: sweep cells and
-``choose_period`` probes that share one (SPG content, budget) pair reuse
-a single :class:`~repro.core.partition.IdealLattice` — pre-warmed at the
-loosest cap seen — instead of re-enumerating per {CCR, period, solver}
-probe.  The cache is bounded (LRU over graphs, scratch-node cap per
-lattice) and keyed by *content* (weights, labels, ordered edge list), so
-structurally equal SPG objects generated independently still hit.
-Engine runs reset it (see ``run_tasks``) to keep telemetry aggregates
-deterministic; results are byte-identical either way.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.errors import BudgetExceeded
-from repro.obs.session import inc
 
 __all__ = [
     "EnumerationKernel",
@@ -61,11 +54,9 @@ __all__ = [
     "resolve_kernel",
     "set_default_kernel",
     "use_kernel",
+    "reference_dfs",
     "KERNEL_ENV",
     "DEFAULT_KERNEL",
-    "LatticeCache",
-    "worker_lattice_cache",
-    "reset_worker_cache",
 ]
 
 #: Environment variable consulted when no explicit kernel is given; the
@@ -73,48 +64,24 @@ __all__ = [
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Built-in default.  The vector kernel is byte-identical to the
-#: reference DFS and strictly faster on word-sized graphs (it falls back
-#: to ``python`` beyond 62 stages), so it is the default everywhere.
+#: reference DFS and faster on enumeration-bound table builds, so it is
+#: the default.
 DEFAULT_KERNEL = "vector"
 
 
 class EnumerationKernel:
-    """One suffix-cluster enumeration strategy.
+    """One suffix-cluster enumeration strategy for word-sized graphs.
 
-    A kernel produces, for an order ideal of a lattice, every non-empty
-    up-set with weight <= ``max_weight`` — masks and cumulative weights,
-    in the canonical DFS preorder.  Subclasses override whichever of the
-    two entry points is natural (lists for scalar engines, arrays for
-    vectorised ones); the base class cross-converts.
+    A kernel produces, for a chunk of order ideals of a lattice, every
+    non-empty up-set with weight <= ``max_weight`` — masks and
+    cumulative weights, each ideal's clusters in the canonical DFS
+    preorder.
 
     Kernels are stateless: per-lattice scratch (e.g. numpy views of the
-    predecessor masks) lives in the lattice's ``_kernel_scratch`` dict
-    so it is dropped with the lattice's other scratch state.
+    predecessor masks) lives in the lattice's ``_kernel_scratch`` dict.
     """
 
     name = "abstract"
-
-    def enumerate_lists(
-        self, lat, ideal: int, max_weight: float,
-        max_clusters: int | None = None,
-    ) -> tuple[list[int], list[float]]:
-        masks, works = self.enumerate_arrays(
-            lat, ideal, max_weight, max_clusters
-        )
-        return masks.tolist(), works.tolist()
-
-    def enumerate_arrays(
-        self, lat, ideal: int, max_weight: float,
-        max_clusters: int | None = None,
-    ):
-        import numpy as np
-
-        masks_l, works_l = self.enumerate_lists(
-            lat, ideal, max_weight, max_clusters
-        )
-        masks = np.fromiter(masks_l, dtype=np.uint64, count=len(masks_l))
-        works = np.fromiter(works_l, dtype=np.float64, count=len(works_l))
-        return masks, works
 
     def enumerate_bulk(
         self, lat, ideals, max_weight: float,
@@ -122,34 +89,13 @@ class EnumerationKernel:
     ):
         """Enumerate many ideals in one call: ``(M, W, counts)``.
 
-        ``M``/``W`` are the per-ideal arrays concatenated in the given
-        ideal order and ``counts[k]`` the number of clusters of
-        ``ideals[k]``.  When the cumulative cluster count exceeds
-        ``node_budget`` the call raises :class:`BudgetExceeded` with
-        ``budget_msg`` — at the same total as a per-ideal counting loop
-        would.  Batched kernels override this to amortise across the
-        whole lattice; the default loops.
+        ``M`` (``uint64``) / ``W`` (``float64``) are the per-ideal
+        clusters concatenated in the given ideal order and ``counts[k]``
+        the number of clusters of ``ideals[k]``.  When the cumulative
+        cluster count exceeds ``node_budget`` the call raises
+        :class:`BudgetExceeded` with ``budget_msg``.
         """
-        import numpy as np
-
-        counts = np.zeros(len(ideals), dtype=np.intp)
-        parts_m: list = []
-        parts_w: list = []
-        total = 0
-        for k, ideal in enumerate(ideals):
-            masks, works = self.enumerate_arrays(lat, ideal, max_weight)
-            t = masks.size
-            if t == 0:
-                continue
-            counts[k] = t
-            total += t
-            if node_budget is not None and total > node_budget:
-                raise BudgetExceeded(budget_msg)
-            parts_m.append(masks)
-            parts_w.append(works)
-        if not parts_m:
-            return np.empty(0, np.uint64), np.empty(0, np.float64), counts
-        return np.concatenate(parts_m), np.concatenate(parts_w), counts
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -256,87 +202,106 @@ def resolve_kernel(
 # ----------------------------------------------------------------------
 # The reference kernel: recursive DFS (any graph size)
 # ----------------------------------------------------------------------
-@register_kernel(
-    "python",
-    "reference recursive DFS (any n); defines the canonical order",
-)
-class PythonKernel(EnumerationKernel):
-    """The pure-Python suffix-cluster DFS.
+def reference_dfs(
+    lat, ideal: int, max_weight: float
+) -> tuple[list[int], list[float]]:
+    """Suffix clusters of one ideal by the reference DFS (any graph size).
 
-    ``start`` indexes into a shared candidate list so the common "no
-    freshly exposed stage" case recurses without copying; the
+    Returns ``(masks, works)`` as Python lists in the canonical DFS
+    preorder.  ``start`` indexes into a shared candidate list so the
+    common "no freshly exposed stage" case recurses without copying; the
     enumeration order (and therefore every downstream tie-break) is
     identical to a naive slice-and-concatenate implementation.
     """
+    masks_l: list[int] = []
+    works_l: list[float] = []
+    sm = lat._succ_mask
+    pm = lat._pred_mask
+    w = lat._weights
+    masks_append = masks_l.append
+    works_append = works_l.append
+    init = lat._init_list(ideal)
 
-    def enumerate_lists(
-        self, lat, ideal: int, max_weight: float,
-        max_clusters: int | None = None,
-    ) -> tuple[list[int], list[float]]:
+    def rec(
+        h: int,
+        h_weight: float,
+        cands: list[int],
+        start: int,
+        # Hot-loop constants bound as defaults (LOAD_FAST).
+        sm=sm,
+        pm=pm,
+        w=w,
+        ideal=ideal,
+        max_weight=max_weight,
+        masks_append=masks_append,
+        works_append=works_append,
+    ) -> None:
+        end = len(cands)
+        for idx in range(start, end):
+            i = cands[idx]
+            nw = h_weight + w[i]
+            if nw > max_weight:
+                continue
+            nh = h | (1 << i)
+            masks_append(nh)
+            works_append(nw)
+            rem = ideal ^ nh
+            m = pm[i] & rem
+            if m:
+                fresh = []
+                while m:
+                    low = m & -m
+                    p = low.bit_length() - 1
+                    m ^= low
+                    if sm[p] & rem == 0:
+                        fresh.append(p)
+                if fresh:
+                    rec(nh, nw, cands[idx + 1 : end] + fresh, 0)
+                    continue
+            if idx + 1 < end:
+                rec(nh, nw, cands, idx + 1)
+
+    rec(0, 0.0, init, 0)
+    return masks_l, works_l
+
+
+@register_kernel(
+    "python",
+    "reference recursive DFS, one ideal at a time; defines the canonical "
+    "order",
+)
+class PythonKernel(EnumerationKernel):
+    """:func:`reference_dfs` looped over the chunk."""
+
+    def enumerate_bulk(
+        self, lat, ideals, max_weight: float,
+        node_budget: int | None = None, budget_msg: str | None = None,
+    ):
+        import numpy as np
+
+        counts = np.zeros(len(ideals), dtype=np.intp)
         masks_l: list[int] = []
         works_l: list[float] = []
-        sm = lat._succ_mask
-        pm = lat._pred_mask
-        w = lat._weights
-        masks_append = masks_l.append
-        works_append = works_l.append
-        init = lat._init_list(ideal)
-
-        def rec(
-            h: int,
-            h_weight: float,
-            cands: list[int],
-            start: int,
-            # Hot-loop constants bound as defaults (LOAD_FAST).
-            sm=sm,
-            pm=pm,
-            w=w,
-            ideal=ideal,
-            max_weight=max_weight,
-            max_clusters=max_clusters,
-            masks_append=masks_append,
-            works_append=works_append,
-        ) -> None:
-            end = len(cands)
-            for idx in range(start, end):
-                i = cands[idx]
-                nw = h_weight + w[i]
-                if nw > max_weight:
-                    continue
-                nh = h | (1 << i)
-                masks_append(nh)
-                works_append(nw)
-                if max_clusters is not None and len(masks_l) > max_clusters:
-                    raise BudgetExceeded(
-                        f"more than {max_clusters} suffix clusters "
-                        f"for one ideal"
-                    )
-                rem = ideal ^ nh
-                m = pm[i] & rem
-                if m:
-                    fresh = []
-                    while m:
-                        low = m & -m
-                        p = low.bit_length() - 1
-                        m ^= low
-                        if sm[p] & rem == 0:
-                            fresh.append(p)
-                    if fresh:
-                        rec(nh, nw, cands[idx + 1 : end] + fresh, 0)
-                        continue
-                if idx + 1 < end:
-                    rec(nh, nw, cands, idx + 1)
-
-        rec(0, 0.0, init, 0)
-        return masks_l, works_l
+        for k, ideal in enumerate(ideals):
+            masks, works = reference_dfs(lat, ideal, max_weight)
+            counts[k] = len(masks)
+            masks_l += masks
+            works_l += works
+            if node_budget is not None and len(masks_l) > node_budget:
+                raise BudgetExceeded(budget_msg)
+        return (
+            np.array(masks_l, dtype=np.uint64),
+            np.array(works_l, dtype=np.float64),
+            counts,
+        )
 
 
 # ----------------------------------------------------------------------
-# The vector kernel: frontier-batched bitset enumeration (n <= 62)
+# The vector kernel: frontier-batched bitset enumeration
 # ----------------------------------------------------------------------
 @register_kernel(
     "vector",
-    "frontier-batched uint64 numpy enumeration (n <= 62), exact DFS order",
+    "frontier-batched uint64 numpy enumeration, exact DFS order",
 )
 class VectorKernel(EnumerationKernel):
     """Layer-at-a-time expansion of the suffix-cluster DFS forest.
@@ -362,9 +327,7 @@ class VectorKernel(EnumerationKernel):
     Batching is what pays: :meth:`enumerate_bulk` expands the trees of
     *many* ideals as one forest (each node carries its root's ideal),
     so layer batches hold hundreds of thousands of states and the fixed
-    numpy dispatch cost amortises away.  This is the path the DP table
-    build uses; single-ideal calls run the same machinery with one
-    root.
+    numpy dispatch cost amortises away.
 
     The output order is reconstructed exactly: subtree sizes bottom-up
     (one ``bincount`` per layer), then preorder positions top-down
@@ -372,9 +335,8 @@ class VectorKernel(EnumerationKernel):
     elder-sibling subtree sizes), and one scatter per layer.  Works
     accumulate ``parent_work + w[stage]`` — the DFS's own IEEE order —
     so masks *and* works are byte-identical to the reference kernel.
-    The cumulative node count crosses a budget at the same total as the
-    DFS, raising the same :class:`BudgetExceeded`.  Graphs beyond a
-    machine word fall back to the ``python`` kernel.
+    A build raises :class:`BudgetExceeded` exactly when the reference
+    kernel's would, with the same message.
     """
 
     def _state(self, lat):
@@ -392,45 +354,12 @@ class VectorKernel(EnumerationKernel):
             st = lat._kernel_scratch["vector"] = (pm_u, sm_u, w_f, bit_u)
         return st
 
-    def enumerate_arrays(
-        self, lat, ideal: int, max_weight: float,
-        max_clusters: int | None = None,
-    ):
-        import numpy as np
-
-        if len(lat._weights) > 62:
-            return get_kernel("python").enumerate_arrays(
-                lat, ideal, max_weight, max_clusters
-            )
-        init = lat._init_list(ideal)
-        if not init:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        msg = (
-            f"more than {max_clusters} suffix clusters for one ideal"
-            if max_clusters is not None
-            else None
-        )
-        out_m, out_w, _counts = self._expand(
-            self._state(lat),
-            np.array([ideal], dtype=np.uint64),
-            np.asarray(init, dtype=np.int64),
-            np.array([len(init)], np.int64),
-            float(max_weight),
-            max_clusters,
-            msg,
-        )
-        return out_m, out_w
-
     def enumerate_bulk(
         self, lat, ideals, max_weight: float,
         node_budget: int | None = None, budget_msg: str | None = None,
     ):
         import numpy as np
 
-        if len(lat._weights) > 62:
-            return super().enumerate_bulk(
-                lat, ideals, max_weight, node_budget, budget_msg
-            )
         root_ideals = np.fromiter(
             ideals, dtype=np.uint64, count=len(ideals)
         )
@@ -634,138 +563,3 @@ class VectorKernel(EnumerationKernel):
             n_prev = layer_masks[d].size
         return out_m, out_w, root_totals
 
-
-# ----------------------------------------------------------------------
-# Cross-cell lattice reuse: the per-worker cache
-# ----------------------------------------------------------------------
-def _content_key(spg) -> tuple:
-    """Content identity of an SPG *including edge order*.
-
-    Structural ``SPG.__eq__`` ignores edge insertion order, but cut
-    volumes accumulate in ``edge_list`` order, so byte-identical reuse
-    keys on the ordered list.  Labels ride along because cached budget
-    failures embed ``ymax`` in their message.
-    """
-    return (
-        tuple(spg.weights),
-        tuple(spg.labels),
-        tuple(spg.edge_list),
-    )
-
-
-class LatticeCache:
-    """Bounded per-worker cache of ideal lattices, keyed by SPG content.
-
-    ``seed(spg)`` installs previously adopted lattices into a fresh SPG
-    object's derived-data cache (rebinding them to the new object so the
-    old graph can be collected); ``adopt(spg)`` harvests the lattices a
-    task built before the task clears ``spg._derived``.  Entries are LRU
-    over graph contents (``max_entries``); a lattice whose enumeration
-    scratch outgrew ``max_scratch_nodes`` is trimmed back to its ideal
-    enumeration on adoption, so long sweeps cannot grow worker memory
-    without bound.
-    """
-
-    def __init__(
-        self, max_entries: int = 8, max_scratch_nodes: int = 4_000_000
-    ) -> None:
-        self.max_entries = max_entries
-        self.max_scratch_nodes = max_scratch_nodes
-        self._slots: "OrderedDict[tuple, dict]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.adopted = 0
-        self.evicted = 0
-        self.trimmed = 0
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def seed(self, spg) -> bool:
-        """Install cached lattices for ``spg``; True on a content hit."""
-        entry = self._slots.get(_content_key(spg))
-        if entry is None:
-            self.misses += 1
-            inc("kernel.lattice_misses")
-            return False
-        self._slots.move_to_end(_content_key(spg))
-        for dkey, lat in entry.items():
-            lat.spg = spg
-            spg._derived.setdefault(dkey, lat)
-        self.hits += 1
-        inc("kernel.lattice_hits")
-        return True
-
-    def adopt(self, spg) -> int:
-        """Harvest ``spg``'s lattices into the cache; returns the count."""
-        got = {
-            k: v
-            for k, v in spg._derived.items()
-            if isinstance(k, tuple) and k and k[0] == "ideal_lattice"
-        }
-        if not got:
-            return 0
-        for lat in got.values():
-            nodes = lat.scratch_stats()["nodes"]
-            if nodes > self.max_scratch_nodes:
-                lat.clear_scratch()
-                self.trimmed += 1
-                inc("kernel.lattice_trimmed")
-        key = _content_key(spg)
-        entry = self._slots.get(key)
-        if entry is None:
-            if len(self._slots) >= self.max_entries:
-                self._slots.popitem(last=False)
-                self.evicted += 1
-                inc("kernel.lattice_evicted")
-            entry = self._slots[key] = {}
-        entry.update(got)
-        self._slots.move_to_end(key)
-        self.adopted += len(got)
-        inc("kernel.lattice_adopted", len(got))
-        return len(got)
-
-    def stats(self) -> dict:
-        """Counters plus current occupancy (lattices and scratch nodes)."""
-        lattices = sum(len(e) for e in self._slots.values())
-        nodes = sum(
-            lat.scratch_stats()["nodes"]
-            for e in self._slots.values()
-            for lat in e.values()
-        )
-        return {
-            "entries": len(self._slots),
-            "lattices": lattices,
-            "scratch_nodes": nodes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "adopted": self.adopted,
-            "evicted": self.evicted,
-            "trimmed": self.trimmed,
-        }
-
-    def clear(self) -> None:
-        self._slots.clear()
-
-
-#: The per-process cache behind :func:`worker_lattice_cache`.
-_WORKER_CACHE: LatticeCache | None = None
-
-
-def worker_lattice_cache() -> LatticeCache:
-    """The process-wide lattice cache (each pool worker has its own)."""
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = LatticeCache()
-    return _WORKER_CACHE
-
-
-def reset_worker_cache() -> None:
-    """Drop the per-process cache (engine runs start cold).
-
-    ``run_tasks`` calls this so serial runs, pool runs (whose workers
-    are born cold anyway) and repeated identical runs in one process all
-    report the same deterministic telemetry.
-    """
-    global _WORKER_CACHE
-    _WORKER_CACHE = None

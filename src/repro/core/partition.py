@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.core.errors import BudgetExceeded
-from repro.core.kernels import EnumerationKernel, resolve_kernel
-from repro.obs.session import inc, trace_span
+from repro.core.kernels import EnumerationKernel, reference_dfs, resolve_kernel
+from repro.obs.session import inc
 from repro.spg.analysis import ancestor_masks, cut_volume, descendant_masks
 from repro.spg.graph import SPG
 from repro.util.bitset import bit, iter_bits, mask_of
@@ -32,6 +32,10 @@ __all__ = [
     "is_dag_partition",
     "IdealLattice",
 ]
+
+#: Ideals handed to the kernel per ``enumerate_bulk`` call when building
+#: a suffix table.
+TABLE_CHUNK = 1024
 
 
 def quotient_edges(
@@ -92,11 +96,13 @@ class IdealLattice:
         ``n^ymax``; real workloads with ymax around 12-17 blow any budget,
         which is exactly when DPA1D is reported to fail.
     kernel:
-        The suffix-cluster enumeration kernel — a name from the
-        :mod:`repro.core.kernels` registry, a kernel instance, or
-        ``None`` for the ambient default (``--kernel`` / the
-        ``REPRO_KERNEL`` environment variable).  Every kernel produces
-        byte-identical output; the choice is purely a speed lever.
+        The kernel that builds the suffix table of a word-sized graph
+        (n <= 62) — a name from the :mod:`repro.core.kernels` registry,
+        a kernel instance, or ``None`` for the ambient default
+        (``--kernel`` / the ``REPRO_KERNEL`` environment variable).
+        Every kernel produces byte-identical output; the choice is
+        purely a speed lever.  Wider graphs always use the reference
+        DFS.
     """
 
     def __init__(
@@ -122,19 +128,14 @@ class IdealLattice:
         self._cut_table: tuple | None = None
         self._initc: dict[int, list[int]] = {0: []}
         self._init_mask: dict[int, int] = {}
-        # ideal -> (loosest cap, masks, works, filter cap, fmasks, fworks):
-        # the suffix clusters enumerated at the loosest cap seen (kept for
-        # good — weight pruning removes whole DFS subtrees, so tighter caps
-        # are exactly filtered views) plus one memoised filtered view for
-        # the cap currently being solved.
-        self._sfx: dict[int, tuple] = {}
-        # cap -> (M, W, counts, offsets, pidx, total): the concatenated
-        # per-ideal arrays in DP ideal order (see suffix_table).
-        self._tables: dict[float, tuple] = {}
-        self._table_loosest: float | None = None
+        # (cap, (M, W, counts, offsets, pidx, total)): the one suffix
+        # table, built at the loosest cap requested so far (word-sized
+        # graphs only; see suffix_table).
+        self._table: tuple | None = None
         self._ideal_pos: tuple | None = None
-        # Per-lattice scratch namespace for kernels (numpy mask tables,
-        # ...); dropped by clear_scratch with the rest.
+        # Value-sorted ideal index -> DP index (see _dp_slot).
+        self._dp_index = None
+        # Per-lattice scratch namespace for kernels (numpy mask tables).
         self._kernel_scratch: dict = {}
 
     @staticmethod
@@ -355,7 +356,7 @@ class IdealLattice:
 
     # ------------------------------------------------------------------
     def suffix_clusters_weighted(
-        self, ideal: int, max_weight: float, max_clusters: int | None = None
+        self, ideal: int, max_weight: float
     ) -> list[tuple[int, float]]:
         """Non-empty up-sets ``H`` of ``ideal`` with weight <= ``max_weight``.
 
@@ -363,199 +364,133 @@ class IdealLattice:
         ideal ``I'``; these are exactly the candidate "last clusters" when
         peeling the SPG from the sink side in the Theorem-1 DP.
 
-        The DFS tracks the removable frontier *incrementally*: a stage
-        becomes removable exactly when its last missing successor joins the
-        cluster, so extending a cluster costs O(in-degree) rather than a
-        scan of the whole ideal.  Exclusion by list position guarantees each
-        up-set is produced exactly once.  Clusters heavier than
-        ``max_weight`` are pruned (they cannot meet the period at any
-        speed), which keeps the enumeration tractable for tight periods.
+        The pairs come in the canonical DFS preorder of
+        :func:`~repro.core.kernels.reference_dfs`, which tracks the
+        removable frontier *incrementally*: a stage becomes removable
+        exactly when its last missing successor joins the cluster, so
+        extending a cluster costs O(in-degree) rather than a scan of the
+        whole ideal.  Exclusion by list position guarantees each up-set is
+        produced exactly once.  Clusters heavier than ``max_weight`` are
+        pruned (they cannot meet the period at any speed), which keeps
+        the enumeration tractable for tight periods.
 
-        For word-sized graphs without a cluster budget the pairs are built
-        from the per-ideal array cache of :meth:`suffix_arrays`, so e.g.
-        the DP reconstruction rereads exactly what the solve enumerated.
+        For word-sized graphs the pairs are a slice of the lattice's one
+        suffix table (see :meth:`suffix_arrays`), so e.g. the DP
+        reconstruction rereads exactly what the solve enumerated.  Wider
+        graphs run the reference DFS for this one ideal, whatever kernel
+        the lattice uses.
         """
-        if max_clusters is None and self.spg.n <= 62:
-            masks, works = self.suffix_arrays(ideal, max_weight)
-            return list(zip(masks.tolist(), works.tolist()))
-        masks_l, works_l = self._enumerate_suffix_lists(
-            ideal, max_weight, max_clusters
-        )
-        return list(zip(masks_l, works_l))
+        if self.spg.n > 62:
+            masks_l, works_l = reference_dfs(self, ideal, max_weight)
+            return list(zip(masks_l, works_l))
+        masks, works = self.suffix_arrays(ideal, max_weight)
+        return list(zip(masks.tolist(), works.tolist()))
 
     def suffix_arrays(self, ideal: int, max_weight: float):
         """Suffix clusters of ``ideal`` as ``(masks, works)`` numpy arrays.
 
-        Same clusters, same order as :meth:`suffix_clusters_weighted`, but
-        flat ``uint64``/``float64`` arrays (graphs must fit a machine
-        word).  The arrays enumerated at the *loosest* cap seen are kept
-        for good; a tighter cap is served as a filtered view (one
-        vectorised comparison — the weight pruning of the DFS removes
-        exactly the elements heavier than the cap, so filtering
-        reproduces a pruned enumeration element for element), with the
-        view for the cap currently being solved memoised.  choose_period
-        probes the loosest period first and tightens, so every re-probe
-        — and, through the worker lattice cache, every sweep cell
-        sharing the graph — hits these arrays instead of re-running the
-        DFS; a probe looser than anything seen re-enumerates once and
-        becomes the new kept cap.
+        Same clusters, same order as :meth:`suffix_clusters_weighted`, as
+        flat ``uint64``/``float64`` arrays; word-sized graphs (n <= 62)
+        only.  The arrays are ``ideal``'s slice of the kept
+        :meth:`suffix_table`, filtered down to ``max_weight`` when that
+        table was built at a looser cap.  When no kept table covers
+        ``max_weight``, the table is built at ``max_weight`` first, with
+        no transition budget.
         """
-        hit = self._sfx.get(ideal)
-        if hit is not None:
-            cap, masks, works, fcap, fmasks, fworks = hit
-            if max_weight == cap:
-                return masks, works
-            if max_weight < cap:
-                if fcap == max_weight:
-                    return fmasks, fworks
-                sel = works <= max_weight
-                fmasks, fworks = masks[sel], works[sel]
-                self._sfx[ideal] = (
-                    cap, masks, works, max_weight, fmasks, fworks
-                )
-                return fmasks, fworks
-        masks, works = self.kernel.enumerate_arrays(self, ideal, max_weight)
-        self._sfx[ideal] = (max_weight, masks, works, None, None, None)
-        inc("kernel.enumerations")
+        if self.spg.n > 62:
+            raise ValueError(
+                f"suffix_arrays needs a word-sized graph (n <= 62), "
+                f"got n={self.spg.n}"
+            )
+        if self._table is None or self._table[0] < max_weight:
+            self.suffix_table(max_weight)
+        cap, (M, W, _counts, offsets, _pidx, _total) = self._table
+        k = self._dp_slot(ideal)
+        lo, hi = offsets[k], offsets[k + 1]
+        masks, works = M[lo:hi], W[lo:hi]
+        if max_weight < cap:
+            keep = works <= max_weight
+            masks, works = masks[keep], works[keep]
         return masks, works
-
-    def _enumerate_suffix_lists(
-        self, ideal: int, max_weight: float, max_clusters: int | None = None
-    ) -> tuple[list[int], list[float]]:
-        """The one suffix-cluster enumeration, dispatched to the kernel.
-
-        Every registered kernel (see :mod:`repro.core.kernels`) produces
-        the same masks and works in the same DFS preorder, so downstream
-        tie-breaks are kernel-independent.
-        """
-        return self.kernel.enumerate_lists(
-            self, ideal, max_weight, max_clusters
-        )
 
     def suffix_table(
         self, max_weight: float, transition_budget: int | None = None
     ) -> tuple:
         """The whole lattice's suffix clusters as one flat DP table.
 
-        Returns ``(M, W, counts, offsets, pidx, total)``: the per-ideal
-        ``suffix_arrays`` concatenated in DP ideal order (``counts[k]``
+        Returns ``(M, W, counts, offsets, pidx, total)``: every ideal's
+        suffix clusters concatenated in DP ideal order (``counts[k]``
         transitions for ``ideals()[k]``, sliced by ``offsets``), with
         ``pidx`` the value-index of each transition's prefix ``ideal ^
         mask`` in :meth:`cut_table`'s sorted array.  Word-sized graphs
         only.
 
-        Like the per-ideal arrays the table built at the loosest cap is
-        kept and tighter caps are derived by one filtering pass, so a
-        re-solve at a previously seen (or tighter) cap does no per-ideal
-        Python at all.  When ``transition_budget`` is given the build
-        raises :class:`BudgetExceeded` at the same cumulative transition
-        count as a per-ideal counting loop (cached tables re-check their
-        total against the caller's budget, which may differ per solve).
+        The lattice keeps one table, built at the loosest cap requested
+        so far.  A request at that cap returns it; a tighter cap gets a
+        filtered copy (the DFS's weight pruning removes exactly the
+        clusters heavier than the cap, so filtering reproduces a pruned
+        enumeration element for element); a looser cap builds a new
+        table, which replaces the kept one once the build completes.
+        When ``transition_budget`` is given a build raises
+        :class:`BudgetExceeded` as soon as the cumulative transition
+        count exceeds it, leaving the kept table in place; a kept or
+        filtered table re-checks its total against the caller's budget
+        (which may differ per solve), with the same message.
         """
-        import numpy as np
-
-        budget_msg = (
-            f"DPA1D exceeded {transition_budget} DP transitions"
-        )
-        tbl = self._tables.get(max_weight)
-        if tbl is None:
-            loosest = self._table_loosest
-            if loosest is not None and max_weight < loosest:
-                M, W, counts, offsets, pidx, _total = self._tables[loosest]
-                keep = W <= max_weight
-                cs = np.zeros(len(keep) + 1, dtype=np.intp)
-                np.cumsum(keep, out=cs[1:])
-                fcounts = (cs[offsets[1:]] - cs[offsets[:-1]]).astype(
-                    np.intp
-                )
-                foffsets = np.zeros(len(fcounts) + 1, dtype=np.intp)
-                np.cumsum(fcounts, out=foffsets[1:])
-                tbl = (
-                    M[keep], W[keep], fcounts, foffsets, pidx[keep],
-                    int(foffsets[-1]),
-                )
-                self._tables[max_weight] = tbl
-                inc("kernel.table_filtered")
-            else:
-                tbl = self._build_table(max_weight, transition_budget)
-                self._tables[max_weight] = tbl
-                if loosest is None or max_weight > loosest:
-                    self._table_loosest = max_weight
-                inc("kernel.table_builds")
-        else:
+        kept = self._table
+        if kept is None or kept[0] < max_weight:
+            tbl = self._build_table(max_weight, transition_budget)
+            self._table = (max_weight, tbl)
+            inc("kernel.table_builds")
+        elif kept[0] == max_weight:
+            tbl = kept[1]
             inc("kernel.table_hits")
+        else:
+            tbl = _filter_table(kept[1], max_weight)
+            inc("kernel.table_filtered")
         if transition_budget is not None and tbl[5] > transition_budget:
-            raise BudgetExceeded(budget_msg)
+            raise BudgetExceeded(
+                f"DPA1D exceeded {transition_budget} DP transitions"
+            )
         return tbl
 
     def _build_table(
         self, max_weight: float, transition_budget: int | None
     ) -> tuple:
-        """Fresh ``suffix_table`` build, counting against the budget as
-        it goes so a doomed run raises without enumerating the rest."""
+        """Fresh ``suffix_table`` build: the kernel enumerates the nonzero
+        ideals in chunks of :data:`TABLE_CHUNK`, counting against the
+        budget as it goes so a doomed run raises without enumerating the
+        rest."""
         import numpy as np
 
         ideals = self.ideals()
         vals, _cuts = self.cut_table()
         n_ideals = len(ideals)
+        nz = [k for k, ideal in enumerate(ideals) if ideal]
         counts = np.zeros(n_ideals, dtype=np.intp)
         masks_parts: list = []
         works_parts: list = []
         transitions = 0
         budget_msg = f"DPA1D exceeded {transition_budget} DP transitions"
-        if not self._sfx:
-            # Cold build: hand the kernel whole chunks of ideals so a
-            # batching kernel expands thousands of DFS trees as one
-            # forest.  The per-ideal slices land in ``_sfx`` so later
-            # ``suffix_arrays``/``reconstruct`` calls hit the cache.
-            nz = [(k, ideal) for k, ideal in enumerate(ideals) if ideal]
-            chunk_size = 1024
-            for s in range(0, len(nz), chunk_size):
-                chunk = nz[s:s + chunk_size]
-                chunk_ideals = [ideal for _k, ideal in chunk]
-                remaining = (
-                    None if transition_budget is None
-                    else transition_budget - transitions
-                )
-                M, W, ccounts = self.kernel.enumerate_bulk(
-                    self, chunk_ideals, max_weight,
-                    node_budget=remaining, budget_msg=budget_msg,
-                )
-                off = 0
-                for (k, ideal), t in zip(chunk, ccounts):
-                    t = int(t)
-                    counts[k] = t
-                    self._sfx[ideal] = (
-                        max_weight, M[off:off + t], W[off:off + t],
-                        None, None, None,
-                    )
-                    off += t
-                transitions += int(M.size)
-                if M.size:
-                    masks_parts.append(M)
-                    works_parts.append(W)
-            inc("kernel.enumerations", len(nz))
-        else:
-            for k, ideal in enumerate(ideals):
-                if ideal == 0:
-                    continue
-                masks, works = self.suffix_arrays(ideal, max_weight)
-                t = len(masks)
-                if t == 0:
-                    continue
-                counts[k] = t
-                transitions += t
-                if transition_budget is not None and transitions > (
-                    transition_budget
-                ):
-                    raise BudgetExceeded(budget_msg)
-                masks_parts.append(masks)
-                works_parts.append(works)
+        for s in range(0, len(nz), TABLE_CHUNK):
+            chunk = nz[s:s + TABLE_CHUNK]
+            remaining = (
+                None if transition_budget is None
+                else transition_budget - transitions
+            )
+            M, W, ccounts = self.kernel.enumerate_bulk(
+                self, [ideals[k] for k in chunk], max_weight,
+                node_budget=remaining, budget_msg=budget_msg,
+            )
+            counts[chunk] = ccounts
+            transitions += int(M.size)
+            masks_parts.append(M)
+            works_parts.append(W)
+        inc("kernel.enumerations", len(nz))
         offsets = np.zeros(n_ideals + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
-        if not masks_parts:
-            empty_m = np.empty(0, np.uint64)
-            return (empty_m, np.empty(0), counts, offsets,
+        if transitions == 0:
+            return (np.empty(0, np.uint64), np.empty(0), counts, offsets,
                     np.empty(0, np.intp), 0)
         M = np.concatenate(masks_parts)
         W = np.concatenate(works_parts)
@@ -579,72 +514,19 @@ class IdealLattice:
             self._ideal_pos = (ideal_vals, np.searchsorted(vals, ideal_vals))
         return self._ideal_pos
 
-    def warm(
-        self, max_weight: float, transition_budget: int | None = None
-    ) -> dict:
-        """Pre-enumerate everything a solve at cap ``max_weight`` needs.
+    def _dp_slot(self, ideal: int) -> int:
+        """Index of ``ideal`` in :meth:`ideals` (DP order)."""
+        import numpy as np
 
-        Fills the ideal enumeration, cut volumes and — for word-sized
-        graphs — the flat suffix table, so subsequent solves at this (or
-        any tighter) cap are pure array work.  Returns ``{"ideals": ...,
-        "transitions": ...}``.
-        """
-        with trace_span(
-            "kernel.warm", kernel=self.kernel.name, cap=float(max_weight)
-        ):
-            ideals = self.ideals()
-            if self.spg.n <= 62:
-                self.cut_table()
-                tbl = self.suffix_table(max_weight, transition_budget)
-                return {"ideals": len(ideals), "transitions": tbl[5]}
-            transitions = 0
-            for ideal in ideals:
-                if ideal:
-                    transitions += len(
-                        self.suffix_clusters_weighted(ideal, max_weight)
-                    )
-            return {"ideals": len(ideals), "transitions": transitions}
-
-    # ------------------------------------------------------------------
-    def scratch_stats(self) -> dict:
-        """Sizes of the per-ideal enumeration scratch (see clear_scratch).
-
-        ``nodes`` counts every cached (mask, work) pair — loosest-cap
-        arrays, memoised filtered views and flat tables — and ``bytes``
-        estimates their footprint (16 bytes a pair), so sweep drivers
-        and the worker lattice cache can bound memory.
-        """
-        sfx_nodes = 0
-        for _cap, masks, _w, _fcap, fmasks, _fw in self._sfx.values():
-            sfx_nodes += len(masks)
-            if fmasks is not None:
-                sfx_nodes += len(fmasks)
-        table_nodes = sum(t[5] for t in self._tables.values())
-        init_items = sum(len(v) for v in self._initc.values())
-        nodes = sfx_nodes + table_nodes
-        return {
-            "sfx_ideals": len(self._sfx),
-            "sfx_nodes": sfx_nodes,
-            "tables": len(self._tables),
-            "table_nodes": table_nodes,
-            "init_lists": len(self._initc),
-            "nodes": nodes,
-            "bytes": 16 * nodes + 8 * init_items,
-        }
-
-    def clear_scratch(self) -> None:
-        """Drop rebuildable enumeration scratch, keeping the lattice.
-
-        The ideal enumeration, cut volumes and any cached budget failure
-        survive (they are the expensive, bounded part); the per-ideal
-        suffix arrays, filtered views, flat tables, init lists and
-        kernel scratch are released and will be rebuilt on demand.
-        """
-        self._sfx.clear()
-        self._tables.clear()
-        self._table_loosest = None
-        self._initc = {0: []}
-        self._kernel_scratch.clear()
+        vals, _cuts = self.cut_table()
+        v = int(np.searchsorted(vals, np.uint64(ideal)))
+        if v == len(vals) or int(vals[v]) != ideal:
+            raise ValueError(f"{ideal:#x} is not an order ideal of the SPG")
+        if self._dp_index is None:
+            _ideal_vals, epos = self.ideal_positions()
+            self._dp_index = np.empty_like(epos)
+            self._dp_index[epos] = np.arange(len(epos))
+        return int(self._dp_index[v])
 
     def _init_list(self, ideal: int) -> list[int]:
         """Successor-free stages of ``ideal``, ascending (cached)."""
@@ -659,13 +541,24 @@ class IdealLattice:
             self._initc[ideal] = init
         return init
 
-    def suffix_clusters(
-        self, ideal: int, max_weight: float, max_clusters: int | None = None
-    ) -> list[int]:
+    def suffix_clusters(self, ideal: int, max_weight: float) -> list[int]:
         """Masks-only view of :meth:`suffix_clusters_weighted`."""
         return [
             mask
-            for mask, _w in self.suffix_clusters_weighted(
-                ideal, max_weight, max_clusters
-            )
+            for mask, _w in self.suffix_clusters_weighted(ideal, max_weight)
         ]
+
+
+def _filter_table(tbl: tuple, max_weight: float) -> tuple:
+    """``tbl`` restricted to the transitions of weight <= ``max_weight``."""
+    import numpy as np
+
+    M, W, _counts, offsets, pidx, _total = tbl
+    keep = W <= max_weight
+    cs = np.zeros(len(keep) + 1, dtype=np.intp)
+    np.cumsum(keep, out=cs[1:])
+    fcounts = (cs[offsets[1:]] - cs[offsets[:-1]]).astype(np.intp)
+    foffsets = np.zeros(len(fcounts) + 1, dtype=np.intp)
+    np.cumsum(fcounts, out=foffsets[1:])
+    return (M[keep], W[keep], fcounts, foffsets, pidx[keep],
+            int(foffsets[-1]))

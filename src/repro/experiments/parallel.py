@@ -55,7 +55,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.kernels import reset_worker_cache, worker_lattice_cache
 from repro.experiments.period import PeriodChoice, choose_period
 from repro.obs.profile import maybe_profile
 from repro.obs.session import absorb, capture, capture_config, event, inc
@@ -268,12 +267,6 @@ def run_tasks(
         jobs = 1
     else:
         jobs = resolve_jobs(jobs)
-    # Every engine run starts with a cold lattice cache: pool workers are
-    # born cold anyway, and resetting the in-process cache keeps serial
-    # runs' telemetry (and memory) independent of what ran before.
-    # Reuse still multiplies *within* the run, which is where cells
-    # sharing a graph actually cluster.
-    reset_worker_cache()
     # Mirror resilience activity into the metrics registry (satellite
     # of the telemetry-analytics PR): deltas only, and only when
     # nonzero, so a clean run's counter set stays jobs-invariant (pool
@@ -552,21 +545,15 @@ def random_panel_task(task) -> PeriodChoice:
     seed, options)`` — the SPG was generated (and the seed pre-drawn) by
     the parent so the shared RNG stream is consumed in serial order."""
     spg, grid, heuristics, seed, options = task
-    cache = worker_lattice_cache()
-    cache.seed(spg)
     try:
         return choose_period(
             spg, grid, heuristics, seed=seed, options=options
         )
     finally:
-        # Experiment records keep the SPG alive for the whole sweep; the
-        # ideal lattices move into the bounded per-worker cache (so a
-        # later cell with the same graph content skips re-enumeration)
-        # and the rest of the instance's DP scratch state is dropped so
-        # serial runs don't accumulate it.  (Pool workers keep their
-        # cache for the life of the run; SPG.__reduce__ excludes
-        # ``_derived`` from pickles either way.)
-        cache.adopt(spg)
+        # Experiment records keep the SPG alive for the whole sweep; drop
+        # the instance's DP scratch state (ideal lattice, suffix table)
+        # so serial runs don't accumulate it.  (Pool workers shed it
+        # implicitly: SPG.__reduce__ excludes the cache from the pickle.)
         spg._derived.clear()
 
 
@@ -578,14 +565,11 @@ def streamit_task(task) -> PeriodChoice:
 
     idx, ccr, wf_seed, grid, heuristics, seed, options = task
     spg = streamit_workflow(idx, ccr=ccr, seed=wf_seed)
-    cache = worker_lattice_cache()
-    cache.seed(spg)
     try:
         return choose_period(
             spg, grid, heuristics, seed=seed, options=options
         )
     finally:
-        cache.adopt(spg)
         spg._derived.clear()
 
 

@@ -52,10 +52,9 @@ class _UnilineDP:
         self.r = min(r, self.spg.n)
         self.cap_work = self.T * self.model.s_max
         self.cap_bytes = self.model.link_capacity(self.T)
-        # The lattice (ideal enumeration + cut volumes) only depends on the
-        # SPG, so it is shared across the several periods choose_period
-        # probes on the same graph — and, through the worker lattice
-        # cache, across sweep cells with the same graph content.
+        # The lattice (ideal enumeration, cut volumes, suffix table) only
+        # depends on the SPG, so it is shared across the several periods
+        # choose_period probes on the same graph.
         self.lat = IdealLattice.for_spg(
             self.spg, budget=ideal_budget, kernel=kernel
         )
@@ -156,13 +155,12 @@ class _UnilineDP:
         e8 = 8.0  # comm energy is (8.0 * cut) * e_bit, kept in this order
         e_bit = model.e_bit
 
-        # The flat transition table: per-ideal suffix arrays concatenated
-        # in DP ideal order, built (and cached, with tighter caps served
-        # as filtered views) by the lattice.  A run destined to blow its
-        # transition budget raises in there — at the exact same
-        # cumulative count as a fused loop — without paying for any DP
-        # work; a surviving run slices the flat buffer below with no
-        # per-ideal Python at all when the table is warm.
+        # The flat transition table: every ideal's suffix clusters
+        # concatenated in DP ideal order.  The lattice keeps one table at
+        # the loosest cap seen and serves tighter caps as filtered
+        # copies.  A run destined to blow its transition budget raises in
+        # there without paying for any DP work; a surviving run slices
+        # the flat buffer below with no per-ideal Python at all.
         M, W, counts, offsets, pidx, _total = lat.suffix_table(
             cap_work, transition_budget
         )

@@ -154,7 +154,10 @@ class TestSuffixClusters:
         assert len(clusters) == len(set(clusters))
 
     def test_cluster_budget(self):
+        # The cluster budget is the suffix table's transition budget: a
+        # build that exceeds it raises and keeps nothing.
         g = split_join([1] * 8)
         lat = IdealLattice(g, budget=10**6)
-        with pytest.raises(BudgetExceeded):
-            lat.suffix_clusters(lat.full, float("inf"), max_clusters=5)
+        with pytest.raises(BudgetExceeded, match="5 DP transitions"):
+            lat.suffix_table(float("inf"), 5)
+        assert lat._table is None

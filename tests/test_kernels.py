@@ -1,10 +1,11 @@
-"""Tests for the enumeration-kernel layer and cross-cell lattice reuse.
+"""Tests for the enumeration-kernel layer and the lattice's suffix table.
 
 Covers the kernel registry and ambient selection, the vector kernel's
 byte-exact equivalence to the reference DFS (hypothesis battery over
 random SPGs x caps x budgets, including ``BudgetExceeded`` parity), the
-keep-loosest ``suffix_arrays``/``suffix_table`` caches, the bounded
-per-worker :class:`LatticeCache`, and the ``--kernel`` CLI plumbing.
+one keep-loosest suffix table per lattice and the kernel calls it makes,
+the reference-DFS path for graphs wider than a machine word, and the
+``--kernel`` CLI plumbing.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ from repro.core.kernels import (
     KERNEL_ENV,
     KERNELS,
     EnumerationKernel,
-    LatticeCache,
     get_kernel,
     kernel_names,
     register_kernel,
-    reset_worker_cache,
     resolve_kernel,
     set_default_kernel,
     use_kernel,
-    worker_lattice_cache,
 )
 from repro.core.partition import IdealLattice
 from repro.spg import chain, fork_join
@@ -64,14 +62,14 @@ class TestRegistry:
     def test_register_and_unregister(self):
         @register_kernel("test-null", "test-only kernel")
         class NullKernel(EnumerationKernel):
-            def enumerate_lists(self, lat, ideal, max_weight,
-                                max_clusters=None):
-                return [], []
+            def enumerate_bulk(self, lat, ideals, max_weight,
+                               node_budget=None, budget_msg=None):
+                return [], [], [0] * len(ideals)
 
         try:
-            assert get_kernel("test-null").enumerate_lists(
-                None, 3, 1.0
-            ) == ([], [])
+            assert get_kernel("test-null").enumerate_bulk(
+                None, [3], 1.0
+            ) == ([], [], [0])
         finally:
             KERNELS.pop("test-null")
 
@@ -159,29 +157,26 @@ class TestKernelParity:
             else:
                 assert a == b
 
-    @given(budget=st.integers(min_value=1, max_value=400))
+    @given(budget=st.integers(min_value=1, max_value=3000))
     @settings(max_examples=25, deadline=None)
     def test_cluster_budget_parity(self, budget):
+        # The kernels' own cluster budget (``node_budget``) over one chunk.
         spg = random_spg(10, rng=3)
         cap = sum(spg.weights)
-        lp = lattice(spg, "python")
-        lv = lattice(spg, "vector")
-        for ideal in lp.ideals():
-            if not ideal:
-                continue
-            rp = rv = None
+        msg = f"more than {budget} suffix clusters"
+        got = []
+        for kernel in ("python", "vector"):
+            lat = lattice(spg, kernel)
+            ideals = [i for i in lat.ideals() if i]
             try:
-                got_p = lp.suffix_clusters_weighted(ideal, cap, budget)
+                M, W, counts = lat.kernel.enumerate_bulk(
+                    lat, ideals, cap, node_budget=budget, budget_msg=msg
+                )
+                got.append((M.tobytes(), W.tobytes(), counts.tolist()))
             except BudgetExceeded as exc:
-                rp = str(exc)
-            try:
-                got_v = lv.suffix_clusters_weighted(ideal, cap, budget)
-            except BudgetExceeded as exc:
-                rv = str(exc)
-            # Raise at the same cumulative count, same message.
-            assert rp == rv
-            if rp is None:
-                assert got_p == got_v
+                got.append(str(exc))
+        # Raise at the same cumulative count, same message.
+        assert got[0] == got[1]
 
     @given(budget=st.integers(min_value=1, max_value=3000))
     @settings(max_examples=25, deadline=None)
@@ -231,10 +226,14 @@ class TestKernelParity:
         lv = lattice(spg, "vector")
         lp = lattice(spg, "python")
         cap = sum(spg.weights)
-        ideal = next(i for i in lv.ideals() if i)
-        assert lv.suffix_clusters_weighted(
-            ideal, cap
-        ) == lp.suffix_clusters_weighted(ideal, cap)
+        first = next(i for i in lv.ideals() if i)
+        # The full ideal's masks are wider than uint64.
+        for ideal in (first, lv.full):
+            got = lv.suffix_clusters_weighted(ideal, cap)
+            assert got == lp.suffix_clusters_weighted(ideal, cap)
+        assert max(m for m, _w in got) >= 1 << 64
+        with pytest.raises(ValueError, match="n <= 62"):
+            lv.suffix_arrays(lv.full, cap)
 
     def test_solver_outputs_identical_under_kernels(self):
         from repro.core.problem import ProblemInstance
@@ -254,8 +253,17 @@ class TestKernelParity:
 
 
 # ---------------------------------------------------------------------------
-# Keep-loosest caches (satellite: loose -> tight -> loose regression)
+# One keep-loosest suffix table per lattice
 # ---------------------------------------------------------------------------
+def assert_tables_equal(a, b):
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+
 class TestSuffixCaches:
     def test_loosest_arrays_survive_tightening(self):
         spg = random_spg(10, rng=1)
@@ -265,22 +273,12 @@ class TestSuffixCaches:
         loose_m, loose_w = lat.suffix_arrays(ideal, total)
         tight_m, tight_w = lat.suffix_arrays(ideal, total * 0.3)
         assert tight_m.size <= loose_m.size
-        # The loose-cap query after tightening returns the *same* kept
-        # arrays — the regression was overwriting them with the view.
+        # The loose-cap read after tightening still slices the loose
+        # table: a tighter cap never replaces the kept one.
         again_m, again_w = lat.suffix_arrays(ideal, total)
-        assert again_m is loose_m and again_w is loose_w
-
-    def test_filtered_view_memoised_per_cap(self):
-        spg = random_spg(10, rng=1)
-        lat = lattice(spg, "vector")
-        total = sum(spg.weights)
-        ideal = max(lat.ideals())
-        lat.suffix_arrays(ideal, total)
-        a1, _ = lat.suffix_arrays(ideal, total * 0.4)
-        a2, _ = lat.suffix_arrays(ideal, total * 0.4)
-        assert a1 is a2  # memoised view for the current solve cap
-        b1, _ = lat.suffix_arrays(ideal, total * 0.2)
-        assert b1 is not a1  # a new cap derives (and memoises) a new view
+        assert np.array_equal(again_m, loose_m)
+        assert again_w.tobytes() == loose_w.tobytes()
+        assert lat._table[0] == total
 
     def test_filtered_view_matches_fresh_enumeration(self):
         spg = random_spg(11, rng=6)
@@ -302,10 +300,10 @@ class TestSuffixCaches:
         total = sum(spg.weights)
         ideal = max(lat.ideals())
         tight_m, _ = lat.suffix_arrays(ideal, total * 0.3)
+        assert lat._table[0] == total * 0.3  # a read builds the table
         loose_m, _ = lat.suffix_arrays(ideal, total)
         assert loose_m.size >= tight_m.size
-        again, _ = lat.suffix_arrays(ideal, total)
-        assert again is loose_m  # the looser cap became the kept one
+        assert lat._table[0] == total  # the looser cap became the kept one
 
     def test_suffix_table_cached_and_filtered(self):
         spg = random_spg(12, rng=9)
@@ -313,13 +311,10 @@ class TestSuffixCaches:
         total = sum(spg.weights)
         t1 = lat.suffix_table(total)
         assert lat.suffix_table(total) is t1  # exact-cap hit
-        t2 = lat.suffix_table(total * 0.5)  # filtered derivation
-        fresh = lattice(spg, "vector").suffix_table(total * 0.5)
-        for a, b in zip(t2, fresh):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b)
-            else:
-                assert a == b
+        t2 = lat.suffix_table(total * 0.5)  # filtered copy
+        assert_tables_equal(
+            t2, lattice(spg, "vector").suffix_table(total * 0.5)
+        )
 
     def test_cached_table_rechecks_budget(self):
         spg = random_spg(12, rng=9)
@@ -329,127 +324,67 @@ class TestSuffixCaches:
         assert tbl[5] > 10
         with pytest.raises(BudgetExceeded, match="10 DP transitions"):
             lat.suffix_table(total, 10)  # same cap, tighter budget
+        with pytest.raises(BudgetExceeded, match="10 DP transitions"):
+            lat.suffix_table(total * 0.9, 10)  # filtered, re-checked
 
-    def test_warm_reports_and_prefills(self):
-        spg = random_spg(12, rng=9)
-        lat = lattice(spg, "vector")
+    def test_non_ideal_read_rejected(self):
+        lat = lattice(chain(4), "vector")
+        with pytest.raises(ValueError, match="not an order ideal"):
+            lat.suffix_arrays(0b0010, 10.0)
+
+
+class _KernelSpy:
+    """Records the names of the kernel methods the lattice calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if not callable(attr):
+            return attr
+
+        def spied(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return spied
+
+
+class TestTableAccessPattern:
+    """The choose_period pattern: a loose probe that blows the transition
+    budget, then a 10x tighter one, on the same lattice."""
+
+    @pytest.mark.parametrize("kernel", ["python", "vector"])
+    def test_tighter_cap_after_failed_build_is_bulk(self, kernel):
+        spg = fork_join(12)
         total = sum(spg.weights)
-        stats = lat.warm(total * 0.8)
-        assert stats["ideals"] == len(lat.ideals())
-        assert stats["transitions"] == lat.suffix_table(total * 0.8)[5]
-
-    def test_scratch_stats_and_clear(self):
-        spg = random_spg(10, rng=4)
-        lat = lattice(spg, "vector")
-        total = sum(spg.weights)
-        before = lat.suffix_table(total)
-        stats = lat.scratch_stats()
-        assert stats["nodes"] > 0 and stats["bytes"] > 0
-        assert stats["tables"] == 1
-        lat.clear_scratch()
-        empty = lat.scratch_stats()
-        assert empty["nodes"] == 0 and empty["tables"] == 0
-        # Rebuild after clearing is byte-identical.
-        after = lat.suffix_table(total)
-        for a, b in zip(before, after):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b)
-            else:
-                assert a == b
-
-
-# ---------------------------------------------------------------------------
-# LatticeCache: the per-worker cross-cell reuse
-# ---------------------------------------------------------------------------
-class TestLatticeCache:
-    def test_adopt_then_seed_rebinds(self):
-        spg = random_spg(8, rng=0)
-        lat = IdealLattice.for_spg(spg, budget=1 << 16)
-        lat.ideals()
-        cache = LatticeCache()
-        assert cache.adopt(spg) == 1
-        spg._derived.clear()
-        clone = random_spg(8, rng=0)  # same content, fresh object
-        assert cache.seed(clone) is True
-        lat2 = IdealLattice.for_spg(clone, budget=1 << 16)
-        assert lat2 is lat and lat2.spg is clone
-
-    def test_seed_miss_on_different_content(self):
-        cache = LatticeCache()
-        spg = random_spg(8, rng=0)
-        IdealLattice.for_spg(spg, budget=1 << 16).ideals()
-        cache.adopt(spg)
-        other = random_spg(8, rng=1)
-        assert cache.seed(other) is False
-        assert cache.stats()["misses"] == 1
-
-    def test_lru_eviction(self):
-        cache = LatticeCache(max_entries=2)
-        graphs = [random_spg(6, rng=r) for r in range(3)]
-        for g in graphs:
-            IdealLattice.for_spg(g, budget=1 << 16).ideals()
-            cache.adopt(g)
-            g._derived.clear()
-        assert len(cache) == 2 and cache.evicted == 1
-        assert cache.seed(random_spg(6, rng=0)) is False  # oldest gone
-        assert cache.seed(random_spg(6, rng=2)) is True
-
-    def test_scratch_trim_on_adopt(self):
-        cache = LatticeCache(max_scratch_nodes=0)
-        spg = random_spg(8, rng=3)
-        lat = IdealLattice.for_spg(spg, budget=1 << 16)
-        lat.warm(sum(spg.weights))
-        assert lat.scratch_stats()["nodes"] > 0
-        cache.adopt(spg)
-        assert cache.trimmed == 1
-        assert lat.scratch_stats()["nodes"] == 0
-
-    def test_stats_shape(self):
-        cache = LatticeCache()
-        s = cache.stats()
-        assert s["entries"] == 0 and s["hits"] == 0
-        spg = random_spg(6, rng=0)
-        IdealLattice.for_spg(spg, budget=1 << 16).ideals()
-        cache.adopt(spg)
-        s = cache.stats()
-        assert s["entries"] == 1 and s["lattices"] == 1
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_worker_cache_reset(self):
-        c1 = worker_lattice_cache()
-        assert worker_lattice_cache() is c1
-        reset_worker_cache()
-        assert worker_lattice_cache() is not c1
-
-    def test_run_tasks_shares_lattices_across_cells(self):
-        from repro.experiments.parallel import random_panel_task, run_tasks
-        from repro.platform.cmp import CMPGrid
-
-        spg = random_spg(10, rng=5, ccr=10.0)
-        grid = CMPGrid(2, 2)
-        task = (spg, grid, ("DPA1D",), 5, None)
-        first, second = run_tasks(random_panel_task, [task, task], jobs=1)
-        assert first.period == second.period
-        assert first.results["DPA1D"].ok == second.results["DPA1D"].ok
-        cache = worker_lattice_cache()
-        # The second cell found the first cell's lattice by content.
-        assert cache.stats()["hits"] >= 1
-
-    def test_run_tasks_resets_cache_per_run(self):
-        from repro.experiments.parallel import random_panel_task, run_tasks
-        from repro.platform.cmp import CMPGrid
-
-        spg = random_spg(10, rng=5, ccr=10.0)
-        task = (spg, CMPGrid(2, 2), ("DPA1D",), 5, None)
-        run_tasks(random_panel_task, [task], jobs=1)
-        seeded = worker_lattice_cache()
-        assert seeded.stats()["entries"] >= 1
-        run_tasks(random_panel_task, [task], jobs=1)
-        # A fresh engine run starts cold: its first cell is a miss again,
-        # so repeated identical runs report identical telemetry.
-        assert worker_lattice_cache() is not seeded
-        assert worker_lattice_cache().stats()["misses"] >= 1
+        tight = total * 0.3
+        loose = tight * 10
+        full_total = lattice(spg, kernel).suffix_table(loose)[5]
+        lat = lattice(spg, kernel)
+        nonzero = len(lat.ideals()) - 1
+        assert nonzero > 1024  # several chunks, so the raise is mid-build
+        with pytest.raises(BudgetExceeded):
+            lat.suffix_table(loose, full_total - 1)
+        spy = lat.kernel = _KernelSpy(lat.kernel)
+        got = lat.suffix_table(tight, full_total - 1)
+        assert set(spy.calls) == {"enumerate_bulk"}
+        assert len(spy.calls) <= -(-nonzero // 1024)
+        fresh = lattice(spg, kernel).suffix_table(tight)
+        assert_tables_equal(got, fresh)
+        # A later failed looser build leaves the kept table in place.
+        spy.calls.clear()
+        with pytest.raises(BudgetExceeded):
+            lat.suffix_table(loose, full_total - 1)
+        assert lat.suffix_table(tight) is got
+        masks, works = lat.suffix_arrays(lat.full, tight)
+        k = lat.ideals().index(lat.full)
+        lo, hi = fresh[3][k], fresh[3][k + 1]
+        assert masks.tobytes() == fresh[0][lo:hi].tobytes()
+        assert works.tobytes() == fresh[1][lo:hi].tobytes()
+        assert set(spy.calls) == {"enumerate_bulk"}
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +422,15 @@ class TestKernelPlumbing:
             main(["map", "-w", "DCT", "--kernel", "numba"],
                  out=io.StringIO())
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_serpent_experiment_default_kernel(self, monkeypatch):
+        # Serpent has 120 stages: its suffix clusters do not fit uint64.
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        code, out = self.run_cli(
+            "experiment", "fig8", "--workflows", "11", "--ccr", "1.0"
+        )
+        assert code == 0
+        assert "Serpent" in out
 
     def test_env_var_selects_kernel(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "python")
