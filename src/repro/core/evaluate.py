@@ -11,12 +11,16 @@ from dataclasses import dataclass
 
 from repro.core.errors import MappingError
 from repro.core.mapping import Mapping
+from repro.platform.topology import Topology
+from repro.spg.graph import SPG
 
 __all__ = [
     "EnergyBreakdown",
     "cycle_times",
     "max_cycle_time",
+    "PERIOD_RTOL",
     "is_period_feasible",
+    "period_out_of_reach",
     "energy",
     "validate",
 ]
@@ -75,14 +79,34 @@ def max_cycle_time(mapping: Mapping) -> float:
     return cached
 
 
-def is_period_feasible(
-    mapping: Mapping, period: float, rtol: float = 1e-9
-) -> bool:
-    """True iff no resource's cycle-time exceeds ``period``.
+#: Relative slack of every period test: absorbs float round-off in DP
+#: bookkeeping.
+PERIOD_RTOL = 1e-9
 
-    A tiny relative tolerance absorbs float round-off in DP bookkeeping.
-    """
+
+def is_period_feasible(
+    mapping: Mapping, period: float, rtol: float = PERIOD_RTOL
+) -> bool:
+    """True iff no resource's cycle-time exceeds ``period``."""
     return max_cycle_time(mapping) <= period * (1.0 + rtol)
+
+
+def period_out_of_reach(
+    spg: SPG, grid: Topology, period: float, rtol: float = PERIOD_RTOL
+) -> bool:
+    """True iff no mapping of ``spg`` onto ``grid`` can meet ``period``.
+
+    The certificate: some stage alone, on the fastest core of the
+    platform, takes longer than ``period``.  It is exact against
+    :func:`is_period_feasible`: the core hosting stage ``i`` has
+    ``work >= w_i`` (IEEE addition of non-negative weights is monotone)
+    and a speed ``<= s_fast`` (:meth:`Mapping.check_structure` admits
+    only the core's own DVFS speeds), so its cycle-time
+    ``work / speed >= w_i / s_fast`` (IEEE division is monotone too)
+    exceeds the same tolerance-widened bound.
+    """
+    s_fast = max(grid.core_model(c).s_max for c in grid.cores())
+    return max(spg.weights) / s_fast > period * (1.0 + rtol)
 
 
 def energy(mapping: Mapping, period: float) -> EnergyBreakdown:

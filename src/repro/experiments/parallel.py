@@ -16,14 +16,16 @@ engine fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`:
   only the lost work when something goes wrong.
 * **Fault tolerance.**  A crashed worker (``BrokenProcessPool``) or a
   chunk that blows its :class:`~repro.resilience.RetryPolicy` deadline
-  kills and respawns the pool and re-runs only the affected tasks —
-  split into singleton chunks to isolate a repeat offender — with the
-  *same pre-drawn seeds*, so every surviving result is still
-  bit-identical to a serial fault-free run.  A task that exhausts its
-  attempts becomes a typed :class:`~repro.resilience.TaskFailure`
-  record (``failures="record"``) or a :class:`~repro.resilience.TaskError`
-  (``failures="raise"``, the default) instead of a raw pool exception
-  discarding every in-flight result.
+  kills and respawns the pool and re-runs only the affected tasks with
+  the *same pre-drawn seeds*, so every surviving result is still
+  bit-identical to a serial fault-free run.  A crash is charged only to
+  the task that crashed: the chunks it took down are re-run one task
+  at a time, and only a task that crashes there uses up an attempt.
+  A task that exhausts its attempts becomes a typed
+  :class:`~repro.resilience.TaskFailure` record (``failures="record"``)
+  or a :class:`~repro.resilience.TaskError` (``failures="raise"``, the
+  default) instead of a raw pool exception discarding every in-flight
+  result.
 * **Deterministic chaos.**  A :class:`~repro.resilience.FaultPlan`
   (``faults=`` or the ``REPRO_FAULT_PLAN`` environment variable)
   injects crashes and hangs at index- and attempt-addressed points, so
@@ -393,14 +395,19 @@ def _run_pool(
 ):
     """Tracked per-chunk futures with kill-and-respawn recovery.
 
-    One queue of ``(indices, attempt)`` work items drives the loop;
-    each pool generation submits everything queued, then waits.  On a
-    worker crash the pool is broken for *every* in-flight chunk, so all
-    unfinished chunks are charged one attempt and requeued as singleton
-    chunks (isolating a repeat offender); on a blown deadline only the
-    earliest-expired chunk is charged and the rest are requeued with a
-    fresh budget.  Tasks are pure functions of their tuples, so however
-    many times a chunk is re-run, surviving results are identical.
+    Two queues of ``(indices, attempt)`` work items drive the loop; each
+    pool generation drains one of them.  A normal generation submits
+    every queued chunk at once.  A worker crash breaks the pool for
+    every chunk in flight without saying whose task crashed, so the
+    unfinished chunks are requeued *uncharged* as singleton suspects.
+    Suspects run in an isolation generation, one task in flight on a
+    one-worker pool: a crash there can only be the running task's, so it
+    alone is charged an attempt and retried in isolation (or failed
+    terminally), and an innocent task is never charged for a
+    neighbour's crash.  On a blown deadline only the earliest-expired
+    chunk is charged and the rest are requeued with a fresh budget.
+    Tasks are pure functions of their tuples, so however many times a
+    chunk is re-run, surviving results are identical.
     """
     n = len(tasks)
     if chunksize is None:
@@ -413,11 +420,14 @@ def _run_pool(
         (tuple(range(lo, min(lo + chunksize, n))), 1)
         for lo in range(0, n, chunksize)
     ]
+    suspects: list[tuple[tuple[int, ...], int]] = []
     spawns = 0
+    backoff = 0.0
 
     def charge(indices, attempt, reason, retry_queue):
         """One failed attempt for every task in ``indices``: requeue as
         singletons at ``attempt + 1``, or fail terminally."""
+        nonlocal backoff
         for i in indices:
             if attempt >= policy.max_attempts:
                 tf = TaskFailure(
@@ -431,27 +441,41 @@ def _run_pool(
             else:
                 stats.retries += 1
                 retry_queue.append(((i,), attempt + 1))
+                backoff = max(
+                    backoff, policy.delay(attempt, _token(tokens, i))
+                )
 
-    while queue:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+    while queue or suspects:
+        isolate = bool(suspects)
+        if isolate:
+            waiting, suspects = suspects, []
+        else:
+            waiting, queue = queue, []
+        window = 1 if isolate else len(waiting)
+        pool = ProcessPoolExecutor(max_workers=1 if isolate else jobs)
         spawns += 1
-        retry_queue: list[tuple[tuple[int, ...], int]] = []
         info: dict = {}
-        now = time.monotonic()
-        max_delay = 0.0
-        for indices, attempt in queue:
-            entries = [(i, attempt, tasks[i]) for i in indices]
-            fut = pool.submit(_run_chunk, (fn, entries, plan, obs_cfg))
-            budget = _chunk_budget(policy, deadlines, indices)
-            info[fut] = (
-                indices, attempt,
-                None if budget is None else now + budget,
-            )
-        queue = []
-        pending = set(info)
+        pending: set = set()
         broke = False
         try:
-            while pending:
+            while waiting or pending:
+                while waiting and len(pending) < window and not broke:
+                    indices, attempt = waiting.pop(0)
+                    entries = [(i, attempt, tasks[i]) for i in indices]
+                    fut = pool.submit(
+                        _run_chunk, (fn, entries, plan, obs_cfg)
+                    )
+                    budget = _chunk_budget(policy, deadlines, indices)
+                    info[fut] = (
+                        indices, attempt,
+                        None if budget is None
+                        else time.monotonic() + budget,
+                    )
+                    pending.add(fut)
+                if broke and not pending:
+                    # Not yet submitted: still suspects, still uncharged.
+                    suspects.extend(waiting)
+                    break
                 cutoffs = [
                     info[f][2] for f in pending if info[f][2] is not None
                 ]
@@ -466,13 +490,17 @@ def _run_pool(
                     try:
                         chunk_out = fut.result()
                     except BrokenProcessPool:
-                        # The pool is broken for everyone; this chunk is
-                        # charged here, the rest as their futures drain
-                        # through `done` on the next wait() rounds (a
-                        # broken pool completes them all immediately).
+                        # The pool is broken for everyone; the rest of
+                        # the in-flight chunks drain through `done` on
+                        # the next wait() rounds (a broken pool
+                        # completes them all immediately).
+                        if not broke:
+                            stats.crashes += 1
                         broke = True
-                        stats.crashes += 1
-                        charge(indices, attempt, "crash", retry_queue)
+                        if isolate:
+                            charge(indices, attempt, "crash", suspects)
+                        else:
+                            suspects.extend(((i,), attempt) for i in indices)
                         continue
                     for i, r in zip(indices, chunk_out):
                         if isinstance(r, _ObsWrapped):
@@ -504,30 +532,27 @@ def _run_pool(
                     victim = min(expired, key=lambda f: info[f][2])
                     stats.timeouts += 1
                     indices, attempt, _cutoff = info[victim]
-                    charge(indices, attempt, "timeout", retry_queue)
+                    charge(indices, attempt, "timeout", queue)
                     pending.discard(victim)
+                    requeue = suspects if isolate else queue
                     for fut in pending:
                         indices, attempt, _cutoff = info[fut]
-                        retry_queue.append((indices, attempt))
-                    pending = set()
+                        requeue.append((indices, attempt))
+                    requeue.extend(waiting)
+                    waiting, pending = [], set()
                     broke = True
         finally:
             if broke:
                 _kill_pool(pool)
             else:
                 pool.shutdown(wait=True)
-        if retry_queue:
+        if backoff > 0:
             # Deterministic backoff: one sleep per respawn round, the
             # longest of the retried tasks' delays.
-            max_delay = max(
-                policy.delay(attempt - 1, _token(tokens, indices[0]))
-                for indices, attempt in retry_queue
-                if attempt > 1
-            ) if any(a > 1 for _, a in retry_queue) else 0.0
-            if max_delay > 0:
-                time.sleep(max_delay)
-            retry_queue.sort(key=lambda item: item[0])
-        queue = retry_queue
+            time.sleep(backoff)
+            backoff = 0.0
+        queue.sort(key=lambda item: item[0])
+        suspects.sort(key=lambda item: item[0])
     stats.respawns += spawns - 1
     # Fold worker telemetry into the parent session in task-index order
     # — the ordering (not worker scheduling) is what makes the merged

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.evaluate import period_out_of_reach
 from repro.core.problem import ProblemInstance
 from repro.heuristics.base import PAPER_ORDER, HeuristicResult, run
 from repro.platform.topology import Topology
@@ -81,12 +82,23 @@ def choose_period(
     step; the parallel experiment engine pre-draws it in the parent process
     (preserving the shared stream's consumption order exactly) and passes
     it here so workers reproduce the serial results bit for bit.
+
+    A probe that no mapping can pass is skipped: when some stage alone
+    misses ``T`` on the platform's fastest core
+    (:func:`~repro.core.evaluate.period_out_of_reach`), every solver's
+    output would fail the same period test in
+    :func:`~repro.core.evaluate.validate`, so the probe counts as "all
+    fail" without running any solver.  Each probe draws its solver
+    streams afresh from ``seed`` and only a probe with a success is ever
+    returned, so skipping leaves the choice identical.
     """
     if seed is None:
         rng = as_rng(rng)
         seed = int(rng.integers(0, 2**63 - 1))
 
     def attempt(T: float) -> dict[str, HeuristicResult]:
+        if period_out_of_reach(spg, grid, T):
+            return {}
         return run_all(
             ProblemInstance(spg, grid, T), heuristics, as_rng(seed), options
         )

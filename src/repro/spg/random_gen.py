@@ -31,38 +31,47 @@ W_RANGE = (2e7, 2e8)
 D_RANGE = (1e3, 1e6)
 
 
-def _random_structure(
+def _draw_structure(
     n_target: int, p_parallel: float, rng: np.random.Generator
-) -> SPG:
-    """Recursively build an SPG with exactly ``n_target`` stages.
+) -> tuple[object, int]:
+    """Draw a composition tree with exactly ``n_target`` stages.
 
-    Unit weights/volumes; the caller randomises them afterwards.  A series
-    composition of sizes (a, b) yields a + b - 1 stages; a parallel
-    composition yields a + b - 2.
+    Returns ``(tree, ymax)``: ``tree`` is ``()`` for the two-stage edge
+    or ``(compose, left, right)`` with ``compose`` one of
+    :func:`~repro.spg.graph.series` / :func:`~repro.spg.graph.parallel`,
+    and ``ymax`` is the elevation :func:`_build_structure` will give it,
+    so rejection sampling never builds a graph it throws away.  A series
+    composition of sizes (a, b) yields a + b - 1 stages and elevation
+    ``max(y1, y2)``; a parallel composition yields a + b - 2 stages and
+    elevation ``y1 + y2`` (whichever side goes first, the other's inner
+    stages reach its own elevation on top of the first's).
     """
     if n_target < 2:
         raise ValueError("SPGs have at least 2 stages")
     if n_target == 2:
-        return sp_edge(1.0, 1.0, 1.0)
+        return (), 1
     if n_target == 3 or rng.random() >= p_parallel:
         # Series: a + b = n + 1 with a, b >= 2.
         a = int(rng.integers(2, n_target))  # 2 .. n-1
-        b = n_target + 1 - a
-        return series(
-            _random_structure(a, p_parallel, rng),
-            _random_structure(b, p_parallel, rng),
-            merge="first",
-        )
+        left, y1 = _draw_structure(a, p_parallel, rng)
+        right, y2 = _draw_structure(n_target + 1 - a, p_parallel, rng)
+        return (series, left, right), max(y1, y2)
     # Parallel: a + b = n + 2 with a, b >= 3 (so both sides have an inner
     # stage; pairing two bare edges would just collapse into one edge).
-    if n_target < 4:
-        return _random_structure(n_target, 0.0, rng)
     a = int(rng.integers(3, n_target))  # 3 .. n-1
-    b = n_target + 2 - a
-    return parallel(
-        _random_structure(a, p_parallel, rng),
-        _random_structure(b, p_parallel, rng),
-        merge="first",
+    left, y1 = _draw_structure(a, p_parallel, rng)
+    right, y2 = _draw_structure(n_target + 2 - a, p_parallel, rng)
+    return (parallel, left, right), y1 + y2
+
+
+def _build_structure(tree) -> SPG:
+    """The SPG of a drawn composition tree (unit weights and volumes; the
+    caller randomises them afterwards)."""
+    if not tree:
+        return sp_edge(1.0, 1.0, 1.0)
+    compose, left, right = tree
+    return compose(
+        _build_structure(left), _build_structure(right), merge="first"
     )
 
 
@@ -101,8 +110,8 @@ def random_spg(
 ) -> SPG:
     """A random SPG with exactly ``n`` stages and randomised weights."""
     rng = as_rng(rng)
-    g = _random_structure(n, p_parallel, rng)
-    return random_weights(g, rng, w_range, d_range, ccr)
+    tree, _ymax = _draw_structure(n, p_parallel, rng)
+    return random_weights(_build_structure(tree), rng, w_range, d_range, ccr)
 
 
 def random_spg_with_elevation(
@@ -116,11 +125,11 @@ def random_spg_with_elevation(
 ) -> SPG:
     """A random SPG with ``n`` stages and elevation exactly ``elevation``.
 
-    Rejection-samples structures, sweeping the parallel-composition
-    probability from values that favour the requested elevation.  Returns
-    the first exact match; if none is found within ``max_tries`` the
-    closest-elevation sample is returned (its *actual* ymax should then be
-    used for binning).
+    Rejection-samples composition trees, sweeping the parallel-composition
+    probability from values that favour the requested elevation, and
+    builds only the kept one.  Returns the first exact match; if none is
+    found within ``max_tries`` the closest-elevation sample is returned
+    (its *actual* ymax should then be used for binning).
     """
     rng = as_rng(rng)
     if elevation < 1:
@@ -133,20 +142,22 @@ def random_spg_with_elevation(
     # Empirically the achieved elevation grows with p_parallel; sweep around
     # a heuristic initial guess.
     guess = min(0.95, 0.15 + 0.08 * elevation)
-    best: SPG | None = None
+    best = None
     best_gap = 10**9
     for t in range(max_tries):
         p = float(np.clip(guess + 0.2 * rng.standard_normal(), 0.05, 0.97))
-        g = _random_structure(n, p, rng)
-        gap = abs(g.ymax - elevation)
+        tree, ymax = _draw_structure(n, p, rng)
+        gap = abs(ymax - elevation)
         if gap < best_gap:
-            best, best_gap = g, gap
+            best, best_gap = tree, gap
         if gap == 0:
             break
         # Steer the guess toward the target.
-        if g.ymax < elevation:
+        if ymax < elevation:
             guess = min(0.97, guess + 0.03)
         else:
             guess = max(0.05, guess - 0.03)
     assert best is not None
-    return random_weights(best, rng, w_range, d_range, ccr)
+    return random_weights(
+        _build_structure(best), rng, w_range, d_range, ccr
+    )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import time
 
 import pytest
 
@@ -54,6 +55,11 @@ def clean_text() -> str:
 
 
 def _square(x: int) -> int:
+    return x * x
+
+
+def _slow_square(x: int) -> int:
+    time.sleep(0.02)
     return x * x
 
 
@@ -260,6 +266,24 @@ class TestPoolResilience:
         ok = [r for i, r in enumerate(out) if i != 4]
         assert ok == [x * x for x in range(6) if x != 4]
 
+    @pytest.mark.parametrize("chunksize", [1, 3])
+    def test_innocent_tasks_never_charged_for_a_crash(self, chunksize):
+        """Looped under load: a repeat crasher and a one-off crasher
+        share pools with slow innocent tasks, yet only the repeat
+        crasher ever fails, and only after its own attempts run out."""
+        want = [x * x for x in range(10)]
+        for _ in range(5):
+            stats = ExecutionStats()
+            out = run_tasks(
+                _slow_square, list(range(10)), jobs=2, chunksize=chunksize,
+                policy=FAST, faults="crash@task:4*99;crash@task:7",
+                failures="record", stats=stats,
+            )
+            assert [f.index for f in stats.failures] == [4]
+            assert out[4].reason == "crash"
+            assert out[4].attempts == FAST.max_attempts
+            assert out[:4] + out[5:] == want[:4] + want[5:]
+
     def test_per_task_deadlines(self):
         policy = RetryPolicy(backoff_s=0.001)
         stats = ExecutionStats()
@@ -291,9 +315,12 @@ class TestSweepChaos:
     def test_pooled_crash_and_hang_recovery_byte_identical(
         self, clean_text
     ):
+        # The crash sends every in-flight cell, the hung one included,
+        # into isolation, where the hang fires and must blow the
+        # deadline: keep it short but far above a cell's runtime.
         report = run_scenario_sweep(
             **SWEEP, jobs=2,
-            policy=RetryPolicy(backoff_s=0.001, deadline_s=30.0),
+            policy=RetryPolicy(backoff_s=0.001, deadline_s=5.0),
             faults="crash@task:1;hang@task:3:60",
         )
         assert report_json(report) == clean_text
