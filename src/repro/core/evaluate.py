@@ -91,22 +91,20 @@ def is_period_feasible(
     return max_cycle_time(mapping) <= period * (1.0 + rtol)
 
 
-def period_out_of_reach(
-    spg: SPG, grid: Topology, period: float, rtol: float = PERIOD_RTOL
-) -> bool:
+def period_out_of_reach(spg: SPG, grid: Topology, period: float) -> bool:
     """True iff no mapping of ``spg`` onto ``grid`` can meet ``period``.
 
     The certificate: some stage alone, on the fastest core of the
     platform, takes longer than ``period``.  It is exact against
-    :func:`is_period_feasible`: the core hosting stage ``i`` has
-    ``work >= w_i`` (IEEE addition of non-negative weights is monotone)
-    and a speed ``<= s_fast`` (:meth:`Mapping.check_structure` admits
-    only the core's own DVFS speeds), so its cycle-time
-    ``work / speed >= w_i / s_fast`` (IEEE division is monotone too)
-    exceeds the same tolerance-widened bound.
+    :func:`validate`: the core hosting stage ``i`` has ``work >= w_i``
+    (IEEE addition of non-negative weights is monotone) and a speed
+    ``<= s_fast`` (:meth:`Mapping.check_structure` admits only the
+    core's own DVFS speeds), so its cycle-time ``work / speed >= w_i /
+    s_fast`` (IEEE division is monotone too) exceeds the bound widened
+    by :data:`PERIOD_RTOL`, the tolerance ``validate`` always applies.
     """
     s_fast = max(grid.core_model(c).s_max for c in grid.cores())
-    return max(spg.weights) / s_fast > period * (1.0 + rtol)
+    return max(spg.weights) / s_fast > period * (1.0 + PERIOD_RTOL)
 
 
 def energy(mapping: Mapping, period: float) -> EnergyBreakdown:

@@ -396,16 +396,21 @@ def _run_pool(
     """Tracked per-chunk futures with kill-and-respawn recovery.
 
     Two queues of ``(indices, attempt)`` work items drive the loop; each
-    pool generation drains one of them.  A normal generation submits
-    every queued chunk at once.  A worker crash breaks the pool for
-    every chunk in flight without saying whose task crashed, so the
-    unfinished chunks are requeued *uncharged* as singleton suspects.
-    Suspects run in an isolation generation, one task in flight on a
-    one-worker pool: a crash there can only be the running task's, so it
-    alone is charged an attempt and retried in isolation (or failed
-    terminally), and an innocent task is never charged for a
-    neighbour's crash.  On a blown deadline only the earliest-expired
-    chunk is charged and the rest are requeued with a fresh budget.
+    pool generation drains one of them.  A normal generation keeps at
+    most ``2 * jobs`` chunks in flight: enough that no worker waits for
+    the parent to submit, and few enough that a crash takes down only
+    chunks that were running or about to run.  A worker crash breaks
+    the pool for every chunk in flight without saying whose task
+    crashed, so the unfinished in-flight chunks are requeued
+    *uncharged* as singleton suspects, while chunks not yet submitted
+    stay in the normal queue.  Suspects run in an isolation generation,
+    one task in flight on a one-worker pool: a crash there can only be
+    the running task's, so it alone is charged an attempt and retried
+    in isolation (or failed terminally), and an innocent task is never
+    charged for a neighbour's crash.  The rest of the queue then runs
+    on a ``jobs``-wide pool again.  On a blown deadline only the
+    earliest-expired chunk is charged and the rest are requeued with a
+    fresh budget.
     Tasks are pure functions of their tuples, so however many times a
     chunk is re-run, surviving results are identical.
     """
@@ -451,7 +456,7 @@ def _run_pool(
             waiting, suspects = suspects, []
         else:
             waiting, queue = queue, []
-        window = 1 if isolate else len(waiting)
+        window = 1 if isolate else 2 * jobs
         pool = ProcessPoolExecutor(max_workers=1 if isolate else jobs)
         spawns += 1
         info: dict = {}
@@ -473,8 +478,9 @@ def _run_pool(
                     )
                     pending.add(fut)
                 if broke and not pending:
-                    # Not yet submitted: still suspects, still uncharged.
-                    suspects.extend(waiting)
+                    # Never submitted, so not suspects: they go back to
+                    # the queue they came from, uncharged.
+                    (suspects if isolate else queue).extend(waiting)
                     break
                 cutoffs = [
                     info[f][2] for f in pending if info[f][2] is not None

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.errors import StoreCorruption
 from repro.experiments import report_json, run_scenario_sweep, sweep_summary
+from repro.experiments import parallel
 from repro.experiments.parallel import pool_available, run_tasks
 from repro.resilience import (
     ExecutionStats,
@@ -284,6 +285,30 @@ class TestPoolResilience:
             assert out[4].attempts == FAST.max_attempts
             assert out[:4] + out[5:] == want[:4] + want[5:]
 
+    def test_crash_isolates_only_the_submitted_window(self, monkeypatch):
+        """A crash early in a long run sends only the chunks that were
+        in flight (at most ``2 * jobs``) through one-task isolation; the
+        chunks not yet submitted still run ``jobs``-wide."""
+        isolated: list[int] = []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def submit(self, fn, payload):
+                if fn is parallel._run_chunk and self._max_workers == 1:
+                    isolated.extend(i for i, _attempt, _task in payload[1])
+                return super().submit(fn, payload)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        jobs, chunksize = 2, 2
+        stats = ExecutionStats()
+        out = run_tasks(
+            _slow_square, list(range(40)), jobs=jobs, chunksize=chunksize,
+            policy=FAST, faults="crash@task:0", stats=stats,
+        )
+        assert out == [x * x for x in range(40)]
+        assert not stats.failures
+        assert 0 in isolated
+        assert len(set(isolated)) <= 2 * jobs * chunksize
+
     def test_per_task_deadlines(self):
         policy = RetryPolicy(backoff_s=0.001)
         stats = ExecutionStats()
@@ -315,9 +340,10 @@ class TestSweepChaos:
     def test_pooled_crash_and_hang_recovery_byte_identical(
         self, clean_text
     ):
-        # The crash sends every in-flight cell, the hung one included,
-        # into isolation, where the hang fires and must blow the
-        # deadline: keep it short but far above a cell's runtime.
+        # The crash sends the in-flight cells (the first 2 * jobs), the
+        # hung one included, into isolation, where the hang fires and
+        # must blow the deadline: keep it short but far above a cell's
+        # runtime.
         report = run_scenario_sweep(
             **SWEEP, jobs=2,
             policy=RetryPolicy(backoff_s=0.001, deadline_s=5.0),
