@@ -17,11 +17,17 @@ Theorem-1 suffix-cluster enumeration dominating, DP array work small):
 * the probe pattern that ``choose_period`` actually produces: a loose
   cap whose table exceeds DPA1D's 1M transition budget (the build
   raises ``BudgetExceeded``), then the 10x tighter cap on the same
-  lattice, against the tighter cap on a fresh lattice.
+  lattice, against the tighter cap on a fresh lattice;
+* ``budget_rejection``: ``IdealLattice(spg, 120_000).ideals()`` on the
+  StreamIt apps 1-5 (original CCR) and the Figure-12 n=150 panel graphs,
+  where the exact series-parallel ideal count rejects most lattices
+  before any enumeration.
 
 Every kernel, and every reused or probed lattice, must produce a
-byte-identical suffix table (masks, works, counts, prefix indices); the
-script exits nonzero on any divergence.
+byte-identical suffix table (masks, works, counts, prefix indices), and
+every ``budget_rejection`` graph with at most 500k ideals must enumerate
+exactly as many ideals as it counts; the script exits nonzero on any
+divergence.
 The vector kernel's panel-geomean speedup is gated by ``FLOOR`` (3x);
 a miss on a noisy host is reported as a warning in ``floor_met`` so
 timing jitter cannot mask a real output divergence.  Results land in
@@ -58,6 +64,16 @@ TRANSITION_BUDGET = 1_000_000
 #: (panel index, loose cap fraction): the loose probe's table has ~3.5M
 #: transitions, so it blows the budget; the 10x tighter one has ~48k.
 PROBE = (2, 0.35)
+
+#: DPA1D's default ideal budget (``solve_uniline``).
+DPA1D_IDEAL_BUDGET = 120_000
+
+#: Graphs whose ideal count is at most this are also enumerated in full.
+RECHECK_MAX = 500_000
+
+#: The Figure-12 panel as ``perfbench``'s ``fig12_n150`` workload draws
+#: it: (n, elevations, replicates, ccr, seed).
+FIG12_PANEL = (150, (2, 8, 16, 24), 2, 10.0, 2011)
 
 
 def _panel(n: int, elevation: int, seed: int):
@@ -235,6 +251,73 @@ def bench_probe(repeats: int) -> dict:
     }
 
 
+def _rejection_graphs():
+    """StreamIt apps 1-5 at their own CCR, then the Figure-12 panel, drawn
+    from one stream in ``run_random_experiment``'s order."""
+    from repro.spg.random_gen import random_spg_with_elevation
+    from repro.spg.streamit import streamit_workflow
+    from repro.util.rng import as_rng
+
+    graphs = [(f"streamit{a}", streamit_workflow(a)) for a in range(1, 6)]
+    n, elevations, replicates, ccr, seed = FIG12_PANEL
+    rng = as_rng(seed)
+    for elev in elevations:
+        for rep in range(replicates):
+            spg = random_spg_with_elevation(n, elev, rng=rng, ccr=ccr)
+            rng.integers(0, 2**63 - 1)  # the panel's heuristic seed
+            graphs.append((f"n{n}_elev{elev}_rep{rep}", spg))
+    return graphs
+
+
+def bench_budget_rejection(repeats: int) -> dict:
+    """DPA1D's ideal-budget decision on the graphs where it mostly fails.
+
+    Times ``ideals()`` on a fresh lattice at DPA1D's budget (best of
+    ``repeats``); every graph with at most ``RECHECK_MAX`` ideals is then
+    enumerated at a budget equal to its count, and the enumeration must
+    find exactly that many.
+    """
+    from repro.core.errors import BudgetExceeded
+    from repro.core.partition import IdealLattice
+    from repro.spg.decompose import ideal_count
+
+    graphs = {}
+    equal = True
+    for name, spg in _rejection_graphs():
+        count = ideal_count(spg)
+        samples = []
+        for _ in range(repeats):
+            gc.collect()
+            lat = IdealLattice(spg, DPA1D_IDEAL_BUDGET)
+            t0 = time.perf_counter()
+            try:
+                lat.ideals()
+                rejected = False
+            except BudgetExceeded:
+                rejected = True
+            samples.append(time.perf_counter() - t0)
+            del lat
+        enumerated = None
+        if count <= RECHECK_MAX:
+            enumerated = len(IdealLattice(spg, count).ideals())
+            equal = equal and enumerated == count
+        graphs[name] = {
+            "n": spg.n,
+            "ymax": spg.ymax,
+            "ideals": count,
+            "rejected": rejected,
+            "seconds": min(samples),
+            "enumerated": enumerated,
+        }
+    return {
+        "budget": DPA1D_IDEAL_BUDGET,
+        "graphs": graphs,
+        "rejected": sum(g["rejected"] for g in graphs.values()),
+        "seconds": sum(g["seconds"] for g in graphs.values()),
+        "outputs_equal": equal,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -247,6 +330,7 @@ def main(argv=None) -> int:
     kernels = bench_kernels(args.repeats)
     reuse = bench_reuse(args.repeats)
     probe = bench_probe(args.repeats)
+    rejection = bench_budget_rejection(args.repeats)
     section = {
         "workload": (
             f"IdealLattice ideals + suffix_table (full enumeration + DP "
@@ -256,9 +340,10 @@ def main(argv=None) -> int:
         **kernels,
         "cross_period_reuse": reuse,
         "probe_after_budget_failure": probe,
+        "budget_rejection": rejection,
         "outputs_equal": (
             kernels["outputs_equal"] and reuse["outputs_equal"]
-            and probe["outputs_equal"]
+            and probe["outputs_equal"] and rejection["outputs_equal"]
         ),
     }
     if not section["floor_met"]:
@@ -272,7 +357,8 @@ def main(argv=None) -> int:
     print(json.dumps({"dpa1d": section}, indent=1, sort_keys=True))
     print(f"\nwritten to {out_path}")
     if not section["outputs_equal"]:
-        print("ERROR: suffix tables diverged (kernels, reuse or probe)",
+        print("ERROR: suffix tables diverged (kernels, reuse or probe) "
+              "or an ideal count differs from its enumeration",
               file=sys.stderr)
         return 1
     return 0

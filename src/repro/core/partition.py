@@ -18,11 +18,13 @@ paper's DPA1D failures on high-elevation graphs.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from typing import NoReturn
 
 from repro.core.errors import BudgetExceeded
 from repro.core.kernels import EnumerationKernel, reference_dfs, resolve_kernel
 from repro.obs.session import inc
 from repro.spg.analysis import ancestor_masks, cut_volume, descendant_masks
+from repro.spg.decompose import ideal_count
 from repro.spg.graph import SPG
 from repro.util.bitset import bit, iter_bits, mask_of
 
@@ -91,10 +93,15 @@ class IdealLattice:
     spg:
         The application graph.
     budget:
-        Maximum number of ideals to enumerate before raising
+        Maximum number of ideals (the empty set included) before
         :class:`BudgetExceeded`.  The paper bounds the count by
         ``n^ymax``; real workloads with ymax around 12-17 blow any budget,
-        which is exactly when DPA1D is reported to fail.
+        which is exactly when DPA1D is reported to fail.  The budget is
+        decided by the exact count on the SP decomposition tree
+        (:func:`repro.spg.decompose.ideal_count`) before any enumeration,
+        so an over-budget lattice is rejected without being built.  A
+        graph that is not series-parallel has no count and is checked
+        while enumerating.
     kernel:
         The kernel that builds the suffix table of a word-sized graph
         (n <= 62) — a name from the :mod:`repro.core.kernels` registry,
@@ -181,13 +188,21 @@ class IdealLattice:
         """All order ideals, sorted by population count (empty set first).
 
         Raises :class:`BudgetExceeded` if there are more than ``budget``.
-        Both the result and a budget failure are cached, so repeated solves
-        on the same lattice neither re-enumerate nor re-discover the blowup.
+        A series-parallel graph is counted first (:func:`ideal_count`)
+        and an over-budget one raises without enumerating.  The count
+        includes the empty set, as both enumeration paths do, so exactly
+        the lattices enumeration would reject fail, with the same
+        message.  Both the result and a budget failure are cached, so
+        repeated solves on the same lattice neither re-enumerate nor
+        re-discover the blowup.
         """
         if self._ideals is not None:
             return self._ideals
         if self._budget_error is not None:
             raise BudgetExceeded(self._budget_error)
+        count = ideal_count(self.spg)
+        if count is not None and count > self.budget:
+            self._over_budget()
         if self.spg.n <= 62:
             return self._ideals_vector()
         seen: set[int] = {0}
@@ -210,12 +225,7 @@ class IdealLattice:
                         continue
                     seen_add(cand)
                     if len(seen) > self.budget:
-                        self._budget_error = (
-                            f"more than {self.budget} admissible "
-                            f"subgraphs (n={self.spg.n}, "
-                            f"ymax={self.spg.ymax})"
-                        )
-                        raise BudgetExceeded(self._budget_error)
+                        self._over_budget()
                     # Addable stages of ``cand``: everything addable to
                     # ``ideal`` except ``i``, plus successors of ``i``
                     # whose predecessors are now all in.
@@ -244,6 +254,14 @@ class IdealLattice:
             frontier = nxt
         self._ideals = sorted(seen, key=lambda m: (m.bit_count(), m))
         return self._ideals
+
+    def _over_budget(self) -> NoReturn:
+        """Record and raise the lattice's budget failure."""
+        self._budget_error = (
+            f"more than {self.budget} admissible "
+            f"subgraphs (n={self.spg.n}, ymax={self.spg.ymax})"
+        )
+        raise BudgetExceeded(self._budget_error)
 
     def _ideals_vector(self) -> list[int]:
         """Vectorised ideal enumeration for word-sized graphs.
@@ -282,11 +300,7 @@ class IdealLattice:
             )
             count += layer.size
             if count > self.budget:
-                self._budget_error = (
-                    f"more than {self.budget} admissible "
-                    f"subgraphs (n={self.spg.n}, ymax={self.spg.ymax})"
-                )
-                raise BudgetExceeded(self._budget_error)
+                self._over_budget()
             layers.append(layer)
         allv = np.concatenate(layers) if len(layers) > 1 else layers[0]
         self._ideals = allv.tolist()

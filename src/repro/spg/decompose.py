@@ -14,11 +14,12 @@ into a parallel composition, recording the history as a tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.spg.graph import SPG
 
-__all__ = ["SPTree", "decompose", "sp_depth"]
+__all__ = ["SPTree", "decompose", "ideal_count", "sp_depth"]
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,43 @@ def decompose(spg: SPG) -> SPTree:
     ) != 1:
         raise ValueError("graph is not two-terminal series-parallel")
     return trees[(spg.source, spg.sink)][0]
+
+
+def ideal_count(spg: SPG) -> int | None:
+    """Number of order ideals (admissible subgraphs) of ``spg``, ``None``
+    when the graph is not series-parallel.
+
+    The count includes the empty set and the full graph.  Every other
+    ideal contains the source and not the sink, and the decomposition
+    tree counts those per node: an edge has one (its source alone); a
+    series composition ``N1 + N2`` (the ideal stops inside the first
+    part, or contains ``via`` and continues into the second); a parallel
+    composition the product over its branches, which share only their
+    endpoints.  The tree is walked with an explicit stack: a chain of
+    ``n`` stages nests ``n`` deep.
+    """
+    if spg.n == 1:
+        return 2
+    try:
+        root = decompose(spg)
+    except ValueError:
+        return None
+    preorder = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(node.children)
+    counts: dict[int, int] = {}
+    for node in reversed(preorder):  # children before their parent
+        if node.kind == "edge":
+            counts[id(node)] = 1
+            continue
+        kids = [counts.pop(id(c)) for c in node.children]
+        counts[id(node)] = (
+            sum(kids) if node.kind == "series" else math.prod(kids)
+        )
+    return counts[id(root)] + 2
 
 
 def sp_depth(tree: SPTree) -> int:
