@@ -85,6 +85,35 @@ class TestStreamItGolden:
         assert got == want
 
 
+def _run_random_wide(jobs: int):
+    exp = run_random_experiment(
+        n=70, grid=CMPGrid(4, 4), ccr=1.0,
+        elevations=(2, 4, 8), replicates=2, seed=7, jobs=jobs,
+    )
+    return _snap_records(r for recs in exp.records.values() for r in recs)
+
+
+def _run_streamit_wide(jobs: int):
+    exp = run_streamit_experiment(
+        CMPGrid(4, 4), ccrs=(None, 1.0), workflows=(11,), seed=3, jobs=jobs,
+    )
+    return _snap_records(exp.records.values())
+
+
+class TestWideGraphGolden:
+    """Graphs past one machine word (n > 62): DPA1D's wide transition
+    source (random n=70 at elevations 2 and 4, Serpent at n=120) and
+    DPA2D on a high-elevation random graph."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_random_n70_matches_recorded(self, golden, jobs):
+        assert _run_random_wide(jobs) == golden["random_n70_4x4_ccr1_seed7"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_serpent_matches_recorded(self, golden, jobs):
+        assert _run_streamit_wide(jobs) == golden["streamit_w11_4x4_seed3"]
+
+
 class TestSuccessCounts:
     def test_failure_pattern_matches_seed(self, golden):
         """Success/failure per heuristic is part of the golden contract."""
