@@ -318,8 +318,8 @@ class IdealLattice:
         """Bytes leaving ideal ``prefix`` (cached; shared across periods).
 
         The summation order matches a scan of ``spg.edges`` so values are
-        bit-identical to :func:`repro.spg.analysis.cut_volume`.  For graphs
-        that fit a machine word the cuts of *all* ideals are computed in one
+        bit-identical to :func:`repro.spg.analysis.cut_volume`.  Once the
+        ideals are enumerated the cuts of *all* of them are computed in one
         vectorised pass (one numpy masked-add per edge, which accumulates in
         the same edge order as the scalar scan).
         """
@@ -334,11 +334,29 @@ class IdealLattice:
         return c
 
     def _bulk_cuts(self) -> None:
-        """Vectorised cut volumes for every enumerated ideal (n <= 62)."""
+        """Vectorised cut volumes for every enumerated ideal.
+
+        Word-sized graphs read them from :meth:`cut_table`; wider ones
+        split each ideal into 64-bit words.
+        """
+        import numpy as np
+
         table = self.cut_table()
         if table is not None:
             vals, cuts = table
-            self._cut = dict(zip(vals.tolist(), cuts.tolist()))
+            keys = vals.tolist()
+        else:
+            keys = self._ideals
+            low = (1 << 64) - 1
+            words = [
+                np.fromiter((v >> s & low for v in keys), np.uint64, len(keys))
+                for s in range(0, self.spg.n, 64)
+            ]
+            cuts = _edge_cuts(
+                self.spg, len(keys),
+                lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
+            )
+        self._cut = dict(zip(keys, cuts.tolist()))
 
     def cut_table(self):
         """``(values, cuts)`` numpy arrays over all ideals, value-sorted.
@@ -358,13 +376,10 @@ class IdealLattice:
             vals = np.sort(
                 np.fromiter(ideals, dtype=np.uint64, count=len(ideals))
             )
-            cuts = np.zeros(len(ideals))
             one = np.uint64(1)
-            for i, j, d in self.spg.edge_list:
-                leaving = ((vals >> np.uint64(i)) & one).astype(bool) & (
-                    ((vals >> np.uint64(j)) & one) == 0
-                )
-                cuts[leaving] += d
+            cuts = _edge_cuts(
+                self.spg, len(vals), lambda i: (vals >> np.uint64(i)) & one
+            )
             self._cut_table = (vals, cuts)
         return self._cut_table
 
@@ -561,6 +576,18 @@ class IdealLattice:
             mask
             for mask, _w in self.suffix_clusters_weighted(ideal, max_weight)
         ]
+
+
+def _edge_cuts(spg: SPG, count: int, bit):
+    """Cut volumes of ``count`` ideals, ``bit(i)`` being the 0/1 array of
+    stage ``i``'s membership: one masked add per edge in ``edge_list``
+    order, so each cut sums exactly like :func:`cut_volume`."""
+    import numpy as np
+
+    cuts = np.zeros(count)
+    for i, j, d in spg.edge_list:
+        cuts[(bit(i) == 1) & (bit(j) == 0)] += d
+    return cuts
 
 
 def _filter_table(tbl: tuple, max_weight: float) -> tuple:

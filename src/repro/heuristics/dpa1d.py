@@ -7,11 +7,12 @@ computes the *optimal* energy for this restricted platform:
 ``E(G, k) = min over admissible G' of  E(G', k-1) (+) Ecal(G \\ G')``
 
 where admissible subgraphs are the order ideals of the SPG, ``Ecal`` maps a
-cluster to one core at the slowest feasible speed, the prefix cut must fit
-the link bandwidth, and ``(+)`` charges ``E_bit`` for every byte crossing
-the link (each physical snake link carries the cut of the prefix before it,
-so an edge spanning several positions pays once per hop, consistently with
-Section 3.5).
+cluster to one core at its energy-optimal feasible speed, the prefix cut
+must fit the link bandwidth, and ``(+)`` charges ``E_bit`` for every byte
+crossing the link (each physical snake link carries the cut of the prefix
+before it, so an edge spanning several positions pays once per hop,
+consistently with Section 3.5).  The DP runs over the ideals one popcount
+layer at a time, as numpy batches, for graphs of any width.
 
 The number of ideals is bounded by ``n^ymax``; like the paper we let the
 heuristic *fail* when the state space explodes (budget caps), which is
@@ -21,6 +22,8 @@ among all mappings.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
@@ -34,6 +37,9 @@ from repro.util.bitset import bits_of
 __all__ = ["dpa1d_mapping", "solve_uniline"]
 
 INF = float("inf")
+
+#: Transitions a wide graph (n > 62) hands the DP per batch.
+WIDE_CHUNK = 32_768
 
 
 class _UnilineDP:
@@ -58,223 +64,170 @@ class _UnilineDP:
         self.lat = IdealLattice.for_spg(
             self.spg, budget=ideal_budget, kernel=kernel
         )
-        self._ecal: dict[int, tuple[float, float] | None] = {}
-        # best[ideal][k] = optimal energy of ideal on exactly k+... index k
-        # covers 0..r clusters (index 0 only finite for the empty ideal).
-        # The scalar path stores rows in this dict; the vectorised path
-        # (n <= 62) stores them as the matrix ``B`` indexed by the
-        # value-sorted ideal array ``vals`` (all-inf row == not stored).
-        self.best: dict[int, np.ndarray] = {}
+        # B[row_of(ideal), k] = optimal energy of ``ideal`` on exactly k
+        # clusters (column 0 is only finite for the empty ideal); an
+        # all-inf row is an unreachable ideal.
         self.B: np.ndarray | None = None
-        self.vals: np.ndarray | None = None
+        self.row_of = None
 
     def _row(self, ideal: int) -> np.ndarray | None:
         """The DP row of ``ideal`` (None when unreachable)."""
-        if self.B is None:
-            return self.best.get(ideal)
-        pos = int(np.searchsorted(self.vals, ideal))
-        row = self.B[pos]
+        row = self.B[self.row_of(ideal)]
         return row if np.isfinite(row).any() else None
 
-    def cut(self, prefix: int) -> float:
-        return self.lat.cut_volume(prefix)
-
-    def ecal(self, cluster: int, work: float) -> tuple[float, float] | None:
-        """(energy, speed) of one cluster on one core, or None if infeasible.
-
-        ``work`` is the cluster's total weight, threaded through from the
-        enumeration so it is never recomputed from the bitmask.
-        """
-        hit = self._ecal.get(cluster, 0)
-        if hit != 0:
-            return hit
-        s = self.model.best_feasible(work, self.T)
-        val = None if s is None else (self.model.comp_energy(work, s, self.T), s)
-        self._ecal[cluster] = val
-        return val
-
-    def transition_cost(self, prefix: int, cluster: int, work: float) -> float:
-        """Cost of appending ``cluster`` after ``prefix`` (inf if infeasible)."""
-        ec = self.ecal(cluster, work)
-        if ec is None:
-            return INF
-        cost = ec[0]
+    def transition(
+        self, prefix: int, work: float
+    ) -> tuple[float, float] | None:
+        """``(cost, speed)`` of a cluster of ``work`` appended after
+        ``prefix``, or None when it misses the period or the link."""
+        model = self.model
+        s = model.best_feasible(work, self.T)
+        if s is None:
+            return None
+        cost = model.comp_energy(work, s, self.T)
         if prefix:
-            cb = self.cut(prefix)
+            cb = self.lat.cut_volume(prefix)
             if cb > self.cap_bytes:
-                return INF
-            cost += self.model.comm_energy(cb)
-        return cost
+                return None
+            cost += model.comm_energy(cb)
+        return cost, s
 
     def solve(self, transition_budget: int) -> tuple[float, int]:
         """Forward pass; returns (optimal energy, optimal cluster count).
 
-        The transition loop is the hot path of the whole experiment
-        harness.  For word-sized graphs (n <= 62) the DP runs layer by
-        layer over popcount classes with every per-transition quantity —
-        prefix lookup, cluster energy, boundary cost, ``k``-vector min —
-        batched into numpy array operations; the element-wise operations
-        reproduce the scalar arithmetic IEEE-exactly, so the results are
-        bit-identical to the per-transition formulation (which remains as
-        the fallback for larger graphs).
+        The DP walks the ideals layer by layer over popcount classes:
+        every prefix of a layer-``c`` ideal lies in an earlier layer, so
+        each batch of transitions sees finalised predecessor rows only.
+        Every per-transition quantity -- prefix row, cluster energy,
+        boundary cost, ``k``-vector min -- is a numpy array operation
+        that reproduces the scalar arithmetic IEEE-exactly.  The batches
+        come from one of two sources: slices of the lattice's flat
+        suffix table for word-sized graphs (n <= 62), or the lattice's
+        per-ideal suffix clusters for wider graphs.
         """
-        ideals = self.lat.ideals()  # may raise BudgetExceeded
-        if self.lat.cut_table() is not None:
-            return self._solve_vector(ideals, transition_budget)
-        return self._solve_scalar(ideals, transition_budget)
+        lat = self.lat
+        ideals = lat.ideals()  # may raise BudgetExceeded
+        source = (
+            self._table_source if lat.cut_table() is not None
+            else self._wide_source
+        )
+        self.row_of, cuts, batches = source(ideals, transition_budget)
+        r, model = self.r, self.model
+        B = self.B = np.full((len(ideals), r + 1), INF)
+        B[self.row_of(0), 0] = 0.0
+        full_row = self.row_of(lat.full)
+        speeds, power = np.array(model.speeds), np.array(model.dyn_power)
+        leak = model.comp_leak * self.T
+        lookup = model.speed_lookup(self.T)
+        for rows, counts, prows, W in batches:
+            # Dead-end pruning: an ideal whose cut exceeds the link
+            # capacity can never be extended, so its row stays inf unless
+            # it is the final state.  (Its enumeration still counted
+            # towards the transition budget.)
+            alive = (counts > 0) & (
+                (cuts[rows] <= self.cap_bytes) | (rows == full_row)
+            )
+            if not alive.any():
+                continue
+            keep = np.repeat(alive, counts)
+            prows, W = prows[keep], W[keep]
+            k = lookup.indices(W)
+            # One core's energy plus the dynamic cost of the prefix cut,
+            # in the scalar order (comm energy is (8.0 * cut) * e_bit).
+            costs = (leak + (W / speeds[k]) * power[k]) + (
+                8.0 * cuts[prows] * model.e_bit
+            )
+            cand = B[prows, :r] + costs[:, None]
+            seg = counts[alive]
+            starts = np.zeros(len(seg), dtype=np.intp)
+            np.cumsum(seg[:-1], out=starts[1:])
+            B[rows[alive], 1:] = np.minimum.reduceat(cand, starts, axis=0)
+        return self._finish(self._row(lat.full))
+
+    def _table_source(self, ideals: list[int], transition_budget: int):
+        """``(row_of, cuts, batches)`` for a word-sized graph (n <= 62):
+        one batch per popcount layer, sliced from the flat suffix table.
+
+        The lattice keeps one table at the loosest cap seen and serves
+        tighter caps as filtered copies; a run destined to blow its
+        transition budget raises in there without any DP work.  Rows
+        and prefix rows index :meth:`IdealLattice.cut_table`.
+        """
+        lat = self.lat
+        vals, cuts = lat.cut_table()
+        _M, W, counts, offsets, pidx, _total = lat.suffix_table(
+            self.cap_work, transition_budget
+        )
+        _ideal_vals, epos = lat.ideal_positions()
+        batches = (
+            (epos[lo:hi], counts[lo:hi], pidx[offsets[lo]:offsets[hi]],
+             W[offsets[lo]:offsets[hi]])
+            for lo, hi in _layers(ideals)
+        )
+        return (lambda ideal: int(np.searchsorted(vals, ideal))), cuts, batches
+
+    def _wide_source(self, ideals: list[int], transition_budget: int):
+        """``(row_of, cuts, batches)`` for a graph of any width, read ideal
+        by ideal (see :meth:`_wide_batches`); rows are DP indices."""
+        index = {ideal: k for k, ideal in enumerate(ideals)}
+        cuts = np.empty(len(ideals))
+        batches = self._wide_batches(ideals, index, cuts, transition_budget)
+        return index.__getitem__, cuts, batches
+
+    def _wide_batches(
+        self,
+        ideals: list[int],
+        index: dict[int, int],
+        cuts: np.ndarray,
+        transition_budget: int,
+    ):
+        """Batches of about :data:`WIDE_CHUNK` transitions read ideal by
+        ideal through :meth:`IdealLattice.suffix_clusters_weighted`.
+
+        ``cuts`` is filled as the ideals are read (a prefix always
+        precedes the ideal it extends).
+        A batch never spans two layers, so every prefix row is final
+        before it is read, and no whole-lattice table is materialised.
+        The transition budget is counted per ideal in DP order.
+        """
+        lat = self.lat
+        cap = self.cap_work
+        cuts[0] = lat.cut_volume(0)
+        transitions = 0
+        for lo, hi in _layers(ideals):
+            if lo == 0:
+                continue
+            rows: list[int] = []
+            counts: list[int] = []
+            prows: list[int] = []
+            works: list[float] = []
+            for k in range(lo, hi):
+                ideal = ideals[k]
+                clusters = lat.suffix_clusters_weighted(ideal, cap)
+                transitions += len(clusters)
+                if transitions > transition_budget:
+                    raise BudgetExceeded(
+                        f"DPA1D exceeded {transition_budget} DP transitions"
+                    )
+                cuts[k] = lat.cut_volume(ideal)
+                rows.append(k)
+                counts.append(len(clusters))
+                prows += [index[ideal ^ mask] for mask, _w in clusters]
+                works += [w for _mask, w in clusters]
+                if len(prows) >= WIDE_CHUNK or k == hi - 1:
+                    yield (
+                        np.array(rows, dtype=np.intp),
+                        np.array(counts, dtype=np.intp),
+                        np.array(prows, dtype=np.intp),
+                        np.array(works),
+                    )
+                    rows, counts, prows, works = [], [], [], []
 
     def _finish(self, final: np.ndarray | None) -> tuple[float, int]:
         if final is None or not np.isfinite(final[1:]).any():
             raise HeuristicFailure("DPA1D: no feasible clustering")
         k_best = int(np.argmin(final[1:])) + 1
         return float(final[k_best]), k_best
-
-    def _solve_vector(
-        self, ideals: list[int], transition_budget: int
-    ) -> tuple[float, int]:
-        r = self.r
-        lat = self.lat
-        model = self.model
-        T = self.T
-        cap_work = self.cap_work
-        cap_bytes = self.cap_bytes
-        full = lat.full
-        vals, cuts = lat.cut_table()
-        n_ideals = len(ideals)
-        B = np.full((n_ideals, r + 1), INF)
-        self.B, self.vals = B, vals
-        B[int(np.searchsorted(vals, 0)), 0] = 0.0  # the empty ideal
-        # Speed selection, vectorised: the scalar rule picks the first
-        # feasible speed of strictly minimal energy-per-cycle, which is
-        # exactly argmin over (epc if feasible else inf).
-        speeds_arr = np.array(model.speeds)
-        pw_arr = np.array(model.dyn_power)
-        caps_arr = np.array([s * T * (1.0 + 1e-12) for s in model.speeds])
-        epc_arr = np.array([pw / s for s, pw in zip(model.speeds, model.dyn_power)])
-        leak = model.comp_leak * T
-        e8 = 8.0  # comm energy is (8.0 * cut) * e_bit, kept in this order
-        e_bit = model.e_bit
-
-        # The flat transition table: every ideal's suffix clusters
-        # concatenated in DP ideal order.  The lattice keeps one table at
-        # the loosest cap seen and serves tighter caps as filtered
-        # copies.  A run destined to blow its transition budget raises in
-        # there without paying for any DP work; a surviving run slices
-        # the flat buffer below with no per-ideal Python at all.
-        M, W, counts, offsets, pidx, _total = lat.suffix_table(
-            cap_work, transition_budget
-        )
-        if M.size == 0:
-            return self._finish(self._row(full))
-        ideal_vals, epos = lat.ideal_positions()
-        # Per-transition costs, computed once for the whole lattice: the
-        # cluster's one-core energy plus the dynamic cost of the prefix cut.
-        feasible = W[:, None] <= caps_arr[None, :]
-        epc = np.where(feasible, epc_arr[None, :], INF)
-        k_sel = epc.argmin(axis=1)
-        energy = leak + (W / speeds_arr[k_sel]) * pw_arr[k_sel]
-        costs = energy + e8 * cuts[pidx] * e_bit
-        # Dead-end pruning: an ideal whose cut exceeds the link capacity
-        # can never be extended, so its row stays inf unless it is the
-        # final state.  (Its enumeration still counted towards the budget
-        # above, as in the unpruned DP.)
-        alive = (counts > 0) & (
-            (cuts[epos] <= cap_bytes) | (ideal_vals == np.uint64(full))
-        )
-
-        # Ideals are sorted by popcount: every prefix of a layer-c ideal
-        # lies in a strictly earlier layer, so one batch per layer sees
-        # finalised predecessor rows only.
-        pos = 0
-        while pos < n_ideals:
-            c = ideals[pos].bit_count()
-            end = pos
-            while end < n_ideals and ideals[end].bit_count() == c:
-                end += 1
-            if c == 0:
-                pos = end
-                continue
-            sel = alive[pos:end]
-            if not sel.any():
-                pos = end
-                continue
-            seg_counts = counts[pos:end][sel]
-            keep = np.repeat(sel, counts[pos:end])
-            t0, t1 = offsets[pos], offsets[end]
-            pidx_l = pidx[t0:t1][keep]
-            costs_l = costs[t0:t1][keep]
-            cand = B[pidx_l, :r] + costs_l[:, None]
-            starts = np.zeros(len(seg_counts), dtype=np.intp)
-            np.cumsum(seg_counts[:-1], out=starts[1:])
-            mins = np.minimum.reduceat(cand, starts, axis=0)
-            B[epos[pos:end][sel], 1:] = mins
-            pos = end
-        final = self._row(full)
-        return self._finish(final)
-
-    def _solve_scalar(
-        self, ideals: list[int], transition_budget: int
-    ) -> tuple[float, int]:
-        r = self.r
-        lat = self.lat
-        empty = np.full(r + 1, INF)
-        empty[0] = 0.0
-        self.best[0] = empty
-        cap_work = self.cap_work
-        cap_bytes = self.cap_bytes
-        full = lat.full
-        model = self.model
-        T = self.T
-        e_bit = model.e_bit
-        best_get = self.best.get
-        suffix_clusters = lat.suffix_clusters_weighted
-        ecal = self.ecal
-        lat.cut_volume(0)  # the empty prefix (cut 0)
-        cut_volume = lat.cut_volume
-        cut_get = lat._cut.get
-        transitions = 0
-        for ideal in ideals:
-            if ideal == 0:
-                continue
-            clusters = suffix_clusters(ideal, cap_work)
-            transitions += len(clusters)
-            if transitions > transition_budget:
-                raise BudgetExceeded(
-                    f"DPA1D exceeded {transition_budget} DP transitions"
-                )
-            # Dead-end pruning, as in the vector path.
-            cutv = cut_get(ideal)
-            if cutv is None:
-                cutv = cut_volume(ideal)
-            if ideal != full and cutv > cap_bytes:
-                continue
-            prev_rows: list[np.ndarray] = []
-            costs: list[float] = []
-            for cluster, work in clusters:
-                prefix = ideal ^ cluster  # cluster is an up-set of ideal
-                prev = best_get(prefix)
-                if prev is None:
-                    continue
-                # A stored prefix passed the dead-end check, so its cut fits
-                # the link and the boundary cost is plain dynamic energy.
-                ec = ecal(cluster, work)
-                if ec is None:
-                    continue
-                prev_rows.append(prev)
-                costs.append(ec[0] + 8.0 * cut_get(prefix) * e_bit)
-            if not prev_rows:
-                continue
-            stacked = np.array(prev_rows)
-            tail = (
-                stacked[:, :-1] + np.asarray(costs)[:, None]
-            ).min(axis=0)
-            if not np.isfinite(tail).any():
-                continue
-            row = np.empty(r + 1)
-            row[0] = INF
-            row[1:] = tail
-            self.best[ideal] = row
-        return self._finish(self.best.get(full))
 
     def reconstruct(self, k_best: int) -> tuple[list[list[int]], list[float]]:
         """Walk back through the DP by re-evaluating local transitions."""
@@ -291,18 +244,28 @@ class _UnilineDP:
                 prev = self._row(prefix)
                 if prev is None or not np.isfinite(prev[k - 1]):
                     continue
-                cost = self.transition_cost(prefix, cluster, work)
-                if cost == INF:
+                step = self.transition(prefix, work)
+                if step is None:
                     continue
-                if prev[k - 1] + cost <= target * (1 + 1e-12) + 1e-30:
+                if prev[k - 1] + step[0] <= target * (1 + 1e-12) + 1e-30:
                     clusters_rev.append(bits_of(cluster))
-                    speeds_rev.append(self.ecal(cluster, work)[1])
+                    speeds_rev.append(step[1])
                     ideal, k = prefix, k - 1
                     found = True
                     break
             if not found:  # pragma: no cover - numerical safety net
                 raise HeuristicFailure("DPA1D: reconstruction failed")
         return clusters_rev[::-1], speeds_rev[::-1]
+
+
+def _layers(ideals: list[int]):
+    """``(lo, hi)`` bounds of the popcount classes of ``ideals``, which
+    :meth:`IdealLattice.ideals` returns sorted by popcount."""
+    lo = 0
+    for _count, layer in groupby(ideals, int.bit_count):
+        hi = lo + sum(1 for _ in layer)
+        yield lo, hi
+        lo = hi
 
 
 def solve_uniline(

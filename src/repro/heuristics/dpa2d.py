@@ -52,66 +52,69 @@ class _ColumnResult(NamedTuple):
 
 
 class _Block:
-    """Static data of a level block ``m1 <= x <= m2`` (cached per block).
+    """Period-independent data of a level block ``m1 <= x <= m2``.
 
-    Per-row aggregates (work prefix sums, stage-mask prefixes, reachability
-    unions) make :meth:`cluster` O(rows) instead of O(stages): the stage
-    set of a row range is a prefix-mask difference and its convexity check
-    unions precomputed per-row ancestor/descendant masks.
+    Cached per SPG (see :meth:`_Dpa2dSolver.block`), so both solvers and
+    every period probe share one instance.  It is built from per-level
+    stage and edge lists kept in stage-index and ``edge_list`` order, so
+    row work sums and edge lists accumulate in the same float order as a
+    scan of the whole graph.  Per-row aggregates (work prefix sums, stage
+    masks, reachability unions) let the solver cost a row range in
+    O(rows).
     """
 
-    def __init__(self, solver: "_Dpa2dSolver", m1: int, m2: int) -> None:
-        spg = solver.spg
-        labels = spg.labels
-        self.m1, self.m2 = m1, m2
-        self.stages = [
-            i for i in range(spg.n) if m1 <= labels[i][0] <= m2
-        ]
-        ys = [labels[i][1] for i in self.stages]
-        self.ymax = max(ys) if ys else 0
+    def __init__(self, spg, m1: int, m2: int) -> None:
+        level_stages, level_edges = _levels(spg)
+        labels, weights = spg.labels, spg.weights
+        desc, anc = descendant_masks(spg), ancestor_masks(spg)
+        stages: list[int] = []
+        edges: list[tuple] = []
+        for x in range(m1, min(m2, spg.xmax) + 1):
+            stages += level_stages[x]
+            edges += level_edges[x]
+        stages.sort()
+        edges.sort()  # edge_list order
+        self.stages = stages
         self.rows: dict[int, list[int]] = {}
-        for i in self.stages:
+        for i in stages:
             self.rows.setdefault(labels[i][1], []).append(i)
+        self.ymax = gmax = max(self.rows, default=0)
         # Internal edges spanning distinct rows (vertical traffic) and
-        # edges leaving the block to later levels, from the solver's
-        # precomputed flat edge array (one pass, no per-block stage set).
-        v_edges = []
-        out_edges = []
-        for i, j, d, xi, yi, xj, yj in solver.edges_info:
-            if m1 <= xi <= m2:
-                if xj > m2:
-                    out_edges.append((i, j, d))
-                elif xj >= m1 and yi != yj:
-                    v_edges.append((yi, yj, d))
-        self.v_edges = v_edges
-        self.out_edges = out_edges
-        # Row prefix aggregates, index g = rows 1..g (0 empty).
-        gmax = self.ymax
-        desc, anc, weights = solver.desc, solver.anc, spg.weights
-        pmask = [0] * (gmax + 1)
+        # edges leaving the block to later levels.
+        self.v_edges: list[tuple[int, int, float]] = []
+        self.out_edges: list[tuple[int, int, float]] = []
+        for _pos, i, j, d, yi, xj, yj in edges:
+            if xj > m2:
+                self.out_edges.append((i, j, d))
+            elif xj >= m1 and yi != yj:
+                self.v_edges.append((yi, yj, d))
+        # Row aggregates, index g = row g (0 empty); pwork[g] sums rows
+        # 1..g, and row_work_max is the heaviest row as the prefix
+        # difference row ranges use.
+        row_mask = [0] * (gmax + 1)
         pwork = [0.0] * (gmax + 1)
         row_desc = [0] * (gmax + 1)
         row_anc = [0] * (gmax + 1)
+        whole = below = above = 0
+        row_work_max = 0.0
         for g in range(1, gmax + 1):
-            row = self.rows.get(g, ())
             rm = rd = ra = 0
             rw = 0.0
-            for i in row:
+            for i in self.rows.get(g, ()):
                 rm |= 1 << i
                 rw += weights[i]
                 rd |= desc[i]
                 ra |= anc[i]
-            pmask[g] = pmask[g - 1] | rm
+            row_mask[g], row_desc[g], row_anc[g] = rm, rd, ra
             pwork[g] = pwork[g - 1] + rw
-            row_desc[g] = rd
-            row_anc[g] = ra
-        self._pmask = pmask
-        self._pwork = pwork
-        self._row_desc = row_desc
-        self._row_anc = row_anc
-        # cluster cache: (g1, g2] -> (energy, speed, work) or None
-        self._cluster: dict[tuple[int, int], tuple[float, float] | None] = {}
-        self._solver = solver
+            row_work_max = max(row_work_max, pwork[g] - pwork[g - 1])
+            whole, below, above = whole | rm, below | rd, above | ra
+        self.row_mask, self.pwork = row_mask, pwork
+        self.row_desc, self.row_anc = row_desc, row_anc
+        self.row_work_max = row_work_max
+        #: Whether the whole block is convex: no outside stage sits on a
+        #: path between two of its stages.
+        self.convex = not (below & above) & ~whole
 
     def stages_of(self, g1: int, g2: int) -> list[int]:
         """Stages of rows ``g1 < y <= g2`` in row-major order (as the
@@ -120,37 +123,22 @@ class _Block:
             i for y in range(g1 + 1, g2 + 1) for i in self.rows.get(y, [])
         ]
 
-    def cluster(self, g1: int, g2: int) -> tuple[float, float] | None:
-        """(energy, speed) of rows ``g1 < y <= g2`` on one core, or None.
 
-        None signals infeasibility: the work misses the period at top speed
-        or the cluster is not convex in the full SPG.  An empty row range is
-        free (core stays off).
-        """
-        key = (g1, g2)
-        if key in self._cluster:
-            return self._cluster[key]
-        mask = self._pmask[g2] & ~self._pmask[g1]
-        solver = self._solver
-        if not mask:
-            val: tuple[float, float] | None = (0.0, 0.0)
-        else:
-            work = self._pwork[g2] - self._pwork[g1]
-            s = solver.model.best_feasible(work, solver.T)
-            if s is None:
-                val = None
-            else:
-                below = above = 0
-                row_desc, row_anc = self._row_desc, self._row_anc
-                for g in range(g1 + 1, g2 + 1):
-                    below |= row_desc[g]
-                    above |= row_anc[g]
-                if (below & above) & ~mask:
-                    val = None  # an outside stage sits on an inside path
-                else:
-                    val = (solver.model.comp_energy(work, s, solver.T), s)
-        self._cluster[key] = val
-        return val
+def _levels(spg) -> tuple:
+    """Per level ``x`` of ``spg``: its stages in index order, and the edges
+    leaving it as ``(edge_list position, i, j, delta, y_i, x_j, y_j)``."""
+
+    def build():
+        labels = spg.labels
+        stages: list[list[int]] = [[] for _ in range(spg.xmax + 1)]
+        edges: list[list[tuple]] = [[] for _ in range(spg.xmax + 1)]
+        for i, (x, _y) in enumerate(labels):
+            stages[x].append(i)
+        for pos, (i, j, d) in enumerate(spg.edge_list):
+            edges[labels[i][0]].append((pos, i, j, d, labels[i][1], *labels[j]))
+        return stages, edges
+
+    return spg.cached("dpa2d.levels", build)
 
 
 class _Dpa2dSolver:
@@ -163,35 +151,74 @@ class _Dpa2dSolver:
         self.p, self.q = p, q
         self.cap_work = self.T * self.model.s_max
         self.cap_bytes = self.model.link_capacity(self.T)
-        self.desc = descendant_masks(self.spg)
-        self.anc = ancestor_masks(self.spg)
+        self.speed = self.model.speed_lookup(self.T)
         self.xmax = self.spg.xmax
-        self.ymax = self.spg.ymax
-        # Flat edge array with both endpoint labels, hoisted out of the
-        # per-block scans (same order as the edges dict).
-        labels = self.spg.labels
-        self.edges_info = tuple(
-            (i, j, d, labels[i][0], labels[i][1], labels[j][0], labels[j][1])
-            for i, j, d in self.spg.edge_list
-        )
-        # Level weights for feasibility pruning of outer transitions.
-        self.level_work = [0.0] * (self.xmax + 1)
-        for i in range(self.spg.n):
-            self.level_work[self.spg.labels[i][0]] += self.spg.weights[i]
-        self._blocks: dict[tuple[int, int], _Block] = {}
-        # Inner-DP results are pure functions of (block, incoming
-        # distribution); the outer DP re-probes the same block with the
-        # same distribution from many predecessor states.
+        # Per-period memos: cluster costs per block (see clusters()), and
+        # inner-DP results, pure functions of (block, incoming
+        # distribution) that the outer DP re-probes from many states.
+        self._clusters: dict[tuple[int, int], object] = {}
         self._columns: dict[tuple[int, int, Distribution], _ColumnResult | None] = {}
 
     # ------------------------------------------------------------------
     def block(self, m1: int, m2: int) -> _Block:
+        spg = self.spg
+        return spg.cached(("dpa2d.block", m1, m2), lambda: _Block(spg, m1, m2))
+
+    def clusters(self, m1: int, m2: int):
+        """One-core costs of block ``m1..m2``'s row ranges at this period.
+
+        For ``p == 1`` only the whole block can form a column: its
+        ``(energy, speed)``, or None.  Otherwise None when one row misses
+        the period on its own (every range holding it is at least as
+        heavy), else ``tab`` with ``tab[g1][g2 - g1]`` the ``(energy,
+        speed)`` of rows ``g1 < y <= g2`` on one core: None when not
+        convex in the full SPG, ``(0.0, 0.0)`` when empty (core off).
+        ``tab[g1]`` ends before the first ``g2`` that misses the period,
+        as work only grows with ``g2``.
+        """
         key = (m1, m2)
-        blk = self._blocks.get(key)
-        if blk is None:
-            blk = _Block(self, m1, m2)
-            self._blocks[key] = blk
-        return blk
+        tab = self._clusters.get(key, _MISS)
+        if tab is not _MISS:
+            return tab
+        blk = self.block(m1, m2)
+        model, index = self.model, self.speed.index
+        leak = model.comp_leak * self.T
+        pwork, gmax = blk.pwork, blk.ymax
+        if self.p == 1:
+            work = pwork[gmax] - pwork[0]
+            k = index(work)
+            tab = None
+            if k >= 0 and blk.convex:
+                s = model.speeds[k]
+                tab = (leak + (work / s) * model.dyn_power[k], s)
+        elif index(blk.row_work_max) < 0:
+            tab = None
+        else:
+            tab = []
+            for g1 in range(gmax + 1):
+                entries: list[tuple[float, float] | None] = [(0.0, 0.0)]
+                mask = below = above = 0
+                for g2 in range(g1 + 1, gmax + 1):
+                    mask |= blk.row_mask[g2]
+                    below |= blk.row_desc[g2]
+                    above |= blk.row_anc[g2]
+                    if not mask:
+                        entries.append((0.0, 0.0))
+                        continue
+                    work = pwork[g2] - pwork[g1]
+                    k = index(work)
+                    if k < 0:
+                        break
+                    if (below & above) & ~mask:
+                        entries.append(None)  # an outside stage on a path
+                    else:
+                        s = model.speeds[k]
+                        entries.append(
+                            (leak + (work / s) * model.dyn_power[k], s)
+                        )
+                tab.append(entries)
+        self._clusters[key] = tab
+        return tab
 
     def h_cost(self, d: Distribution) -> float:
         """Cost of crossing one column boundary with distribution ``d``.
@@ -222,7 +249,8 @@ class _Dpa2dSolver:
     ) -> _ColumnResult | None:
         """Inner DP: map levels ``m1..m2`` onto the ``p`` cores of a column."""
         blk = self.block(m1, m2)
-        if not blk.stages:
+        tab = self.clusters(m1, m2) if blk.stages else None
+        if tab is None:
             return None
         spg, p = self.spg, self.p
         # Split the incoming distribution into deliveries (dest in block,
@@ -235,8 +263,45 @@ class _Dpa2dSolver:
                 deliveries.append((row, y, b))
             else:
                 passthrough.append((row, dest, b))
+        if p == 1:
+            # One core holds the whole block: the inner DP would only add
+            # 0.0 around its energy.
+            best_e, spans = tab[0], [(0, blk.ymax, tab[1])]
+        else:
+            best = self._inner_dp(blk, tab, deliveries)
+            if best is None:
+                return None
+            best_e, spans = best
 
-        gmax = blk.ymax
+        cores: list[tuple[tuple[int, ...], float] | None] = [None] * p
+        core_of_row: dict[int, int] = {}
+        for u, (lo, hi, speed) in enumerate(spans):
+            stages = tuple(blk.stages_of(lo, hi))
+            for y in range(lo + 1, hi + 1):
+                core_of_row[y] = u
+            if stages:
+                cores[u] = (stages, speed)
+
+        # Outgoing distribution: pass-through plus the block's own exits.
+        agg: dict[tuple[int, int], float] = {}
+        for row, dest, b in passthrough:
+            agg[(row, dest)] = agg.get((row, dest), 0.0) + b
+        for i, j, d in blk.out_edges:
+            row = core_of_row[spg.labels[i][1]]
+            agg[(row, j)] = agg.get((row, j), 0.0) + d
+        dout = tuple(
+            (row, dest, b) for (row, dest), b in sorted(agg.items())
+        )
+        return _ColumnResult(best_e, dout, ColumnPlan(tuple(cores)))
+
+    def _inner_dp(self, blk: _Block, tab: list, deliveries: list):
+        """Cut the block's rows into ranges on consecutive cores.
+
+        Returns ``(energy, spans)``, ``spans[u] = (lo, hi, speed)`` for
+        core ``u`` holding rows ``lo < y <= hi``, or None if infeasible.
+        """
+        p, gmax, cap_bytes = self.p, blk.ymax, self.cap_bytes
+        comm_energy = self.model.comm_energy
 
         def boundary_cost(w: int, gcut: int) -> float:
             """Vertical traffic crossing the link between cores w-1 and w.
@@ -256,58 +321,45 @@ class _Dpa2dSolver:
                     down += dvol
                 elif yd <= gcut < ys:
                     up += dvol
-            if down > self.cap_bytes or up > self.cap_bytes:
+            if down > cap_bytes or up > cap_bytes:
                 return INF
-            return self.model.comm_energy(down + up)
+            return comm_energy(down + up)
 
-        bcost_cache: dict[tuple[int, int], float] = {}
-
-        def bcost(w: int, gcut: int) -> float:
-            key = (w, gcut)
-            v = bcost_cache.get(key)
-            if v is None:
-                v = boundary_cost(w, gcut)
-                bcost_cache[key] = v
-            return v
-
-        # E2[g][u]: rows 1..g on cores 0..u-1.  par[g][u] = previous g.
-        E2 = [[INF] * (p + 1) for _ in range(gmax + 1)]
-        par = [[-1] * (p + 1) for _ in range(gmax + 1)]
-        E2[0][0] = 0.0
+        # E[u][g]: rows 1..g on cores 0..u-1; par[u][g]: the previous g.
+        # Each live state relaxes every range it extends by; ascending g2
+        # with strict < keeps the first minimal g2 for each g.
+        E = [[INF] * (gmax + 1) for _ in range(p + 1)]
+        par = [[-1] * (gmax + 1) for _ in range(p + 1)]
+        E[0][0] = 0.0
         for u in range(1, p + 1):
-            for g in range(gmax + 1):
-                best, arg = INF, -1
-                for g2 in range(g + 1):
-                    prev = E2[g2][u - 1]
-                    if prev == INF:
-                        continue
-                    cl = blk.cluster(g2, g)
-                    if cl is None:
-                        continue
-                    vcost = bcost(u - 1, g2) if u >= 2 else 0.0
-                    if vcost == INF:
-                        continue
-                    tot = prev + cl[0] + vcost
-                    if tot < best:
-                        best, arg = tot, g2
-                E2[g][u] = best
-                par[g][u] = arg
+            cur, cur_par = E[u], par[u]
+            for g2, prev in enumerate(E[u - 1]):
+                if prev == INF:
+                    continue
+                vcost = boundary_cost(u - 1, g2) if u >= 2 else 0.0
+                if vcost == INF:
+                    continue
+                for g, cl in enumerate(tab[g2], g2):
+                    if cl is not None:
+                        tot = prev + cl[0] + vcost
+                        if tot < cur[g]:
+                            cur[g], cur_par[g] = tot, g2
 
         def tail_cost(u: int) -> float:
             """Vertical hops above the last used core (entry rows >= u)."""
             cost = 0.0
             for w in range(u, p):
                 t = sum(b for a, _yd, b in deliveries if a >= w)
-                if t > self.cap_bytes:
+                if t > cap_bytes:
                     return INF
-                cost += self.model.comm_energy(t)
+                cost += comm_energy(t)
             return cost
 
         best_u, best_e = -1, INF
         for u in range(1, p + 1):
-            if E2[gmax][u] == INF:
+            if E[u][gmax] == INF:
                 continue
-            e = E2[gmax][u] + tail_cost(u)
+            e = E[u][gmax] + tail_cost(u)
             if e < best_e:
                 best_u, best_e = u, e
         if best_u < 0:
@@ -318,73 +370,58 @@ class _Dpa2dSolver:
         g = gmax
         for u in range(best_u, 0, -1):
             cuts[u] = g
-            g = par[g][u]
+            g = par[u][g]
         assert g == 0
-        cores: list[tuple[tuple[int, ...], float] | None] = [None] * p
-        core_of_row: dict[int, int] = {}
+        spans = []
         for u in range(best_u):
-            lo = cuts[u] if u > 0 else 0
-            hi = cuts[u + 1]
-            stages = tuple(blk.stages_of(lo, hi))
-            for y in range(lo + 1, hi + 1):
-                core_of_row[y] = u
-            if stages:
-                cl = blk.cluster(lo, hi)
-                assert cl is not None
-                cores[u] = (stages, cl[1])
-
-        # Outgoing distribution: pass-through plus the block's own exits.
-        agg: dict[tuple[int, int], float] = {}
-        for row, dest, b in passthrough:
-            agg[(row, dest)] = agg.get((row, dest), 0.0) + b
-        for i, j, d in blk.out_edges:
-            row = core_of_row[spg.labels[i][1]]
-            agg[(row, j)] = agg.get((row, j), 0.0) + d
-        dout = tuple(
-            (row, dest, b) for (row, dest), b in sorted(agg.items())
-        )
-        return _ColumnResult(best_e, dout, ColumnPlan(tuple(cores)))
+            lo, hi = cuts[u], cuts[u + 1]
+            cl = tab[lo][hi - lo]
+            assert cl is not None
+            spans.append((lo, hi, cl[1]))
+        return best_e, spans
 
     # ------------------------------------------------------------------
     def solve(self) -> tuple[float, list[ColumnPlan]]:
-        """Outer DP over (level prefix, columns used)."""
+        """Outer DP over (level prefix, columns used).
+
+        Each predecessor state ``(m_prev, v - 1)`` pays its boundary cost
+        once, then extends to ``m = m_prev + 1, ...`` until the block
+        outgrows a column; each ``m`` keeps the first minimal candidate
+        in ascending ``m_prev``.
+        """
         xmax, q = self.xmax, self.q
+        weights, level_stages = self.spg.weights, _levels(self.spg)[0]
         prefix_work = [0.0] * (xmax + 1)
         for x in range(1, xmax + 1):
-            prefix_work[x] = prefix_work[x - 1] + self.level_work[x]
+            level_work = 0.0
+            for i in level_stages[x]:
+                level_work += weights[i]
+            prefix_work[x] = prefix_work[x - 1] + level_work
         col_cap = self.p * self.cap_work
 
-        # memo[(m, v)] = (energy, dout, (m', plan))
-        memo: dict[tuple[int, int], tuple[float, Distribution, tuple]] = {}
+        # memo[(m, v)] = (energy, dout, (m', plan)); (0, 0) is the empty
+        # start, whose empty distribution crosses for 0.0.
+        memo: dict[tuple[int, int], tuple] = {(0, 0): (0.0, (), None)}
         for v in range(1, q + 1):
-            for m in range(v, xmax + 1):
-                best: tuple[float, Distribution, tuple] | None = None
-                lo = v - 1
-                for m_prev in range(lo, m):
+            for m_prev in range(v - 1, xmax):
+                prev = memo.get((m_prev, v - 1))
+                if prev is None:
+                    continue
+                prev_e, din = prev[0], prev[1]
+                h = self.h_cost(din)
+                if h == INF:
+                    continue
+                for m in range(m_prev + 1, xmax + 1):
                     # Prune: the block's total work must fit the column.
                     if prefix_work[m] - prefix_work[m_prev] > col_cap:
-                        continue
-                    if v == 1:
-                        if m_prev != 0:
-                            continue
-                        prev_e, din = 0.0, ()
-                        h = 0.0
-                    else:
-                        prev = memo.get((m_prev, v - 1))
-                        if prev is None:
-                            continue
-                        prev_e, din = prev[0], prev[1]
-                        h = self.h_cost(din)
-                        if h == INF:
-                            continue
+                        break
                     res = self.column(m_prev + 1, m, din)
                     if res is None:
                         continue
                     total = prev_e + h + res.energy
+                    best = memo.get((m, v))
                     if best is None or total < best[0]:
-                        best = (total, res.dout, (m_prev, res.plan))
-                if best is not None:
-                    memo[(m, v)] = best
+                        memo[(m, v)] = (total, res.dout, (m_prev, res.plan))
 
         best_v, best_e = -1, INF
         for v in range(1, q + 1):

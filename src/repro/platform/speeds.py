@@ -8,9 +8,10 @@ direction) and a link energy of 6 pJ/bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-__all__ = ["PowerModel", "XSCALE", "xscale_model"]
+__all__ = ["PowerModel", "SpeedLookup", "XSCALE", "xscale_model"]
 
 GHZ = 1e9
 
@@ -117,6 +118,11 @@ class PowerModel:
                     best, best_epc = s, epc
         return best
 
+    def speed_lookup(self, period: float) -> "SpeedLookup":
+        """:meth:`best_feasible` at ``period`` as lookup tables, for the
+        DP heuristics that select speeds in bulk (see :class:`SpeedLookup`)."""
+        return SpeedLookup(self, period)
+
     def comp_energy(self, work: float, speed: float, period: float) -> float:
         """Energy (J) of one active core: leakage over ``period`` + dynamic.
 
@@ -154,6 +160,52 @@ class PowerModel:
             e_bit=self.e_bit,
             bandwidth=self.bandwidth,
         )
+
+
+class SpeedLookup:
+    """:meth:`PowerModel.best_feasible` at one period, by table lookup.
+
+    Feasibility is monotone in the speed, so the slowest feasible speed
+    index of a work is a bisection over the same ``s * period * (1 +
+    1e-12)`` thresholds, and ``pick[j]`` is the first speed of minimal
+    energy per cycle among ``speeds[j:]`` (``-1`` past the fastest).  As
+    in ``best_feasible``, work 0 takes the slowest speed and a
+    non-positive period has no feasible speed.  :meth:`index` answers
+    one (finite) work and :meth:`indices` a numpy array of works, from
+    the same tables; both return an index into ``speeds``, or ``-1``
+    where ``best_feasible`` returns ``None``.
+    """
+
+    __slots__ = ("limits", "pick", "_valid")
+
+    def __init__(self, model: PowerModel, period: float) -> None:
+        self._valid = period > 0
+        self.limits = [s * period * (1.0 + 1e-12) for s in model.speeds]
+        epc = [pw / s for s, pw in zip(model.speeds, model.dyn_power)]
+        pick = [-1] * (len(epc) + 1)
+        for k in range(len(epc) - 1, -1, -1):
+            nxt = pick[k + 1]
+            pick[k] = k if nxt < 0 or epc[k] <= epc[nxt] else nxt
+        self.pick = pick
+
+    def index(self, work: float) -> int:
+        """The speed index ``best_feasible(work, period)`` picks, or -1."""
+        if not self._valid:
+            return -1
+        if work == 0:
+            return 0
+        return self.pick[bisect_left(self.limits, work)]
+
+    def indices(self, works):
+        """:meth:`index` of every element of the array ``works``."""
+        import numpy as np
+
+        works = np.asarray(works, dtype=float)
+        if not self._valid:
+            return np.full(works.shape, -1, dtype=np.intp)
+        pick = np.asarray(self.pick, dtype=np.intp)
+        idx = pick[np.searchsorted(self.limits, works)]
+        return np.where(works == 0, 0, idx)
 
 
 def xscale_model(

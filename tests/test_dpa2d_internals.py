@@ -1,10 +1,12 @@
 """White-box tests for the DPA2D solver internals."""
 
+import numpy as np
 import pytest
 
 from repro.core.problem import ProblemInstance
 from repro.heuristics.dpa2d import _Dpa2dSolver
 from repro.platform.cmp import CMPGrid
+from repro.platform.speeds import PowerModel, xscale_model
 from repro.spg.build import chain, diamond, split_join
 
 
@@ -49,12 +51,21 @@ class TestBlocks:
             assert ys != yd
 
 
+def _cluster(solver, m1, m2, g1, g2):
+    """``(energy, speed)`` of rows ``g1 < y <= g2`` of block ``m1..m2``
+    from the solver's cluster table, or None when infeasible."""
+    tab = solver.clusters(m1, m2)
+    if tab is None or g2 - g1 >= len(tab[g1]):
+        return None
+    return tab[g1][g2 - g1]
+
+
 class TestClusterCosts:
     def test_empty_cluster_free(self, solver):
         s, g = solver
         blk = s.block(2, 2)
         # Rows above the block's ymax are empty.
-        e = blk.cluster(blk.ymax, blk.ymax)
+        e = _cluster(s, 2, 2, blk.ymax, blk.ymax)
         assert e == (0.0, 0.0)
 
     def test_overweight_cluster_infeasible(self, grid_4x4):
@@ -62,9 +73,9 @@ class TestClusterCosts:
                        comm=1e3)
         prob = ProblemInstance(g, grid_4x4, 0.7)
         s = _Dpa2dSolver(prob, 4, 4)
-        blk = s.block(2, 2)  # both 6e8 branches share level 2
-        assert blk.cluster(0, 2) is None  # 1.2e9 cycles > 0.7 s at 1 GHz
-        assert blk.cluster(0, 1) is not None
+        # Both 6e8 branches share level 2: 1.2e9 cycles > 0.7 s at 1 GHz.
+        assert _cluster(s, 2, 2, 0, 2) is None
+        assert _cluster(s, 2, 2, 0, 1) is not None
 
     def test_nonconvex_cluster_infeasible(self, grid_4x4):
         # Fork at row 1 feeding a row-2 branch that rejoins row 1: taking
@@ -72,9 +83,98 @@ class TestClusterCosts:
         g = diamond((1e8, 1e8, 1e8, 1e8), (1e3, 1e3, 1e3, 1e3))
         prob = ProblemInstance(g, grid_4x4, 1.0)
         s = _Dpa2dSolver(prob, 4, 4)
-        blk = s.block(1, g.xmax)
-        assert blk.cluster(0, 1) is None  # source+mid1+sink without mid2
-        assert blk.cluster(0, 2) is not None
+        # source+mid1+sink without mid2
+        assert _cluster(s, 1, g.xmax, 0, 1) is None
+        assert _cluster(s, 1, g.xmax, 0, 2) is not None
+
+    def test_row_heavy_block_rejected_before_inner_dp(self, grid_4x4,
+                                                      monkeypatch):
+        # One row holds 3 x 4e8 cycles: no core meets T = 1 s on its own,
+        # so no row range holding it fits and the block has no column.
+        g = chain(4, [4e8] * 4, [1e3] * 3)
+        s = _Dpa2dSolver(ProblemInstance(g, grid_4x4, 1.0), 4, 4)
+
+        def no_inner_dp(*args):
+            raise AssertionError("the inner DP ran on a rejected block")
+
+        monkeypatch.setattr(s, "_inner_dp", no_inner_dp)
+        assert s.block(1, 3).row_work_max == pytest.approx(1.2e9)
+        assert s.clusters(1, 3) is None
+        assert s.column(1, 3, ()) is None
+
+    def test_one_block_per_graph(self, grid_4x4):
+        """Both solvers and every period share one block object."""
+        g = split_join([2, 2, 2], w_source=1e8, w_sink=1e8, w_branch=3e8,
+                       comm=1e6)
+        solvers = [
+            _Dpa2dSolver(ProblemInstance(g, grid_4x4, period), p, q)
+            for period in (0.8, 2.0) for p, q in ((4, 4), (1, 16))
+        ]
+        blocks = {id(s.block(1, 2)) for s in solvers}
+        assert len(blocks) == 1
+        # The period-dependent costs stay per solver.
+        tight, loose = solvers[0], solvers[2]
+        assert tight.clusters(1, 2) is not loose.clusters(1, 2)
+
+
+class TestSpeedLookup:
+    """The DPs' bulk speed rule equals PowerModel.best_feasible."""
+
+    MODELS = {
+        "xscale": xscale_model(),
+        "two-speed": PowerModel((0.5e9, 1e9), (0.2, 1.6), 0.08, 0.0,
+                                6e-12, 1.92e10),
+        "scaled": xscale_model().scaled(0.7),
+        # Equal energy per cycle everywhere: ties go to the first speed.
+        "flat": PowerModel((1e9, 2e9, 3e9), (1.0, 2.0, 3.0), 0.0, 0.0,
+                           6e-12, 1.92e10),
+    }
+
+    @staticmethod
+    def _expected(model, works, period):
+        out = []
+        for w in works:
+            s = model.best_feasible(float(w), period)
+            out.append(-1 if s is None else model.speeds.index(s))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("period", [0.05, 0.7, 1.0, 3.3])
+    def test_random_works(self, name, period):
+        model = self.MODELS[name]
+        rng = np.random.default_rng(7)
+        top = model.s_max * period
+        works = np.concatenate([rng.uniform(0, 1.2 * top, 500), [0.0]])
+        lookup = model.speed_lookup(period)
+        want = self._expected(model, works, period)
+        assert lookup.indices(works).tolist() == want
+        assert [lookup.index(float(w)) for w in works] == want
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_exactly_at_each_threshold(self, name):
+        model = self.MODELS[name]
+        period = 0.7
+        works = []
+        for s in model.speeds:
+            limit = s * period * (1.0 + 1e-12)
+            works += [np.nextafter(limit, 0.0), limit,
+                      np.nextafter(limit, np.inf)]
+        lookup = model.speed_lookup(period)
+        want = self._expected(model, works, period)
+        assert lookup.indices(np.array(works)).tolist() == want
+        assert [lookup.index(float(w)) for w in works] == want
+        assert want[-1] == -1 and want[-2] == len(model.speeds) - 1
+
+    def test_zero_work_and_non_positive_period(self):
+        model = self.MODELS["xscale"]
+        assert model.speed_lookup(1.0).index(0.0) == 0
+        assert model.best_feasible(0.0, 1.0) == model.speeds[0]
+        for period in (0.0, -1.0):
+            lookup = model.speed_lookup(period)
+            assert model.best_feasible(1e6, period) is None
+            assert model.best_feasible(0.0, period) is None
+            assert lookup.index(1e6) == -1 and lookup.index(0.0) == -1
+            assert lookup.indices([0.0, 1e6]).tolist() == [-1, -1]
 
 
 class TestHorizontalCost:
