@@ -23,7 +23,7 @@ from typing import NoReturn
 from repro.core.errors import BudgetExceeded
 from repro.core.kernels import EnumerationKernel, reference_dfs, resolve_kernel
 from repro.obs.session import inc
-from repro.spg.analysis import ancestor_masks, cut_volume, descendant_masks
+from repro.spg.analysis import ancestor_masks, descendant_masks
 from repro.spg.decompose import ideal_count
 from repro.spg.graph import SPG
 from repro.util.bitset import bit, iter_bits, mask_of
@@ -130,8 +130,7 @@ class IdealLattice:
         self.anc = ancestor_masks(spg)
         self._ideals: list[int] | None = None
         self._budget_error: str | None = None
-        self._cut: dict[int, float] = {}
-        self._cuts_bulk_done = False
+        self._ideal_cuts = None
         self._cut_table: tuple | None = None
         self._initc: dict[int, list[int]] = {0: []}
         self._init_mask: dict[int, int] = {}
@@ -314,49 +313,30 @@ class IdealLattice:
         self._init_mask = dict(zip(self._ideals, im.tolist()))
         return self._ideals
 
-    def cut_volume(self, prefix: int) -> float:
-        """Bytes leaving ideal ``prefix`` (cached; shared across periods).
+    def ideal_cuts(self):
+        """Cut volume of every ideal, in :meth:`ideals` order (numpy array).
 
-        The summation order matches a scan of ``spg.edges`` so values are
-        bit-identical to :func:`repro.spg.analysis.cut_volume`.  Once the
-        ideals are enumerated the cuts of *all* of them are computed in one
-        vectorised pass (one numpy masked-add per edge, which accumulates in
-        the same edge order as the scalar scan).
+        One vectorised pass over the ideals split into 64-bit words, so
+        it serves graphs of any width; one masked add per edge in
+        ``edge_list`` order makes each value bit-identical to
+        :func:`repro.spg.analysis.cut_volume`.  Computed once per lattice
+        and shared across periods.
         """
-        c = self._cut.get(prefix)
-        if c is None:
-            if not self._cuts_bulk_done and self._ideals is not None:
-                self._bulk_cuts()
-                self._cuts_bulk_done = True
-                c = self._cut.get(prefix)
-            if c is None:
-                c = self._cut[prefix] = cut_volume(self.spg, prefix)
-        return c
+        if self._ideal_cuts is None:
+            import numpy as np
 
-    def _bulk_cuts(self) -> None:
-        """Vectorised cut volumes for every enumerated ideal.
-
-        Word-sized graphs read them from :meth:`cut_table`; wider ones
-        split each ideal into 64-bit words.
-        """
-        import numpy as np
-
-        table = self.cut_table()
-        if table is not None:
-            vals, cuts = table
-            keys = vals.tolist()
-        else:
-            keys = self._ideals
+            ideals = self.ideals()
             low = (1 << 64) - 1
             words = [
-                np.fromiter((v >> s & low for v in keys), np.uint64, len(keys))
+                np.fromiter((v >> s & low for v in ideals), np.uint64,
+                            len(ideals))
                 for s in range(0, self.spg.n, 64)
             ]
-            cuts = _edge_cuts(
-                self.spg, len(keys),
+            self._ideal_cuts = _edge_cuts(
+                self.spg, len(ideals),
                 lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
             )
-        self._cut = dict(zip(keys, cuts.tolist()))
+        return self._ideal_cuts
 
     def cut_table(self):
         """``(values, cuts)`` numpy arrays over all ideals, value-sorted.
@@ -581,7 +561,8 @@ class IdealLattice:
 def _edge_cuts(spg: SPG, count: int, bit):
     """Cut volumes of ``count`` ideals, ``bit(i)`` being the 0/1 array of
     stage ``i``'s membership: one masked add per edge in ``edge_list``
-    order, so each cut sums exactly like :func:`cut_volume`."""
+    order, so each cut sums exactly like
+    :func:`repro.spg.analysis.cut_volume`."""
     import numpy as np
 
     cuts = np.zeros(count)

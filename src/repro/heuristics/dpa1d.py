@@ -66,9 +66,10 @@ class _UnilineDP:
         )
         # B[row_of(ideal), k] = optimal energy of ``ideal`` on exactly k
         # clusters (column 0 is only finite for the empty ideal); an
-        # all-inf row is an unreachable ideal.
+        # all-inf row is an unreachable ideal.  cuts[row_of(ideal)] is the
+        # ideal's cut volume.
         self.B: np.ndarray | None = None
-        self.row_of = None
+        self.row_of = self.cuts = None
 
     def _row(self, ideal: int) -> np.ndarray | None:
         """The DP row of ``ideal`` (None when unreachable)."""
@@ -86,7 +87,7 @@ class _UnilineDP:
             return None
         cost = model.comp_energy(work, s, self.T)
         if prefix:
-            cb = self.lat.cut_volume(prefix)
+            cb = self.cuts[self.row_of(prefix)]
             if cb > self.cap_bytes:
                 return None
             cost += model.comm_energy(cb)
@@ -112,6 +113,7 @@ class _UnilineDP:
             else self._wide_source
         )
         self.row_of, cuts, batches = source(ideals, transition_budget)
+        self.cuts = cuts
         r, model = self.r, self.model
         B = self.B = np.full((len(ideals), r + 1), INF)
         B[self.row_of(0), 0] = 0.0
@@ -170,29 +172,21 @@ class _UnilineDP:
         """``(row_of, cuts, batches)`` for a graph of any width, read ideal
         by ideal (see :meth:`_wide_batches`); rows are DP indices."""
         index = {ideal: k for k, ideal in enumerate(ideals)}
-        cuts = np.empty(len(ideals))
-        batches = self._wide_batches(ideals, index, cuts, transition_budget)
-        return index.__getitem__, cuts, batches
+        batches = self._wide_batches(ideals, index, transition_budget)
+        return index.__getitem__, self.lat.ideal_cuts(), batches
 
     def _wide_batches(
-        self,
-        ideals: list[int],
-        index: dict[int, int],
-        cuts: np.ndarray,
-        transition_budget: int,
+        self, ideals: list[int], index: dict[int, int], transition_budget: int
     ):
         """Batches of about :data:`WIDE_CHUNK` transitions read ideal by
         ideal through :meth:`IdealLattice.suffix_clusters_weighted`.
 
-        ``cuts`` is filled as the ideals are read (a prefix always
-        precedes the ideal it extends).
         A batch never spans two layers, so every prefix row is final
         before it is read, and no whole-lattice table is materialised.
         The transition budget is counted per ideal in DP order.
         """
         lat = self.lat
         cap = self.cap_work
-        cuts[0] = lat.cut_volume(0)
         transitions = 0
         for lo, hi in _layers(ideals):
             if lo == 0:
@@ -209,7 +203,6 @@ class _UnilineDP:
                     raise BudgetExceeded(
                         f"DPA1D exceeded {transition_budget} DP transitions"
                     )
-                cuts[k] = lat.cut_volume(ideal)
                 rows.append(k)
                 counts.append(len(clusters))
                 prows += [index[ideal ^ mask] for mask, _w in clusters]

@@ -2,7 +2,9 @@
 layered DPA1D loop and the per-graph DPA2D blocks.
 
 ``ScalarUnilineDP`` is the per-ideal DPA1D dynamic program, with its
-per-mask ``ecal`` cache and its dict of DP rows.  ``ReferenceDpa2dSolver``
+per-mask ``ecal`` cache and its dict of DP rows; it reads cut volumes
+from :func:`repro.spg.analysis.cut_volume`, memoised per mask as the
+lattice once did.  ``ReferenceDpa2dSolver``
 is the DPA2D solver that built its blocks per solver and evaluated
 clusters lazily.  The equivalence tests run both beside the library
 solvers and require identical outputs.
@@ -18,7 +20,7 @@ from repro.core.errors import BudgetExceeded, HeuristicFailure
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
 from repro.heuristics.dpa2d import ColumnPlan, Distribution
-from repro.spg.analysis import ancestor_masks, descendant_masks
+from repro.spg.analysis import ancestor_masks, cut_volume, descendant_masks
 from repro.util.bitset import bits_of
 
 INF = float("inf")
@@ -49,6 +51,7 @@ class ScalarUnilineDP:
             self.spg, budget=ideal_budget, kernel=kernel
         )
         self._ecal: dict[int, tuple[float, float] | None] = {}
+        self._cut: dict[int, float] = {}
         # best[ideal][k] = optimal energy of ideal on exactly k clusters;
         # index 0 is only finite for the empty ideal.
         self.best: dict[int, np.ndarray] = {}
@@ -58,7 +61,10 @@ class ScalarUnilineDP:
         return self.best.get(ideal)
 
     def cut(self, prefix: int) -> float:
-        return self.lat.cut_volume(prefix)
+        c = self._cut.get(prefix)
+        if c is None:
+            c = self._cut[prefix] = cut_volume(self.spg, prefix)
+        return c
 
     def ecal(self, cluster: int, work: float) -> tuple[float, float] | None:
         """(energy, speed) of one cluster on one core, or None if infeasible.
@@ -110,9 +116,8 @@ class ScalarUnilineDP:
         best_get = self.best.get
         suffix_clusters = lat.suffix_clusters_weighted
         ecal = self.ecal
-        lat.cut_volume(0)  # the empty prefix (cut 0)
-        cut_volume = lat.cut_volume
-        cut_get = lat._cut.get
+        self.cut(0)  # the empty prefix (cut 0)
+        cut_get = self._cut.get
         transitions = 0
         for ideal in ideals:
             if ideal == 0:
@@ -125,9 +130,7 @@ class ScalarUnilineDP:
                 )
             # Dead-end pruning: a prefix whose cut overflows the link
             # can never be extended.
-            cutv = cut_get(ideal)
-            if cutv is None:
-                cutv = cut_volume(ideal)
+            cutv = self.cut(ideal)
             if ideal != full and cutv > cap_bytes:
                 continue
             prev_rows: list[np.ndarray] = []
