@@ -135,7 +135,8 @@ def _levels(spg) -> tuple:
         for i, (x, _y) in enumerate(labels):
             stages[x].append(i)
         for pos, (i, j, d) in enumerate(spg.edge_list):
-            edges[labels[i][0]].append((pos, i, j, d, labels[i][1], *labels[j]))
+            (xi, yi), (xj, yj) = labels[i], labels[j]
+            edges[xi].append((pos, i, j, d, yi, xj, yj))
         return stages, edges
 
     return spg.cached("dpa2d.levels", build)
