@@ -52,7 +52,7 @@ def _suffix_reads(lat, monkeypatch) -> list[int]:
 # DPA1D
 # ----------------------------------------------------------------------
 class TestWideDpa1d:
-    @settings(max_examples=12, deadline=None,
+    @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         n=st.integers(63, 90),
