@@ -263,16 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CCR settings (default: orig 10 1 0.1)")
     add_topology_arg(p_exp)
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--refine", action="store_true",
-                       help="post-refine every heuristic mapping with "
-                            "the delta-evaluated local search")
-    p_exp.add_argument("--refine-schedule", choices=["first", "best",
-                                                     "anneal"],
-                       default="first",
-                       help="refinement acceptance schedule (default "
-                            "first-improvement)")
-    p_exp.add_argument("--refine-sweeps", type=int, default=4,
-                       help="refinement sweep budget (default 4)")
     p_exp.add_argument("--csv", metavar="PATH", default=None,
                        help="also export the records as CSV")
     p_exp.add_argument("--jobs", "-j", type=int, default=1,
@@ -362,16 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "default: the five paper heuristics")
     p_sw.add_argument("--replicates", type=int, default=1)
     p_sw.add_argument("--seed", type=int, default=0)
-    p_sw.add_argument("--refine", action="store_true",
-                      help="post-refine every heuristic mapping with the "
-                           "delta-evaluated local search")
-    p_sw.add_argument("--refine-schedule", choices=["first", "best",
-                                                    "anneal"],
-                      default="first",
-                      help="refinement acceptance schedule (default "
-                           "first-improvement)")
-    p_sw.add_argument("--refine-sweeps", type=int, default=4,
-                      help="refinement sweep budget (default 4)")
     p_sw.add_argument("--jobs", "-j", type=int, default=1,
                       help="worker processes (0 = all CPUs; results are "
                            "identical for any value)")
@@ -735,9 +715,7 @@ def cmd_experiment(args, out) -> int:
     workflows = tuple(args.workflows) if args.workflows else None
     exp = run_streamit_experiment(
         grid, ccrs=ccrs, workflows=workflows, seed=args.seed,
-        jobs=args.jobs, refine=args.refine,
-        refine_sweeps=args.refine_sweeps,
-        refine_schedule=args.refine_schedule,
+        jobs=args.jobs,
     )
     print(exp.render(), file=out)
     if args.csv:
@@ -792,9 +770,6 @@ def cmd_sweep(args, out) -> int:
             replicates=args.replicates,
             seed=args.seed,
             jobs=args.jobs,
-            refine=args.refine,
-            refine_sweeps=args.refine_sweeps,
-            refine_schedule=args.refine_schedule,
             solvers=args.solvers,
             store=args.store,
             eviction=_eviction_from_args(args),

@@ -6,7 +6,6 @@ from repro.experiments.runner import (
     FailureCounter,
     normalized_energy,
     normalized_inverse_energy,
-    refine_options,
 )
 from repro.experiments.streamit_experiments import (
     StreamItExperiment,
@@ -51,7 +50,6 @@ __all__ = [
     "FailureCounter",
     "normalized_energy",
     "normalized_inverse_energy",
-    "refine_options",
     "StreamItExperiment",
     "run_streamit_experiment",
     "CCR_SETTINGS",

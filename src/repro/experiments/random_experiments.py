@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     normalized_inverse_energy,
 )
 from repro.heuristics.base import PAPER_ORDER
-from repro.solvers.options import merge_solver_options
 from repro.platform.topology import Topology
 from repro.spg.random_gen import random_spg_with_elevation
 from repro.util.fmt import format_table
@@ -93,9 +92,6 @@ def run_random_experiment(
     heuristics=PAPER_ORDER,
     options: dict | None = None,
     jobs: int | None = 1,
-    refine: bool = False,
-    refine_sweeps: int = 4,
-    refine_schedule: str = "first",
     solvers=None,
 ) -> RandomExperiment:
     """Run one Figure-10..13 panel.
@@ -111,16 +107,13 @@ def run_random_experiment(
     ``solvers``, when given, replaces the ``heuristics`` axis with
     arbitrary solver specs (``"dpa2d1d+refine"``, ``"portfolio"``, ...)
     from the unified registry — the comparison columns become those
-    specs.  ``refine=True`` (deprecated alias of a ``"+refine"`` stage)
-    post-refines every successful mapping with the delta-evaluated local
-    search (``refine_sweeps``/``refine_schedule`` select its budget and
-    acceptance rule).
+    specs.  A refined column is a pipeline spec: ``"<H>+refine"``
+    post-refines every successful ``H`` mapping with the delta-evaluated
+    local search (``+refine-best``/``+refine-anneal`` pick other
+    acceptance rules).
     """
     rng = as_rng(seed)
     heuristics = tuple(solvers) if solvers else tuple(heuristics)
-    options = merge_solver_options(
-        options, heuristics, refine, refine_sweeps, refine_schedule
-    )
     labels: list[tuple[int, str]] = []
     tasks = []
     for elev in elevations:

@@ -6,29 +6,9 @@ from dataclasses import dataclass, field
 
 from repro.experiments.period import PeriodChoice
 from repro.heuristics.base import PAPER_ORDER, HeuristicResult
-from repro.solvers.options import merge_solver_options
 
 __all__ = ["InstanceRecord", "FailureCounter", "normalized_energy",
-           "normalized_inverse_energy", "refine_options"]
-
-
-def refine_options(
-    options: dict | None,
-    heuristics,
-    refine: bool,
-    sweeps: int = 4,
-    schedule: str = "first",
-) -> dict | None:
-    """Deprecated alias of :func:`repro.solvers.merge_solver_options`.
-
-    Kept for callers of the historical name; the refine-kwargs plumbing
-    it merged is itself deprecated in favour of ``"+refine"`` solver
-    specs (``run_*_experiment(solvers=("dpa2d1d+refine", ...))``).
-    """
-    return merge_solver_options(
-        options, heuristics, refine=refine,
-        refine_sweeps=sweeps, refine_schedule=schedule,
-    )
+           "normalized_inverse_energy"]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from repro.resilience import (
     resolve_fault_plan,
 )
 from repro.heuristics.base import PAPER_ORDER
-from repro.solvers.options import merge_solver_options
 from repro.platform.topology import Topology, get_topology
 from repro.spg.random_gen import random_spg
 from repro.util.fmt import format_table
@@ -216,9 +215,6 @@ def run_scenario_sweep(
     heuristics=PAPER_ORDER,
     options: dict | None = None,
     jobs: int | None = 1,
-    refine: bool = False,
-    refine_sweeps: int = 4,
-    refine_schedule: str = "first",
     solvers=None,
     store=None,
     eviction=None,
@@ -242,12 +238,10 @@ def run_scenario_sweep(
     ``solvers``, when given, replaces the ``heuristics`` columns with
     arbitrary solver specs from the unified registry (CLI: ``repro
     sweep --solvers Greedy dpa2d1d+refine portfolio``), adding a
-    strategy axis to the scenario cross-product.  ``refine=True``
-    (deprecated alias of a ``"+refine"`` stage; CLI: ``repro sweep
-    --refine``) post-refines every successful mapping with the
-    delta-evaluated local search; ``refine_sweeps``/``refine_schedule``
-    select its budget and acceptance rule.  Refined mappings pass the
-    same structural re-checks as raw solver outputs.
+    strategy axis to the scenario cross-product.  A ``"<H>+refine"``
+    column post-refines every successful ``H`` mapping with the
+    delta-evaluated local search; refined mappings pass the same
+    structural re-checks as raw solver outputs.
 
     Result-store integration (``repro/store/``):
 
@@ -338,12 +332,10 @@ def run_scenario_sweep(
             return run_scenario_sweep(
                 topologies, sizes, ccrs, apps, replicates=replicates,
                 seed=seed, heuristics=heuristics, options=options,
-                jobs=jobs, refine=refine, refine_sweeps=refine_sweeps,
-                refine_schedule=refine_schedule, solvers=solvers,
-                store=store, eviction=eviction, resume=resume,
-                shard=shard, limit=limit, checkpoint=checkpoint,
-                policy=policy, faults=faults, stats=stats, kernel=None,
-                progress=progress,
+                jobs=jobs, solvers=solvers, store=store,
+                eviction=eviction, resume=resume, shard=shard, limit=limit,
+                checkpoint=checkpoint, policy=policy, faults=faults,
+                stats=stats, kernel=None, progress=progress,
             )
 
     rng = as_rng(seed)
@@ -351,9 +343,6 @@ def run_scenario_sweep(
     policy = RetryPolicy() if policy is None else policy
     stats = ExecutionStats() if stats is None else stats
     heuristics = tuple(solvers) if solvers else tuple(heuristics)
-    options = merge_solver_options(
-        options, heuristics, refine, refine_sweeps, refine_schedule
-    )
     scenarios = build_scenarios(topologies, sizes, ccrs, apps)
     tasks = []
     task_meta: list[tuple[int, str]] = []  # (scenario index, label)
@@ -519,8 +508,10 @@ def run_scenario_sweep(
         "scenario_count": len(scenarios),
         "instance_count": len(tasks),
         "processed_instances": len(selected),
-        "refine": bool(refine),
-        "refine_schedule": refine_schedule if refine else None,
+        # Constants since refinement became a "+refine" solver column;
+        # kept so reports stay byte-identical under schema version 1.
+        "refine": False,
+        "refine_schedule": None,
         # Always present: [] on a clean run, so a run whose faults were
         # all *recovered* (retries succeeded, corrupt rows recomputed)
         # serialises byte-identically to a fault-free run.
@@ -568,7 +559,6 @@ def sweep_summary(report: dict) -> str:
             *cells,
             routes,
         ])
-    refined = " [refined]" if report["meta"].get("refine") else ""
     total = meta["instance_count"]
     processed = meta.get("processed_instances", total)
     count = (
@@ -580,7 +570,7 @@ def sweep_summary(report: dict) -> str:
         ["topology", "size", "cores", "ccr", "app", *heuristics, "routes"],
         rows,
         title=(
-            f"Scenario sweep{refined}{shard}: "
+            f"Scenario sweep{shard}: "
             f"{report['meta']['scenario_count']} scenarios, "
             f"{count} "
             f"(successes per heuristic; * = heterogeneous speeds)"

@@ -17,7 +17,6 @@ from repro.experiments.runner import (
     normalized_energy,
 )
 from repro.heuristics.base import PAPER_ORDER
-from repro.solvers.options import merge_solver_options
 from repro.platform.topology import Topology
 from repro.spg.streamit import STREAMIT_TABLE1
 from repro.util.fmt import format_table
@@ -91,9 +90,6 @@ def run_streamit_experiment(
     heuristics=PAPER_ORDER,
     options: dict | None = None,
     jobs: int | None = 1,
-    refine: bool = False,
-    refine_sweeps: int = 4,
-    refine_schedule: str = "first",
     solvers=None,
 ) -> StreamItExperiment:
     """Run the Figure-8/9 sweep on ``grid``.
@@ -107,17 +103,11 @@ def run_streamit_experiment(
 
     ``solvers``, when given, replaces the ``heuristics`` axis with
     arbitrary solver specs from the unified registry
-    (``"dpa2d1d+refine"``, ``"portfolio"``, ...).  ``refine=True``
-    (deprecated alias of a ``"+refine"`` stage) post-refines every
-    successful mapping with the delta-evaluated local search
-    (``refine_sweeps``/``refine_schedule`` select its budget and
-    acceptance rule).
+    (``"dpa2d1d+refine"``, ``"portfolio"``, ...); a refined Figure-8
+    run is ``solvers=tuple(f"{h}+refine" for h in PAPER_ORDER)``.
     """
     rng = as_rng(seed)
     heuristics = tuple(solvers) if solvers else tuple(heuristics)
-    options = merge_solver_options(
-        options, heuristics, refine, refine_sweeps, refine_schedule
-    )
     indices = workflows or tuple(s.index for s in STREAMIT_TABLE1)
     keys: list[tuple[int, float | None]] = []
     tasks = []

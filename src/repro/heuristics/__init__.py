@@ -15,7 +15,6 @@ from repro.heuristics.refine import (
     SCHEDULES,
     refine_mapping,
     refine_mapping_rebuild,
-    refined,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "SCHEDULES",
     "refine_mapping",
     "refine_mapping_rebuild",
-    "refined",
 ]

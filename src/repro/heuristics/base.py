@@ -6,12 +6,11 @@ valid mapping (a normal outcome counted by Tables 2 and 3 of the paper).
 :func:`run` wraps a heuristic call with independent re-validation and energy
 accounting so results never depend on heuristic-internal bookkeeping.
 
-``run`` is now a thin front on the unified solver layer
-(``repro.solvers``): the name may be a Section-5 heuristic or any solver
-spec (``"dpa2d1d+refine"``, ``"portfolio"``), and the legacy
-``refine=...`` kwargs alias the ``"+refine"`` pipeline stage — the
-registry-routed path is pinned bit-identical to the historical direct
-calls by the golden fixtures and ``tests/test_solvers.py``.
+``run`` is a thin front on the unified solver layer (``repro.solvers``):
+the name may be a Section-5 heuristic or any solver spec
+(``"dpa2d1d+refine"``, ``"portfolio"``) — the registry-routed path is
+pinned bit-identical to the historical direct calls by the golden
+fixtures and ``tests/test_solvers.py``.
 """
 
 from __future__ import annotations
@@ -75,10 +74,6 @@ def run(
     name: str,
     problem: ProblemInstance,
     rng=None,
-    refine: bool = False,
-    refine_sweeps: int = 4,
-    refine_schedule: str = "first",
-    refine_allow_general: bool = False,
     **options,
 ) -> HeuristicResult:
     """Run solver ``name`` and re-validate its output independently.
@@ -94,24 +89,18 @@ def run(
     message, since it would indicate a solver bug rather than an
     infeasible instance).
 
-    ``refine=True`` post-processes a successful mapping through the
-    delta-evaluated local-search refiner (continuing the solver's RNG
-    stream, so results stay deterministic per seed); the refined mapping
-    is re-validated the same way.  The ``refine_*`` kwargs are the
-    **deprecated-but-aliased** spelling of a ``"+refine"`` pipeline
-    stage — ``run("DPA2D1D", p, refine=True)`` and
-    ``run("dpa2d1d+refine", p)`` are bit-identical; prefer the spec.
+    Refinement is a pipeline stage of the spec: ``run("dpa2d1d+refine",
+    p)`` refines DPA2D1D's mapping with the delta-evaluated local search
+    (``+refine-best``, ``+refine-anneal`` pick other schedules),
+    continuing the solver's RNG stream, and re-validates the result the
+    same way.  ``options`` go to the producer.
     """
     from time import perf_counter
 
     from repro.obs.session import inc, observe, trace_span
     from repro.solvers import solver_for_run
 
-    solver = solver_for_run(
-        name, options=options, refine=refine, refine_sweeps=refine_sweeps,
-        refine_schedule=refine_schedule,
-        refine_allow_general=refine_allow_general,
-    )
+    solver = solver_for_run(name, options)
     t0 = perf_counter()
     with trace_span("solver.run", solver=name):
         res = solver.solve(problem, rng=rng)

@@ -36,19 +36,13 @@ from __future__ import annotations
 import math
 
 from repro.core.delta import DeltaState, MoveStage, PowerOff, SwapClusters
-from repro.core.errors import HeuristicFailure
 from repro.core.evaluate import energy, is_period_feasible
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
 from repro.obs.session import inc, trace_span
 from repro.util.rng import as_rng
 
-__all__ = [
-    "refine_mapping",
-    "refine_mapping_rebuild",
-    "refined",
-    "SCHEDULES",
-]
+__all__ = ["refine_mapping", "refine_mapping_rebuild", "SCHEDULES"]
 
 #: Acceptance schedules supported by :func:`refine_mapping`.
 SCHEDULES = ("first", "best", "anneal")
@@ -345,7 +339,6 @@ def refine_mapping(
     sweeps: int = 4,
     allow_general: bool = False,
     schedule: str = "first",
-    engine: str = "delta",
     log: list | None = None,
     anneal_t0: float = 0.05,
     anneal_decay: float = 0.5,
@@ -359,42 +352,18 @@ def refine_mapping(
         neighbourhood scan, ``"best"`` the best one, ``"anneal"`` runs
         Metropolis acceptance with geometric cooling (``anneal_t0``,
         ``anneal_decay``) and returns the best feasible mapping seen.
-    engine:
-        ``"delta"`` (default) grades candidates incrementally through
-        :class:`~repro.core.delta.DeltaState`; ``"rebuild"`` dispatches
-        to the retained full-rebuild reference (first-improvement only),
-        which produces bit-identical results ~an order of magnitude
-        slower.
     allow_general:
         Drop the DAG-partition requirement for the refined mapping (the
         input may be any valid mapping either way).
     log:
         Optional list collecting accepted moves as ``(kind, *args,
         repr(energy))`` tuples — the equivalence suite compares these
-        across engines.
+        with :func:`refine_mapping_rebuild`'s.
     """
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; pick from {SCHEDULES}")
-    if engine == "rebuild":
-        if schedule != "first":
-            raise ValueError(
-                "the rebuild reference engine only supports schedule='first'"
-            )
-        inc("refine.runs")
-        with trace_span(
-            "refine.run", schedule=schedule, engine=engine, sweeps=sweeps
-        ):
-            return refine_mapping_rebuild(
-                problem, mapping, rng=rng, sweeps=sweeps,
-                allow_general=allow_general, log=log,
-            )
-    if engine != "delta":
-        raise ValueError(f"unknown engine {engine!r}; pick 'delta' or 'rebuild'")
-
     inc("refine.runs")
-    with trace_span(
-        "refine.run", schedule=schedule, engine=engine, sweeps=sweeps
-    ):
+    with trace_span("refine.run", schedule=schedule, sweeps=sweeps):
         rng = as_rng(rng)
         initial_e = energy(mapping, problem.period).total
         state = DeltaState(
@@ -411,29 +380,3 @@ def refine_mapping(
         _run_schedule(problem, state, strategy, rng, sweeps)
         inc("refine.moves_accepted", strategy.accepted)
         return strategy.result(problem, mapping)
-
-
-def refined(
-    name: str,
-    problem: ProblemInstance,
-    rng=None,
-    sweeps: int = 4,
-    allow_general: bool = False,
-    schedule: str = "first",
-    engine: str = "delta",
-    **options,
-) -> Mapping:
-    """Run heuristic ``name`` and refine its output.
-
-    Raises :class:`HeuristicFailure` if the base heuristic fails.
-    """
-    from repro.heuristics.base import REGISTRY
-
-    rng = as_rng(rng)
-    base = REGISTRY[name](problem, rng=rng, **options)
-    if base is None:  # pragma: no cover - registry functions raise instead
-        raise HeuristicFailure(f"{name} failed")
-    return refine_mapping(
-        problem, base, rng=rng, sweeps=sweeps, allow_general=allow_general,
-        schedule=schedule, engine=engine,
-    )

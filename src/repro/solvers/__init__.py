@@ -23,13 +23,13 @@ from repro.solvers.adapters import (
     ExactSolver,
     HeuristicSolver,
     RefineStage,
+    solver_for_run,
 )
 from repro.solvers.composite import (
     PipelineSolver,
     PortfolioSolver,
     portfolio_member_task,
 )
-from repro.solvers.options import merge_solver_options, solver_for_run
 
 __all__ = [
     "SOLVERS",
@@ -48,6 +48,5 @@ __all__ = [
     "PipelineSolver",
     "PortfolioSolver",
     "portfolio_member_task",
-    "merge_solver_options",
     "solver_for_run",
 ]

@@ -8,9 +8,8 @@ Three families:
   heuristic-internal bookkeeping — byte-for-byte the contract the legacy
   ``heuristics.base.run`` enforced (the golden mesh fixtures pin this).
 * :class:`RefineStage` turns the Section-7 local-search refiner into a
-  *transform* stage, replacing the special-cased ``refine=...`` kwargs:
-  ``"dpa2d1d+refine"`` refines DPA2D1D's output with the same continuing
-  RNG stream the kwargs path used, so the two are bit-identical.
+  *transform* stage: ``"dpa2d1d+refine"`` refines DPA2D1D's output,
+  continuing the producer's RNG stream.
 * :class:`ExactSolver` wraps the ``exact/`` solvers (brute force and the
   Section-4.4 ILP, the latter also registered as ``bnb`` after the
   in-house 0-1 branch & bound that solves it).  Exact solvers are
@@ -32,11 +31,12 @@ from repro.core.evaluate import validate
 from repro.solvers.base import (
     Solver,
     SolverResult,
+    parse_solver_spec,
     register_solver,
     timed,
 )
 
-__all__ = ["HeuristicSolver", "RefineStage", "ExactSolver"]
+__all__ = ["HeuristicSolver", "RefineStage", "ExactSolver", "solver_for_run"]
 
 
 def _validated_result(
@@ -115,14 +115,30 @@ class HeuristicSolver(Solver):
         return f"producer wrapping the {self.heuristic} heuristic"
 
 
+def solver_for_run(name: str, options: dict | None = None) -> Solver:
+    """The solver behind one ``heuristics.base.run`` invocation.
+
+    A registered Section-5 heuristic name (``"Random"``, ``"Greedy"``,
+    ... — ad-hoc test registrations included) becomes a
+    :class:`HeuristicSolver`; anything else is a solver spec for
+    :func:`~repro.solvers.base.parse_solver_spec` (``"dpa2d1d+refine"``,
+    ``"portfolio"``, ``"greedy|dpa1d"``), which raises ``KeyError`` for
+    unknown names and ``ValueError`` for structurally invalid specs.
+    """
+    from repro.heuristics.base import REGISTRY
+
+    if name in REGISTRY:
+        return HeuristicSolver(name, options, spec=name)
+    return parse_solver_spec(name, options or None)
+
+
 class RefineStage(Solver):
     """Transform stage: delta-evaluated local-search refinement.
 
     Refines the upstream mapping through
     :func:`repro.heuristics.refine.refine_mapping`, forwarding the
-    shared RNG verbatim (the refiner continues the producer's stream,
-    exactly as the deprecated ``refine=...`` kwargs path did) and
-    re-validating the result with ``require_dag_partition`` relaxed only
+    shared RNG verbatim (the refiner continues the producer's stream)
+    and re-validating the result with ``require_dag_partition`` relaxed only
     when ``allow_general`` admits general mappings.
     """
 

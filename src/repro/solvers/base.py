@@ -3,9 +3,9 @@
 The paper compares many mapping *strategies* — the five Section-5
 heuristics, the exact Section-4 solvers, and local-search refinement —
 but each historically had its own call path (``heuristics.base.run``,
-``exact/`` entry points, ``refine_options()`` plumbing in the experiment
-runners).  This module unifies them behind one abstraction, mirroring
-the platform subsystem's registry (``repro/platform/topology.py``):
+``exact/`` entry points, refinement flags in the experiment runners).
+This module unifies them behind one abstraction, mirroring the platform
+subsystem's registry (``repro/platform/topology.py``):
 
 * a :class:`Solver` produces (or transforms) a mapping for one
   :class:`~repro.core.problem.ProblemInstance` and returns a
@@ -128,9 +128,9 @@ class Solver(ABC):
         """Solve ``problem``; deterministic given ``rng``.
 
         ``rng`` is forwarded verbatim (integer seed or Generator) so a
-        pipeline's stages share one stream exactly as the legacy
-        refine-kwargs path did.  ``upstream`` carries the previous
-        stage's result into transform stages; producers ignore it.
+        pipeline's stages share one continuing stream.  ``upstream``
+        carries the previous stage's result into transform stages;
+        producers ignore it.
         """
 
     def set_jobs(self, jobs: int | None) -> None:

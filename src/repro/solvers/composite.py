@@ -2,9 +2,9 @@
 
 :class:`PipelineSolver` chains a producer with transform stages
 (``"dpa2d1d+refine"``): every stage receives the *same* RNG value, so a
-heuristic followed by refinement consumes one continuing stream exactly
-as the deprecated ``refine=...`` kwargs path did — the two are pinned
-bit-identical by ``tests/test_solvers.py``.
+heuristic followed by refinement consumes one continuing stream —
+pinned bit-identical to the pre-registry heuristic-then-refine call
+sequence by ``tests/test_solvers.py``.
 
 :class:`PortfolioSolver` runs N registered solvers on the same instance
 (``"greedy|dpa2d1d+refine"``) and returns the best feasible mapping.

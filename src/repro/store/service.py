@@ -18,9 +18,13 @@ each entry supports::
       "ccr":      10.0,                  # null = the app's original CCR
       "period":   null,                  # null = Section-6.1.3 procedure
       "seed":     0,
-      "options":  {},                    # producer options / refine kwargs
+      "options":  {},                    # producer options only
       "deadline_s": null                 # per-request wall-clock budget
     }
+
+``options`` go to the producer (e.g. ``{"trials": 3}`` for ``random``).
+Refinement is a stage of the spec, ``"solver": "greedy+refine"``, not an
+option.
 
 Responses are order-aligned with requests and identical for any
 ``jobs`` value; whether an answer came from the store is reported in a
@@ -52,7 +56,7 @@ from repro.resilience import (
     TaskFailure,
     resolve_fault_plan,
 )
-from repro.solvers.options import solver_for_run
+from repro.solvers.adapters import solver_for_run
 from repro.spg.graph import SPG
 from repro.spg.random_gen import random_spg
 from repro.store.backend import ResultStore, open_store

@@ -91,17 +91,9 @@ def test_engines_bit_identical_large_mesh():
     assert out_delta.speeds == out_rebuild.speeds
 
 
-def test_rebuild_engine_flag_dispatch():
+def test_unknown_schedule_rejected():
     problem = _instance("mesh", 0)
     base = _valid_base(problem)
-    via_flag = refine_mapping(problem, base, rng=0, sweeps=2,
-                              engine="rebuild")
-    direct = refine_mapping_rebuild(problem, base, rng=0, sweeps=2)
-    assert via_flag.alloc == direct.alloc
-    with pytest.raises(ValueError):
-        refine_mapping(problem, base, engine="rebuild", schedule="best")
-    with pytest.raises(ValueError):
-        refine_mapping(problem, base, engine="bogus")
     with pytest.raises(ValueError):
         refine_mapping(problem, base, schedule="bogus")
 

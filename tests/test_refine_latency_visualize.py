@@ -22,9 +22,10 @@ from repro.experiments.report import (
 )
 from repro.heuristics.greedy import greedy_mapping
 from repro.heuristics.random_heuristic import random_mapping
-from repro.heuristics.refine import refine_mapping, refined
+from repro.heuristics.refine import refine_mapping
 from repro.platform.cmp import CMPGrid
 from repro.platform.speeds import GHZ
+from repro.solvers import solve
 from repro.spg.build import chain, diamond
 from repro.spg.random_gen import random_spg
 
@@ -74,8 +75,9 @@ class TestRefine:
         validate(out, problem.period, require_dag_partition=False)
 
     def test_refined_wrapper(self, problem):
-        m = refined("Greedy", problem, rng=0)
-        validate(m, problem.period)
+        res = solve("greedy+refine", problem, rng=0)
+        assert res.ok
+        validate(res.mapping, problem.period)
 
     def test_deterministic(self, problem):
         base = greedy_mapping(problem)

@@ -15,7 +15,7 @@ from tests.helpers import loose_period
 
 from repro.core.evaluate import energy, is_period_feasible, validate
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import run
+from repro.heuristics.base import PAPER_ORDER, run
 from repro.heuristics.refine import SCHEDULES, refine_mapping
 from repro.platform.topology import get_topology, topology_names
 from repro.spg.random_gen import random_spg
@@ -116,17 +116,17 @@ class TestRefineThreading:
 
     def test_run_refine_never_worse_and_validated(self, problem):
         raw = run("Random", problem, rng=0)
-        ref = run("Random", problem, rng=0, refine=True, refine_sweeps=2)
+        ref = run("Random+refine", problem, rng=0)
         assert raw.ok and ref.ok
         assert ref.total_energy <= raw.total_energy * (1 + 1e-12)
         validate(ref.mapping, problem.period)
 
     def test_run_refine_schedule_option(self, problem):
-        ref = run(
-            "Random", problem, rng=0, refine=True, refine_sweeps=2,
-            refine_schedule="best",
-        )
+        ref = run("Random+refine-best", problem, rng=0)
         assert ref.ok
+        assert [st["solver"] for st in ref.stats["stages"]] == [
+            "random", "refine-best"
+        ]
         validate(ref.mapping, problem.period)
 
     def test_random_experiment_refine_never_worse(self):
@@ -136,36 +136,19 @@ class TestRefineThreading:
         kwargs = dict(n=12, grid=CMPGrid(2, 2), ccr=1.0,
                       elevations=(2,), replicates=2, seed=3)
         raw = run_random_experiment(**kwargs)
-        ref = run_random_experiment(**kwargs, refine=True, refine_sweeps=2)
+        ref = run_random_experiment(
+            **kwargs, solvers=tuple(f"{h}+refine" for h in PAPER_ORDER)
+        )
         for elev, recs in raw.records.items():
             for a, b in zip(recs, ref.records[elev]):
                 assert a.period == b.period
                 for h, ra in a.results.items():
-                    rb = b.results[h]
+                    rb = b.results[f"{h}+refine"]
                     if ra.ok and rb.ok:
                         assert (
                             rb.total_energy
                             <= ra.total_energy * (1 + 1e-12)
                         )
-
-    def test_refine_options_merging(self):
-        from repro.experiments import refine_options
-
-        assert refine_options(None, ("A",), refine=False) is None
-        merged = refine_options(
-            {"A": {"trials": 3}}, ("A", "B"), refine=True,
-            sweeps=2, schedule="best",
-        )
-        assert merged["A"] == {
-            "trials": 3, "refine": True, "refine_sweeps": 2,
-            "refine_schedule": "best",
-        }
-        assert merged["B"]["refine"] is True
-        # Explicit per-heuristic settings win over the runner flags.
-        kept = refine_options(
-            {"A": {"refine_sweeps": 9}}, ("A",), refine=True, sweeps=2
-        )
-        assert kept["A"]["refine_sweeps"] == 9
 
 
 class TestTopologyAwareness:

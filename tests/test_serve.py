@@ -133,6 +133,22 @@ class TestServeBatch:
         report = serve_batch([req], store=MemoryStore())
         assert report["responses"][0]["ok"]
 
+    def test_refinement_is_a_spec_stage_not_an_option(self):
+        """``options`` reach the producer only: ``refine`` there is an
+        error response, ``"greedy+refine"`` is the refined request."""
+        spec_req, opt_req = load_requests([
+            dict(REQS[0], solver="greedy+refine"),
+            dict(REQS[0], options={"refine": True}),
+        ])
+        refined, rejected = serve_batch(
+            [spec_req, opt_req], store=MemoryStore()
+        )["responses"]
+        assert refined["ok"] and refined["error"] is None
+        assert not rejected["ok"]
+        assert "unexpected keyword argument 'refine'" in (
+            rejected["error"]["message"]
+        )
+
     def test_summary_renders(self):
         reqs = load_requests(REQS)
         report = serve_batch(reqs, store=MemoryStore())

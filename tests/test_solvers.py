@@ -24,7 +24,6 @@ from repro.solvers import (
     PortfolioSolver,
     RefineStage,
     get_solver,
-    merge_solver_options,
     parse_solver_spec,
     solve,
     solver_names,
@@ -178,35 +177,6 @@ class TestLegacyEquivalence:
             name, instance, rng=as_rng(5), refine=True, schedule=schedule
         )
         assert_same_outcome(res, *expected)
-
-    def test_run_wrapper_refine_kwargs_alias_the_spec(self, instance):
-        a = run("DPA2D1D", instance, rng=as_rng(9), refine=True)
-        b = run("dpa2d1d+refine", instance, rng=as_rng(9))
-        assert repr(a.total_energy) == repr(b.total_energy)
-        assert a.mapping.alloc == b.mapping.alloc
-
-    def test_refine_kwarg_on_refined_spec_never_refines_twice(
-        self, instance
-    ):
-        """refine=True on a spec already ending in +refine is a no-op,
-        not a second refinement pass."""
-        a = run("dpa2d1d+refine", instance, rng=as_rng(9), refine=True)
-        b = run("dpa2d1d+refine", instance, rng=as_rng(9))
-        assert repr(a.total_energy) == repr(b.total_energy)
-        assert a.mapping.alloc == b.mapping.alloc
-        assert [s["solver"] for s in a.stats["stages"]] == [
-            "dpa2d1d", "refine"
-        ]
-
-    def test_conflicting_refine_options_raise(self, instance):
-        """Non-default refine_* settings on an already-refined spec are
-        a conflict, not a silent drop."""
-        with pytest.raises(ValueError, match="already pipelines"):
-            run("dpa2d1d+refine", instance, rng=as_rng(9),
-                refine=True, refine_schedule="anneal")
-        with pytest.raises(ValueError, match="already pipelines"):
-            run("dpa2d1d+refine-best", instance, rng=as_rng(9),
-                refine=True, refine_allow_general=True)
 
     def test_run_results_carry_solver_stats(self, instance):
         """Portfolio metadata survives the HeuristicResult conversion
@@ -418,32 +388,6 @@ class TestStageContract:
 
 
 class TestOptionPlumbing:
-    def test_merge_solver_options_untouched_without_refine(self):
-        assert merge_solver_options(None, ("A",), refine=False) is None
-
-    def test_merge_solver_options_applies_to_specs(self):
-        merged = merge_solver_options(
-            None, ("Greedy", "dpa1d"), refine=True,
-            refine_sweeps=2, refine_schedule="best",
-        )
-        assert merged["dpa1d"]["refine"] is True
-        assert merged["Greedy"]["refine_sweeps"] == 2
-        assert merged["Greedy"]["refine_schedule"] == "best"
-
-    def test_merge_skips_specs_with_refine_stage(self):
-        """--refine combined with a +refine spec must not refine twice."""
-        merged = merge_solver_options(
-            None, ("Greedy", "dpa2d1d+refine", "greedy|dpa1d+refine-best"),
-            refine=True,
-        )
-        assert merged["Greedy"]["refine"] is True
-        assert "dpa2d1d+refine" not in merged
-        assert "greedy|dpa1d+refine-best" not in merged
-        # Case-insensitive, like get_solver's key lookup.
-        assert "DPA2D1D+Refine" not in merge_solver_options(
-            None, ("DPA2D1D+Refine",), refine=True
-        )
-
     def test_producer_options_forwarded_through_spec(self, instance):
         res = solve("random", instance, rng=as_rng(1), trials=1)
         assert res.ok or res.failure
@@ -453,24 +397,40 @@ class TestOptionPlumbing:
 # Experiment runners on the solver axis
 # ----------------------------------------------------------------------
 class TestSolverAxisExperiments:
-    def test_random_experiment_solvers_axis_matches_refine_kwargs(self):
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_random_experiment_solvers_axis_matches_refine_kwargs(
+        self, name
+    ):
+        """Each ``<H>+refine`` column equals the pre-registry
+        heuristic-then-refine call on every instance of the panel."""
         from repro.experiments import run_random_experiment
+        from repro.spg.random_gen import random_spg_with_elevation
 
-        grid = CMPGrid(2, 2)
-        legacy = run_random_experiment(
-            12, grid, 1.0, elevations=(2,), replicates=1, seed=5,
-            heuristics=("DPA2D1D",), refine=True,
+        grid = CMPGrid(3, 3)
+        column = f"{name}+refine"
+        exp = run_random_experiment(
+            16, grid, 1.0, elevations=(2, 4), replicates=2, seed=5,
+            solvers=(column,),
         )
-        spec = run_random_experiment(
-            12, grid, 1.0, elevations=(2,), replicates=1, seed=5,
-            solvers=("dpa2d1d+refine",),
-        )
-        rec_a = legacy.records[2][0]
-        rec_b = spec.records[2][0]
-        assert rec_a.period == rec_b.period
-        ea = rec_a.results["DPA2D1D"].total_energy
-        eb = rec_b.results["dpa2d1d+refine"].total_energy
-        assert repr(ea) == repr(eb)
+        # Replay the runner's shared stream: each instance draws its
+        # SPG, then the seed run_all derives the column's stream from.
+        rng = as_rng(5)
+        improved = 0
+        for elev in (2, 4):
+            for rec in exp.records[elev]:
+                spg = random_spg_with_elevation(16, elev, rng=rng, ccr=1.0)
+                hseed = int(rng.integers(0, 2**63 - 1))
+                child = int(as_rng(hseed).integers(0, 2**63 - 1))
+                problem = ProblemInstance(spg, grid, rec.period)
+                expected = legacy_run(
+                    name, problem, rng=as_rng(child), refine=True
+                )
+                res = rec.results[column]
+                assert_same_outcome(res, *expected)
+                raw = run(name, problem, rng=as_rng(child))
+                improved += res.total_energy < raw.total_energy
+        # The panel must exercise refinement, not only the producer.
+        assert improved > 0
 
     def test_scenario_sweep_solvers_axis(self):
         from repro.experiments import run_scenario_sweep, sweep_summary
