@@ -508,8 +508,8 @@ def run_scenario_sweep(
         "scenario_count": len(scenarios),
         "instance_count": len(tasks),
         "processed_instances": len(selected),
-        # Constants since refinement became a "+refine" solver column;
-        # kept so reports stay byte-identical under schema version 1.
+        # Always false/None: refinement is a "+refine" solver column.
+        # Kept so schema-version-1 reports stay byte-identical.
         "refine": False,
         "refine_schedule": None,
         # Always present: [] on a clean run, so a run whose faults were
