@@ -29,12 +29,81 @@ from collections import deque
 from repro.core.errors import HeuristicFailure, MappingError
 from repro.core.evaluate import energy, is_period_feasible
 from repro.core.mapping import Mapping
-from repro.core.partition import is_acyclic_quotient
 from repro.core.problem import ProblemInstance
 from repro.heuristics.base import register
 from repro.platform.cmp import Core
+from repro.spg.graph import SPG
+from repro.util.bitset import iter_bits
 
 __all__ = ["greedy_mapping"]
+
+
+class _Cluster:
+    """One core's stages, with bitmasks of its members, of their immediate
+    successors and of their strict descendants, and the communication
+    volume into outside stages (cached until a new member feeds them)."""
+
+    __slots__ = ("stages", "members", "succs", "descs", "_inflow")
+
+    def __init__(self) -> None:
+        self.stages: list[int] = []
+        self.members = self.succs = self.descs = 0
+        self._inflow: dict[int, float] = {}
+
+    def add(self, spg: SPG, j: int) -> None:
+        self.stages.append(j)
+        self.members |= 1 << j
+        for s in spg.succs(j):
+            self.succs |= 1 << s
+            self._inflow.pop(s, None)
+        self.descs |= spg.descendant_masks()[j]
+
+    def inflow(self, spg: SPG, j: int) -> float:
+        """Communication volume into stage ``j`` from the members."""
+        v = self._inflow.get(j)
+        if v is None:
+            members = self.members
+            v = self._inflow[j] = sum(
+                d for i, d in spg.in_edges(j) if members >> i & 1
+            )
+        return v
+
+
+def _closes_cycle(
+    spg: SPG, clusters: dict[Core, _Cluster], core: Core, j: int
+) -> bool:
+    """True when absorbing unassigned ``j`` into ``core``'s cluster would
+    make the quotient cyclic (unassigned stages being singleton clusters).
+
+    The quotient is acyclic before the absorption, so a new cycle must pass
+    through C' = the cluster plus ``j``.  The walk starts from the stages
+    just outside C' that C' feeds, follows their descendants, and expands
+    every cluster it reaches as a whole: a cycle may leave C' into one
+    cluster and come back from another stage of it, which SPG reachability
+    alone misses.  ``j`` closes a cycle iff the walk gets back into C'.
+    """
+    desc = spg.descendant_masks()
+    own = clusters[core]
+    inside = own.members | 1 << j
+    out = own.succs
+    for s in spg.succs(j):
+        out |= 1 << s
+    out &= ~inside
+    reach = out
+    for y in iter_bits(out):
+        reach |= desc[y]
+    pending = [c for key, c in clusters.items() if key != core]
+    while not reach & inside:
+        rest = []
+        for c in pending:
+            if c.members & reach:
+                reach |= c.members | c.descs
+            else:
+                rest.append(c)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return True
 
 
 def _greedy_at_speed(problem: ProblemInstance, k: int) -> Mapping | None:
@@ -58,28 +127,16 @@ def _greedy_at_speed(problem: ProblemInstance, k: int) -> Mapping | None:
     offers: dict[Core, list[int]] = {start: [spg.source]}
     offered_at: dict[int, Core] = {spg.source: start}
     incoming_load: dict[Core, float] = {}
+    clusters: dict[Core, _Cluster] = {}
     processed: set[Core] = set()
     queue: deque[Core] = deque([start])
-
-    def partial_quotient_ok() -> bool:
-        # Unassigned stages act as singleton clusters: cycles can only come
-        # from the clusters formed so far.
-        cluster_of = {i: assigned.get(i, ("stage", i)) for i in range(spg.n)}
-        return is_acyclic_quotient(spg, cluster_of)
-
-    def incoming_volume(j: int, core: Core) -> float:
-        """Communication volume into unassigned ``j`` from stages on ``core``."""
-        return sum(
-            d
-            for i, d in spg.in_edges(j)
-            if assigned.get(i) == core
-        )
 
     while queue:
         core = queue.popleft()
         if core in processed:
             continue
         processed.add(core)
+        mine = clusters[core] = _Cluster()
         pool: list[int] = list(offers.pop(core, []))
         load = 0.0
         core_cap = cap_work(core)
@@ -88,28 +145,27 @@ def _greedy_at_speed(problem: ProblemInstance, k: int) -> Mapping | None:
         # stages already absorbed here, largest incoming volume first.
         while True:
             candidates = [j for j in pool if j not in assigned]
-            for i, c in list(assigned.items()):
-                if c != core:
-                    continue
+            for i in mine.stages:
                 for j in spg.succs(i):
                     if j not in assigned and j not in candidates:
                         owner = offered_at.get(j)
                         if owner is None or owner == core:
                             candidates.append(j)
-            candidates.sort(key=lambda j: (-incoming_volume(j, core), j))
+            candidates.sort(key=lambda j: (-mine.inflow(spg, j), j))
             grew = False
             for j in candidates:
                 if load + spg.weights[j] > core_cap:
                     continue
+                if _closes_cycle(spg, clusters, core, j):
+                    continue
                 assigned[j] = core
-                if partial_quotient_ok():
-                    load += spg.weights[j]
-                    if j in pool:
-                        pool.remove(j)
-                    offered_at.pop(j, None)
-                    grew = True
-                    break
-                del assigned[j]
+                mine.add(spg, j)
+                load += spg.weights[j]
+                if j in pool:
+                    pool.remove(j)
+                offered_at.pop(j, None)
+                grew = True
+                break
             if not grew:
                 break
 
@@ -118,13 +174,11 @@ def _greedy_at_speed(problem: ProblemInstance, k: int) -> Mapping | None:
         outgoing: dict[int, float] = {}
         for j in pool:
             if j not in assigned:
-                outgoing[j] = outgoing.get(j, 0.0) + incoming_volume(j, core)
-        for i, c in assigned.items():
-            if c != core:
-                continue
+                outgoing[j] = outgoing.get(j, 0.0) + mine.inflow(spg, j)
+        for i in mine.stages:
             for j in spg.succs(i):
                 if j not in assigned and offered_at.get(j) in (None, core):
-                    outgoing.setdefault(j, incoming_volume(j, core))
+                    outgoing.setdefault(j, mine.inflow(spg, j))
 
         if outgoing:
             targets = [

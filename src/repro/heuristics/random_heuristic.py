@@ -8,15 +8,16 @@ with XY routing.  If any link exceeds the bandwidth bound, the trial is
 invalid.  The heuristic makes ten trials and keeps the valid mapping with
 the lowest energy; it fails when no trial is valid.
 
-Interpretation note (documented in DESIGN.md): when a freshly started
-cluster's first stage does not fit at the drawn random speed, the speed is
-redrawn among the speeds that can accommodate that stage; if none exists
-the trial fails.  Without this, tight periods would make almost every
-trial fail on its very first stage, which does not match the failure rates
-of Table 3.
+Interpretation note: when a freshly started cluster's first stage does
+not fit at the drawn random speed, the speed is redrawn among the speeds
+that can accommodate that stage; if none exists the trial fails.  Without
+this, tight periods would make almost every trial fail on its very first
+stage, which does not match the failure rates of Table 3.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -36,25 +37,27 @@ def _random_partition(
     """Grow a random DAG-partition; returns (clusters, speeds) or None.
 
     Clusters are grown over the "ready" frontier (stages whose predecessors
-    are all placed in earlier clusters or the current one), which guarantees
-    an acyclic quotient.
+    are all taken, i.e. placed in earlier clusters or the current one),
+    which guarantees an acyclic quotient.  The taken set only grows, so the
+    frontier is maintained as stages are taken: ``missing[i]`` counts the
+    predecessors of ``i`` not yet taken, and ``ready`` holds the untaken
+    stages with none missing in increasing order, the order every random
+    draw picks from.
     """
     spg = problem.spg
     model = problem.grid.model
     T = problem.period
-    placed: set[int] = set()
-    in_current: set[int] = set()
+    missing = [len(spg.preds(i)) for i in range(spg.n)]
+    ready = [i for i in range(spg.n) if not missing[i]]
     clusters: list[list[int]] = []
     speeds: list[float] = []
 
-    def ready() -> list[int]:
-        out = []
-        for i in range(spg.n):
-            if i in placed or i in in_current:
-                continue
-            if all(p in placed or p in in_current for p in spg.preds(i)):
-                out.append(i)
-        return out
+    def take(i: int) -> None:
+        del ready[bisect_left(ready, i)]
+        for j in spg.succs(i):
+            missing[j] -= 1
+            if not missing[j]:
+                insort(ready, j)
 
     def draw_speed(first_stage: int) -> float | None:
         fits = [
@@ -64,47 +67,30 @@ def _random_partition(
         ]
         if not fits:
             return None
-        return float(rng.choice(fits))
+        return float(fits[rng.integers(len(fits))])
 
-    current: list[int] = []
-    frontier = ready()
-    first = frontier[0] if frontier else None
-    if first is None:
-        return None
-    speed = draw_speed(first)
-    if speed is None:
-        return None
-    current = [first]
-    in_current = {first}
-    load = spg.weights[first]
-
-    while True:
-        frontier = [i for i in ready() if load + spg.weights[i] <= T * speed]
-        if frontier:
-            nxt = int(rng.choice(frontier))
-            current.append(nxt)
-            in_current.add(nxt)
-            load += spg.weights[nxt]
-            continue
-        # Close the current cluster.
-        clusters.append(current)
-        speeds.append(speed)
-        placed |= in_current
-        in_current = set()
-        remaining = ready()
-        if not remaining:
-            break
+    while ready:
         # "When moving to the next core, we choose the first stage in the
         # current list and iterate."
-        first = remaining[0]
+        first = ready[0]
         speed = draw_speed(first)
         if speed is None:
             return None
         current = [first]
-        in_current = {first}
+        take(first)
         load = spg.weights[first]
-    if len(placed) != spg.n:
-        return None
+        while True:
+            frontier = [i for i in ready if load + spg.weights[i] <= T * speed]
+            if not frontier:
+                break
+            # The draw ``rng.choice(frontier)`` makes, without converting
+            # the list to an array.
+            nxt = frontier[rng.integers(len(frontier))]
+            current.append(nxt)
+            take(nxt)
+            load += spg.weights[nxt]
+        clusters.append(current)
+        speeds.append(speed)
     return clusters, speeds
 
 
