@@ -21,13 +21,20 @@ Theorem-1 suffix-cluster enumeration dominating, DP array work small):
 * ``budget_rejection``: ``IdealLattice(spg, 120_000).ideals()`` on the
   StreamIt apps 1-5 (original CCR) and the Figure-12 n=150 panel graphs,
   where the exact series-parallel ideal count rejects most lattices
-  before any enumeration.
+  before any enumeration;
+* ``wide``: on the Figure-12 n=150 panel graphs within DPA1D's ideal
+  budget (three words per mask), the enumeration a wide DPA1D solve
+  makes at ``WIDE_CAP_FRACTIONS`` of the total weight: every nonzero
+  ideal through the per-ideal ``reference_dfs`` plus a dict lookup of
+  each prefix row (the path before the forest), against the bulk
+  ``IdealLattice.suffix_stream``, best of ``--repeats`` each.
 
 Every kernel, and every reused or probed lattice, must produce a
-byte-identical suffix table (masks, works, counts, prefix indices), and
+byte-identical suffix table (masks, works, counts, prefix indices),
 every ``budget_rejection`` graph with at most 500k ideals must enumerate
-exactly as many ideals as it counts; the script exits nonzero on any
-divergence.
+exactly as many ideals as it counts, and the ``wide`` stream must yield
+the reference's counts, works and prefix rows byte for byte; the script
+exits nonzero on any divergence.
 The vector kernel's panel-geomean speedup is gated by ``FLOOR`` (3x);
 a miss on a noisy host is reported as a warning in ``floor_met`` so
 timing jitter cannot mask a real output divergence.  Results land in
@@ -74,6 +81,9 @@ RECHECK_MAX = 500_000
 #: The Figure-12 panel as ``perfbench``'s ``fig12_n150`` workload draws
 #: it: (n, elevations, replicates, ccr, seed).
 FIG12_PANEL = (150, (2, 8, 16, 24), 2, 10.0, 2011)
+
+#: Solve caps of the ``wide`` section, as fractions of total weight.
+WIDE_CAP_FRACTIONS = (0.05, 0.1)
 
 
 def _panel(n: int, elevation: int, seed: int):
@@ -318,6 +328,98 @@ def bench_budget_rejection(repeats: int) -> dict:
     }
 
 
+def _reference_wide(lat, cap: float):
+    """The pre-forest wide path: ``reference_dfs`` per nonzero ideal and
+    a dict from ideal to DP row for every prefix."""
+    import numpy as np
+
+    from repro.core.kernels import reference_dfs
+
+    ideals = lat.ideals()
+    index = {ideal: k for k, ideal in enumerate(ideals)}
+    counts, prows, works = [], [], []
+    for ideal in ideals[1:]:
+        masks, ws = reference_dfs(lat, ideal, cap)
+        counts.append(len(masks))
+        prows += [index[ideal ^ m] for m in masks]
+        works += ws
+    return (np.array(counts, np.intp), np.array(prows, np.intp),
+            np.array(works, np.float64))
+
+
+def _stream_wide(lat, cap: float):
+    """The same enumeration through ``IdealLattice.suffix_stream``."""
+    import numpy as np
+
+    parts = list(lat.suffix_stream(cap, 1 << 62))
+    return tuple(
+        np.concatenate([p[i] for p in parts]).astype(dtype)
+        for i, dtype in ((2, np.intp), (3, np.intp), (4, np.float64))
+    )
+
+
+def bench_wide(repeats: int) -> dict:
+    """Per-ideal reference DFS against the bulk forest on n=150 graphs.
+
+    Both sides start from a lattice whose ideals (and, for the forest,
+    whose ideal words and sorted keys) are already built, as they are
+    once a solve's first probe has run.
+    """
+    from repro.core.partition import IdealLattice
+    from repro.spg.decompose import ideal_count
+
+    graphs = {}
+    equal = True
+    speedups = []
+    for name, spg in _rejection_graphs():
+        if spg.n <= 62 or ideal_count(spg) > DPA1D_IDEAL_BUDGET:
+            continue
+        lat = IdealLattice(spg, DPA1D_IDEAL_BUDGET)
+        lat.ideals()
+        lat.dp_rows(lat.ideal_words()[:, :1])
+        for frac in WIDE_CAP_FRACTIONS:
+            cap = sum(spg.weights) * frac
+            ref_samples, forest_samples = [], []
+            for _ in range(repeats):
+                gc.collect()
+                t0 = time.perf_counter()
+                want = _reference_wide(lat, cap)
+                ref_samples.append(time.perf_counter() - t0)
+                gc.collect()
+                t0 = time.perf_counter()
+                got = _stream_wide(lat, cap)
+                forest_samples.append(time.perf_counter() - t0)
+                eq = all(a.tobytes() == b.tobytes()
+                         for a, b in zip(want, got))
+                equal = equal and eq
+            speedup = min(ref_samples) / min(forest_samples)
+            speedups.append(speedup)
+            graphs[f"{name}_cap{frac}"] = {
+                "n": spg.n,
+                "ideals": len(lat.ideals()),
+                "transitions": int(want[1].size),
+                "reference_seconds": min(ref_samples),
+                "reference_samples": ref_samples,
+                "forest_seconds": min(forest_samples),
+                "forest_samples": forest_samples,
+                "speedup": speedup,
+                "outputs_equal": eq,
+            }
+    return {
+        "workload": (
+            f"fig12 n=150 panel lattices within the {DPA1D_IDEAL_BUDGET} "
+            f"ideal budget, caps {WIDE_CAP_FRACTIONS} x total weight: "
+            "per-ideal reference_dfs + dict prefix rows vs "
+            f"IdealLattice.suffix_stream, best of {repeats}"
+        ),
+        "graphs": graphs,
+        "speedup_geomean": math.exp(
+            sum(math.log(s) for s in speedups) / len(speedups)
+        ),
+        "outputs_equal": equal,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -331,6 +433,7 @@ def main(argv=None) -> int:
     reuse = bench_reuse(args.repeats)
     probe = bench_probe(args.repeats)
     rejection = bench_budget_rejection(args.repeats)
+    wide = bench_wide(args.repeats)
     section = {
         "workload": (
             f"IdealLattice ideals + suffix_table (full enumeration + DP "
@@ -341,9 +444,11 @@ def main(argv=None) -> int:
         "cross_period_reuse": reuse,
         "probe_after_budget_failure": probe,
         "budget_rejection": rejection,
+        "wide": wide,
         "outputs_equal": (
             kernels["outputs_equal"] and reuse["outputs_equal"]
             and probe["outputs_equal"] and rejection["outputs_equal"]
+            and wide["outputs_equal"]
         ),
     }
     if not section["floor_met"]:
@@ -357,9 +462,9 @@ def main(argv=None) -> int:
     print(json.dumps({"dpa1d": section}, indent=1, sort_keys=True))
     print(f"\nwritten to {out_path}")
     if not section["outputs_equal"]:
-        print("ERROR: suffix tables diverged (kernels, reuse or probe) "
-              "or an ideal count differs from its enumeration",
-              file=sys.stderr)
+        print("ERROR: suffix tables diverged (kernels, reuse or probe), "
+              "an ideal count differs from its enumeration, or the wide "
+              "stream differs from the reference DFS", file=sys.stderr)
         return 1
     return 0
 

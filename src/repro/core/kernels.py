@@ -1,31 +1,34 @@
-"""Pluggable suffix-cluster enumeration kernels.
+"""Suffix-cluster enumeration: the multi-word forest and the kernels.
 
 The Theorem-1 DP peels "last clusters" off an SPG: the non-empty up-sets
 ``H`` of an order ideal with weight below the period cap.  Enumerating
-them is the output-sensitive hot loop feeding DPA1D.  For word-sized
-graphs (n <= 62) :class:`~repro.core.partition.IdealLattice` builds one
-flat suffix table per lattice by handing a kernel whole chunks of
-ideals (:meth:`EnumerationKernel.enumerate_bulk`, the only kernel entry
-point); this module makes that bulk enumeration a registry choice
-(mirroring the topology / solver / eviction registries):
+them is the output-sensitive hot loop feeding DPA1D.  Every path runs
+on :func:`suffix_forest`, which expands the DFS trees of many ideals as
+one forest, layer by layer, over ``(words, N)`` ``uint64`` mask arrays
+with ``words = ceil(n / 64)``, so it serves graphs of any width:
 
-* ``python`` — the reference implementation: :func:`reference_dfs`, a
-  recursive DFS with exclusion-by-list-position and incremental
-  removable-frontier tracking, looped over the chunk.  It defines the
-  canonical enumeration order (a DFS preorder) that every downstream
-  tie-break depends on.
-* ``vector`` — an explicit-stack, frontier-batched bitset enumeration:
-  the chunk's DFS trees expand as one forest, whole layers at a time,
-  as ``uint64`` numpy batches (one vectorised weight-pruning pass,
-  ``pred_mask & remaining`` freshness tests as bit-twiddling on arrays),
-  then the exact DFS preorder is reconstructed from per-layer subtree
-  sizes.  Masks *and* works come out byte-identical to the reference
-  kernel — works accumulate ``parent_work + w[stage]`` in the same IEEE
-  order — so golden fixtures do not move.
+* **n > 62.** :class:`~repro.core.partition.IdealLattice` calls the
+  forest directly: DPA1D streams the lattice through it in chunks of
+  ideals (:meth:`~repro.core.partition.IdealLattice.suffix_stream`) and
+  the DP reconstruction runs it on one ideal at a time.  Wide graphs
+  never reach the kernel registry.
+* **n <= 62.** The lattice builds one flat suffix table per lattice by
+  handing a kernel whole chunks of ideals
+  (:meth:`EnumerationKernel.enumerate_bulk`, the only kernel entry
+  point); this module makes that bulk enumeration a registry choice
+  (mirroring the topology / solver / eviction registries):
 
-Graphs wider than a machine word never reach a kernel: the lattice
-reads their suffix clusters one ideal at a time through
-:func:`reference_dfs`, whatever kernel is selected.
+  - ``python`` -- the reference implementation: :func:`reference_dfs`,
+    a recursive DFS with exclusion-by-list-position and incremental
+    removable-frontier tracking, looped over the chunk.  It defines the
+    canonical enumeration order (a DFS preorder) that every downstream
+    tie-break depends on.
+  - ``vector`` -- the chunk as one single-word :func:`suffix_forest`.
+
+The forest reproduces the reference byte for byte: same masks, same
+DFS preorder, and works accumulated ``parent_work + w[stage]`` in the
+same IEEE order, so golden fixtures do not move; it raises
+:class:`BudgetExceeded` at the same cumulative count.
 
 Kernel selection is ambient: an explicit ``kernel=`` argument wins, then
 a process default installed by :func:`set_default_kernel` (the CLI's
@@ -55,6 +58,10 @@ __all__ = [
     "set_default_kernel",
     "use_kernel",
     "reference_dfs",
+    "suffix_forest",
+    "split_words",
+    "join_words",
+    "word_count",
     "KERNEL_ENV",
     "DEFAULT_KERNEL",
 ]
@@ -77,8 +84,8 @@ class EnumerationKernel:
     cumulative weights, each ideal's clusters in the canonical DFS
     preorder.
 
-    Kernels are stateless: per-lattice scratch (e.g. numpy views of the
-    predecessor masks) lives in the lattice's ``_kernel_scratch`` dict.
+    Kernels are stateless: per-lattice scratch (e.g. the forest's numpy
+    tables) lives in the lattice's ``_kernel_scratch`` dict.
     """
 
     name = "abstract"
@@ -297,269 +304,264 @@ class PythonKernel(EnumerationKernel):
 
 
 # ----------------------------------------------------------------------
-# The vector kernel: frontier-batched bitset enumeration
+# The suffix forest: frontier-batched bitset enumeration, any width
 # ----------------------------------------------------------------------
+_LOW64 = (1 << 64) - 1
+
+
+def word_count(n: int) -> int:
+    """``uint64`` words per mask of an ``n``-stage graph."""
+    return max(1, -(-n // 64))
+
+
+def split_words(values, words: int):
+    """Python-int bitmasks as a ``(words, len(values))`` ``uint64`` array
+    (word ``k`` holds bits ``64k .. 64k+63``)."""
+    import numpy as np
+
+    values = list(values)
+    out = np.empty((words, len(values)), np.uint64)
+    for k in range(words):
+        s = 64 * k
+        out[k] = np.fromiter(
+            ((v >> s) & _LOW64 for v in values), np.uint64, len(values)
+        )
+    return out
+
+
+def join_words(arr) -> list[int]:
+    """Inverse of :func:`split_words`: the columns as Python ints."""
+    rows = [row.tolist() for row in arr]
+    out = rows[0]
+    for k in range(1, len(rows)):
+        s = 64 * k
+        out = [v | (hi << s) for v, hi in zip(out, rows[k])]
+    return out
+
+
+def _forest_state(lat):
+    """Per-lattice numpy tables of the forest, cached in the lattice's
+    ``_kernel_scratch``: successor masks and each stage's own bit split
+    into words, the stage weights, and each stage's predecessors as an
+    ascending CSR list."""
+    import numpy as np
+
+    st = lat._kernel_scratch.get("forest")
+    if st is None:
+        n = len(lat._weights)
+        words = word_count(n)
+        preds = [
+            [p for p in range(n) if (m >> p) & 1] for m in lat._pred_mask
+        ]
+        pred_ptr = np.zeros(n + 1, np.intp)
+        np.cumsum([len(ps) for ps in preds], out=pred_ptr[1:])
+        st = lat._kernel_scratch["forest"] = (
+            words,
+            split_words(lat._succ_mask, words),
+            split_words([1 << i for i in range(n)], words),
+            np.array(lat._weights, dtype=np.float64),
+            pred_ptr,
+            np.array([p for ps in preds for p in ps], dtype=np.intp),
+        )
+    return st
+
+
+def suffix_forest(
+    lat, roots, max_weight: float,
+    node_budget: int | None = None, budget_msg: str | None = None,
+):
+    """Suffix clusters of many ideals at once, as one DFS forest.
+
+    ``roots`` is a ``(words, R)`` ``uint64`` array of order ideals
+    (:func:`split_words`, ``words = ceil(n / 64)``).  Returns ``(M, W,
+    counts)``: ``M`` a ``(words, T)`` ``uint64`` array and ``W`` the
+    ``float64`` works of every root's clusters, concatenated in root
+    order, each root's in the canonical DFS preorder of
+    :func:`reference_dfs`, and ``counts[k]`` the number of clusters of
+    root ``k``.  Masks *and* works are byte-identical to the reference:
+    works accumulate ``parent_work + w[stage]``, the DFS's own IEEE
+    order.  When the cumulative cluster count exceeds ``node_budget``
+    the call raises :class:`BudgetExceeded` with ``budget_msg``, exactly
+    when the reference loop would.
+
+    Every DFS node at depth d is a (mask, work, candidate-list) state;
+    the forest keeps one flat batch per depth -- masks as ``(words,
+    N)``, works, root indices, and the ragged candidate lists as one
+    flat stage array plus per-node counts -- and derives depth d+1 with
+    a fixed number of whole-array operations:
+
+    * weight pruning is one ``parent_work + w[cand] <= cap`` compare
+      (works are monotone along DFS paths, so pruning a node prunes its
+      whole subtree exactly like the DFS ``continue``);
+    * the freshly removable stages are a CSR gather: the predecessors of
+      the stage just added all lie in the remainder, so the fresh ones
+      are exactly its predecessors ``p`` with ``succ_mask[p] & rem ==
+      0``, and an ascending predecessor list keeps the DFS's candidate
+      order;
+    * a child's candidate list is its parent's tail after the chosen
+      position followed by its fresh stages, placed by
+      ``repeat``/``arange`` index arithmetic.
+
+    The preorder is then reconstructed exactly: subtree sizes bottom-up
+    (one ``bincount`` per layer), then preorder positions top-down
+    (``pos[child] = pos[parent] + 1 +`` exclusive segmented cumsum of
+    elder-sibling subtree sizes), and one scatter per layer.
+
+    Gathers use ``np.take`` (several times faster than fancy indexing
+    along the word axis) and selections ``np.compress``.
+    """
+    import numpy as np
+
+    take = np.take
+
+    words, sm, stage_bits, w_f, pred_ptr, pred_idx = _forest_state(lat)
+    pdeg = np.diff(pred_ptr)
+    cap = float(max_weight)
+    n_roots = roots.shape[1]
+    # Root candidates: the ideal's successor-free stages, ascending.
+    inside = np.zeros((n_roots, stage_bits.shape[1]), bool)
+    free = np.ones_like(inside)
+    for k in range(words):
+        inside |= (roots[k][:, None] & stage_bits[k]) != 0
+        free &= (roots[k][:, None] & sm[k]) == 0
+    root_of, cand_flat = np.nonzero(inside & free)
+    cand_counts = np.bincount(root_of, minlength=n_roots)
+    # Each node carries its cluster and its remainder (ideal \ cluster).
+    masks = np.zeros((words, n_roots), np.uint64)
+    rems = roots
+    works = np.zeros(n_roots, np.float64)
+    layer_masks: list = []
+    layer_works: list = []
+    layer_par: list = []
+    total = 0
+    while cand_flat.size:
+        n_par = works.size
+        offsets = np.zeros(n_par + 1, np.intp)
+        np.cumsum(cand_counts, out=offsets[1:])
+        parent = np.repeat(np.arange(n_par, dtype=np.intp), cand_counts)
+        nw = take(works, parent) + take(w_f, cand_flat)
+        cpos = np.nonzero(nw <= cap)[0]
+        n_child = cpos.size
+        if n_child == 0:
+            break
+        if n_child == nw.size:
+            # Nothing pruned (common in early layers): skip the gather
+            # and keep the parent-order arrays as-is.
+            cpar, ci, cwork = parent, cand_flat, nw
+        else:
+            cpar = take(parent, cpos)
+            ci = take(cand_flat, cpos)
+            cwork = take(nw, cpos)
+        total += n_child
+        if node_budget is not None and total > node_budget:
+            raise BudgetExceeded(budget_msg)
+        sb = take(stage_bits, ci, axis=1)
+        cmask = take(masks, cpar, axis=1) | sb
+        crem = take(rems, cpar, axis=1) ^ sb
+        layer_masks.append(cmask)
+        layer_works.append(cwork)
+        layer_par.append(cpar)
+        # Fresh stages: every (child, predecessor of its stage) pair.
+        deg = take(pdeg, ci)
+        pstart = np.cumsum(deg) - deg
+        n_pairs = int(pstart[-1] + deg[-1])
+        pair_child = np.repeat(np.arange(n_child, dtype=np.intp), deg)
+        pos = np.arange(n_pairs, dtype=np.intp)
+        p = take(pred_idx, np.repeat(take(pred_ptr, ci) - pstart, deg) + pos)
+        fresh = (take(sm[0], p) & take(crem[0], pair_child)) == 0
+        for k in range(1, words):
+            fresh &= (take(sm[k], p) & take(crem[k], pair_child)) == 0
+        fchild = np.compress(fresh, pair_child)
+        fresh_counts = np.bincount(fchild, minlength=n_child)
+        # Parent-tail candidates surviving for each child.
+        tail_counts = take(offsets, cpar + 1) - cpos - 1
+        new_counts = tail_counts + fresh_counts
+        new_start = np.cumsum(new_counts) - new_counts
+        nt = int(new_start[-1] + new_counts[-1])
+        if nt == 0:
+            break
+        new_flat = np.empty(nt, np.intp)
+        tail_start = np.cumsum(tail_counts) - tail_counts
+        tt = int(tail_start[-1] + tail_counts[-1])
+        if tt:
+            k = np.arange(tt, dtype=np.intp)
+            new_flat[np.repeat(new_start - tail_start, tail_counts) + k] = (
+                take(cand_flat, np.repeat(cpos + 1 - tail_start, tail_counts)
+                     + k)
+            )
+        if nt > tt:
+            fstart = np.cumsum(fresh_counts) - fresh_counts
+            k = np.arange(nt - tt, dtype=np.intp)
+            new_flat[
+                np.repeat(new_start + tail_counts - fstart, fresh_counts) + k
+            ] = np.compress(fresh, p)
+        masks, rems, works = cmask, crem, cwork
+        cand_flat, cand_counts = new_flat, new_counts
+
+    if total == 0:
+        return (
+            np.empty((words, 0), np.uint64),
+            np.empty(0, np.float64),
+            np.zeros(n_roots, np.intp),
+        )
+    # Subtree sizes, bottom-up: one weighted bincount per layer.
+    depth = len(layer_works)
+    sizes: list = [None] * depth
+    sizes[depth - 1] = np.ones(layer_works[depth - 1].size, np.intp)
+    for d in range(depth - 1, 0, -1):
+        acc = np.bincount(
+            layer_par[d], weights=sizes[d], minlength=layer_works[d - 1].size
+        ).astype(np.intp)
+        acc += 1
+        sizes[d - 1] = acc
+    root_totals = np.bincount(
+        layer_par[0], weights=sizes[0], minlength=n_roots
+    ).astype(np.intp)
+    # Preorder positions, top-down: within each sibling group, a node
+    # sits 1 + (elder siblings' subtree sizes) after its parent; the
+    # segmented exclusive cumsum is the global cumsum minus each group's
+    # starting value.  Virtual roots sit one slot before their tree's
+    # output range.
+    pos_parent = np.cumsum(root_totals) - root_totals - 1
+    out_m = np.empty((words, total), np.uint64)
+    out_w = np.empty(total, np.float64)
+    n_prev = n_roots
+    for d in range(depth):
+        par = layer_par[d]
+        sz = sizes[d]
+        cs = np.cumsum(sz) - sz
+        change = np.empty(par.size, bool)
+        change[0] = True
+        np.not_equal(par[1:], par[:-1], out=change[1:])
+        fidx = np.nonzero(change)[0]
+        group_start = np.zeros(n_prev, np.intp)
+        group_start[par[fidx]] = cs[fidx]
+        pos_d = take(pos_parent, par) + 1 + (cs - take(group_start, par))
+        for k in range(words):
+            out_m[k][pos_d] = layer_masks[d][k]
+        out_w[pos_d] = layer_works[d]
+        pos_parent = pos_d
+        n_prev = layer_works[d].size
+    return out_m, out_w, root_totals
+
+
 @register_kernel(
     "vector",
     "frontier-batched uint64 numpy enumeration, exact DFS order",
 )
 class VectorKernel(EnumerationKernel):
-    """Layer-at-a-time expansion of the suffix-cluster DFS forest.
+    """The chunk's DFS trees expanded as one :func:`suffix_forest`.
 
-    Every DFS node at depth d is a (mask, work, candidate-list) state;
-    the kernel keeps one flat batch per depth — masks as ``uint64``,
-    works as ``float64``, the ragged candidate lists as one flat index
-    array plus per-node counts — and derives depth d+1 with whole-array
-    operations:
-
-    * weight pruning is one ``parent_work + w[cand] <= cap`` compare
-      (works are monotone along DFS paths, so pruning a node prunes its
-      whole subtree exactly like the DFS ``continue``);
-    * the freshly-removable test (``p`` a predecessor of the added stage
-      with no successor left in the remainder) runs as one
-      ``(pred & rem) & bit`` / ``rem & succ_mask[p] == 0`` pass over the
-      batch per stage *present in the batch's predecessor union*;
-    * child candidate lists are the parent tail after the chosen
-      position plus the fresh stages in ascending order, materialised
-      with ``repeat``/``arange`` index arithmetic (ranks of fresh bits
-      via popcount of the bits below).
-
-    Batching is what pays: :meth:`enumerate_bulk` expands the trees of
-    *many* ideals as one forest (each node carries its root's ideal),
-    so layer batches hold hundreds of thousands of states and the fixed
-    numpy dispatch cost amortises away.
-
-    The output order is reconstructed exactly: subtree sizes bottom-up
-    (one ``bincount`` per layer), then preorder positions top-down
-    (``pos[child] = pos[parent] + 1 +`` exclusive segmented cumsum of
-    elder-sibling subtree sizes), and one scatter per layer.  Works
-    accumulate ``parent_work + w[stage]`` — the DFS's own IEEE order —
-    so masks *and* works are byte-identical to the reference kernel.
-    A build raises :class:`BudgetExceeded` exactly when the reference
-    kernel's would, with the same message.
+    Batching is what pays: layer batches hold the states of hundreds of
+    ideals' trees at once, so the fixed numpy dispatch cost per layer
+    amortises away.
     """
-
-    def _state(self, lat):
-        import numpy as np
-
-        st = lat._kernel_scratch.get("vector")
-        if st is None:
-            n = len(lat._weights)
-            pm_u = np.array(lat._pred_mask, dtype=np.uint64)
-            sm_u = np.array(lat._succ_mask, dtype=np.uint64)
-            w_f = np.array(lat._weights, dtype=np.float64)
-            bit_u = np.left_shift(
-                np.uint64(1), np.arange(n, dtype=np.uint64)
-            )
-            st = lat._kernel_scratch["vector"] = (pm_u, sm_u, w_f, bit_u)
-        return st
 
     def enumerate_bulk(
         self, lat, ideals, max_weight: float,
         node_budget: int | None = None, budget_msg: str | None = None,
     ):
-        import numpy as np
-
-        root_ideals = np.fromiter(
-            ideals, dtype=np.uint64, count=len(ideals)
+        M, W, counts = suffix_forest(
+            lat, split_words(ideals, 1), max_weight, node_budget, budget_msg
         )
-        flat, counts = self._root_candidates(lat, ideals, root_ideals)
-        out_m, out_w, root_counts = self._expand(
-            self._state(lat),
-            root_ideals,
-            flat,
-            counts,
-            float(max_weight),
-            node_budget,
-            budget_msg,
-        )
-        return out_m, out_w, root_counts.astype(np.intp)
-
-    def _root_candidates(self, lat, ideals, root_ideals):
-        """Initial candidate lists (successor-free stages, ascending)
-        for every root, as one flat array + per-root counts."""
-        import numpy as np
-
-        im = lat._init_mask
-        if im and all(ideal in im for ideal in ideals):
-            _pm, _sm, _w, bit_u = self._state(lat)
-            init_masks = np.fromiter(
-                (im[ideal] for ideal in ideals),
-                dtype=np.uint64,
-                count=len(ideals),
-            )
-            counts = np.bitwise_count(init_masks).astype(np.int64)
-            offs = np.zeros(len(ideals), np.int64)
-            np.cumsum(counts[:-1], out=offs[1:])
-            flat = np.empty(int(counts.sum()), np.int64)
-            union = int(np.bitwise_or.reduce(init_masks)) if len(
-                ideals
-            ) else 0
-            while union:
-                low = union & -union
-                p = low.bit_length() - 1
-                union ^= low
-                bp = bit_u[p]
-                has = (init_masks & bp) != 0
-                rank = np.bitwise_count(
-                    init_masks[has] & (bp - np.uint64(1))
-                ).astype(np.int64)
-                flat[offs[has] + rank] = p
-            return flat, counts
-        lists = [lat._init_list(ideal) for ideal in ideals]
-        counts = np.array([len(l) for l in lists], np.int64)
-        flat = np.array(
-            [i for l in lists for i in l], dtype=np.int64
-        )
-        return flat, counts
-
-    @staticmethod
-    def _expand(
-        st, root_ideals, cand_flat, cand_counts, cap, node_budget,
-        budget_msg,
-    ):
-        """Expand the DFS forest of ``root_ideals`` layer by layer.
-
-        Returns ``(out_m, out_w, root_totals)`` with the nodes of each
-        root's tree contiguous, in exact DFS preorder, roots in input
-        order.
-        """
-        import numpy as np
-
-        pm_u, sm_u, w_f, bit_u = st
-        one = np.uint64(1)
-        n_roots = root_ideals.size
-        masks = np.zeros(n_roots, np.uint64)
-        works = np.zeros(n_roots, np.float64)
-        ideal_arr = root_ideals
-        layer_masks: list = []
-        layer_works: list = []
-        layer_par: list = []
-        total = 0
-        while cand_flat.size:
-            n_par = masks.size
-            offsets = np.zeros(n_par + 1, np.int64)
-            np.cumsum(cand_counts, out=offsets[1:])
-            parent = np.repeat(
-                np.arange(n_par, dtype=np.int64), cand_counts
-            )
-            nw = works[parent] + w_f[cand_flat]
-            cpos = np.nonzero(nw <= cap)[0]
-            if cpos.size == 0:
-                break
-            if cpos.size == nw.size:
-                # Nothing pruned (common in early layers): skip the
-                # gather and keep the parent-order arrays as-is.
-                cpar, ci, cwork = parent, cand_flat, nw
-            else:
-                cpar = parent[cpos]
-                ci = cand_flat[cpos]
-                cwork = nw[cpos]
-            cmask = masks[cpar] | bit_u[ci]
-            cideal = ideal_arr[cpar]
-            n_child = cpos.size
-            total += n_child
-            if node_budget is not None and total > node_budget:
-                raise BudgetExceeded(budget_msg)
-            layer_masks.append(cmask)
-            layer_works.append(cwork)
-            layer_par.append(cpar)
-            # Parent-tail candidates surviving for each child.
-            tail_counts = offsets[cpar + 1] - cpos - 1
-            # Freshly removable stages per child, probing only stages
-            # that are a missing predecessor of *some* child.
-            rem = cideal ^ cmask
-            pr = pm_u[ci] & rem
-            fresh = np.zeros(n_child, np.uint64)
-            union = int(np.bitwise_or.reduce(pr))
-            while union:
-                low = union & -union
-                p = low.bit_length() - 1
-                union ^= low
-                bp = bit_u[p]
-                sel = ((pr & bp) != 0) & ((rem & sm_u[p]) == 0)
-                if sel.any():
-                    fresh[sel] |= bp
-            fresh_counts = np.bitwise_count(fresh).astype(np.int64)
-            new_counts = tail_counts + fresh_counts
-            new_offsets = np.zeros(n_child + 1, np.int64)
-            np.cumsum(new_counts, out=new_offsets[1:])
-            nt = int(new_offsets[-1])
-            if nt == 0:
-                break
-            new_flat = np.empty(nt, np.int64)
-            tt = int(tail_counts.sum())
-            if tt:
-                child_id = np.repeat(
-                    np.arange(n_child, dtype=np.int64), tail_counts
-                )
-                tail_off = np.zeros(n_child, np.int64)
-                np.cumsum(tail_counts[:-1], out=tail_off[1:])
-                within = np.arange(tt, dtype=np.int64) - tail_off[child_id]
-                new_flat[new_offsets[:-1][child_id] + within] = cand_flat[
-                    cpos[child_id] + 1 + within
-                ]
-            if nt > tt:
-                base = new_offsets[:-1] + tail_counts
-                union = int(np.bitwise_or.reduce(fresh))
-                while union:
-                    low = union & -union
-                    p = low.bit_length() - 1
-                    union ^= low
-                    bp = bit_u[p]
-                    has = (fresh & bp) != 0
-                    below = fresh[has] & (bp - one)
-                    rank = np.bitwise_count(below).astype(np.int64)
-                    new_flat[base[has] + rank] = p
-            masks, works, ideal_arr = cmask, cwork, cideal
-            cand_flat, cand_counts = new_flat, new_counts
-
-        if total == 0:
-            return (
-                np.empty(0, np.uint64),
-                np.empty(0, np.float64),
-                np.zeros(n_roots, np.int64),
-            )
-        # Subtree sizes, bottom-up: one weighted bincount per layer.
-        depth = len(layer_masks)
-        sizes: list = [None] * depth
-        sizes[depth - 1] = np.ones(layer_masks[depth - 1].size, np.int64)
-        for d in range(depth - 1, 0, -1):
-            acc = np.bincount(
-                layer_par[d],
-                weights=sizes[d],
-                minlength=layer_masks[d - 1].size,
-            ).astype(np.int64)
-            acc += 1
-            sizes[d - 1] = acc
-        root_totals = np.bincount(
-            layer_par[0], weights=sizes[0], minlength=n_roots
-        ).astype(np.int64)
-        # Preorder positions, top-down: within each sibling group, a
-        # node sits 1 + (elder siblings' subtree sizes) after its
-        # parent; the segmented exclusive cumsum is the global cumsum
-        # minus each group's starting value.  Virtual roots sit one
-        # slot before their tree's output range.
-        root_base = np.zeros(n_roots, np.int64)
-        np.cumsum(root_totals[:-1], out=root_base[1:])
-        pos_parent = root_base - 1
-        out_m = np.empty(total, np.uint64)
-        out_w = np.empty(total, np.float64)
-        n_prev = n_roots
-        for d in range(depth):
-            par = layer_par[d]
-            sz = sizes[d]
-            cs = np.cumsum(sz) - sz
-            change = np.empty(par.size, bool)
-            change[0] = True
-            np.not_equal(par[1:], par[:-1], out=change[1:])
-            fidx = np.nonzero(change)[0]
-            group_start = np.zeros(n_prev, np.int64)
-            group_start[par[fidx]] = cs[fidx]
-            pos_d = pos_parent[par] + 1 + (cs - group_start[par])
-            out_m[pos_d] = layer_masks[d]
-            out_w[pos_d] = layer_works[d]
-            pos_parent = pos_d
-            n_prev = layer_masks[d].size
-        return out_m, out_w, root_totals
-
+        return M[0], W, counts

@@ -21,8 +21,15 @@ from collections.abc import Iterable, Iterator, Mapping
 from typing import NoReturn
 
 from repro.core.errors import BudgetExceeded
-from repro.core.kernels import EnumerationKernel, reference_dfs, resolve_kernel
-from repro.obs.session import inc
+from repro.core.kernels import (
+    EnumerationKernel,
+    join_words,
+    resolve_kernel,
+    split_words,
+    suffix_forest,
+    word_count,
+)
+from repro.obs.session import inc, trace_span
 from repro.spg.analysis import ancestor_masks, descendant_masks
 from repro.spg.decompose import ideal_count
 from repro.spg.graph import SPG
@@ -36,8 +43,14 @@ __all__ = [
 ]
 
 #: Ideals handed to the kernel per ``enumerate_bulk`` call when building
-#: a suffix table.
+#: a suffix table, and the most handed to one forest call by
+#: ``suffix_stream``.
 TABLE_CHUNK = 1024
+
+#: Transitions ``suffix_stream`` aims at per forest call.  The forest
+#: holds about 90 bytes of scratch per transition while it runs, so this
+#: bounds the stream's transient memory to a few MB.
+STREAM_TRANSITIONS = 1 << 15
 
 
 def quotient_edges(
@@ -108,8 +121,9 @@ class IdealLattice:
         a kernel instance, or ``None`` for the ambient default
         (``--kernel`` / the ``REPRO_KERNEL`` environment variable).
         Every kernel produces byte-identical output; the choice is
-        purely a speed lever.  Wider graphs always use the reference
-        DFS.
+        purely a speed lever.  Wider graphs never reach a kernel: they
+        run the multi-word :func:`~repro.core.kernels.suffix_forest`
+        directly (:meth:`suffix_stream`, :meth:`suffix_clusters_weighted`).
     """
 
     def __init__(
@@ -131,6 +145,9 @@ class IdealLattice:
         self._ideals: list[int] | None = None
         self._budget_error: str | None = None
         self._ideal_cuts = None
+        self._ideal_words = None
+        # (sorted void keys of the ideal words, DP index of each).
+        self._row_keys: tuple | None = None
         self._cut_table: tuple | None = None
         self._initc: dict[int, list[int]] = {0: []}
         self._init_mask: dict[int, int] = {}
@@ -139,9 +156,9 @@ class IdealLattice:
         # graphs only; see suffix_table).
         self._table: tuple | None = None
         self._ideal_pos: tuple | None = None
-        # Value-sorted ideal index -> DP index (see _dp_slot).
+        # Value-sorted ideal index -> DP index (see dp_index).
         self._dp_index = None
-        # Per-lattice scratch namespace for kernels (numpy mask tables).
+        # Per-lattice scratch namespace for the forest's numpy tables.
         self._kernel_scratch: dict = {}
 
     @staticmethod
@@ -205,19 +222,17 @@ class IdealLattice:
         if self.spg.n <= 62:
             return self._ideals_vector()
         seen: set[int] = {0}
-        initc = self._initc
         pm = self._pred_mask
         succs = [list(self.spg.succs(i)) for i in range(self.spg.n)]
         seen_add = seen.add
         # BFS with *incremental* frontier state: each entry carries its
-        # ideal's addable stages (predecessor-closed extensions) and its
-        # successor-free stages, both maintained in O(degree) per step
-        # instead of O(n) rescans.
+        # ideal's addable stages (predecessor-closed extensions),
+        # maintained in O(degree) per step instead of O(n) rescans.
         roots = [i for i in range(self.spg.n) if pm[i] == 0]
-        frontier: list[tuple[int, list[int], list[int]]] = [(0, [], roots)]
+        frontier: list[tuple[int, list[int]]] = [(0, roots)]
         while frontier:
-            nxt: list[tuple[int, list[int], list[int]]] = []
-            for ideal, cur_init, cur_add in frontier:
+            nxt: list[tuple[int, list[int]]] = []
+            for ideal, cur_add in frontier:
                 for i in cur_add:
                     cand = ideal | bit(i)
                     if cand in seen:
@@ -232,24 +247,7 @@ class IdealLattice:
                     for j in succs[i]:
                         if not (cand >> j) & 1 and pm[j] & ~cand == 0:
                             new_add.append(j)
-                    # Successor-free stages of ``cand``: ``i`` joins (its
-                    # successors cannot be in an ideal containing it) and
-                    # its predecessors leave; kept sorted to match a
-                    # low-to-high bit scan.
-                    pmi = pm[i]
-                    ni: list[int] = []
-                    placed = False
-                    for p in cur_init:
-                        if (pmi >> p) & 1:
-                            continue
-                        if not placed and i < p:
-                            ni.append(i)
-                            placed = True
-                        ni.append(p)
-                    if not placed:
-                        ni.append(i)
-                    initc[cand] = ni
-                    nxt.append((cand, ni, new_add))
+                    nxt.append((cand, new_add))
             frontier = nxt
         self._ideals = sorted(seen, key=lambda m: (m.bit_count(), m))
         return self._ideals
@@ -316,27 +314,58 @@ class IdealLattice:
     def ideal_cuts(self):
         """Cut volume of every ideal, in :meth:`ideals` order (numpy array).
 
-        One vectorised pass over the ideals split into 64-bit words, so
-        it serves graphs of any width; one masked add per edge in
-        ``edge_list`` order makes each value bit-identical to
+        One vectorised pass over :meth:`ideal_words`, so it serves
+        graphs of any width; one masked add per edge in ``edge_list``
+        order makes each value bit-identical to
         :func:`repro.spg.analysis.cut_volume`.  Computed once per lattice
         and shared across periods.
         """
         if self._ideal_cuts is None:
             import numpy as np
 
-            ideals = self.ideals()
-            low = (1 << 64) - 1
-            words = [
-                np.fromiter((v >> s & low for v in ideals), np.uint64,
-                            len(ideals))
-                for s in range(0, self.spg.n, 64)
-            ]
+            words = self.ideal_words()
             self._ideal_cuts = _edge_cuts(
-                self.spg, len(ideals),
+                self.spg, words.shape[1],
                 lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
             )
         return self._ideal_cuts
+
+    def ideal_words(self):
+        """Every ideal in :meth:`ideals` order as a ``(words, N)``
+        ``uint64`` array, ``words = ceil(n / 64)`` (see
+        :func:`~repro.core.kernels.split_words`)."""
+        if self._ideal_words is None:
+            self._ideal_words = split_words(
+                self.ideals(), word_count(self.spg.n)
+            )
+        return self._ideal_words
+
+    def dp_rows(self, masks):
+        """Indices in :meth:`ideals` of the ideals in ``masks``, a
+        ``(words, K)`` ``uint64`` array; any width.
+
+        The lookup is an exact ``searchsorted`` over the ideals' words
+        viewed as one ``np.void`` key each (byte order only has to be
+        consistent, not numeric).  A column that is not an ideal maps to
+        some other ideal's index, so callers that cannot guarantee
+        ideals check the result (as :meth:`dp_index` does).
+        """
+        import numpy as np
+
+        sorted_keys, order = self._sorted_keys()
+        v = np.searchsorted(sorted_keys, _void_keys(masks))
+        return order[np.minimum(v, len(order) - 1)]
+
+    def _sorted_keys(self) -> tuple:
+        """``(keys, order)``: the :meth:`ideal_words` void keys sorted,
+        and the DP index of each."""
+        if self._row_keys is None:
+            import numpy as np
+
+            keys = _void_keys(self.ideal_words())
+            order = np.argsort(keys, kind="stable")
+            self._row_keys = (keys[order], order)
+        return self._row_keys
 
     def cut_table(self):
         """``(values, cuts)`` numpy arrays over all ideals, value-sorted.
@@ -381,17 +410,22 @@ class IdealLattice:
         whole ideal.  Exclusion by list position guarantees each up-set is
         produced exactly once.  Clusters heavier than ``max_weight`` are
         pruned (they cannot meet the period at any speed), which keeps
-        the enumeration tractable for tight periods.
+        the enumeration tractable for tight periods.  Every path yields
+        exactly the reference's masks, works and order.
 
         For word-sized graphs the pairs are a slice of the lattice's one
         suffix table (see :meth:`suffix_arrays`), so e.g. the DP
         reconstruction rereads exactly what the solve enumerated.  Wider
-        graphs run the reference DFS for this one ideal, whatever kernel
-        the lattice uses.
+        graphs run :func:`~repro.core.kernels.suffix_forest` on this one
+        ideal (the same enumeration as :meth:`suffix_stream`), whatever
+        kernel the lattice uses.
         """
         if self.spg.n > 62:
-            masks_l, works_l = reference_dfs(self, ideal, max_weight)
-            return list(zip(masks_l, works_l))
+            masks, works, _counts = suffix_forest(
+                self, split_words([ideal], word_count(self.spg.n)),
+                max_weight,
+            )
+            return list(zip(join_words(masks), works.tolist()))
         masks, works = self.suffix_arrays(ideal, max_weight)
         return list(zip(masks.tolist(), works.tolist()))
 
@@ -414,7 +448,7 @@ class IdealLattice:
         if self._table is None or self._table[0] < max_weight:
             self.suffix_table(max_weight)
         cap, (M, W, _counts, offsets, _pidx, _total) = self._table
-        k = self._dp_slot(ideal)
+        k = self.dp_index(ideal)
         lo, hi = offsets[k], offsets[k + 1]
         masks, works = M[lo:hi], W[lo:hi]
         if max_weight < cap:
@@ -509,6 +543,52 @@ class IdealLattice:
         pidx = np.searchsorted(vals, P)
         return (M, W, counts, offsets, pidx, transitions)
 
+    def suffix_stream(self, max_weight: float, transition_budget: int):
+        """Every nonzero ideal's suffix clusters, streamed in DP order.
+
+        Yields ``(lo, hi, counts, pidx, W)`` for consecutive ranges
+        ``[lo, hi)`` of :meth:`ideals` (``lo`` starts at 1, past the
+        empty ideal): ``counts[k]`` transitions of ideal ``lo + k``,
+        their works ``W`` and the :meth:`ideals` index ``pidx`` of each
+        transition's prefix ``ideal ^ mask``, found by an exact key
+        lookup (:meth:`dp_rows`).  Each range is one
+        :func:`~repro.core.kernels.suffix_forest` run, for a graph of any
+        width; the first holds one ideal, and each later one as many as
+        the previous range's clusters per ideal predict to make about
+        :data:`STREAM_TRANSITIONS` transitions (at most
+        :data:`TABLE_CHUNK`).  Nothing of a range is kept once the
+        caller moves on, so no whole-lattice table is ever materialised.
+        The forest counts against ``transition_budget`` as it goes: a
+        doomed run raises :class:`BudgetExceeded` before enumerating the
+        rest.
+
+        Each range's enumeration runs in a ``partition.suffix`` trace
+        span, the kind the lattice's table methods are timed under.
+        """
+        import numpy as np
+
+        words = self.ideal_words()
+        budget_msg = f"DPA1D exceeded {transition_budget} DP transitions"
+        transitions = 0
+        lo, size = 1, 1
+        while lo < words.shape[1]:
+            hi = min(lo + size, words.shape[1])
+            with trace_span("partition.suffix"):
+                roots = words[:, lo:hi]
+                M, W, counts = suffix_forest(
+                    self, roots, max_weight,
+                    transition_budget - transitions, budget_msg,
+                )
+                transitions += W.size
+                pidx = self.dp_rows(np.repeat(roots, counts, axis=1) ^ M)
+            inc("kernel.enumerations", hi - lo)
+            yield lo, hi, counts, pidx, W
+            # Size the next range from this one's clusters per ideal.
+            size = min(TABLE_CHUNK,
+                       max(1, (hi - lo) * STREAM_TRANSITIONS
+                           // max(W.size, 1)))
+            lo = hi
+
     def ideal_positions(self) -> tuple:
         """``(ideal_vals, epos)``: every ideal as ``uint64`` in DP order
         and its index into :meth:`cut_table`'s value-sorted array."""
@@ -523,10 +603,21 @@ class IdealLattice:
             self._ideal_pos = (ideal_vals, np.searchsorted(vals, ideal_vals))
         return self._ideal_pos
 
-    def _dp_slot(self, ideal: int) -> int:
-        """Index of ``ideal`` in :meth:`ideals` (DP order)."""
+    def dp_index(self, ideal: int) -> int:
+        """Index of ``ideal`` in :meth:`ideals` (DP order); any width.
+
+        Raises ``ValueError`` when ``ideal`` is not an order ideal.
+        """
         import numpy as np
 
+        if self.spg.n > 62:
+            words = split_words([ideal], word_count(self.spg.n))
+            k = int(self.dp_rows(words)[0])
+            if self.ideals()[k] != ideal:
+                raise ValueError(
+                    f"{ideal:#x} is not an order ideal of the SPG"
+                )
+            return k
         vals, _cuts = self.cut_table()
         v = int(np.searchsorted(vals, np.uint64(ideal)))
         if v == len(vals) or int(vals[v]) != ideal:
@@ -569,6 +660,15 @@ def _edge_cuts(spg: SPG, count: int, bit):
     for i, j, d in spg.edge_list:
         cuts[(bit(i) == 1) & (bit(j) == 0)] += d
     return cuts
+
+
+def _void_keys(masks):
+    """One ``np.void`` key per column of a ``(words, K)`` mask array:
+    exact equality (no hashing) and a consistent total order."""
+    import numpy as np
+
+    rows = np.ascontiguousarray(masks.T)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
 def _filter_table(tbl: tuple, max_weight: float) -> tuple:

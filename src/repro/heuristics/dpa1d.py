@@ -27,7 +27,7 @@ from itertools import groupby
 
 import numpy as np
 
-from repro.core.errors import BudgetExceeded, HeuristicFailure
+from repro.core.errors import HeuristicFailure
 from repro.core.mapping import Mapping
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
@@ -38,7 +38,10 @@ __all__ = ["dpa1d_mapping", "solve_uniline"]
 
 INF = float("inf")
 
-#: Transitions a wide graph (n > 62) hands the DP per batch.
+#: Transitions per DP batch on a wide graph (n > 62): a batch ends at the
+#: first ideal that reaches this many, and never spans two popcount
+#: layers, so the DP's per-batch arrays stay a few MB while the lattice
+#: streams through the suffix forest.
 WIDE_CHUNK = 32_768
 
 
@@ -104,7 +107,9 @@ class _UnilineDP:
         that reproduces the scalar arithmetic IEEE-exactly.  The batches
         come from one of two sources: slices of the lattice's flat
         suffix table for word-sized graphs (n <= 62), or the lattice's
-        per-ideal suffix clusters for wider graphs.
+        suffix stream for wider graphs, which runs the multi-word suffix
+        forest over chunks of ideals and looks prefix rows up by exact
+        key; both enumerate in bulk and never one ideal at a time.
         """
         lat = self.lat
         ideals = lat.ideals()  # may raise BudgetExceeded
@@ -169,52 +174,24 @@ class _UnilineDP:
         return (lambda ideal: int(np.searchsorted(vals, ideal))), cuts, batches
 
     def _wide_source(self, ideals: list[int], transition_budget: int):
-        """``(row_of, cuts, batches)`` for a graph of any width, read ideal
-        by ideal (see :meth:`_wide_batches`); rows are DP indices."""
-        index = {ideal: k for k, ideal in enumerate(ideals)}
-        batches = self._wide_batches(ideals, index, transition_budget)
-        return index.__getitem__, self.lat.ideal_cuts(), batches
+        """``(row_of, cuts, batches)`` for a graph of any width: rows are
+        DP indices and the batches are cut from
+        :meth:`IdealLattice.suffix_stream`.
 
-    def _wide_batches(
-        self, ideals: list[int], index: dict[int, int], transition_budget: int
-    ):
-        """Batches of about :data:`WIDE_CHUNK` transitions read ideal by
-        ideal through :meth:`IdealLattice.suffix_clusters_weighted`.
-
-        A batch never spans two layers, so every prefix row is final
-        before it is read, and no whole-lattice table is materialised.
-        The transition budget is counted per ideal in DP order.
+        A batch never spans two popcount layers, so every prefix row is
+        final before it is read, and it ends at the first ideal that
+        brings it to :data:`WIDE_CHUNK` transitions, so the DP's
+        per-batch arrays stay small while the stream moves on.
         """
         lat = self.lat
-        cap = self.cap_work
-        transitions = 0
-        for lo, hi in _layers(ideals):
-            if lo == 0:
-                continue
-            rows: list[int] = []
-            counts: list[int] = []
-            prows: list[int] = []
-            works: list[float] = []
-            for k in range(lo, hi):
-                ideal = ideals[k]
-                clusters = lat.suffix_clusters_weighted(ideal, cap)
-                transitions += len(clusters)
-                if transitions > transition_budget:
-                    raise BudgetExceeded(
-                        f"DPA1D exceeded {transition_budget} DP transitions"
-                    )
-                rows.append(k)
-                counts.append(len(clusters))
-                prows += [index[ideal ^ mask] for mask, _w in clusters]
-                works += [w for _mask, w in clusters]
-                if len(prows) >= WIDE_CHUNK or k == hi - 1:
-                    yield (
-                        np.array(rows, dtype=np.intp),
-                        np.array(counts, dtype=np.intp),
-                        np.array(prows, dtype=np.intp),
-                        np.array(works),
-                    )
-                    rows, counts, prows, works = [], [], [], []
+        layer_ends = np.array([hi for _lo, hi in _layers(ideals)])
+        stream = lat.suffix_stream(self.cap_work, transition_budget)
+        batches = (
+            batch
+            for lo, hi, counts, pidx, W in stream
+            for batch in _dp_batches(lo, hi, counts, pidx, W, layer_ends)
+        )
+        return lat.dp_index, lat.ideal_cuts(), batches
 
     def _finish(self, final: np.ndarray | None) -> tuple[float, int]:
         if final is None or not np.isfinite(final[1:]).any():
@@ -259,6 +236,22 @@ def _layers(ideals: list[int]):
         hi = lo + sum(1 for _ in layer)
         yield lo, hi
         lo = hi
+
+
+def _dp_batches(lo, hi, counts, pidx, W, layer_ends):
+    """Split the streamed ideals ``[lo, hi)`` into DP batches ``(rows,
+    counts, prows, W)``: cut at every popcount-layer end, and after the
+    first ideal that brings a batch to :data:`WIDE_CHUNK` transitions."""
+    offs = np.zeros(hi - lo + 1, dtype=np.intp)
+    np.cumsum(counts, out=offs[1:])
+    inner = layer_ends[(layer_ends > lo) & (layer_ends < hi)] - lo
+    a = 0
+    for stop in (*inner.tolist(), hi - lo):
+        while a < stop:
+            b = min(int(np.searchsorted(offs, offs[a] + WIDE_CHUNK)), stop)
+            yield (np.arange(lo + a, lo + b), counts[a:b],
+                   pidx[offs[a]:offs[b]], W[offs[a]:offs[b]])
+            a = b
 
 
 def solve_uniline(

@@ -4,7 +4,9 @@ layered DPA1D loop and the per-graph DPA2D blocks.
 ``ScalarUnilineDP`` is the per-ideal DPA1D dynamic program, with its
 per-mask ``ecal`` cache and its dict of DP rows; it reads cut volumes
 from :func:`repro.spg.analysis.cut_volume`, memoised per mask as the
-lattice once did.  ``ReferenceDpa2dSolver``
+lattice once did, and suffix clusters from
+:func:`repro.core.kernels.reference_dfs`, one ideal at a time, as the
+lattice once did for wide graphs.  ``ReferenceDpa2dSolver``
 is the DPA2D solver that built its blocks per solver and evaluated
 clusters lazily.  The equivalence tests run both beside the library
 solvers and require identical outputs.
@@ -17,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.errors import BudgetExceeded, HeuristicFailure
+from repro.core.kernels import reference_dfs
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
 from repro.heuristics.dpa2d import ColumnPlan, Distribution
@@ -59,6 +62,10 @@ class ScalarUnilineDP:
     def _row(self, ideal: int) -> np.ndarray | None:
         """The DP row of ``ideal`` (None when unreachable)."""
         return self.best.get(ideal)
+
+    def suffix_clusters(self, ideal: int, cap: float):
+        """``(mask, work)`` pairs of ``ideal`` by the reference DFS."""
+        return list(zip(*reference_dfs(self.lat, ideal, cap)))
 
     def cut(self, prefix: int) -> float:
         c = self._cut.get(prefix)
@@ -114,7 +121,7 @@ class ScalarUnilineDP:
         T = self.T
         e_bit = model.e_bit
         best_get = self.best.get
-        suffix_clusters = lat.suffix_clusters_weighted
+        suffix_clusters = self.suffix_clusters
         ecal = self.ecal
         self.cut(0)  # the empty prefix (cut 0)
         cut_get = self._cut.get
@@ -169,9 +176,7 @@ class ScalarUnilineDP:
         while ideal:
             target = self._row(ideal)[k]
             found = False
-            for cluster, work in self.lat.suffix_clusters_weighted(
-                ideal, self.cap_work
-            ):
+            for cluster, work in self.suffix_clusters(ideal, self.cap_work):
                 prefix = ideal & ~cluster
                 prev = self._row(prefix)
                 if prev is None or not np.isfinite(prev[k - 1]):

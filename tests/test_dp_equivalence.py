@@ -2,12 +2,15 @@
 reference copies of the DP heuristics in ``tests/dp_reference.py``.
 
 DPA1D runs one DP loop fed by two transition sources: slices of the
-lattice's flat suffix table (n <= 62) and per-ideal suffix clusters for
-wider graphs.  Both must reproduce the per-ideal scalar DP exactly:
-energy, cluster count, clusters, speeds, and a budget failure raised
-after the same suffix enumerations.  DPA2D must return the same plans
-and the same energy bits as the solver that built its blocks per
-solver and costed clusters lazily.
+lattice's flat suffix table (n <= 62) and, for wider graphs, batches cut
+from the lattice's suffix stream, which runs the multi-word suffix
+forest over chunks of ideals.  Both must reproduce the per-ideal scalar
+DP, which reads every ideal's clusters from the reference DFS, exactly:
+energy, cluster count, clusters, speeds, and a budget failure with the
+same message.  A wide solve must never call the reference DFS, and a
+budget failure must stop the forest before it has enumerated every
+ideal.  DPA2D must return the same plans and the same energy bits as
+the solver that built its blocks per solver and costed clusters lazily.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.errors import HeuristicFailure
+from repro.core import kernels, partition
+from repro.core.errors import BudgetExceeded, HeuristicFailure
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
-from repro.heuristics import dpa2d
+from repro.heuristics import dpa1d, dpa2d
 from repro.heuristics.dpa1d import _UnilineDP, solve_uniline
 from repro.platform.cmp import CMPGrid
 from repro.platform.topology import get_topology
@@ -35,17 +39,15 @@ def _outcome(fn):
         return (type(exc).__name__, str(exc))
 
 
-def _suffix_reads(lat, monkeypatch) -> list[int]:
-    """Record every ideal whose suffix clusters are read from ``lat``."""
-    reads: list[int] = []
-    inner = lat.suffix_clusters_weighted
+def _no_reference_dfs(monkeypatch) -> None:
+    """Make every library call of the reference DFS fail loudly (the
+    reference DP holds its own binding, so it keeps working)."""
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the reference DFS ran in a wide solve")
 
-    def spy(ideal, max_weight):
-        reads.append(ideal)
-        return inner(ideal, max_weight)
-
-    monkeypatch.setattr(lat, "suffix_clusters_weighted", spy)
-    return reads
+    monkeypatch.setattr(kernels, "reference_dfs", forbidden)
+    monkeypatch.setattr(partition, "reference_dfs", forbidden,
+                        raising=False)
 
 
 # ----------------------------------------------------------------------
@@ -71,35 +73,48 @@ class TestWideDpa1d:
         prob = ProblemInstance(
             g, CMPGrid(4, 4), g.total_work / 1e9 / parallelism
         )
+        want = _outcome(lambda: reference_uniline(
+            prob, r, transition_budget=budget))
         with monkeypatch.context() as m:
-            reads = _suffix_reads(IdealLattice.for_spg(g, 120_000), m)
-            want = _outcome(lambda: reference_uniline(
-                prob, r, transition_budget=budget))
-            want_reads = list(reads)
-            reads.clear()
+            _no_reference_dfs(m)
             got = _outcome(lambda: solve_uniline(
                 prob, r, transition_budget=budget))
         if isinstance(got, tuple) and len(got) == 3:
             e, clusters, speeds = got
             got = (e, len(clusters), clusters, speeds)
         assert got == want
-        assert reads == want_reads
 
-    def test_budget_failure_at_the_same_ideal(self, monkeypatch):
+    def test_budget_failure_stops_the_forest_early(self, monkeypatch):
         g = random_spg_with_elevation(
             70, 2, np.random.default_rng(3), ccr=10.0
         )
         prob = ProblemInstance(g, CMPGrid(4, 4), g.total_work / 1e9 / 4)
-        reads = _suffix_reads(IdealLattice.for_spg(g, 120_000), monkeypatch)
-        for run in (reference_uniline, solve_uniline):
-            reads.clear()
-            with pytest.raises(HeuristicFailure,
-                               match="DPA1D exceeded 500 DP transitions"):
-                run(prob, 16, transition_budget=500)
-            if run is reference_uniline:
-                want = list(reads)
-        assert reads == want
-        assert 0 < len(want) < len(IdealLattice.for_spg(g, 120_000).ideals())
+        msg = "DPA1D exceeded 500 DP transitions"
+        with pytest.raises(HeuristicFailure, match=msg):
+            reference_uniline(prob, 16, transition_budget=500)
+        calls: list = []
+        forest = partition.suffix_forest
+
+        def spy(lat, roots, *args):
+            try:
+                out = forest(lat, roots, *args)
+            except BudgetExceeded:
+                calls.append((roots.shape[1], None))
+                raise
+            calls.append((roots.shape[1], out[1].size))
+            return out
+
+        _no_reference_dfs(monkeypatch)
+        monkeypatch.setattr(partition, "suffix_forest", spy)
+        with pytest.raises(BudgetExceeded) as exc:
+            solve_uniline(prob, 16, transition_budget=500)
+        assert str(exc.value) == msg
+        # The forest itself raised, so no call enumerated every ideal it
+        # was handed, and the completed calls stayed inside the budget.
+        assert calls and calls[-1][1] is None
+        assert sum(t for _k, t in calls[:-1]) <= 500
+        covered = sum(k for k, t in calls if t is not None)
+        assert covered < len(IdealLattice.for_spg(g, 120_000).ideals()) - 1
 
 
 class TestWideSourceOnWordSizedGraphs:
@@ -125,6 +140,39 @@ class TestWideSourceOnWordSizedGraphs:
         assert table.B[epos].tobytes() == wide.B.tobytes()
         if not isinstance(got[0][0], str):
             assert table.reconstruct(got[0][1]) == wide.reconstruct(got[1][1])
+
+
+    def test_small_batches_and_ranges_same_B(self, monkeypatch):
+        # Stream ranges of a few ideals cross popcount layers; the DP
+        # batches cut from them must not, and must stop at WIDE_CHUNK.
+        g = random_spg_with_elevation(
+            40, 4, np.random.default_rng(1), ccr=10.0
+        )
+        prob = ProblemInstance(g, CMPGrid(4, 4), g.total_work / 1e9 / 8.0)
+        table = _UnilineDP(prob, 16, 120_000)
+        wide = _UnilineDP(prob, 16, 120_000)
+        monkeypatch.setattr(dpa1d, "WIDE_CHUNK", 5)
+        monkeypatch.setattr(partition, "STREAM_TRANSITIONS", 40)
+        monkeypatch.setattr(wide, "_table_source", wide._wide_source)
+        batches: list = []
+        inner = dpa1d._dp_batches
+
+        def spy(*args):
+            for batch in inner(*args):
+                batches.append(batch)
+                yield batch
+
+        monkeypatch.setattr(dpa1d, "_dp_batches", spy)
+        assert table.solve(1_000_000) == wide.solve(1_000_000)
+        _vals, epos = table.lat.ideal_positions()
+        assert table.B[epos].tobytes() == wide.B.tobytes()
+        ideals = wide.lat.ideals()
+        rows = np.concatenate([b[0] for b in batches])
+        assert rows.tolist() == list(range(1, len(ideals)))
+        for rows, counts, prows, W in batches:
+            assert len({ideals[k].bit_count() for k in rows}) == 1
+            assert counts[:-1].sum() < 5 and prows.size == W.size
+        assert len(batches) > len({i.bit_count() for i in ideals})
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Covers the kernel registry and ambient selection, the vector kernel's
 byte-exact equivalence to the reference DFS (hypothesis battery over
 random SPGs x caps x budgets, including ``BudgetExceeded`` parity), the
-one keep-loosest suffix table per lattice and the kernel calls it makes,
-the reference-DFS path for graphs wider than a machine word, and the
-``--kernel`` CLI plumbing.
+multi-word suffix forest against the reference DFS on graphs wider than
+a machine word (word boundaries, chunk splits, budgets, prefix-row
+lookup), the one keep-loosest suffix table per lattice and the kernel
+calls it makes, and the ``--kernel`` CLI plumbing.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import os
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
+from repro.core import partition
 from repro.core.errors import BudgetExceeded
 from repro.core.kernels import (
     DEFAULT_KERNEL,
@@ -25,14 +27,20 @@ from repro.core.kernels import (
     KERNELS,
     EnumerationKernel,
     get_kernel,
+    join_words,
     kernel_names,
+    reference_dfs,
     register_kernel,
     resolve_kernel,
     set_default_kernel,
+    split_words,
+    suffix_forest,
     use_kernel,
+    word_count,
 )
 from repro.core.partition import IdealLattice
 from repro.spg import chain, fork_join
+from repro.spg.streamit import streamit_workflow
 from repro.spg.random_gen import random_spg, random_spg_with_elevation
 
 
@@ -210,30 +218,32 @@ class TestKernelParity:
             assert np.array_equal(a, b)
 
     def test_root_candidates_fallback_without_init_mask(self):
+        # The forest derives root candidates from the ideal words; the
+        # reference DFS falls back to scanning the ideal without them.
         spg = random_spg(9, rng=11)
-        lv = lattice(spg, "vector")
         cap = sum(spg.weights)
-        want = lv.suffix_table(cap)
-        lv2 = lattice(spg, "vector")
-        lv2.ideals()
-        lv2._init_mask = {}  # force the _init_list fallback
-        got = lv2.suffix_table(cap)
-        for a, b in zip(want[:5], got[:5]):
-            assert np.array_equal(a, b)
+        want = lattice(spg, "vector").suffix_table(cap)
+        for kernel in ("python", "vector"):
+            lat = lattice(spg, kernel)
+            lat.ideals()
+            lat._init_mask = {}  # force the _init_list fallback
+            got = lat.suffix_table(cap)
+            for a, b in zip(want[:5], got[:5]):
+                assert np.array_equal(a, b)
 
-    def test_large_graph_falls_back_to_python(self):
+    def test_wide_graph_matches_reference_dfs(self):
         spg = chain(70)
-        lv = lattice(spg, "vector")
-        lp = lattice(spg, "python")
         cap = sum(spg.weights)
-        first = next(i for i in lv.ideals() if i)
-        # The full ideal's masks are wider than uint64.
-        for ideal in (first, lv.full):
-            got = lv.suffix_clusters_weighted(ideal, cap)
-            assert got == lp.suffix_clusters_weighted(ideal, cap)
-        assert max(m for m, _w in got) >= 1 << 64
-        with pytest.raises(ValueError, match="n <= 62"):
-            lv.suffix_arrays(lv.full, cap)
+        for kernel in ("python", "vector"):
+            lat = lattice(spg, kernel)
+            first = next(i for i in lat.ideals() if i)
+            # The full ideal's masks are wider than uint64.
+            for ideal in (first, lat.full):
+                got = lat.suffix_clusters_weighted(ideal, cap)
+                assert got == list(zip(*reference_dfs(lat, ideal, cap)))
+            assert max(m for m, _w in got) >= 1 << 64
+            with pytest.raises(ValueError, match="n <= 62"):
+                lat.suffix_arrays(lat.full, cap)
 
     def test_solver_outputs_identical_under_kernels(self):
         from repro.core.problem import ProblemInstance
@@ -250,6 +260,182 @@ class TestKernelParity:
             m = dpa1d_mapping(prob, rng=4, kernel=kernel)
             maps[kernel] = (m.alloc, m.speeds)
         assert maps["python"] == maps["vector"]
+
+
+# ---------------------------------------------------------------------------
+# The multi-word suffix forest == the reference DFS, ideal by ideal
+# ---------------------------------------------------------------------------
+def reference_loop(lat, ideals, cap, budget=None, msg=None):
+    """The reference DFS over ``ideals`` with the kernels' budget rule:
+    raise once the cumulative cluster count exceeds ``budget``."""
+    masks: list[int] = []
+    works: list[float] = []
+    counts = []
+    for ideal in ideals:
+        m, w = reference_dfs(lat, ideal, cap)
+        masks += m
+        works += w
+        counts.append(len(m))
+        if budget is not None and len(masks) > budget:
+            raise BudgetExceeded(msg)
+    return masks, works, counts
+
+
+def forest_chunks(lat, ideals, cap, chunk, budget=None, msg=None):
+    """The forest over ``ideals`` in chunks of ``chunk``, one running
+    budget, as Python ints."""
+    words = split_words(ideals, word_count(lat.spg.n))
+    masks: list[int] = []
+    works: list[float] = []
+    counts: list[int] = []
+    for s in range(0, len(ideals), chunk):
+        remaining = None if budget is None else budget - len(masks)
+        M, W, c = suffix_forest(lat, words[:, s:s + chunk], cap,
+                                remaining, msg)
+        assert M.shape == (words.shape[0], W.size) and M.dtype == np.uint64
+        masks += join_words(M) if W.size else []
+        works += W.tolist()
+        counts += c.tolist()
+    return masks, works, counts
+
+
+def outcome(fn):
+    try:
+        masks, works, counts = fn()
+    except BudgetExceeded as exc:
+        return str(exc)
+    return masks, np.array(works, np.float64).tobytes(), counts
+
+
+WORD_EDGES = (63, 64, 65, 127, 128, 129)
+
+
+def wide_lattice(n, elevation, seed, budget=3_000):
+    spg = random_spg_with_elevation(
+        n, elevation, np.random.default_rng(seed), ccr=10.0
+    )
+    assert spg.n == n
+    lat = IdealLattice(spg, budget=budget)
+    try:
+        lat.ideals()
+    except BudgetExceeded:
+        return None
+    return lat
+
+
+class TestSuffixForest:
+    @given(
+        n=st.one_of(st.sampled_from(WORD_EDGES), st.integers(63, 200)),
+        elevation=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        cap_frac=st.sampled_from([0.02, 0.08, 0.3, 1.1]),
+        chunk=st.sampled_from([1, 7, 64, 1024]),
+    )
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_wide_forest_matches_reference(self, n, elevation, seed,
+                                           cap_frac, chunk):
+        lat = wide_lattice(n, elevation, seed)
+        assume(lat is not None)
+        cap = sum(lat.spg.weights) * cap_frac
+        ideals = lat.ideals()[1:]
+        want = reference_loop(lat, ideals, cap)
+        got = forest_chunks(lat, ideals, cap, chunk)
+        assert got[0] == want[0]
+        assert got[2] == want[2]
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+
+    @pytest.mark.parametrize("spg", [chain(70), streamit_workflow(11)],
+                             ids=["chain70", "serpent"])
+    @pytest.mark.parametrize("cap_frac", [0.05, 0.2, 1.0])
+    def test_named_wide_graphs(self, spg, cap_frac):
+        assert spg.n in (70, 120)
+        lat = IdealLattice(spg, budget=120_000)
+        cap = sum(spg.weights) * cap_frac
+        ideals = lat.ideals()
+        want = outcome(lambda: reference_loop(lat, ideals, cap))
+        for chunk in (1, 5, len(ideals)):
+            assert outcome(lambda: forest_chunks(lat, ideals, cap,
+                                                 chunk)) == want
+
+    @given(
+        n=st.sampled_from(WORD_EDGES),
+        seed=st.integers(0, 1_000),
+        budget=st.integers(0, 4_000),
+        chunk=st.sampled_from([1, 16, 1024]),
+    )
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_budget_parity(self, n, seed, budget, chunk):
+        lat = wide_lattice(n, 2, seed)
+        assume(lat is not None)
+        cap = sum(lat.spg.weights) * 0.3
+        ideals = lat.ideals()[1:]
+        msg = f"more than {budget} suffix clusters"
+        want = outcome(lambda: reference_loop(lat, ideals, cap, budget, msg))
+        got = outcome(lambda: forest_chunks(lat, ideals, cap, chunk,
+                                            budget, msg))
+        # Raise at the same cumulative count, same message.
+        assert got == want
+
+    def test_budget_edges(self):
+        lat = IdealLattice(streamit_workflow(11), budget=120_000)
+        cap = sum(lat.spg.weights) * 0.2
+        ideals = lat.ideals()
+        total = len(reference_loop(lat, ideals, cap)[0])
+        words = lat.ideal_words()
+        for budget, raises in ((total - 1, True), (total, False)):
+            if raises:
+                with pytest.raises(BudgetExceeded, match="^stop$"):
+                    suffix_forest(lat, words, cap, budget, "stop")
+            else:
+                assert suffix_forest(lat, words, cap, budget)[1].size == total
+
+    @pytest.mark.parametrize("n", [40, 64, 70, 129])
+    def test_prefix_rows_from_void_keys(self, n):
+        lat = wide_lattice(n, 3, n)
+        assert lat is not None
+        ideals = lat.ideals()
+        cap = sum(lat.spg.weights) * 0.5
+        words = lat.ideal_words()
+        M, _W, counts = suffix_forest(lat, words, cap)
+        rows = lat.dp_rows(np.repeat(words, counts, axis=1) ^ M)
+        owners = np.repeat(np.arange(len(ideals)), counts).tolist()
+        want = [ideals.index(ideals[k] ^ m)
+                for k, m in zip(owners, join_words(M))]
+        assert rows.tolist() == want
+        for k in (0, len(ideals) // 2, len(ideals) - 1):
+            assert lat.dp_index(ideals[k]) == k
+
+    def test_dp_index_rejects_non_ideals(self):
+        lat = IdealLattice(chain(70), budget=1_000)
+        with pytest.raises(ValueError, match="not an order ideal"):
+            lat.dp_index(0b10)
+        with pytest.raises(ValueError, match="not an order ideal"):
+            lat.dp_index(1 << 69)
+
+    def test_stream_matches_reference(self, monkeypatch):
+        # Tiny stream targets make every range a few ideals long, so the
+        # ranges cross popcount layers.
+        monkeypatch.setattr(partition, "STREAM_TRANSITIONS", 3)
+        lat = IdealLattice(streamit_workflow(11), budget=120_000)
+        cap = sum(lat.spg.weights) * 0.2
+        ideals = lat.ideals()
+        masks, works, counts = reference_loop(lat, ideals[1:], cap)
+        owners = np.repeat(ideals[1:], counts).tolist()
+        want_rows = [ideals.index(o ^ m) for o, m in zip(owners, masks)]
+        chunks = list(lat.suffix_stream(cap, 10**9))
+        assert len(chunks) > 1
+        assert chunks[0][0] == 1 and chunks[-1][1] == len(ideals)
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert np.concatenate([c[2] for c in chunks]).tolist() == counts
+        assert np.concatenate([c[3] for c in chunks]).tolist() == want_rows
+        assert np.concatenate([c[4] for c in chunks]).tobytes() == (
+            np.array(works, np.float64).tobytes())
+        with pytest.raises(BudgetExceeded,
+                           match="DPA1D exceeded 100 DP transitions"):
+            for _chunk in lat.suffix_stream(cap, 100):
+                pass
 
 
 # ---------------------------------------------------------------------------
