@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.errors import BudgetExceeded
+from repro.util.bitset import iter_bits
 
 __all__ = [
     "EnumerationKernel",
@@ -350,17 +351,15 @@ def _forest_state(lat):
     if st is None:
         n = len(lat._weights)
         words = word_count(n)
-        preds = [
-            [p for p in range(n) if (m >> p) & 1] for m in lat._pred_mask
-        ]
-        pred_ptr = np.zeros(n + 1, np.intp)
-        np.cumsum([len(ps) for ps in preds], out=pred_ptr[1:])
+        preds = [list(iter_bits(m)) for m in lat._pred_mask]
+        pred_deg = np.array([len(ps) for ps in preds], np.intp)
         st = lat._kernel_scratch["forest"] = (
             words,
             split_words(lat._succ_mask, words),
             split_words([1 << i for i in range(n)], words),
             np.array(lat._weights, dtype=np.float64),
-            pred_ptr,
+            np.cumsum(pred_deg) - pred_deg,
+            pred_deg,
             np.array([p for ps in preds for p in ps], dtype=np.intp),
         )
     return st
@@ -407,15 +406,14 @@ def suffix_forest(
     (``pos[child] = pos[parent] + 1 +`` exclusive segmented cumsum of
     elder-sibling subtree sizes), and one scatter per layer.
 
-    Gathers use ``np.take`` (several times faster than fancy indexing
-    along the word axis) and selections ``np.compress``.
+    Gathers use ``ndarray.take`` (several times faster than fancy
+    indexing along the word axis) and selections ``ndarray.compress``;
+    the method forms also skip numpy's Python-level wrappers, which
+    dominate on the small layers of a one-ideal forest.
     """
     import numpy as np
 
-    take = np.take
-
-    words, sm, stage_bits, w_f, pred_ptr, pred_idx = _forest_state(lat)
-    pdeg = np.diff(pred_ptr)
+    words, sm, stage_bits, w_f, pred_start, pdeg, pred_idx = _forest_state(lat)
     cap = float(max_weight)
     n_roots = roots.shape[1]
     # Root candidates: the ideal's successor-free stages, ascending.
@@ -437,10 +435,10 @@ def suffix_forest(
     while cand_flat.size:
         n_par = works.size
         offsets = np.zeros(n_par + 1, np.intp)
-        np.cumsum(cand_counts, out=offsets[1:])
-        parent = np.repeat(np.arange(n_par, dtype=np.intp), cand_counts)
-        nw = take(works, parent) + take(w_f, cand_flat)
-        cpos = np.nonzero(nw <= cap)[0]
+        cand_counts.cumsum(out=offsets[1:])
+        parent = np.arange(n_par, dtype=np.intp).repeat(cand_counts)
+        nw = works.take(parent) + w_f.take(cand_flat)
+        cpos = (nw <= cap).nonzero()[0]
         n_child = cpos.size
         if n_child == 0:
             break
@@ -449,52 +447,51 @@ def suffix_forest(
             # and keep the parent-order arrays as-is.
             cpar, ci, cwork = parent, cand_flat, nw
         else:
-            cpar = take(parent, cpos)
-            ci = take(cand_flat, cpos)
-            cwork = take(nw, cpos)
+            cpar = parent.take(cpos)
+            ci = cand_flat.take(cpos)
+            cwork = nw.take(cpos)
         total += n_child
         if node_budget is not None and total > node_budget:
             raise BudgetExceeded(budget_msg)
-        sb = take(stage_bits, ci, axis=1)
-        cmask = take(masks, cpar, axis=1) | sb
-        crem = take(rems, cpar, axis=1) ^ sb
+        sb = stage_bits.take(ci, axis=1)
+        cmask = masks.take(cpar, axis=1) | sb
+        crem = rems.take(cpar, axis=1) ^ sb
         layer_masks.append(cmask)
         layer_works.append(cwork)
         layer_par.append(cpar)
         # Fresh stages: every (child, predecessor of its stage) pair.
-        deg = take(pdeg, ci)
-        pstart = np.cumsum(deg) - deg
+        deg = pdeg.take(ci)
+        pstart = deg.cumsum() - deg
         n_pairs = int(pstart[-1] + deg[-1])
-        pair_child = np.repeat(np.arange(n_child, dtype=np.intp), deg)
+        pair_child = np.arange(n_child, dtype=np.intp).repeat(deg)
         pos = np.arange(n_pairs, dtype=np.intp)
-        p = take(pred_idx, np.repeat(take(pred_ptr, ci) - pstart, deg) + pos)
-        fresh = (take(sm[0], p) & take(crem[0], pair_child)) == 0
+        p = pred_idx.take((pred_start.take(ci) - pstart).repeat(deg) + pos)
+        fresh = (sm[0].take(p) & crem[0].take(pair_child)) == 0
         for k in range(1, words):
-            fresh &= (take(sm[k], p) & take(crem[k], pair_child)) == 0
-        fchild = np.compress(fresh, pair_child)
+            fresh &= (sm[k].take(p) & crem[k].take(pair_child)) == 0
+        fchild = pair_child.compress(fresh)
         fresh_counts = np.bincount(fchild, minlength=n_child)
         # Parent-tail candidates surviving for each child.
-        tail_counts = take(offsets, cpar + 1) - cpos - 1
+        tail_counts = offsets.take(cpar + 1) - cpos - 1
         new_counts = tail_counts + fresh_counts
-        new_start = np.cumsum(new_counts) - new_counts
+        new_start = new_counts.cumsum() - new_counts
         nt = int(new_start[-1] + new_counts[-1])
         if nt == 0:
             break
         new_flat = np.empty(nt, np.intp)
-        tail_start = np.cumsum(tail_counts) - tail_counts
+        tail_start = tail_counts.cumsum() - tail_counts
         tt = int(tail_start[-1] + tail_counts[-1])
         if tt:
             k = np.arange(tt, dtype=np.intp)
-            new_flat[np.repeat(new_start - tail_start, tail_counts) + k] = (
-                take(cand_flat, np.repeat(cpos + 1 - tail_start, tail_counts)
-                     + k)
+            new_flat[(new_start - tail_start).repeat(tail_counts) + k] = (
+                cand_flat.take((cpos + 1 - tail_start).repeat(tail_counts) + k)
             )
         if nt > tt:
-            fstart = np.cumsum(fresh_counts) - fresh_counts
+            fstart = fresh_counts.cumsum() - fresh_counts
             k = np.arange(nt - tt, dtype=np.intp)
             new_flat[
-                np.repeat(new_start + tail_counts - fstart, fresh_counts) + k
-            ] = np.compress(fresh, p)
+                (new_start + tail_counts - fstart).repeat(fresh_counts) + k
+            ] = p.compress(fresh)
         masks, rems, works = cmask, crem, cwork
         cand_flat, cand_counts = new_flat, new_counts
 
@@ -522,21 +519,21 @@ def suffix_forest(
     # segmented exclusive cumsum is the global cumsum minus each group's
     # starting value.  Virtual roots sit one slot before their tree's
     # output range.
-    pos_parent = np.cumsum(root_totals) - root_totals - 1
+    pos_parent = root_totals.cumsum() - root_totals - 1
     out_m = np.empty((words, total), np.uint64)
     out_w = np.empty(total, np.float64)
     n_prev = n_roots
     for d in range(depth):
         par = layer_par[d]
         sz = sizes[d]
-        cs = np.cumsum(sz) - sz
+        cs = sz.cumsum() - sz
         change = np.empty(par.size, bool)
         change[0] = True
         np.not_equal(par[1:], par[:-1], out=change[1:])
-        fidx = np.nonzero(change)[0]
+        fidx = change.nonzero()[0]
         group_start = np.zeros(n_prev, np.intp)
-        group_start[par[fidx]] = cs[fidx]
-        pos_d = take(pos_parent, par) + 1 + (cs - take(group_start, par))
+        group_start[par.take(fidx)] = cs.take(fidx)
+        pos_d = pos_parent.take(par) + 1 + (cs - group_start.take(par))
         for k in range(words):
             out_m[k][pos_d] = layer_masks[d][k]
         out_w[pos_d] = layer_works[d]

@@ -156,7 +156,7 @@ class IdealLattice:
         # graphs only; see suffix_table).
         self._table: tuple | None = None
         self._ideal_pos: tuple | None = None
-        # Value-sorted ideal index -> DP index (see dp_index).
+        # Value-sorted ideal index -> DP index (see _dp_slot).
         self._dp_index = None
         # Per-lattice scratch namespace for the forest's numpy tables.
         self._kernel_scratch: dict = {}
@@ -346,15 +346,13 @@ class IdealLattice:
 
         The lookup is an exact ``searchsorted`` over the ideals' words
         viewed as one ``np.void`` key each (byte order only has to be
-        consistent, not numeric).  A column that is not an ideal maps to
-        some other ideal's index, so callers that cannot guarantee
-        ideals check the result (as :meth:`dp_index` does).
+        consistent, not numeric).  The caller guarantees every column is
+        an ideal.
         """
         import numpy as np
 
         sorted_keys, order = self._sorted_keys()
-        v = np.searchsorted(sorted_keys, _void_keys(masks))
-        return order[np.minimum(v, len(order) - 1)]
+        return order[np.searchsorted(sorted_keys, _void_keys(masks))]
 
     def _sorted_keys(self) -> tuple:
         """``(keys, order)``: the :meth:`ideal_words` void keys sorted,
@@ -448,7 +446,7 @@ class IdealLattice:
         if self._table is None or self._table[0] < max_weight:
             self.suffix_table(max_weight)
         cap, (M, W, _counts, offsets, _pidx, _total) = self._table
-        k = self.dp_index(ideal)
+        k = self._dp_slot(ideal)
         lo, hi = offsets[k], offsets[k + 1]
         masks, works = M[lo:hi], W[lo:hi]
         if max_weight < cap:
@@ -603,21 +601,10 @@ class IdealLattice:
             self._ideal_pos = (ideal_vals, np.searchsorted(vals, ideal_vals))
         return self._ideal_pos
 
-    def dp_index(self, ideal: int) -> int:
-        """Index of ``ideal`` in :meth:`ideals` (DP order); any width.
-
-        Raises ``ValueError`` when ``ideal`` is not an order ideal.
-        """
+    def _dp_slot(self, ideal: int) -> int:
+        """Index of ``ideal`` in :meth:`ideals` (DP order)."""
         import numpy as np
 
-        if self.spg.n > 62:
-            words = split_words([ideal], word_count(self.spg.n))
-            k = int(self.dp_rows(words)[0])
-            if self.ideals()[k] != ideal:
-                raise ValueError(
-                    f"{ideal:#x} is not an order ideal of the SPG"
-                )
-            return k
         vals, _cuts = self.cut_table()
         v = int(np.searchsorted(vals, np.uint64(ideal)))
         if v == len(vals) or int(vals[v]) != ideal:

@@ -28,6 +28,7 @@ from itertools import groupby
 import numpy as np
 
 from repro.core.errors import HeuristicFailure
+from repro.core.kernels import split_words
 from repro.core.mapping import Mapping
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
@@ -67,30 +68,31 @@ class _UnilineDP:
         self.lat = IdealLattice.for_spg(
             self.spg, budget=ideal_budget, kernel=kernel
         )
-        # B[row_of(ideal), k] = optimal energy of ``ideal`` on exactly k
+        # B[row, k] = optimal energy of the ideal at ``row`` on exactly k
         # clusters (column 0 is only finite for the empty ideal); an
-        # all-inf row is an unreachable ideal.  cuts[row_of(ideal)] is the
-        # ideal's cut volume.
+        # all-inf row is an unreachable ideal.  cuts[row] is the ideal's
+        # cut volume, and rows_of maps a list of ideals to their rows.
         self.B: np.ndarray | None = None
-        self.row_of = self.cuts = None
+        self.rows_of = self.cuts = None
 
-    def _row(self, ideal: int) -> np.ndarray | None:
-        """The DP row of ``ideal`` (None when unreachable)."""
-        row = self.B[self.row_of(ideal)]
-        return row if np.isfinite(row).any() else None
+    def _row(self, row: int) -> np.ndarray | None:
+        """DP row ``row`` (None when its ideal is unreachable)."""
+        values = self.B[row]
+        return values if np.isfinite(values).any() else None
 
     def transition(
-        self, prefix: int, work: float
+        self, prefix: int, prefix_row: int, work: float
     ) -> tuple[float, float] | None:
         """``(cost, speed)`` of a cluster of ``work`` appended after
-        ``prefix``, or None when it misses the period or the link."""
+        ``prefix`` (at DP row ``prefix_row``), or None when it misses
+        the period or the link."""
         model = self.model
         s = model.best_feasible(work, self.T)
         if s is None:
             return None
         cost = model.comp_energy(work, s, self.T)
         if prefix:
-            cb = self.cuts[self.row_of(prefix)]
+            cb = self.cuts[prefix_row]
             if cb > self.cap_bytes:
                 return None
             cost += model.comm_energy(cb)
@@ -117,12 +119,12 @@ class _UnilineDP:
             self._table_source if lat.cut_table() is not None
             else self._wide_source
         )
-        self.row_of, cuts, batches = source(ideals, transition_budget)
+        self.rows_of, cuts, batches = source(ideals, transition_budget)
         self.cuts = cuts
         r, model = self.r, self.model
         B = self.B = np.full((len(ideals), r + 1), INF)
-        B[self.row_of(0), 0] = 0.0
-        full_row = self.row_of(lat.full)
+        empty_row, full_row = self.rows_of([0, lat.full]).tolist()
+        B[empty_row, 0] = 0.0
         speeds, power = np.array(model.speeds), np.array(model.dyn_power)
         leak = model.comp_leak * self.T
         lookup = model.speed_lookup(self.T)
@@ -149,10 +151,10 @@ class _UnilineDP:
             starts = np.zeros(len(seg), dtype=np.intp)
             np.cumsum(seg[:-1], out=starts[1:])
             B[rows[alive], 1:] = np.minimum.reduceat(cand, starts, axis=0)
-        return self._finish(self._row(lat.full))
+        return self._finish(self._row(full_row))
 
     def _table_source(self, ideals: list[int], transition_budget: int):
-        """``(row_of, cuts, batches)`` for a word-sized graph (n <= 62):
+        """``(rows_of, cuts, batches)`` for a word-sized graph (n <= 62):
         one batch per popcount layer, sliced from the flat suffix table.
 
         The lattice keeps one table at the loosest cap seen and serves
@@ -171,12 +173,16 @@ class _UnilineDP:
              W[offsets[lo]:offsets[hi]])
             for lo, hi in _layers(ideals)
         )
-        return (lambda ideal: int(np.searchsorted(vals, ideal))), cuts, batches
+        return (
+            lambda ideals: np.searchsorted(vals, np.array(ideals, np.uint64)),
+            cuts,
+            batches,
+        )
 
     def _wide_source(self, ideals: list[int], transition_budget: int):
-        """``(row_of, cuts, batches)`` for a graph of any width: rows are
-        DP indices and the batches are cut from
-        :meth:`IdealLattice.suffix_stream`.
+        """``(rows_of, cuts, batches)`` for a graph of any width: rows
+        are DP indices (:meth:`IdealLattice.dp_rows`) and the batches are
+        cut from :meth:`IdealLattice.suffix_stream`.
 
         A batch never spans two popcount layers, so every prefix row is
         final before it is read, and it ends at the first ideal that
@@ -191,7 +197,12 @@ class _UnilineDP:
             for lo, hi, counts, pidx, W in stream
             for batch in _dp_batches(lo, hi, counts, pidx, W, layer_ends)
         )
-        return lat.dp_index, lat.ideal_cuts(), batches
+        words = lat.ideal_words().shape[0]
+        return (
+            lambda ideals: lat.dp_rows(split_words(ideals, words)),
+            lat.ideal_cuts(),
+            batches,
+        )
 
     def _finish(self, final: np.ndarray | None) -> tuple[float, int]:
         if final is None or not np.isfinite(final[1:]).any():
@@ -204,23 +215,26 @@ class _UnilineDP:
         clusters_rev: list[list[int]] = []
         speeds_rev: list[float] = []
         ideal, k = self.lat.full, k_best
+        row = int(self.rows_of([ideal])[0])
         while ideal:
-            target = self._row(ideal)[k]
+            target = self._row(row)[k]
             found = False
-            for cluster, work in self.lat.suffix_clusters_weighted(
-                ideal, self.cap_work
+            clusters = self.lat.suffix_clusters_weighted(ideal, self.cap_work)
+            prefixes = [ideal & ~cluster for cluster, _work in clusters]
+            prefix_rows = self.rows_of(prefixes).tolist()
+            for (cluster, work), prefix, prefix_row in zip(
+                clusters, prefixes, prefix_rows
             ):
-                prefix = ideal & ~cluster
-                prev = self._row(prefix)
+                prev = self._row(prefix_row)
                 if prev is None or not np.isfinite(prev[k - 1]):
                     continue
-                step = self.transition(prefix, work)
+                step = self.transition(prefix, prefix_row, work)
                 if step is None:
                     continue
                 if prev[k - 1] + step[0] <= target * (1 + 1e-12) + 1e-30:
                     clusters_rev.append(bits_of(cluster))
                     speeds_rev.append(step[1])
-                    ideal, k = prefix, k - 1
+                    ideal, k, row = prefix, k - 1, prefix_row
                     found = True
                     break
             if not found:  # pragma: no cover - numerical safety net

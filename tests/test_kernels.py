@@ -404,15 +404,7 @@ class TestSuffixForest:
         want = [ideals.index(ideals[k] ^ m)
                 for k, m in zip(owners, join_words(M))]
         assert rows.tolist() == want
-        for k in (0, len(ideals) // 2, len(ideals) - 1):
-            assert lat.dp_index(ideals[k]) == k
-
-    def test_dp_index_rejects_non_ideals(self):
-        lat = IdealLattice(chain(70), budget=1_000)
-        with pytest.raises(ValueError, match="not an order ideal"):
-            lat.dp_index(0b10)
-        with pytest.raises(ValueError, match="not an order ideal"):
-            lat.dp_index(1 << 69)
+        assert lat.dp_rows(words).tolist() == list(range(len(ideals)))
 
     def test_stream_matches_reference(self, monkeypatch):
         # Tiny stream targets make every range a few ideals long, so the
