@@ -384,10 +384,11 @@ def suffix_forest(
     when the reference loop would.
 
     Every DFS node at depth d is a (mask, work, candidate-list) state;
-    the forest keeps one flat batch per depth -- masks as ``(words,
-    N)``, works, root indices, and the ragged candidate lists as one
-    flat stage array plus per-node counts -- and derives depth d+1 with
-    a fixed number of whole-array operations:
+    the forest keeps one flat batch per depth -- clusters and their
+    remainders (ideal minus cluster) as ``(words, N)`` masks, works, and
+    the ragged candidate lists as one flat stage array plus per-node
+    counts -- and derives depth d+1 with a fixed number of whole-array
+    operations per mask word:
 
     * weight pruning is one ``parent_work + w[cand] <= cap`` compare
       (works are monotone along DFS paths, so pruning a node prunes its
@@ -462,12 +463,11 @@ def suffix_forest(
         # Fresh stages: every (child, predecessor of its stage) pair.
         deg = pdeg.take(ci)
         pstart = deg.cumsum() - deg
-        n_pairs = int(pstart[-1] + deg[-1])
         pair_child = np.arange(n_child, dtype=np.intp).repeat(deg)
-        pos = np.arange(n_pairs, dtype=np.intp)
-        p = pred_idx.take((pred_start.take(ci) - pstart).repeat(deg) + pos)
-        fresh = (sm[0].take(p) & crem[0].take(pair_child)) == 0
-        for k in range(1, words):
+        p = pred_idx.take((pred_start.take(ci) - pstart).repeat(deg)
+                          + np.arange(pair_child.size, dtype=np.intp))
+        fresh = np.ones(pair_child.size, bool)
+        for k in range(words):
             fresh &= (sm[k].take(p) & crem[k].take(pair_child)) == 0
         fchild = pair_child.compress(fresh)
         fresh_counts = np.bincount(fchild, minlength=n_child)

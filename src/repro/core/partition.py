@@ -351,19 +351,12 @@ class IdealLattice:
         """
         import numpy as np
 
-        sorted_keys, order = self._sorted_keys()
-        return order[np.searchsorted(sorted_keys, _void_keys(masks))]
-
-    def _sorted_keys(self) -> tuple:
-        """``(keys, order)``: the :meth:`ideal_words` void keys sorted,
-        and the DP index of each."""
         if self._row_keys is None:
-            import numpy as np
-
             keys = _void_keys(self.ideal_words())
             order = np.argsort(keys, kind="stable")
             self._row_keys = (keys[order], order)
-        return self._row_keys
+        sorted_keys, order = self._row_keys
+        return order[np.searchsorted(sorted_keys, _void_keys(masks))]
 
     def cut_table(self):
         """``(values, cuts)`` numpy arrays over all ideals, value-sorted.
