@@ -174,7 +174,7 @@ class _UnilineDP:
             for lo, hi in _layers(ideals)
         )
         return (
-            lambda ideals: np.searchsorted(vals, np.array(ideals, np.uint64)),
+            lambda masks: np.searchsorted(vals, np.array(masks, np.uint64)),
             cuts,
             batches,
         )
@@ -199,7 +199,7 @@ class _UnilineDP:
         )
         words = lat.ideal_words().shape[0]
         return (
-            lambda ideals: lat.dp_rows(split_words(ideals, words)),
+            lambda masks: lat.dp_rows(split_words(masks, words)),
             lat.ideal_cuts(),
             batches,
         )
