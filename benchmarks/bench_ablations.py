@@ -1,4 +1,5 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmarks: each isolates one design choice of the heuristics,
+the paper's or this reproduction's, and measures what it is worth.
 
 1. *Speed downgrade in Greedy* — the paper downgrades each core to the
    cheapest feasible speed after the greedy pass; how much energy does

@@ -64,7 +64,7 @@ class _Block:
     """
 
     def __init__(self, spg, m1: int, m2: int) -> None:
-        level_stages, level_edges = _levels(spg)
+        level_stages, level_edges = _levels(spg)[:2]
         labels, weights = spg.labels, spg.weights
         desc, anc = descendant_masks(spg), ancestor_masks(spg)
         stages: list[int] = []
@@ -125,11 +125,14 @@ class _Block:
 
 
 def _levels(spg) -> tuple:
-    """Per level ``x`` of ``spg``: its stages in index order, and the edges
-    leaving it as ``(edge_list position, i, j, delta, y_i, x_j, y_j)``."""
+    """Per level ``x`` of ``spg``: its stages in index order, the edges
+    leaving it as ``(edge_list position, i, j, delta, y_i, x_j, y_j)``,
+    its work as ``(total, ((row, work), ...))`` with rows ascending, and
+    ``prefix_work[x]``, the work of levels ``1..x``.  All sums run in
+    stage-index order."""
 
     def build():
-        labels = spg.labels
+        labels, weights = spg.labels, spg.weights
         stages: list[list[int]] = [[] for _ in range(spg.xmax + 1)]
         edges: list[list[tuple]] = [[] for _ in range(spg.xmax + 1)]
         for i, (x, _y) in enumerate(labels):
@@ -137,9 +140,39 @@ def _levels(spg) -> tuple:
         for pos, (i, j, d) in enumerate(spg.edge_list):
             (xi, yi), (xj, yj) = labels[i], labels[j]
             edges[xi].append((pos, i, j, d, yi, xj, yj))
-        return stages, edges
+        works: list[tuple] = [(0.0, ())]
+        prefix_work = [0.0] * (spg.xmax + 1)
+        for x in range(1, spg.xmax + 1):
+            total = 0.0
+            rows: dict[int, float] = {}
+            for i in stages[x]:
+                total += weights[i]
+                y = labels[i][1]
+                rows[y] = rows.get(y, 0.0) + weights[i]
+            works.append((total, tuple(sorted(rows.items()))))
+            prefix_work[x] = prefix_work[x - 1] + total
+        return stages, edges, works, prefix_work
 
     return spg.cached("dpa2d.levels", build)
+
+
+_NO_DECOMPOSITION = "DPA2D: no feasible column decomposition"
+
+#: Relative slack of the column condition of ``_Dpa2dSolver.reach_bound``.
+REACH_SLACK = 1e-9
+
+
+def _fewest_columns(reach: list[int]) -> int | None:
+    """The fewest columns covering levels ``1..len(reach)``, each a range
+    ``m_prev + 1..m`` with ``m <= reach[m_prev]``, or None when some
+    start cannot extend.  Jumping to the furthest reach is optimal
+    because every sub-range of an admitted range is admitted too."""
+    m = need = 0
+    while m < len(reach):
+        if reach[m] == m:
+            return None
+        m, need = reach[m], need + 1
+    return need
 
 
 class _Dpa2dSolver:
@@ -159,6 +192,8 @@ class _Dpa2dSolver:
         # distribution) that the outer DP re-probes from many states.
         self._clusters: dict[tuple[int, int], object] = {}
         self._columns: dict[tuple[int, int, Distribution], _ColumnResult | None] = {}
+        #: The last solve's reach bound (see reach_bound()).
+        self.reach: list[int] | None = None
 
     # ------------------------------------------------------------------
     def block(self, m1: int, m2: int) -> _Block:
@@ -382,23 +417,65 @@ class _Dpa2dSolver:
         return best_e, spans
 
     # ------------------------------------------------------------------
+    def reach_bound(self) -> list[int]:
+        """``reach[m_prev]``: the last level ``m`` such that levels
+        ``m_prev + 1..m`` pass a necessary column condition.
+
+        The condition: the levels' total work is at most ``p * T *
+        s_max``, and every label row's work at most ``T * s_max`` (implied
+        by the total when ``p == 1``), both with a relative slack of
+        ``REACH_SLACK``.  Every sub-range of a range that passes it passes
+        too, and so does every column the exact tests accept: its rows
+        split into at most ``p`` ranges (the whole block when ``p == 1``),
+        each of work at most ``T * s_max * (1 + 1e-12)``, so no row and no
+        block can be heavier.  The exact tests and this one add the same
+        non-negative weights in other orders (the inner DP as differences
+        of row prefix sums, which its own tests keep below ``p * T *
+        s_max``), which moves a sum by a relative ``p * n * eps`` of the
+        capacity at most, far inside the slack, so rounding can never make
+        this bound tighter than the exact tests.
+        """
+        xmax, works = self.xmax, _levels(self.spg)[2]
+        row_cap = self.cap_work * (1.0 + REACH_SLACK)
+        col_cap = self.p * row_cap
+        reach = []
+        for m_prev in range(xmax):
+            total, rows = 0.0, {}
+            m = m_prev
+            while m < xmax:
+                level_total, level_rows = works[m + 1]
+                total += level_total
+                heavy = total > col_cap
+                for y, w in level_rows:
+                    rows[y] = r = rows.get(y, 0.0) + w
+                    heavy = heavy or r > row_cap
+                if heavy:
+                    break
+                m += 1
+            reach.append(m)
+        return reach
+
     def solve(self) -> tuple[float, list[ColumnPlan]]:
         """Outer DP over (level prefix, columns used).
 
         Each predecessor state ``(m_prev, v - 1)`` pays its boundary cost
-        once, then extends to ``m = m_prev + 1, ...`` until the block
-        outgrows a column; each ``m`` keeps the first minimal candidate
-        in ascending ``m_prev``.
+        once, then extends to ``m = m_prev + 1, ..., reach[m_prev]``
+        (:meth:`reach_bound`) until the block outgrows a column; each
+        ``m`` keeps the first minimal candidate in ascending ``m_prev``.
+        A column past the bound is one the exact tests reject, so the
+        bound saves work without changing the result.  Before the DP, the
+        fewest columns the bound allows is a lower bound on every
+        decomposition's: when it exceeds ``q`` the DP could not finish,
+        and the solve fails with the DP's own message without building a
+        block.
         """
         xmax, q = self.xmax, self.q
-        weights, level_stages = self.spg.weights, _levels(self.spg)[0]
-        prefix_work = [0.0] * (xmax + 1)
-        for x in range(1, xmax + 1):
-            level_work = 0.0
-            for i in level_stages[x]:
-                level_work += weights[i]
-            prefix_work[x] = prefix_work[x - 1] + level_work
+        prefix_work = _levels(self.spg)[3]
         col_cap = self.p * self.cap_work
+        reach = self.reach = self.reach_bound()
+        need = _fewest_columns(reach)
+        if need is None or need > q:
+            raise HeuristicFailure(_NO_DECOMPOSITION)
 
         # memo[(m, v)] = (energy, dout, (m', plan)); (0, 0) is the empty
         # start, whose empty distribution crosses for 0.0.
@@ -412,7 +489,7 @@ class _Dpa2dSolver:
                 h = self.h_cost(din)
                 if h == INF:
                     continue
-                for m in range(m_prev + 1, xmax + 1):
+                for m in range(m_prev + 1, reach[m_prev] + 1):
                     # Prune: the block's total work must fit the column.
                     if prefix_work[m] - prefix_work[m_prev] > col_cap:
                         break
@@ -430,7 +507,7 @@ class _Dpa2dSolver:
             if entry is not None and entry[0] < best_e:
                 best_v, best_e = v, entry[0]
         if best_v < 0:
-            raise HeuristicFailure("DPA2D: no feasible column decomposition")
+            raise HeuristicFailure(_NO_DECOMPOSITION)
 
         plans: list[ColumnPlan] = []
         m, v = xmax, best_v

@@ -8,8 +8,11 @@ Table 1 of the paper **exactly**: number of stages ``n``, elevation
 Stage weights and communication volumes are drawn from a fixed-seed RNG and
 the volumes rescaled so the CCR matches the published value.
 
-This substitution is documented in DESIGN.md: the paper's evaluation varies
-only (n, ymax, xmax, CCR), which are preserved exactly.
+The substitution keeps everything the paper's evaluation varies: it reports
+results per workflow in terms of (n, ymax, xmax, CCR), and those four are
+preserved exactly.  The stage weights and volumes are not the real ones, so
+a workflow's energies are comparable with the paper's in trend (which
+heuristic wins, which fail), not in absolute value.
 """
 
 from __future__ import annotations

@@ -10,10 +10,14 @@ energy, cluster count, clusters, speeds, and a budget failure with the
 same message.  A wide solve must never call the reference DFS, and a
 budget failure must stop the forest before it has enumerated every
 ideal.  DPA2D must return the same plans and the same energy bits as
-the solver that built its blocks per solver and costed clusters lazily.
+the solver that built its blocks per solver and costed clusters lazily,
+and its reach bound and column-count certificate must keep it so, on
+drawn graphs and at the edges of the bound's slack.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -28,6 +32,7 @@ from repro.heuristics import dpa1d, dpa2d
 from repro.heuristics.dpa1d import _UnilineDP, solve_uniline
 from repro.platform.cmp import CMPGrid
 from repro.platform.topology import get_topology
+from repro.spg.build import chain, split_join
 from repro.spg.random_gen import random_spg_with_elevation
 from tests.dp_reference import ReferenceDpa2dSolver, reference_uniline
 
@@ -204,7 +209,7 @@ def _solve(solver_cls, prob, p, q):
 class TestDpa2dAgainstReference:
     @pytest.mark.parametrize("topology", ["mesh", "ring", "hetmesh"])
     def test_plans_and_energy_equal(self, topology):
-        rejected = solved = 0
+        row_cut = certified = solved = 0
         for prob in _problems(topology):
             shapes = {(prob.grid.p, prob.grid.q), (1, prob.grid.n_cores),
                       (4, 4)}
@@ -216,15 +221,22 @@ class TestDpa2dAgainstReference:
                     got = (repr(e), plans)
                 except HeuristicFailure as exc:
                     got = str(exc)
+                    need = dpa2d._fewest_columns(solver.reach)
+                    certified += (need is None or need > q) and \
+                        not solver._columns
                 assert got == want
                 solved += not isinstance(got, str)
-                if p > 1:
-                    rejected += sum(
-                        tab is None and solver.block(*key).stages != []
-                        for key, tab in solver._clusters.items()
-                    )
+                # Starts whose reach a row alone cut short of where the
+                # total-work break would have stopped.
+                prefix = dpa2d._levels(prob.spg)[3]
+                col_cap = p * solver.cap_work
+                row_cut += sum(
+                    r < solver.xmax and prefix[r + 1] - prefix[m] <= col_cap
+                    for m, r in enumerate(solver.reach)
+                )
         assert solved > 0
-        assert rejected > 0  # some blocks were row-rejected
+        assert row_cut > 0  # the reach bound cut some start short
+        assert certified > 0  # some failures never reached the DP
 
     @pytest.mark.parametrize("heuristic", ["dpa2d_mapping", "dpa2d1d_mapping"])
     @pytest.mark.parametrize("topology", ["mesh", "hetmesh"])
@@ -239,3 +251,86 @@ class TestDpa2dAgainstReference:
                 assert got == want
             else:
                 assert (got.alloc, got.speeds) == (want.alloc, want.speeds)
+
+
+@st.composite
+def _dpa2d_problem(draw):
+    """A random SPG (fig12's n=150 shape among them), a period from loose
+    to infeasible, a fabric and a grid size."""
+    if draw(st.booleans()):
+        n, elevation = 150, draw(st.integers(2, 24))
+    else:
+        n = draw(st.integers(8, 160))
+        elevation = draw(st.integers(1, max(1, min(24, n // 3))))
+    g = random_spg_with_elevation(
+        n, elevation, np.random.default_rng(draw(st.integers(0, 10_000))),
+        ccr=10.0,
+    )
+    parallelism = draw(st.sampled_from([1.5, 4.0, 8.0, 16.0, 40.0]))
+    topology = draw(st.sampled_from(["mesh", "ring", "hetmesh"]))
+    p, q = draw(st.sampled_from([(4, 4), (2, 3), (3, 5)]))
+    return ProblemInstance(
+        g, get_topology(topology, p, q), g.total_work / 1e9 / parallelism
+    )
+
+
+def _shapes(prob):
+    return sorted({(prob.grid.p, prob.grid.q), (1, prob.grid.n_cores),
+                   (4, 4)})
+
+
+class TestDpa2dReachBound:
+    """The reach bound and the column-count certificate change no output:
+    same plans and energy bits, or the same failure message."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(prob=_dpa2d_problem())
+    def test_matches_reference(self, prob):
+        for p, q in _shapes(prob):
+            got = _solve(dpa2d._Dpa2dSolver, prob, p, q)
+            assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
+
+    @staticmethod
+    def _graph(kind, work):
+        """A level holding one stage of ``work`` per row: two branches on
+        rows 1 and 2 (level 2), or the middle of a three-stage chain."""
+        if kind == "branches":
+            return split_join([1, 1], w_source=1e8, w_sink=1e8,
+                              w_branch=work, comm=1e3)
+        return chain(3, [1e8, work, 1e8], [1e3] * 2)
+
+    CASES = [("branches", 4, 4), ("chain", 4, 4), ("chain", 1, 16)]
+
+    @pytest.mark.parametrize("kind,p,q", CASES)
+    def test_row_exactly_at_capacity(self, kind, p, q):
+        g = self._graph(kind, 1e9)
+        prob = ProblemInstance(g, CMPGrid(4, 4), 1.0)  # T * s_max = 1e9
+        got = _solve(dpa2d._Dpa2dSolver, prob, p, q)
+        assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
+        assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("kind,p,q", CASES)
+    def test_row_inside_the_slack(self, kind, p, q):
+        # 1e-10 over T * s_max: past the exact tests' 1e-12 tolerance but
+        # inside the bound's 1e-9 slack, so the exact tests must decide.
+        g = self._graph(kind, 1e9 * (1 + 1e-10))
+        prob = ProblemInstance(g, CMPGrid(4, 4), 1.0)
+        solver = dpa2d._Dpa2dSolver(prob, p, q)
+        got = _solve(lambda *_a: solver, prob, p, q)
+        assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
+        assert got == "DPA2D: no feasible column decomposition"
+        assert solver.reach[1] >= 2  # the bound admitted level 2
+        assert solver._columns  # ... and the DP ran
+
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    @pytest.mark.parametrize("p,q", [(4, 4), (1, 16)])
+    def test_non_positive_period(self, period, p, q):
+        # ProblemInstance rejects such a period; the solvers read only
+        # these three attributes.
+        g = self._graph("branches", 1e8)
+        prob = SimpleNamespace(spg=g, grid=CMPGrid(4, 4), period=period)
+        solver = dpa2d._Dpa2dSolver(prob, p, q)
+        got = _solve(lambda *_a: solver, prob, p, q)
+        assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
+        assert got == "DPA2D: no feasible column decomposition"
+        assert not solver._columns  # the certificate failed it

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.errors import HeuristicFailure
 from repro.core.problem import ProblemInstance
+from repro.heuristics import dpa2d
 from repro.heuristics.dpa2d import _Dpa2dSolver
 from repro.platform.cmp import CMPGrid
 from repro.platform.speeds import PowerModel, xscale_model
@@ -293,3 +295,53 @@ class TestSolvePruning:
         s = _Dpa2dSolver(prob, 4, 4)
         _e, plans = s.solve()
         assert len(plans) == 1
+
+
+class TestReachBound:
+    def test_too_many_columns_fails_before_any_block(self, grid_4x4,
+                                                     monkeypatch):
+        # Row 1 holds every stage, so each column takes one 4e8 stage at
+        # T = 0.5 s: 8 columns are needed and the grid has 4.
+        g = chain(8, [4e8] * 8, [1e3] * 7)
+        s = _Dpa2dSolver(ProblemInstance(g, grid_4x4, 0.5), 4, 4)
+        built = []
+        block_cls = dpa2d._Block
+
+        def spy(*args):
+            built.append(args[1:])
+            return block_cls(*args)
+
+        monkeypatch.setattr(dpa2d, "_Block", spy)
+        with pytest.raises(HeuristicFailure) as exc:
+            s.solve()
+        assert str(exc.value) == "DPA2D: no feasible column decomposition"
+        assert built == []
+        assert s.reach == list(range(1, 9))
+        assert dpa2d._fewest_columns(s.reach) == 8
+
+    @pytest.mark.parametrize("period", [0.1, 0.25, 0.5, 0.8, 2.0, 10.0])
+    @pytest.mark.parametrize("p,q", [(4, 4), (2, 8), (1, 16)])
+    def test_reach_is_the_brute_force_maximum(self, solver, period, p, q):
+        _s, g = solver
+        prob = ProblemInstance(g, CMPGrid(4, 4), period)
+        s = _Dpa2dSolver(prob, p, q)
+        cap = period * s.model.s_max * (1 + dpa2d.REACH_SLACK)
+
+        def passes(m1, m2):
+            stages = [i for i in range(g.n) if m1 <= g.labels[i][0] <= m2]
+            rows: dict[int, float] = {}
+            for i in stages:
+                y = g.labels[i][1]
+                rows[y] = rows.get(y, 0.0) + g.weights[i]
+            total = sum(g.weights[i] for i in stages)
+            return total <= p * cap and max(rows.values()) <= cap
+
+        want = []
+        for m_prev in range(g.xmax):
+            m = m_prev
+            while m < g.xmax and all(
+                passes(m_prev + 1, m2) for m2 in range(m_prev + 1, m + 2)
+            ):
+                m += 1
+            want.append(m)
+        assert s.reach_bound() == want
