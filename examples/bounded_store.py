@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Bounded result stores: pluggable eviction without losing correctness.
+"""Bounded result stores: eviction without losing correctness.
 
 Walks the whole bounded-store story on a small scenario grid:
 
 1. a **cold** unbounded sweep (the reference report);
 2. the same sweep into a store capped at a handful of rows
-   (``eviction={"policy": "drrip", "max_rows": ...}`` — every ``put``
+   (``eviction={"policy": "rrip", "max_rows": ...}`` — every ``put``
    over the cap evicts in policy order) — the report is *already*
    byte-identical, because eviction only forgets, never corrupts;
 3. an explicit ``evict`` pass draining the store to zero rows, then a
    **resume** that recomputes the evicted cells and again reproduces
    the cold report byte for byte (the cache-correctness contract);
 4. a policy **shoot-out**: the same skewed access trace replayed under
-   every registered policy on a row-capped in-memory store, showing
-   why the duelled ``drrip`` is the safe default.
+   ``lru``, ``fifo`` and ``rrip`` on a row-capped in-memory store —
+   ``rrip`` keeps the re-referenced hot set that one-off cold keys
+   push out of ``lru`` and ``fifo``.
 
 Run:  PYTHONPATH=src python examples/bounded_store.py
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 from repro.experiments import report_json, run_scenario_sweep
 from repro.store import (
     LogicalClock,
-    MemoryStore,
+    ResultStore,
     eviction_policy_names,
     open_store,
 )
@@ -46,7 +47,7 @@ def bounded_sweep_story(db: Path) -> None:
 
     bounded = run_scenario_sweep(
         **GRID, store=str(db),
-        eviction={"policy": "drrip", "max_rows": 2},
+        eviction={"policy": "rrip", "max_rows": 2},
     )
     assert report_json(bounded) == cold
     store = open_store(str(db))
@@ -88,7 +89,7 @@ def policy_shootout() -> None:
 
     print("\npolicy shoot-out (row cap 30, 1500 accesses, 20 hot keys):")
     for name in eviction_policy_names():
-        store = MemoryStore(clock=LogicalClock())
+        store = ResultStore(clock=LogicalClock())
         store.configure_eviction(name, max_rows=30)
         for key in trace:
             if store.get(key) is None:
@@ -97,6 +98,7 @@ def policy_shootout() -> None:
         rate = acc["hits"] / (acc["hits"] + acc["misses"])
         print(f"  {name:6s} hit-rate {rate:.3f} "
               f"({store.eviction_stats()['total']} evictions)")
+        store.close()
 
 
 def main() -> None:

@@ -41,7 +41,7 @@ Subcommands
     ``export`` (deterministic JSON snapshot), ``verify`` (audit every
     row's sha256 checksum; ``--quarantine`` moves corrupt rows aside so
     resumed sweeps recompute them), ``evict`` (bound the store:
-    ``--policy lru|fifo|rrip|brrip|drrip`` with ``--max-rows``/
+    ``--policy lru|fifo|rrip`` with ``--max-rows``/
     ``--max-bytes``; evicted keys read as misses and are recomputed).
     Sweeps and the service bound their own store with
     ``--store-policy``/``--store-max-rows``/``--store-max-bytes``.
@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_bounded_store_args(p):
         p.add_argument(
             "--store-policy", metavar="POLICY", default="lru",
-            help="eviction policy bounding --store (lru, fifo, rrip, "
-                 "brrip, drrip; default lru — only active with a cap)",
+            help="eviction policy bounding --store (lru, fifo, rrip; "
+                 "default lru — only active with a cap)",
         )
         p.add_argument(
             "--store-max-rows", type=int, default=None, metavar="N",
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="the store to operate on (SQLite path)")
     p_st.add_argument("--policy", default="lru",
                       help="evict: the eviction policy ranking victims "
-                           "(lru, fifo, rrip, brrip, drrip; default lru)")
+                           "(lru, fifo, rrip; default lru)")
     p_st.add_argument("--max-rows", type=int, default=None, metavar="N",
                       help="evict: row-count cap to evict down to")
     p_st.add_argument("--max-bytes", type=int, default=None, metavar="B",

@@ -39,10 +39,6 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-#: Deprecated private alias (the shared helper is :func:`percentile`).
-_percentile = percentile
-
-
 def summarize_spans(spans: list[Span]) -> list[dict]:
     """Per-kind aggregates, sorted by total duration (descending) then
     kind — one dict per span kind."""

@@ -8,15 +8,14 @@ platform, CCR, solver spec} cells; this package makes it *incremental*:
   options, and seeds (sorted-key JSON, never Python ``hash()``);
 * :mod:`repro.store.serialize` — lossless JSON payload round-trips for
   solver results and whole sweep cells;
-* :mod:`repro.store.backend` — the :class:`ResultStore` interface with
-  SQLite and in-memory backends (``repro store stats/gc/export``),
+* :mod:`repro.store.backend` — :class:`ResultStore`, one SQLite
+  database on disk or in memory (``repro store stats/gc/export``),
   sha256 payload checksums verified on every read, and quarantine for
   corrupt rows (``repro store verify [--quarantine]``; quarantined
   keys read as misses, so resumed sweeps recompute them);
-* :mod:`repro.store.eviction` — pluggable cache-replacement policies
-  (``lru``/``fifo``/``rrip``/``brrip``/``drrip`` with PSEL
-  set-dueling) behind row-count/payload-byte caps: ``repro store
-  evict`` and put-path enforcement via
+* :mod:`repro.store.eviction` — three cache-replacement policies
+  (``lru``/``fifo``/``rrip``) behind row-count/payload-byte caps:
+  ``repro store evict`` and put-path enforcement via
   :meth:`ResultStore.configure_eviction`; evicted keys read as misses,
   so bounded sweeps/services stay byte-identical to unbounded runs;
 * :mod:`repro.store.service` — the batch mapping service behind
@@ -32,19 +31,15 @@ consolidated report bit-identical to a cold single-process sweep.
 
 from repro.store.backend import (
     LogicalClock,
-    MemoryStore,
     ResultStore,
-    SQLiteStore,
     open_store,
     payload_checksum,
 )
 from repro.store.eviction import (
     EVICTION_POLICIES,
     EvictionConfig,
-    EvictionPolicy,
+    eviction_policy,
     eviction_policy_names,
-    get_eviction_policy,
-    register_eviction_policy,
 )
 from repro.store.fingerprint import (
     canonical_json,
@@ -74,16 +69,12 @@ from repro.store.service import (
 
 __all__ = [
     "ResultStore",
-    "MemoryStore",
-    "SQLiteStore",
     "open_store",
     "payload_checksum",
     "LogicalClock",
-    "EvictionPolicy",
     "EvictionConfig",
     "EVICTION_POLICIES",
-    "register_eviction_policy",
-    "get_eviction_policy",
+    "eviction_policy",
     "eviction_policy_names",
     "fingerprint",
     "canonical_json",

@@ -1,16 +1,15 @@
-"""Pluggable cache-replacement policies for the result store.
+"""Cache-replacement policies for the result store.
 
 The north star needs a store that stays *bounded* under sustained
 traffic; ``repro store gc`` only drops stale-schema rows, so without a
 replacement policy the store grows forever.  This module supplies the
-missing half, built on the PR-7 accounting (per-row ``hits``/
-``last_hit_at``, aggregate hit/miss counters): a string-keyed
-:class:`EvictionPolicy` registry — mirroring the topology and solver
-registries — whose policies rank rows for eviction once a store crosses
-its row-count or payload-byte cap.
+missing half, built on the store's access accounting (per-row
+``hits``/``last_hit_at``/``rrpv``): one :data:`EVICTION_POLICIES` table
+whose policies rank rows for eviction once a store crosses its
+row-count or payload-byte cap.
 
-Registered policies
--------------------
+Policies
+--------
 
 ``lru``
     Evict the least recently *used* row first: order by ``last_hit_at``,
@@ -22,82 +21,46 @@ Registered policies
     Static Re-Reference Interval Prediction (SRRIP, Jaleel et al. /
     ChampSim idiom): every row carries a small saturating re-reference
     prediction value (RRPV, 2 bits).  Insertion predicts a *long*
-    re-reference interval (``RRPV_MAX - 1``); a hit promotes the row to
+    re-reference interval (:data:`RRPV_LONG`); a hit promotes the row to
     MRU (``0``).  Victims are the rows with the highest RRPV — aging is
     virtual: incrementing every RRPV until one saturates never changes
     the relative order, so ranking by descending RRPV (LRU-tiebroken)
     selects exactly the rows the classic scan-and-age loop would.
-``brrip``
-    Bimodal RRIP: like ``rrip`` but insertion predicts a *distant*
-    re-reference (``RRPV_MAX``) except every ``BIP_MAX``-th insertion
-    (a persistent deterministic counter, not a coin flip), which gets
-    the long prediction.  Scanning workloads flush through without
-    displacing the rows that do re-reference.
-``drrip``
-    Dynamic RRIP: *set-dueling* between the two static candidates.  A
-    deterministic hash of each key assigns it to one of
-    :data:`DUEL_REGIONS` regions; one sampled region is an ``rrip``
-    leader, one a ``brrip`` leader, the rest follow a persistent PSEL
-    counter scored against the PR-7 hit accounting — a hit on an
-    ``rrip``-leader key bumps PSEL up, a hit on a ``brrip``-leader key
-    bumps it down, and followers insert with whichever candidate is
-    winning.  The duelled policy tracks the better static policy on any
-    workload mix without an operator having to pick one.
 
 Row-count and payload-byte caps are orthogonal to the policy choice:
 :meth:`ResultStore.evict(policy=..., max_rows=..., max_bytes=...)
 <repro.store.backend.ResultStore.evict>` evicts in policy order until
 both caps hold, and :meth:`configure_eviction
 <repro.store.backend.ResultStore.configure_eviction>` enforces them on
-every ``put``.  Policy state (RRPVs, PSEL, the bimodal counter) lives in
-the store's accounting side-band — persistent for SQLite stores, never
-part of deterministic exports — so an eviction pass in one process and
-a resume in another see the same state.
+every ``put``.  RRPVs live in the store's rows — persistent for stores
+on disk, never part of deterministic exports — so an eviction pass in
+one process and a resume in another see the same state.
 
-Everything here is deterministic: ties break on the key, region
-assignment hashes the key (sha256-derived fingerprints are already
-uniform), and the bimodal insertion uses a modular counter.  Evicted
-keys simply read as misses, so sweeps and the batch service recompute
-and re-store them — consolidated reports stay byte-identical to
-unbounded runs (the cache-correctness contract).
+Every order is total and deterministic (ties break on the key).
+Evicted keys simply read as misses, so sweeps and the batch service
+recompute and re-store them — consolidated reports stay byte-identical
+to unbounded runs (the cache-correctness contract).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store.backend import ResultStore
+from typing import Callable, NamedTuple
 
 __all__ = [
-    "EvictionPolicy",
     "EvictionConfig",
+    "EvictionRule",
     "EVICTION_POLICIES",
-    "register_eviction_policy",
-    "get_eviction_policy",
+    "eviction_policy",
     "eviction_policy_names",
     "RRPV_MAX",
     "RRPV_LONG",
-    "BIP_MAX",
-    "PSEL_MAX",
-    "PSEL_INIT",
-    "DUEL_REGIONS",
 ]
 
 #: 2-bit saturating re-reference prediction values (ChampSim idiom).
 RRPV_MAX = 3
 #: "Long re-reference interval" insertion prediction (SRRIP).
 RRPV_LONG = RRPV_MAX - 1
-#: Every BIP_MAX-th bimodal insertion gets the long prediction.
-BIP_MAX = 32
-#: 10-bit policy-selection counter for set-dueling.
-PSEL_MAX = (1 << 10) - 1
-#: PSEL starts neutral, mid-scale.
-PSEL_INIT = PSEL_MAX // 2
-#: Key-hash regions; region 0 leads for rrip, region 1 for brrip.
-DUEL_REGIONS = 64
 
 
 def _recency(row: dict) -> float:
@@ -106,79 +69,46 @@ def _recency(row: dict) -> float:
     return row["created_at"] if last is None else last
 
 
-class EvictionPolicy(ABC):
-    """Ranks store rows for eviction; optionally maintains per-row and
-    aggregate prediction state through the store's accounting side-band.
+class EvictionRule(NamedTuple):
+    """One policy: how it ranks victims and what a fresh row predicts.
 
-    Policies are stateless objects — everything they need to remember
-    across calls (and processes) goes through the store's counter
-    primitives, so the same policy instance can serve many stores.
+    ``sort_key`` maps a row metadata dict (``key``, ``kind``,
+    ``created_at``, ``hits``, ``last_hit_at``, ``rrpv``, ``bytes``) to
+    its eviction rank — the smallest key is the first victim.
+    ``insert_rrpv`` is the re-reference prediction stamped on a row the
+    policy's configured store files (``0``, MRU, for recency policies).
     """
 
-    #: Registry key of the concrete policy (class attribute).
-    name: str = "abstract"
-
-    @abstractmethod
-    def order(self, rows: list[dict]) -> list[dict]:
-        """``rows`` (metadata dicts: ``key``, ``kind``, ``created_at``,
-        ``hits``, ``last_hit_at``, ``rrpv``, ``bytes``) in eviction
-        order — first element is the first victim.  Must be a total,
-        deterministic order (tie-break on ``key``)."""
-
-    def insertion_rrpv(self, store: "ResultStore", key: str) -> int:
-        """The re-reference prediction stamped on a fresh row (RRIP
-        family; recency policies ignore it and return MRU)."""
-        return 0
-
-    def on_hit(self, store: "ResultStore", key: str) -> None:
-        """Accounting hook run on every store hit (e.g. PSEL scoring).
-
-        The store itself already promotes the row to MRU (``rrpv = 0``)
-        and bumps the hit counters before calling this.
-        """
+    sort_key: Callable[[dict], tuple]
+    insert_rrpv: int
 
 
-@dataclass(frozen=True)
-class EvictionSpec:
-    """Registry record: the policy name, a summary, and its builder."""
-
-    name: str
-    summary: str
-    builder: Callable[[], EvictionPolicy]
-
-
-EVICTION_POLICIES: dict[str, EvictionSpec] = {}
-
-
-def register_eviction_policy(name: str, summary: str):
-    """Decorator adding a policy class to :data:`EVICTION_POLICIES`."""
-
-    def wrap(cls):
-        if name in EVICTION_POLICIES:
-            raise ValueError(f"eviction policy {name!r} already registered")
-        cls.name = name
-        EVICTION_POLICIES[name] = EvictionSpec(name, summary, cls)
-        return cls
-
-    return wrap
+EVICTION_POLICIES: dict[str, EvictionRule] = {
+    "lru": EvictionRule(lambda r: (_recency(r), r["key"]), 0),
+    "fifo": EvictionRule(lambda r: (r["created_at"], r["key"]), 0),
+    # Highest RRPV first; virtual aging preserves relative order, so
+    # within an RRPV class the LRU row goes first (key tie-break).
+    "rrip": EvictionRule(
+        lambda r: (-r["rrpv"], _recency(r), r["key"]), RRPV_LONG
+    ),
+}
 
 
 def eviction_policy_names() -> list[str]:
-    """Registered policy names, sorted."""
+    """The policy names, sorted."""
     return sorted(EVICTION_POLICIES)
 
 
-def get_eviction_policy(name: "str | EvictionPolicy") -> EvictionPolicy:
-    """Build the registered policy ``name`` (instances pass through)."""
-    if isinstance(name, EvictionPolicy):
-        return name
-    spec = EVICTION_POLICIES.get(name)
-    if spec is None:
+def eviction_policy(name: str) -> EvictionRule:
+    """The rule of policy ``name``; unknown names raise a ``KeyError``
+    that lists the known ones."""
+    rule = EVICTION_POLICIES.get(name)
+    if rule is None:
         raise KeyError(
             f"unknown eviction policy {name!r}; registered: "
             f"{', '.join(eviction_policy_names())}"
         )
-    return spec.builder()
+    return rule
 
 
 @dataclass(frozen=True)
@@ -203,7 +133,7 @@ class EvictionConfig:
             raise ValueError("max_rows must be non-negative")
         if self.max_bytes is not None and self.max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
-        get_eviction_policy(self.policy)  # fail fast on unknown names
+        eviction_policy(self.policy)  # fail fast on unknown names
 
     @staticmethod
     def from_spec(
@@ -214,97 +144,3 @@ class EvictionConfig:
         if spec is None or isinstance(spec, EvictionConfig):
             return spec
         return EvictionConfig(**spec)
-
-
-@register_eviction_policy(
-    "lru", "least recently used (last_hit_at, falling back to created_at)"
-)
-class LRUPolicy(EvictionPolicy):
-    def order(self, rows: list[dict]) -> list[dict]:
-        return sorted(rows, key=lambda r: (_recency(r), r["key"]))
-
-
-@register_eviction_policy("fifo", "oldest insertion first (created_at)")
-class FIFOPolicy(EvictionPolicy):
-    def order(self, rows: list[dict]) -> list[dict]:
-        return sorted(rows, key=lambda r: (r["created_at"], r["key"]))
-
-
-@register_eviction_policy(
-    "rrip", "static RRIP: long-interval insertion, hit promotes to MRU"
-)
-class SRRIPPolicy(EvictionPolicy):
-    def order(self, rows: list[dict]) -> list[dict]:
-        # Highest RRPV first; virtual aging preserves relative order, so
-        # within an RRPV class the LRU row goes first (key tie-break).
-        return sorted(
-            rows, key=lambda r: (-r["rrpv"], _recency(r), r["key"])
-        )
-
-    def insertion_rrpv(self, store: "ResultStore", key: str) -> int:
-        return RRPV_LONG
-
-
-@register_eviction_policy(
-    "brrip",
-    "bimodal RRIP: distant-interval insertion, every 32nd long "
-    "(deterministic counter)",
-)
-class BRRIPPolicy(SRRIPPolicy):
-    def insertion_rrpv(self, store: "ResultStore", key: str) -> int:
-        count = store._get_counter("bip_counter", 0)
-        store._set_counter("bip_counter", (count + 1) % BIP_MAX)
-        return RRPV_LONG if count == 0 else RRPV_MAX
-
-
-def duel_region(key: str) -> int:
-    """The set-dueling region of ``key`` (deterministic key hash).
-
-    Store keys are sha256 hex fingerprints, so the leading nibbles are
-    already uniform; non-hex keys (tests, ad-hoc payloads) fall back to
-    a character-sum hash.  Python's randomised ``hash()`` is never used.
-    """
-    try:
-        return int(key[:8], 16) % DUEL_REGIONS
-    except ValueError:
-        return sum(key.encode()) % DUEL_REGIONS
-
-
-@register_eviction_policy(
-    "drrip",
-    "dynamic RRIP: PSEL set-dueling between rrip and brrip on sampled "
-    "key regions",
-)
-class DRRIPPolicy(SRRIPPolicy):
-    """DRRIP with PSEL set-dueling (ChampSim-style, hit-scored).
-
-    Leader keys always insert with their candidate policy; a hit on a
-    leader key is evidence its candidate retains useful rows, and moves
-    the saturating PSEL counter toward that candidate.  Follower keys
-    (the vast majority) insert with whichever candidate currently
-    leads: PSEL at or above neutral follows ``rrip``, below follows
-    ``brrip``.
-    """
-
-    def __init__(self) -> None:
-        self._rrip = SRRIPPolicy()
-        self._brrip = BRRIPPolicy()
-
-    def insertion_rrpv(self, store: "ResultStore", key: str) -> int:
-        region = duel_region(key)
-        if region == 0:  # rrip leader
-            return self._rrip.insertion_rrpv(store, key)
-        if region == 1:  # brrip leader
-            return self._brrip.insertion_rrpv(store, key)
-        psel = store._get_counter("psel", PSEL_INIT)
-        winner = self._rrip if psel >= PSEL_INIT else self._brrip
-        return winner.insertion_rrpv(store, key)
-
-    def on_hit(self, store: "ResultStore", key: str) -> None:
-        region = duel_region(key)
-        if region == 0:
-            psel = store._get_counter("psel", PSEL_INIT)
-            store._set_counter("psel", min(PSEL_MAX, psel + 1))
-        elif region == 1:
-            psel = store._get_counter("psel", PSEL_INIT)
-            store._set_counter("psel", max(0, psel - 1))

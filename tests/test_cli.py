@@ -352,7 +352,7 @@ class TestEvictCommand:
         code, _ = run_cli(*sweep_args("--out", str(cold_path)))
         assert code == 0
         code, _ = run_cli(*sweep_args(
-            "--store", db, "--store-policy", "drrip",
+            "--store", db, "--store-policy", "rrip",
             "--store-max-rows", "1",
         ))
         assert code == 0
@@ -372,6 +372,18 @@ class TestEvictCommand:
             "--store-max-rows", "1",
         ))
         assert code == 2
+
+    def test_dropped_store_policy_lists_the_three(self, tmp_path):
+        db = str(tmp_path / "bounded.sqlite")
+        code, text = run_cli(*sweep_args(
+            "--store", db, "--store-policy", "drrip",
+            "--store-max-rows", "2",
+        ))
+        assert code == 2
+        assert (
+            "unknown eviction policy 'drrip'; registered: fifo, lru, rrip"
+            in text
+        )
 
 
 class TestServeCommand:

@@ -1,12 +1,12 @@
 """Tests for the pluggable store-eviction subsystem.
 
-Covers the registry, per-policy victim ordering (LRU vs FIFO vs the
-RRIP family), row/byte cap enforcement on the put path, PSEL
-set-dueling convergence on a synthetic skewed workload, the injectable
-clock, the store accounting fixes riding along (gc ``drop_all``
-quarantine purge, SQLite aggregate stats), and the cache-correctness
-contract: an evicted (bounded) sweep resumes to a report byte-identical
-to a cold unbounded run.
+Covers the policy table, per-policy victim ordering (LRU vs FIFO vs
+RRIP), row/byte cap enforcement on the put path, the injectable clock,
+the store accounting fixes riding along (gc ``drop_all`` quarantine
+purge, SQLite aggregate stats), stores whose counters hold state of
+policies no longer offered, and the cache-correctness contract: an
+evicted (bounded) sweep resumes to a report byte-identical to a cold
+unbounded run.
 """
 
 from __future__ import annotations
@@ -14,23 +14,16 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import report_json, run_scenario_sweep
+from repro.resilience import FaultPlan
 from repro.store import (
     EVICTION_POLICIES,
     EvictionConfig,
     LogicalClock,
-    MemoryStore,
-    SQLiteStore,
+    ResultStore,
+    eviction_policy,
     eviction_policy_names,
-    get_eviction_policy,
-    register_eviction_policy,
 )
-from repro.store.eviction import (
-    BIP_MAX,
-    PSEL_INIT,
-    RRPV_LONG,
-    RRPV_MAX,
-    duel_region,
-)
+from repro.store.eviction import RRPV_LONG
 from repro.store.serialize import PAYLOAD_SCHEMA_VERSION
 
 
@@ -42,56 +35,37 @@ def payload(i: int, pad: int = 0) -> dict:
     }
 
 
+def open_param(param: str, tmp_path, **kw) -> ResultStore:
+    """The ``memory``/``sqlite`` fixture params: one store class, in
+    memory or in a file."""
+    if param == "memory":
+        return ResultStore(**kw)
+    return ResultStore(tmp_path / "evict.sqlite", **kw)
+
+
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
-    if request.param == "memory":
-        s = MemoryStore(clock=LogicalClock())
-    else:
-        s = SQLiteStore(tmp_path / "evict.sqlite", clock=LogicalClock())
+    s = open_param(request.param, tmp_path, clock=LogicalClock())
     yield s
     s.close()
 
 
 class TestRegistry:
     def test_builtin_policies_registered(self):
-        assert eviction_policy_names() == [
-            "brrip", "drrip", "fifo", "lru", "rrip",
-        ]
+        assert eviction_policy_names() == ["fifo", "lru", "rrip"]
+        assert sorted(EVICTION_POLICIES) == ["fifo", "lru", "rrip"]
 
-    def test_get_builds_and_passes_instances_through(self):
-        lru = get_eviction_policy("lru")
-        assert lru.name == "lru"
-        assert get_eviction_policy(lru) is lru
+    def test_table_holds_insertion_rrpvs(self):
+        assert eviction_policy("lru").insert_rrpv == 0
+        assert eviction_policy("fifo").insert_rrpv == 0
+        assert eviction_policy("rrip").insert_rrpv == RRPV_LONG
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(KeyError, match="brrip.*drrip.*fifo"):
-            get_eviction_policy("clairvoyant")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_eviction_policy("lru", "dup")(type("X", (), {}))
-
-    def test_custom_policy_registers_and_unregisters(self):
-        from repro.store import EvictionPolicy
-
-        @register_eviction_policy("mru-test", "newest first (test only)")
-        class MRUPolicy(EvictionPolicy):
-            def order(self, rows):
-                return sorted(
-                    rows,
-                    key=lambda r: (-(r["last_hit_at"] or r["created_at"]),
-                                   r["key"]),
-                )
-
-        try:
-            s = MemoryStore(clock=LogicalClock())
-            for i in range(4):
-                s.put(f"k{i}", payload(i))
-            out = s.evict(policy="mru-test", max_rows=2)
-            assert out["evicted"] == 2
-            assert sorted(s.keys()) == ["k0", "k1"]
-        finally:
-            del EVICTION_POLICIES["mru-test"]
+        with pytest.raises(
+            KeyError, match="unknown eviction policy 'drrip'; "
+                            "registered: fifo, lru, rrip"
+        ):
+            eviction_policy("drrip")
 
 
 class TestEvictionConfig:
@@ -164,24 +138,24 @@ class TestOrdering:
         row = next(store._eviction_rows())
         assert row["rrpv"] == 0
 
-    def test_brrip_mostly_distant_insertions(self, store):
-        store.configure_eviction("brrip", max_rows=1000)
-        for i in range(BIP_MAX):
-            store.put(f"k{i:03d}", payload(i))
+    def test_recency_policies_insert_at_mru(self, store):
+        for i, name in enumerate(("lru", "fifo")):
+            store.configure_eviction(name, max_rows=10)
+            store.put(f"k{i}", payload(i))
+        store.configure_eviction("rrip", max_rows=10)
+        store.put("k2", payload(2))
         rrpvs = [r["rrpv"] for r in store._eviction_rows()]
-        # Exactly one long insertion per BIP_MAX; the rest distant.
-        assert rrpvs.count(RRPV_LONG) == 1
-        assert rrpvs.count(RRPV_MAX) == BIP_MAX - 1
+        assert rrpvs == [0, 0, RRPV_LONG]
 
     def test_policy_order_is_deterministic_on_ties(self, store):
         for i in range(5):
             store.put(f"k{i}", payload(i))
-        pol = get_eviction_policy("lru")
         rows = list(store._eviction_rows())
         for row in rows:  # force a total tie on recency
             row["created_at"] = 1.0
             row["last_hit_at"] = None
-        assert [r["key"] for r in pol.order(rows)] == sorted(
+        order = sorted(rows, key=eviction_policy("lru").sort_key)
+        assert [r["key"] for r in order] == sorted(
             r["key"] for r in rows
         )
 
@@ -205,12 +179,14 @@ class TestCapsOnPut:
         assert len(store) == 3
 
     def test_put_protects_the_just_written_row(self, store):
-        # Under BRRIP the fresh row usually carries the worst (distant)
-        # prediction; cap enforcement must still never evict it.
-        store.configure_eviction("brrip", max_rows=1)
+        # Under RRIP the fresh row carries the worst prediction of the
+        # live rows once the previous one was hit; cap enforcement must
+        # still never evict it.
+        store.configure_eviction("rrip", max_rows=1)
         for i in range(1, 6):
             store.put(f"k{i}", payload(i))
             assert store.keys() == [f"k{i}"]
+            store.get(f"k{i}")
 
     def test_under_cap_puts_do_not_evict(self, store):
         store.configure_eviction("lru", max_rows=100)
@@ -242,81 +218,6 @@ class TestCapsOnPut:
             store.evict(policy="lru")
 
 
-class TestDuel:
-    @staticmethod
-    def trace_keys(universe=120):
-        import hashlib
-
-        return [
-            hashlib.sha256(f"duel-{i}".encode()).hexdigest()
-            for i in range(universe)
-        ]
-
-    def replay_skewed(self, store, policy, hot_keys=None, cold_keys=None,
-                      accesses=600, cap=30):
-        """Bound the store and replay a deterministic skewed trace: hot
-        keys re-referenced every other access, cold keys scanned
-        through once each (the mix the bimodal candidate exists for)."""
-        if hot_keys is None:
-            keys = self.trace_keys()
-            hot_keys, cold_keys = keys[:12], keys[12:]
-        store.configure_eviction(policy, max_rows=cap)
-        c = 0
-        for n in range(accesses):
-            if n % 2 == 0:
-                key = hot_keys[(n // 2) % len(hot_keys)]
-            else:
-                key = cold_keys[c % len(cold_keys)]
-                c += 1
-            if store.get(key) is None:
-                store.put(key, payload(n))
-        acc = store.access_stats()
-        return acc["hits"] / (acc["hits"] + acc["misses"])
-
-    def test_psel_moves_off_neutral_and_persists(self, tmp_path):
-        # Put an rrip-leader key (duel region 0) in the hot set: its
-        # repeated hits are evidence for rrip, so PSEL must move up.
-        keys = self.trace_keys(400)
-        leaders = [k for k in keys if duel_region(k) == 0]
-        followers = [k for k in keys if duel_region(k) > 1]
-        hot = [leaders[0]] + followers[:11]
-        cold = followers[11:200]
-        db = tmp_path / "duel.sqlite"
-        s = SQLiteStore(db, clock=LogicalClock())
-        self.replay_skewed(s, "drrip", hot_keys=hot, cold_keys=cold)
-        psel = s._get_counter("psel", PSEL_INIT)
-        assert psel != PSEL_INIT  # the duel picked a side
-        s.close()
-        s2 = SQLiteStore(db, clock=LogicalClock())
-        assert s2._get_counter("psel", PSEL_INIT) == psel
-        s2.close()
-
-    def test_duelled_hit_rate_at_least_worse_static(self):
-        rates = {
-            name: self.replay_skewed(
-                MemoryStore(clock=LogicalClock()), name
-            )
-            for name in ("rrip", "brrip", "drrip")
-        }
-        assert rates["drrip"] >= min(rates["rrip"], rates["brrip"])
-
-    def test_leader_regions_split_by_key_hash(self):
-        assert duel_region("00000000" + "a" * 56) == 0
-        assert duel_region("00000001" + "a" * 56) == 1
-        assert duel_region("not-hex!") == sum(b"not-hex!") % 64
-
-    def test_follower_insertions_track_psel(self):
-        s = MemoryStore(clock=LogicalClock())
-        pol = get_eviction_policy("drrip")
-        follower = "00000002" + "a" * 56  # region 2: a follower
-        assert duel_region(follower) == 2
-        s._set_counter("psel", PSEL_INIT)  # neutral → rrip wins ties
-        assert pol.insertion_rrpv(s, follower) == RRPV_LONG
-        s._set_counter("psel", 0)  # brrip winning → mostly distant
-        rrpvs = {pol.insertion_rrpv(s, follower) for _ in range(4)}
-        assert RRPV_MAX in rrpvs
-
-
 class TestClockAndAccounting:
     def test_logical_clock_is_monotone(self):
         clk = LogicalClock()
@@ -332,23 +233,22 @@ class TestClockAndAccounting:
         assert rows["a"]["last_hit_at"] > rows["b"]["created_at"]
         assert rows["b"]["last_hit_at"] is None
 
-    def test_gc_drop_all_purges_quarantine(self, store):
+    @pytest.mark.parametrize("param", ["memory", "sqlite"])
+    def test_gc_drop_all_purges_quarantine(self, param, tmp_path):
+        # The fault plan tears "bad" below the checksum at put time;
+        # reading it back quarantines it.
+        store = open_param(
+            param, tmp_path, faults=FaultPlan.parse("corrupt@key:bad")
+        )
         store.put("good", payload(1))
         store.put("bad", payload(2))
-        # Corrupt "bad" below the checksum, then read it: quarantined.
-        if isinstance(store, MemoryStore):
-            store._rows["bad"]["payload"] = "garbage"
-        else:
-            with store._db() as conn:
-                conn.execute(
-                    "UPDATE results SET payload='garbage' WHERE key='bad'"
-                )
         assert store.get("bad") is None
         assert [q["key"] for q in store.quarantined()] == ["bad"]
         removed = store.gc(drop_all=True)
         assert removed == 2  # 1 live row + 1 quarantined row
         assert len(store) == 0
         assert store.quarantined() == []
+        store.close()
 
     def test_gc_default_leaves_quarantine(self, store):
         store.put("bad", payload(2))
@@ -356,17 +256,30 @@ class TestClockAndAccounting:
         assert store.gc() == 0
         assert [q["key"] for q in store.quarantined()] == ["bad"]
 
+    @staticmethod
+    def scan_aggregates(store):
+        """Oracle for ``_count_aggregates``: ``(total, by_kind,
+        by_schema, stale)`` from a walk over the row metadata."""
+        by_kind: dict[str, int] = {}
+        by_schema: dict[str, int] = {}
+        stale = 0
+        total = 0
+        for row in store.rows(with_payload=False):
+            total += 1
+            by_kind[row["kind"]] = by_kind.get(row["kind"], 0) + 1
+            s = str(row["schema"])
+            by_schema[s] = by_schema.get(s, 0) + 1
+            if row["schema"] != PAYLOAD_SCHEMA_VERSION:
+                stale += 1
+        return total, by_kind, by_schema, stale
+
     def test_sqlite_aggregate_stats_match_generic_scan(self, tmp_path):
-        s = SQLiteStore(tmp_path / "agg.sqlite", clock=LogicalClock())
+        s = ResultStore(tmp_path / "agg.sqlite", clock=LogicalClock())
         s.put("a", payload(1), kind="sweep-cell")
         s.put("b", payload(2), kind="solve")
         s.put("c", {"schema": PAYLOAD_SCHEMA_VERSION - 1, "old": True},
               kind="solve")
-        fast = s._count_aggregates()
-        from repro.store.backend import ResultStore
-
-        slow = ResultStore._count_aggregates(s)
-        assert fast == slow
+        assert s._count_aggregates() == self.scan_aggregates(s)
         st = s.stats()
         assert st["entries"] == 3
         assert st["by_kind"] == {"solve": 2, "sweep-cell": 1}
@@ -375,7 +288,7 @@ class TestClockAndAccounting:
         s.close()
 
     def test_memory_len_is_cheap_and_correct(self):
-        s = MemoryStore()
+        s = ResultStore()
         for i in range(7):
             s.put(f"k{i}", payload(i))
         assert len(s) == 7
@@ -407,11 +320,48 @@ class TestClockAndAccounting:
                 (PAYLOAD_SCHEMA_VERSION,),
             )
         conn.close()
-        s = SQLiteStore(db)
+        s = ResultStore(db)
         row = next(s._eviction_rows())
         assert row["rrpv"] == 0  # legacy rows read as MRU
         out = s.evict(policy="rrip", max_rows=0)
         assert out["evicted"] == 1
+        s.close()
+
+    def test_store_with_dropped_policy_counters_opens(self, tmp_path):
+        # Stores written while brrip/drrip existed hold their state in
+        # access_stats: the set-dueling selector, the bimodal insertion
+        # counter and the drrip victim count.  They still open, report
+        # the old victims, and evict under a current policy.
+        db = tmp_path / "old-policies.sqlite"
+        s = ResultStore(db, clock=LogicalClock())
+        for i in range(3):
+            s.put(f"k{i}", payload(i))
+        with s._db() as conn:
+            conn.executemany(
+                "INSERT INTO access_stats (name, value) VALUES (?, ?)",
+                [("psel", 600), ("bip_counter", 7), ("evicted:drrip", 5)],
+            )
+        s.close()
+        s = ResultStore(db, clock=LogicalClock(start=10.0))
+        assert s.stats()["eviction"] == {
+            "evicted": {"drrip": 5}, "total": 5,
+        }
+        out = s.evict(policy="rrip", max_rows=1)
+        assert out["evicted"] == 2 and len(s) == 1
+        assert s.eviction_stats() == {
+            "evicted": {"drrip": 5, "rrip": 2}, "total": 7,
+        }
+        s.close()
+
+    def test_open_store_none_is_private_memory(self):
+        from repro.store import open_store
+
+        s = open_store(None)
+        assert s.location == ":memory:"
+        s.put("k", payload(0))
+        s.close()
+        s = open_store(None)
+        assert len(s) == 0 and s.get("k") is None
         s.close()
 
 
@@ -432,11 +382,11 @@ class TestBoundedSweepByteIdentity:
         bounded = run_scenario_sweep(
             **self.SWEEP,
             store=db,
-            eviction={"policy": "drrip", "max_rows": 1},
+            eviction={"policy": "rrip", "max_rows": 1},
         )
         assert report_json(bounded) == cold
 
-        s = SQLiteStore(db)
+        s = ResultStore(db)
         assert len(s) <= 1  # the cap held
         assert s.eviction_stats()["total"] >= 1
         s.evict(policy="lru", max_rows=0)  # drain it completely
@@ -475,6 +425,6 @@ class TestBoundedSweepByteIdentity:
         )
         assert report_json({"responses": answers(bounded)}) == \
             report_json({"responses": answers(free)})
-        s = SQLiteStore(db)
+        s = ResultStore(db)
         assert len(s) <= 1
         s.close()

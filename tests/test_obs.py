@@ -45,7 +45,7 @@ from repro.obs.session import (
     observe,
     trace_span,
 )
-from repro.store.backend import MemoryStore, SQLiteStore
+from repro.store.backend import ResultStore
 
 
 SWEEP_KW = dict(
@@ -382,7 +382,7 @@ class TestSummaries:
 # ----------------------------------------------------------------------
 class TestStoreAccounting:
     def test_memory_store_counts_hits_and_misses(self):
-        st = MemoryStore()
+        st = ResultStore()
         st.put("k", {"v": 1})
         assert st.get("k") == {"v": 1}
         assert st.get("k") == {"v": 1}
@@ -395,12 +395,12 @@ class TestStoreAccounting:
 
     def test_sqlite_accounting_persists(self, tmp_path):
         db = tmp_path / "s.sqlite"
-        st = SQLiteStore(db)
+        st = ResultStore(db)
         st.put("k", {"v": 1})
         st.get("k")
         st.get("gone")
         st.close()
-        st2 = SQLiteStore(db)
+        st2 = ResultStore(db)
         acc = st2.access_stats()
         assert acc["hits"] == 1 and acc["misses"] == 1
         assert acc["rows_never_hit"] == 0
@@ -420,15 +420,15 @@ class TestStoreAccounting:
                 "0.0, ?)", (json.dumps({"v": 1}, sort_keys=True),)
             )
         conn.close()
-        st = SQLiteStore(db)
+        st = ResultStore(db)
         assert st.get("k") == {"v": 1}
         acc = st.access_stats()
         assert acc["hits"] == 1 and acc["misses"] == 0
         st.close()
 
     def test_export_excludes_accounting(self, tmp_path):
-        a = SQLiteStore(tmp_path / "a.sqlite")
-        b = SQLiteStore(tmp_path / "b.sqlite")
+        a = ResultStore(tmp_path / "a.sqlite")
+        b = ResultStore(tmp_path / "b.sqlite")
         for st in (a, b):
             st.put("k", {"v": 1})
         a.get("k")  # only a records a hit
@@ -440,7 +440,7 @@ class TestStoreAccounting:
 
     def test_store_metrics_counters(self):
         with observability(metrics=True) as s:
-            st = MemoryStore()
+            st = ResultStore()
             st.put("k", {"v": 1})
             st.get("k")
             st.get("nope")

@@ -32,7 +32,7 @@ from repro.resilience import (
     resolve_fault_plan,
 )
 from repro.resilience.faults import FAULT_PLAN_ENV, FaultSite
-from repro.store import BatchRequest, SQLiteStore, open_store, serve_batch
+from repro.store import BatchRequest, ResultStore, open_store, serve_batch
 from repro.util.io import atomic_write_text
 
 #: Three topologies x 2 replicates = 6 cells, small enough to run the
@@ -399,7 +399,7 @@ class TestSweepChaos:
 class TestStoreIntegrity:
     def test_checksum_detects_tampering(self, tmp_path):
         db = tmp_path / "s.db"
-        store = SQLiteStore(db)
+        store = ResultStore(db)
         store.put("aaa", {"schema": 1, "v": 1})
         store.put("bbb", {"schema": 1, "v": 2})
         store.close()
@@ -410,7 +410,7 @@ class TestStoreIntegrity:
         )
         conn.commit()
         conn.close()
-        store = SQLiteStore(db)
+        store = ResultStore(db)
         try:
             with pytest.raises(StoreCorruption) as exc:
                 store.get("bbb", on_corrupt="raise")
@@ -426,7 +426,7 @@ class TestStoreIntegrity:
 
     def test_verify_reports_and_quarantines(self, tmp_path):
         db = tmp_path / "s.db"
-        store = SQLiteStore(db, faults=FaultPlan.parse("corrupt@key:b"))
+        store = ResultStore(db, faults=FaultPlan.parse("corrupt@key:b"))
         store.put("aaa", {"schema": 1})
         store.put("bbb", {"schema": 1})
         audit = store.verify()
@@ -455,7 +455,7 @@ class TestStoreIntegrity:
         )
         conn.commit()
         conn.close()
-        store = SQLiteStore(db)  # migrates in place
+        store = ResultStore(db)  # migrates in place
         try:
             assert store.get("old") == {"schema": 1, "v": 9}
             audit = store.verify()
@@ -466,7 +466,7 @@ class TestStoreIntegrity:
             store.close()
 
     def test_close_is_idempotent_and_guards_use(self, tmp_path):
-        store = SQLiteStore(tmp_path / "s.db")
+        store = ResultStore(tmp_path / "s.db")
         store.put("k", {"schema": 1})
         store.close()
         store.close()
@@ -513,9 +513,9 @@ class TestServiceResilience:
         assert "ERROR" in serve_summary(report)
 
     def test_errored_requests_not_cached(self):
-        from repro.store import MemoryStore
+        from repro.store import ResultStore
 
-        store = MemoryStore()
+        store = ResultStore()
         serve_batch(
             self.REQS, store=store, policy=FAST,
             faults="crash@task:1*99",

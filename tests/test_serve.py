@@ -8,7 +8,7 @@ import pytest
 
 from repro.store import (
     BatchRequest,
-    MemoryStore,
+    ResultStore,
     load_requests,
     serve_batch,
 )
@@ -57,7 +57,7 @@ class TestLoadRequests:
 
 class TestServeBatch:
     def test_cold_then_warm_hits_and_equality(self):
-        store = MemoryStore()
+        store = ResultStore()
         reqs = load_requests(REQS)
         cold = serve_batch(reqs, store=store)
         assert cold["meta"]["hits"] == 0
@@ -73,13 +73,13 @@ class TestServeBatch:
 
     def test_jobs_invariance(self):
         reqs = load_requests(REQS)
-        serial = serve_batch(reqs, store=MemoryStore(), jobs=1)
-        pooled = serve_batch(reqs, store=MemoryStore(), jobs=2)
+        serial = serve_batch(reqs, store=ResultStore(), jobs=1)
+        pooled = serve_batch(reqs, store=ResultStore(), jobs=2)
         assert strip_cached(serial) == strip_cached(pooled)
 
     def test_response_shape(self):
         reqs = load_requests(REQS)
-        report = serve_batch(reqs, store=MemoryStore())
+        report = serve_batch(reqs, store=ResultStore())
         ok = report["responses"][0]
         assert ok["ok"] and ok["failure"] is None
         assert ok["total_energy"] == sum(ok["energy"].values())
@@ -95,7 +95,7 @@ class TestServeBatch:
         # Two identical requests: the second is answered by the first's
         # freshly-stored result within the same batch... or computed in
         # the same miss fan-out; either way the keys and answers match.
-        store = MemoryStore()
+        store = ResultStore()
         reqs = load_requests([REQS[0], dict(REQS[0])])
         report = serve_batch(reqs, store=store)
         a, b = report["responses"]
@@ -108,7 +108,7 @@ class TestServeBatch:
         reqs = load_requests([
             dict(REQS[0], seed=0), dict(REQS[0], seed=1),
         ])
-        report = serve_batch(reqs, store=MemoryStore())
+        report = serve_batch(reqs, store=ResultStore())
         a, b = report["responses"]
         assert a["key"] != b["key"]
 
@@ -120,7 +120,7 @@ class TestServeBatch:
         ])
         assert natural.build_app().ccr != rescaled.build_app().ccr
         report = serve_batch(
-            [natural, rescaled], store=MemoryStore()
+            [natural, rescaled], store=ResultStore()
         )
         a, b = report["responses"]
         assert a["key"] != b["key"]
@@ -130,7 +130,7 @@ class TestServeBatch:
         (req,) = load_requests([
             {"solver": "greedy", "app": "3", "size": "4x4", "seed": 0}
         ])
-        report = serve_batch([req], store=MemoryStore())
+        report = serve_batch([req], store=ResultStore())
         assert report["responses"][0]["ok"]
 
     def test_refinement_is_a_spec_stage_not_an_option(self):
@@ -141,7 +141,7 @@ class TestServeBatch:
             dict(REQS[0], options={"refine": True}),
         ])
         refined, rejected = serve_batch(
-            [spec_req, opt_req], store=MemoryStore()
+            [spec_req, opt_req], store=ResultStore()
         )["responses"]
         assert refined["ok"] and refined["error"] is None
         assert not rejected["ok"]
@@ -151,7 +151,7 @@ class TestServeBatch:
 
     def test_summary_renders(self):
         reqs = load_requests(REQS)
-        report = serve_batch(reqs, store=MemoryStore())
+        report = serve_batch(reqs, store=ResultStore())
         text = serve_summary(report)
         assert "4 requests" in text
         assert "miss" in text

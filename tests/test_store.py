@@ -9,8 +9,7 @@ import pytest
 from repro.platform.topology import get_topology, topology_names
 from repro.spg.random_gen import random_spg
 from repro.store import (
-    MemoryStore,
-    SQLiteStore,
+    ResultStore,
     canonical_json,
     cell_fingerprint,
     fingerprint,
@@ -179,9 +178,9 @@ PAYLOAD = {"schema": PAYLOAD_SCHEMA_VERSION, "period": 1.0, "results": {}}
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
     if request.param == "memory":
-        s = MemoryStore()
+        s = ResultStore()
     else:
-        s = SQLiteStore(tmp_path / "test.sqlite")
+        s = ResultStore(tmp_path / "test.sqlite")
     yield s
     s.close()
 
@@ -264,7 +263,7 @@ class TestBackends:
         assert len(store) == 0
 
     def test_export_deterministic_across_fill_order(self, tmp_path):
-        a, b = MemoryStore(), SQLiteStore(tmp_path / "b.sqlite")
+        a, b = ResultStore(), ResultStore(tmp_path / "b.sqlite")
         a.put("x", PAYLOAD, kind="solve")
         a.put("y", dict(PAYLOAD, period=2.0))
         b.put("y", dict(PAYLOAD, period=2.0))
@@ -278,10 +277,10 @@ class TestBackends:
 class TestSQLitePersistence:
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "persist.sqlite"
-        s1 = SQLiteStore(path)
+        s1 = ResultStore(path)
         s1.put("k", PAYLOAD, kind="sweep-cell")
         s1.close()
-        s2 = SQLiteStore(path)
+        s2 = ResultStore(path)
         assert s2.get("k") == PAYLOAD
         assert s2.stats()["entries"] == 1
         s2.close()
@@ -289,14 +288,16 @@ class TestSQLitePersistence:
 
 class TestOpenStore:
     def test_none_and_memory(self):
-        assert isinstance(open_store(None), MemoryStore)
-        assert isinstance(open_store(":memory:"), MemoryStore)
+        for spec in (None, ":memory:"):
+            s = open_store(spec)
+            assert s.location == ":memory:"
+            s.close()
 
     def test_passthrough(self):
-        s = MemoryStore()
+        s = ResultStore()
         assert open_store(s) is s
 
     def test_path(self, tmp_path):
         s = open_store(tmp_path / "x.sqlite")
-        assert isinstance(s, SQLiteStore)
+        assert s.location == str(tmp_path / "x.sqlite")
         s.close()

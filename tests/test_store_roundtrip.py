@@ -27,7 +27,7 @@ from repro.platform.topology import get_topology, topology_names
 from repro.solvers import SolverResult, solve
 from repro.spg.random_gen import random_spg
 from repro.store import (
-    MemoryStore,
+    ResultStore,
     mapping_from_payload,
     mapping_to_payload,
     request_fingerprint,
@@ -73,7 +73,7 @@ def assert_bit_identical(a: SolverResult, b: SolverResult) -> None:
 @pytest.mark.parametrize("spec", SPECS)
 def test_hit_equals_cold_compute(topology, spec):
     prob = tiny_problem(topology)
-    store = MemoryStore()
+    store = ResultStore()
     key = request_fingerprint(
         prob.spg, prob.grid, spec, None, 3, prob.period
     )

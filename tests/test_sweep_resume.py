@@ -16,7 +16,7 @@ from repro.experiments import (
     report_json,
     run_scenario_sweep,
 )
-from repro.store import MemoryStore, SQLiteStore, open_store
+from repro.store import ResultStore, open_store
 
 #: A small but heterogeneous grid: 3 topologies x 2 replicates = 6 cells.
 SWEEP = dict(
@@ -63,7 +63,7 @@ class TestResume:
 
     @pytest.mark.parametrize("cut", [1, 3, 5])
     def test_interrupt_any_boundary_then_resume(self, cut, cold_text):
-        store = MemoryStore()
+        store = ResultStore()
         partial = run_scenario_sweep(**SWEEP, store=store, limit=cut)
         assert partial["meta"]["processed_instances"] == cut
         assert partial["meta"]["limit"] == cut
@@ -72,13 +72,13 @@ class TestResume:
         assert report_json(full) == cold_text
 
     def test_resume_with_jobs_bit_identical(self, cold_text):
-        store = MemoryStore()
+        store = ResultStore()
         run_scenario_sweep(**SWEEP, store=store, limit=2, checkpoint=1)
         full = run_scenario_sweep(**SWEEP, store=store, resume=True, jobs=2)
         assert report_json(full) == cold_text
 
     def test_full_resume_computes_nothing(self, monkeypatch, cold_text):
-        store = MemoryStore()
+        store = ResultStore()
         run_scenario_sweep(**SWEEP, store=store)
         assert len(store) == 6
 
@@ -91,7 +91,7 @@ class TestResume:
         assert report_json(full) == cold_text
 
     def test_store_without_resume_recomputes(self, monkeypatch):
-        store = MemoryStore()
+        store = ResultStore()
         run_scenario_sweep(**SWEEP, store=store, limit=2)
         calls = []
         real = scenarios_mod.run_tasks
@@ -106,7 +106,7 @@ class TestResume:
         assert sum(calls) == 2  # refresh semantics: hits are not consulted
 
     def test_cell_payloads_are_kind_tagged(self):
-        store = MemoryStore()
+        store = ResultStore()
         run_scenario_sweep(**SWEEP, store=store, limit=1)
         assert store.stats()["by_kind"] == {"sweep-cell": 1}
 
@@ -114,7 +114,7 @@ class TestResume:
 class TestShards:
     @pytest.mark.parametrize("n_shards", [2, 3])
     def test_shard_partition_covers_grid_once(self, n_shards, cold_text):
-        store = MemoryStore()
+        store = ResultStore()
         seen = 0
         for i in range(n_shards):
             part = run_scenario_sweep(
@@ -133,7 +133,7 @@ class TestShards:
         # merges it.
         path = tmp_path / "shards.sqlite"
         for i in range(2):
-            store = SQLiteStore(path)
+            store = ResultStore(path)
             run_scenario_sweep(**SWEEP, store=store, shard=f"{i}/2", jobs=1)
             store.close()
         merge_store = open_store(path)
@@ -153,7 +153,7 @@ class TestShards:
         assert len(labels(a) | labels(b)) == 6
 
     def test_checkpointed_shard(self, cold_text):
-        store = MemoryStore()
+        store = ResultStore()
         run_scenario_sweep(**SWEEP, store=store, shard="0/2", checkpoint=1)
         run_scenario_sweep(**SWEEP, store=store, shard="1/2", checkpoint=2)
         merged = run_scenario_sweep(**SWEEP, store=store, resume=True)
