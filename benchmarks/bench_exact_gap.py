@@ -43,8 +43,7 @@ def _run():
         _bm, bf = brute_force_optimal(prob)
         try:
             _im, ilp = ilp_optimal(prob, max_nodes=ILP_NODE_CAP)
-            # Within the node cap the ILP must match the brute force; a
-            # capped run may return a slightly worse incumbent.
+            # A returned ILP optimum is proven; a capped run raises.
             assert ilp >= bf * (1 - 1e-6)
             ilp_cell = f"{ilp:.4f}"
         except HeuristicFailure:

@@ -9,7 +9,8 @@ For each workload (the headline n=150 stage graph on a 6x6 mesh, plus a
 smaller n=50 / 4x4 trend point) it refines the same Random starting
 mapping through
 
-* ``refine_mapping_rebuild`` — the full-rebuild reference path, and
+* ``refine_mapping_rebuild`` — the full-rebuild reference path, kept in
+  ``tests/refine_reference.py``, and
 * ``refine_mapping`` — the incremental :class:`DeltaState` engine,
 
 verifies the two are **bit-identical** (same accepted-move sequence,
@@ -26,8 +27,13 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from _common import merge_bench_sections
+
+# The full-rebuild reference refiner lives in the test suite
+# (``tests/refine_reference.py``), importable from the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 #: (label, n stages, grid p, grid q, sweeps)
 WORKLOADS = (
@@ -52,7 +58,8 @@ def bench_workload(label, n, p, q, sweeps, repeats: int) -> dict:
     from repro.core.evaluate import energy
     from repro.core.problem import ProblemInstance
     from repro.heuristics.random_heuristic import random_mapping
-    from repro.heuristics.refine import refine_mapping, refine_mapping_rebuild
+    from repro.heuristics.refine import refine_mapping
+    from tests.refine_reference import refine_mapping_rebuild
     from repro.platform.cmp import CMPGrid
     from repro.spg.random_gen import random_spg
 

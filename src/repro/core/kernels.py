@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.errors import BudgetExceeded
-from repro.util.bitset import iter_bits
+from repro.util.bitset import iter_bits, split_words, word_count
 
 __all__ = [
     "EnumerationKernel",
@@ -60,9 +60,6 @@ __all__ = [
     "use_kernel",
     "reference_dfs",
     "suffix_forest",
-    "split_words",
-    "join_words",
-    "word_count",
     "KERNEL_ENV",
     "DEFAULT_KERNEL",
 ]
@@ -307,39 +304,6 @@ class PythonKernel(EnumerationKernel):
 # ----------------------------------------------------------------------
 # The suffix forest: frontier-batched bitset enumeration, any width
 # ----------------------------------------------------------------------
-_LOW64 = (1 << 64) - 1
-
-
-def word_count(n: int) -> int:
-    """``uint64`` words per mask of an ``n``-stage graph."""
-    return max(1, -(-n // 64))
-
-
-def split_words(values, words: int):
-    """Python-int bitmasks as a ``(words, len(values))`` ``uint64`` array
-    (word ``k`` holds bits ``64k .. 64k+63``)."""
-    import numpy as np
-
-    values = list(values)
-    out = np.empty((words, len(values)), np.uint64)
-    for k in range(words):
-        s = 64 * k
-        out[k] = np.fromiter(
-            ((v >> s) & _LOW64 for v in values), np.uint64, len(values)
-        )
-    return out
-
-
-def join_words(arr) -> list[int]:
-    """Inverse of :func:`split_words`: the columns as Python ints."""
-    rows = [row.tolist() for row in arr]
-    out = rows[0]
-    for k in range(1, len(rows)):
-        s = 64 * k
-        out = [v | (hi << s) for v, hi in zip(out, rows[k])]
-    return out
-
-
 def _forest_state(lat):
     """Per-lattice numpy tables of the forest, cached in the lattice's
     ``_kernel_scratch``: successor masks and each stage's own bit split

@@ -23,17 +23,21 @@ from typing import NoReturn
 from repro.core.errors import BudgetExceeded
 from repro.core.kernels import (
     EnumerationKernel,
-    join_words,
     resolve_kernel,
-    split_words,
     suffix_forest,
-    word_count,
 )
 from repro.obs.session import inc, trace_span
 from repro.spg.analysis import ancestor_masks, descendant_masks
-from repro.spg.decompose import ideal_count
+from repro.spg.decompose import enumerate_ideals, ideal_count
 from repro.spg.graph import SPG
-from repro.util.bitset import bit, iter_bits, mask_of
+from repro.util.bitset import (
+    bit,
+    iter_bits,
+    join_words,
+    mask_of,
+    split_words,
+    word_count,
+)
 
 __all__ = [
     "quotient_edges",
@@ -101,6 +105,12 @@ def is_dag_partition(spg: SPG, cluster_of: Mapping[int, object]) -> bool:
 class IdealLattice:
     """Enumeration of the order ideals (admissible subgraphs) of an SPG.
 
+    The ideals of a series-parallel graph, of any width, come from its
+    SP decomposition tree (:func:`repro.spg.decompose.enumerate_ideals`)
+    as one ``(words, N)`` ``uint64`` array, which :meth:`ideal_words`
+    returns as is.  A hand-built DAG that does not decompose falls back
+    to a breadth-first search over Python-int masks.
+
     Parameters
     ----------
     spg:
@@ -110,11 +120,11 @@ class IdealLattice:
         :class:`BudgetExceeded`.  The paper bounds the count by
         ``n^ymax``; real workloads with ymax around 12-17 blow any budget,
         which is exactly when DPA1D is reported to fail.  The budget is
-        decided by the exact count on the SP decomposition tree
-        (:func:`repro.spg.decompose.ideal_count`) before any enumeration,
-        so an over-budget lattice is rejected without being built.  A
-        graph that is not series-parallel has no count and is checked
-        while enumerating.
+        decided by the exact count on the same tree
+        (:func:`repro.spg.decompose.ideal_count`) before anything is
+        built, so an over-budget lattice is rejected without being
+        enumerated.  A graph that is not series-parallel has no count and
+        is checked while the search runs.
     kernel:
         The kernel that builds the suffix table of a word-sized graph
         (n <= 62) — a name from the :mod:`repro.core.kernels` registry,
@@ -150,7 +160,10 @@ class IdealLattice:
         self._row_keys: tuple | None = None
         self._cut_table: tuple | None = None
         self._initc: dict[int, list[int]] = {0: []}
-        self._init_mask: dict[int, int] = {}
+        # Successor-free stages of every ideal, built by the first
+        # _init_list call once the ideals exist (only reference_dfs reads
+        # it).
+        self._init_mask: dict[int, int] | None = None
         # (cap, (M, W, counts, offsets, pidx, total)): the one suffix
         # table, built at the loosest cap requested so far (word-sized
         # graphs only; see suffix_table).
@@ -201,26 +214,35 @@ class IdealLattice:
                 yield i
 
     def ideals(self) -> list[int]:
-        """All order ideals, sorted by population count (empty set first).
+        """All order ideals, sorted by population count and then by value
+        (empty set first).
 
         Raises :class:`BudgetExceeded` if there are more than ``budget``.
-        A series-parallel graph is counted first (:func:`ideal_count`)
-        and an over-budget one raises without enumerating.  The count
-        includes the empty set, as both enumeration paths do, so exactly
-        the lattices enumeration would reject fail, with the same
-        message.  Both the result and a budget failure are cached, so
-        repeated solves on the same lattice neither re-enumerate nor
-        re-discover the blowup.
+        A series-parallel graph is counted first (:func:`ideal_count`):
+        an over-budget one raises without enumerating, any other is
+        enumerated from its decomposition tree, whatever its width.  A
+        graph with no count runs the breadth-first fallback, which checks
+        the budget as it grows, so both paths reject exactly the same
+        lattices with the same message.  Both the result and a budget
+        failure are cached, so repeated solves on the same lattice
+        neither re-enumerate nor re-discover the blowup.
         """
         if self._ideals is not None:
             return self._ideals
         if self._budget_error is not None:
             raise BudgetExceeded(self._budget_error)
         count = ideal_count(self.spg)
-        if count is not None and count > self.budget:
+        if count is None:
+            return self._ideals_bfs()
+        if count > self.budget:
             self._over_budget()
-        if self.spg.n <= 62:
-            return self._ideals_vector()
+        self._ideal_words = enumerate_ideals(self.spg)
+        self._ideals = join_words(self._ideal_words)
+        return self._ideals
+
+    def _ideals_bfs(self) -> list[int]:
+        """Breadth-first ideal enumeration over Python-int masks, the
+        fallback for graphs that are not series-parallel."""
         seen: set[int] = {0}
         pm = self._pred_mask
         succs = [list(self.spg.succs(i)) for i in range(self.spg.n)]
@@ -260,57 +282,6 @@ class IdealLattice:
         )
         raise BudgetExceeded(self._budget_error)
 
-    def _ideals_vector(self) -> list[int]:
-        """Vectorised ideal enumeration for word-sized graphs.
-
-        Growing an ideal by one addable stage raises its popcount by
-        exactly one, so the BFS layers *are* the popcount classes: each
-        layer is produced from the previous one with one masked
-        shift-and-or per stage, deduplicated by ``np.unique`` (which also
-        yields the value-sorted order within the class).  The concatenated
-        layers therefore match the scalar enumeration's
-        ``sorted-by-(popcount, value)`` output exactly.
-        """
-        import numpy as np
-
-        n = self.spg.n
-        pm = self._pred_mask
-        sm = self._succ_mask
-        bits = [np.uint64(1 << i) for i in range(n)]
-        pms = [np.uint64(m) for m in pm]
-        zero = np.uint64(0)
-        layers = [np.zeros(1, dtype=np.uint64)]
-        layer = layers[0]
-        count = 1
-        while True:
-            cands = []
-            for i in range(n):
-                b = bits[i]
-                p = pms[i]
-                sel = ((layer & b) == zero) & ((layer & p) == p)
-                if sel.any():
-                    cands.append(layer[sel] | b)
-            if not cands:
-                break
-            layer = np.unique(
-                np.concatenate(cands) if len(cands) > 1 else cands[0]
-            )
-            count += layer.size
-            if count > self.budget:
-                self._over_budget()
-            layers.append(layer)
-        allv = np.concatenate(layers) if len(layers) > 1 else layers[0]
-        self._ideals = allv.tolist()
-        # Successor-free masks of every ideal, also one vector op per stage.
-        im = np.zeros(allv.size, dtype=np.uint64)
-        for i in range(n):
-            b = bits[i]
-            s = np.uint64(sm[i])
-            sel = ((allv & b) != zero) & ((allv & s) == zero)
-            im[sel] |= b
-        self._init_mask = dict(zip(self._ideals, im.tolist()))
-        return self._ideals
-
     def ideal_cuts(self):
         """Cut volume of every ideal, in :meth:`ideals` order (numpy array).
 
@@ -333,11 +304,10 @@ class IdealLattice:
     def ideal_words(self):
         """Every ideal in :meth:`ideals` order as a ``(words, N)``
         ``uint64`` array, ``words = ceil(n / 64)`` (see
-        :func:`~repro.core.kernels.split_words`)."""
+        :func:`~repro.util.bitset.split_words`)."""
+        ideals = self.ideals()
         if self._ideal_words is None:
-            self._ideal_words = split_words(
-                self.ideals(), word_count(self.spg.n)
-            )
+            self._ideal_words = split_words(ideals, word_count(self.spg.n))
         return self._ideal_words
 
     def dp_rows(self, masks):
@@ -372,10 +342,7 @@ class IdealLattice:
                 return None
             import numpy as np
 
-            ideals = self._ideals
-            vals = np.sort(
-                np.fromiter(ideals, dtype=np.uint64, count=len(ideals))
-            )
+            vals = np.sort(self.ideal_words()[0])
             one = np.uint64(1)
             cuts = _edge_cuts(
                 self.spg, len(vals), lambda i: (vals >> np.uint64(i)) & one
@@ -586,11 +553,8 @@ class IdealLattice:
         if self._ideal_pos is None:
             import numpy as np
 
-            ideals = self.ideals()
             vals, _cuts = self.cut_table()
-            ideal_vals = np.fromiter(
-                ideals, dtype=np.uint64, count=len(ideals)
-            )
+            ideal_vals = self.ideal_words()[0]
             self._ideal_pos = (ideal_vals, np.searchsorted(vals, ideal_vals))
         return self._ideal_pos
 
@@ -612,7 +576,9 @@ class IdealLattice:
         """Successor-free stages of ``ideal``, ascending (cached)."""
         init = self._initc.get(ideal)
         if init is None:
-            m = self._init_mask.get(ideal)
+            if self._init_mask is None and self._ideals is not None:
+                self._init_mask = self._successor_free_masks()
+            m = (self._init_mask or {}).get(ideal)
             if m is not None:
                 init = list(iter_bits(m))
             else:
@@ -620,6 +586,23 @@ class IdealLattice:
                 init = [i for i in iter_bits(ideal) if sm[i] & ideal == 0]
             self._initc[ideal] = init
         return init
+
+    def _successor_free_masks(self) -> dict[int, int]:
+        """Ideal -> mask of its successor-free stages, one vector op per
+        stage over every ideal; empty for graphs wider than a word, whose
+        :meth:`_init_list` scans the ideal instead."""
+        if self.spg.n > 62:
+            return {}
+        import numpy as np
+
+        allv = self.ideal_words()[0]
+        zero = np.uint64(0)
+        im = np.zeros(allv.size, dtype=np.uint64)
+        for i, s in enumerate(self._succ_mask):
+            b = np.uint64(1 << i)
+            sel = ((allv & b) != zero) & ((allv & np.uint64(s)) == zero)
+            im[sel] |= b
+        return dict(zip(self._ideals, im.tolist()))
 
     def suffix_clusters(self, ideal: int, max_weight: float) -> list[int]:
         """Masks-only view of :meth:`suffix_clusters_weighted`."""

@@ -341,13 +341,16 @@ def ilp_optimal(
 ) -> tuple[Mapping, float]:
     """Solve the ILP to optimality; returns (mapping, objective energy).
 
-    Raises :class:`HeuristicFailure` when infeasible or the node budget is
-    exhausted without an incumbent.
+    Raises :class:`HeuristicFailure` when the program is infeasible or
+    the branch and bound stops at ``max_nodes`` before proving its
+    optimum, even if it holds an incumbent by then: an unproven
+    incumbent may be worse than the optimum, and a gap measured against
+    it would be understated.
     """
     ilp = build_ilp(problem)
     res = solve_binary_program(
         ilp.c, ilp.A_ub, ilp.b_ub, ilp.A_eq, ilp.b_eq, max_nodes=max_nodes
     )
-    if res.x is None:
+    if res.status != "optimal":
         raise HeuristicFailure(f"ILP: {res.status} after {res.nodes} nodes")
     return ilp.decode(res.x), res.objective

@@ -11,11 +11,7 @@ from repro.heuristics.random_heuristic import random_mapping
 from repro.heuristics.greedy import greedy_mapping
 from repro.heuristics.dpa1d import dpa1d_mapping, solve_uniline
 from repro.heuristics.dpa2d import dpa2d_mapping, dpa2d1d_mapping, solve_dpa2d
-from repro.heuristics.refine import (
-    SCHEDULES,
-    refine_mapping,
-    refine_mapping_rebuild,
-)
+from repro.heuristics.refine import SCHEDULES, refine_mapping
 
 __all__ = [
     "HeuristicResult",
@@ -32,5 +28,4 @@ __all__ = [
     "solve_dpa2d",
     "SCHEDULES",
     "refine_mapping",
-    "refine_mapping_rebuild",
 ]

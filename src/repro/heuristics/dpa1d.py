@@ -28,12 +28,11 @@ from itertools import groupby
 import numpy as np
 
 from repro.core.errors import HeuristicFailure
-from repro.core.kernels import split_words
 from repro.core.mapping import Mapping
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
 from repro.heuristics.base import register
-from repro.util.bitset import bits_of
+from repro.util.bitset import bits_of, split_words
 
 __all__ = ["dpa1d_mapping", "solve_uniline"]
 

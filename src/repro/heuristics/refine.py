@@ -21,11 +21,11 @@ heuristics.  This module provides a local-search refiner that
 
 Candidates are graded by the incremental
 :class:`~repro.core.delta.DeltaState` layer, which scores each move in
-O(affected cores/links) instead of rebuilding the full mapping; the
-pre-delta full-rebuild implementation is retained as
-:func:`refine_mapping_rebuild` and the two are pinned bit-identical
-(same accepted-move sequence, same final mapping) by
-``tests/test_refine_equivalence.py``.
+O(affected cores/links) instead of rebuilding the full mapping.  The
+refiner that rebuilt and re-validated a whole mapping per candidate
+lives on in ``tests/refine_reference.py``, and
+``tests/test_refine_equivalence.py`` pins the two bit-identical (same
+accepted-move sequence, same final mapping).
 
 Deterministic given the RNG; every schedule runs a bounded sweep budget
 and returns a mapping never worse than its input.
@@ -36,142 +36,19 @@ from __future__ import annotations
 import math
 
 from repro.core.delta import DeltaState, MoveStage, PowerOff, SwapClusters
-from repro.core.evaluate import energy, is_period_feasible
+from repro.core.evaluate import energy
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
 from repro.obs.session import inc, trace_span
 from repro.util.rng import as_rng
 
-__all__ = ["refine_mapping", "refine_mapping_rebuild", "SCHEDULES"]
+__all__ = ["refine_mapping", "SCHEDULES"]
 
 #: Acceptance schedules supported by :func:`refine_mapping`.
 SCHEDULES = ("first", "best", "anneal")
 
 #: Relative improvement a move must achieve to be accepted.
 _EPS = 1e-12
-
-
-# ----------------------------------------------------------------------
-# Retained full-rebuild reference implementation
-# ----------------------------------------------------------------------
-def _rebuild(
-    problem: ProblemInstance, alloc: dict[int, tuple[int, int]]
-) -> Mapping | None:
-    """Mapping from an allocation with energy-optimal per-core speeds.
-
-    The allocation is canonicalised to stage order so that every float
-    accumulation downstream (per-core work, energy sums) happens in the
-    same deterministic order the delta layer reproduces.
-    """
-    grid = problem.grid
-    alloc = {i: alloc[i] for i in range(problem.spg.n)}
-    work: dict[tuple[int, int], float] = {}
-    weights = problem.spg.weights
-    for i, c in alloc.items():
-        work[c] = work.get(c, 0.0) + weights[i]
-    speeds: dict[tuple[int, int], float] = {}
-    for c, w in work.items():
-        s = grid.core_model(c).best_feasible(w, problem.period)
-        if s is None:
-            return None
-        speeds[c] = s
-    return Mapping(problem.spg, problem.grid, alloc, speeds)
-
-
-def _acceptable(
-    problem: ProblemInstance, mapping: Mapping, allow_general: bool
-) -> bool:
-    if not mapping.is_valid_structure(require_dag_partition=not allow_general):
-        return False
-    return is_period_feasible(mapping, problem.period)
-
-
-def refine_mapping_rebuild(
-    problem: ProblemInstance,
-    mapping: Mapping,
-    rng=None,
-    sweeps: int = 4,
-    allow_general: bool = False,
-    log: list | None = None,
-) -> Mapping:
-    """First-improvement refinement, full-rebuild reference path.
-
-    Every candidate rebuilds a complete :class:`Mapping` and re-runs the
-    independent validators — O(n + E) per move.  Kept as the executable
-    specification the delta engine is pinned against (and for
-    benchmarking the speedup); use :func:`refine_mapping` for real work.
-
-    ``log``, when given, collects the accepted moves as tuples
-    ``(kind, *args, repr(energy))`` for the equivalence suite.
-    """
-    rng = as_rng(rng)
-    best = mapping
-    best_e = energy(best, problem.period).total
-    cores = problem.grid.cores()
-    n = problem.spg.n
-
-    def try_updates(updates: dict[int, tuple[int, int]]):
-        alloc = dict(best.alloc)
-        alloc.update(updates)
-        cand = _rebuild(problem, alloc)
-        if cand is None or not _acceptable(problem, cand, allow_general):
-            return None
-        e = energy(cand, problem.period).total
-        if e < best_e * (1 - _EPS):
-            return cand, e
-        return None
-
-    for _sweep in range(sweeps):
-        improved = False
-        # Move one stage to each other core, first improvement wins.
-        for i in rng.permutation(n):
-            i = int(i)
-            current = best.alloc[i]
-            for b in cores:
-                if b == current:
-                    continue
-                got = try_updates({i: b})
-                if got is not None:
-                    best, best_e = got
-                    improved = True
-                    if log is not None:
-                        log.append(("move", i, current, b, repr(best_e)))
-                    break
-        # Swap whole clusters between core pairs (placement improvement).
-        for a in sorted(best.clusters()):
-            clusters = best.clusters()
-            if a not in clusters:
-                continue
-            for b in cores:
-                if b == a:
-                    continue
-                updates = {i: b for i in clusters.get(a, [])}
-                updates.update({i: a for i in clusters.get(b, [])})
-                got = try_updates(updates)
-                if got is not None:
-                    best, best_e = got
-                    improved = True
-                    if log is not None:
-                        log.append(("swap", a, b, repr(best_e)))
-                    break
-        # Power a core off: merge its cluster into another active core.
-        for a in sorted(best.clusters()):
-            clusters = best.clusters()
-            if a not in clusters:
-                continue
-            for b in cores:
-                if b == a or b not in clusters:
-                    continue
-                got = try_updates({i: b for i in clusters[a]})
-                if got is not None:
-                    best, best_e = got
-                    improved = True
-                    if log is not None:
-                        log.append(("off", a, b, repr(best_e)))
-                    break
-        if not improved:
-            break
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +235,7 @@ def refine_mapping(
     log:
         Optional list collecting accepted moves as ``(kind, *args,
         repr(energy))`` tuples — the equivalence suite compares these
-        with :func:`refine_mapping_rebuild`'s.
+        with the full-rebuild reference refiner's.
     """
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; pick from {SCHEDULES}")

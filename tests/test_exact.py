@@ -159,6 +159,19 @@ class TestIlp:
         with pytest.raises(HeuristicFailure):
             ilp_optimal(prob)
 
+    def test_node_limit_with_incumbent_raises(self, tiny_problem):
+        # Nine nodes find an incumbent 24% above the optimum and stop
+        # before proving anything: no "optimum" may come back.
+        ilp = build_ilp(tiny_problem)
+        res = solve_binary_program(
+            ilp.c, ilp.A_ub, ilp.b_ub, ilp.A_eq, ilp.b_eq, max_nodes=9
+        )
+        assert res.status == "node-limit" and res.x is not None
+        _bm, bf = brute_force_optimal(tiny_problem)
+        assert res.objective > bf * 1.2
+        with pytest.raises(HeuristicFailure, match="ILP: node-limit after"):
+            ilp_optimal(tiny_problem, max_nodes=9)
+
     def test_model_dimensions(self, tiny_problem):
         ilp = build_ilp(tiny_problem)
         n, nk, cores = 4, 2, 4

@@ -2,8 +2,9 @@
 
 ``IdealLattice.ideals()`` rejects an over-budget series-parallel graph
 from :func:`repro.spg.decompose.ideal_count` without enumerating.  These
-tests pin the count to a full enumeration, and the early rejection to the
-enumeration paths' own failures: same budgets, same message.
+tests pin the count to a full enumeration by the breadth-first fallback,
+and the early rejection to that fallback's own failures: same budgets,
+same message.
 """
 
 from __future__ import annotations
@@ -15,14 +16,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from tests.ideal_reference import brute_force_ideals, n_graph
 from repro.core import partition
 from repro.core.errors import BudgetExceeded
 from repro.core.partition import IdealLattice
 from repro.spg.build import chain, diamond, split_join
-from repro.spg.decompose import ideal_count
+from repro.spg.decompose import (
+    decompose,
+    enumerate_ideals,
+    ideal_count,
+    sp_depth,
+)
 from repro.spg.graph import SPG
 from repro.spg.random_gen import random_spg, random_spg_with_elevation
 from repro.spg.streamit import streamit_workflow
+from repro.util.bitset import join_words, word_count
 
 #: Largest count the random tests enumerate in full.
 CAP = 200_000
@@ -32,7 +40,8 @@ IDEAL_BUDGET = 120_000
 
 
 def enumerated(spg: SPG, budget: int) -> "int | str":
-    """Ideal count by enumeration alone, or its budget failure message."""
+    """Ideal count by the breadth-first fallback alone, or its budget
+    failure message."""
     with mock.patch.object(partition, "ideal_count", lambda g: None):
         try:
             return len(IdealLattice(spg, budget=budget).ideals())
@@ -48,30 +57,6 @@ def assert_exact(spg: SPG) -> None:
         assert enumerated(spg, CAP) == count
     else:
         assert isinstance(enumerated(spg, CAP), str)
-
-
-def n_graph() -> SPG:
-    """The N-graph: the smallest DAG that is not series-parallel."""
-    return SPG(
-        [1.0] * 6,
-        None,
-        {
-            (0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): 1,
-            (2, 4): 1, (3, 5): 1, (4, 5): 1,
-        },
-    )
-
-
-def brute_force_ideals(spg: SPG) -> int:
-    """Predecessor-closed subsets of a small graph, by checking all 2^n."""
-    return sum(
-        all(
-            (mask >> j) & 1 or not (mask >> i) & 1
-            for i in range(spg.n)
-            for j in spg.preds(i)
-        )
-        for mask in range(1 << spg.n)
-    )
 
 
 class TestCount:
@@ -103,6 +88,20 @@ class TestCount:
         g = SPG([1.0] * n, None, {(i, i + 1): 1.0 for i in range(n - 1)})
         assert ideal_count(g) == n + 1
 
+    def test_deep_chain_tree_helpers_are_not_recursive(self):
+        # Every walk of the 3000-deep tree, the ideal enumeration
+        # included, runs without recursing.
+        n = 3000
+        g = SPG([1.0] * n, None, {(i, i + 1): 1.0 for i in range(n - 1)})
+        tree = decompose(g)
+        assert sp_depth(tree) == n - 2
+        assert tree.leaves() == [(i, i + 1) for i in range(n - 1)]
+        assert tree.count("series") == n - 2
+        assert len(tree.render().splitlines()) == 2 * n - 3
+        words = enumerate_ideals(g)
+        assert words.shape == (word_count(n), n + 1)
+        assert join_words(words) == [(1 << k) - 1 for k in range(n + 1)]
+
     def test_non_sp_is_none(self):
         assert ideal_count(n_graph()) is None
 
@@ -130,7 +129,7 @@ class TestCount:
 
     @pytest.mark.parametrize("app", [6, 7, 8, 9, 10, 11, 12])
     def test_streamit_within_cap(self, app):
-        # App 11 (Serpent, 120 stages) enumerates on the n > 62 BFS path.
+        # App 11 (Serpent, 120 stages) needs two words per mask.
         g = streamit_workflow(app)
         count = ideal_count(g)
         assert count <= CAP
@@ -138,13 +137,15 @@ class TestCount:
 
     @pytest.mark.parametrize("app", [1, 2, 3, 4, 5])
     def test_streamit_over_budget(self, app):
-        # Apps 3 and 5 (85 and 114 stages) fail on the BFS path.
+        # Apps 3 and 5 (85 and 114 stages) need two words per mask.
         g = streamit_workflow(app)
         assert ideal_count(g) > IDEAL_BUDGET
         assert isinstance(enumerated(g, IDEAL_BUDGET), str)
 
 
-#: One graph per enumeration path: vector (n <= 62) and BFS (n > 62).
+#: One graph of one ``uint64`` word (n <= 62) and one of two.  The keys
+#: name the enumeration each width ran before the decomposition tree
+#: enumerated both: a popcount-layer vector BFS and a Python-int BFS.
 BOUNDARY = {"vector": 6, "bfs": 11}
 
 
@@ -176,10 +177,11 @@ class TestBudgetBoundary:
                 lat.ideals()
 
     def test_rejection_does_not_enumerate(self, graph, monkeypatch):
-        def no_enumeration(self):
+        def no_enumeration(*_args):
             raise AssertionError("enumerated an over-budget lattice")
 
-        monkeypatch.setattr(IdealLattice, "_ideals_vector", no_enumeration)
+        monkeypatch.setattr(partition, "enumerate_ideals", no_enumeration)
+        monkeypatch.setattr(IdealLattice, "_ideals_bfs", no_enumeration)
         lat = IdealLattice(graph, budget=ideal_count(graph) - 1)
         with pytest.raises(BudgetExceeded):
             lat.ideals()

@@ -27,21 +27,19 @@ from repro.core.kernels import (
     KERNELS,
     EnumerationKernel,
     get_kernel,
-    join_words,
     kernel_names,
     reference_dfs,
     register_kernel,
     resolve_kernel,
     set_default_kernel,
-    split_words,
     suffix_forest,
     use_kernel,
-    word_count,
 )
 from repro.core.partition import IdealLattice
 from repro.spg import chain, fork_join
 from repro.spg.streamit import streamit_workflow
 from repro.spg.random_gen import random_spg, random_spg_with_elevation
+from repro.util.bitset import join_words, split_words, word_count
 
 
 def lattice(spg, kernel, budget=1 << 20):
@@ -230,6 +228,8 @@ class TestKernelParity:
             got = lat.suffix_table(cap)
             for a, b in zip(want[:5], got[:5]):
                 assert np.array_equal(a, b)
+            # The lazy build only runs while the masks are unset.
+            assert lat._init_mask == {}
 
     def test_wide_graph_matches_reference_dfs(self):
         spg = chain(70)

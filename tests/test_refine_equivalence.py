@@ -16,13 +16,14 @@ from __future__ import annotations
 import pytest
 
 from tests.helpers import loose_period
+from tests.refine_reference import acceptable, rebuild, refine_mapping_rebuild
 
 from repro.core.delta import DeltaState, MoveStage, PowerOff, SwapClusters
 from repro.core.errors import HeuristicFailure, MappingError
 from repro.core.evaluate import energy, is_period_feasible, validate
 from repro.core.problem import ProblemInstance
 from repro.heuristics.base import REGISTRY
-from repro.heuristics.refine import refine_mapping, refine_mapping_rebuild
+from repro.heuristics.refine import refine_mapping
 from repro.platform.topology import get_topology, topology_names
 from repro.spg.random_gen import random_spg
 
@@ -192,8 +193,6 @@ class TestDeltaState:
     def test_rejections_match_validators(self, state, problem):
         """evaluate_move returns None exactly when the independent
         validators reject the rebuilt candidate."""
-        from repro.heuristics.refine import _acceptable, _rebuild
-
         cores = problem.grid.cores()
         checked = rejected = 0
         for stage in range(0, problem.spg.n, 3):
@@ -205,8 +204,8 @@ class TestDeltaState:
                     i: state.core_of(i) for i in range(problem.spg.n)
                 }
                 state.revert(token)
-                cand = _rebuild(problem, alloc)
-                reference_ok = cand is not None and _acceptable(
+                cand = rebuild(problem, alloc)
+                reference_ok = cand is not None and acceptable(
                     problem, cand, allow_general=False
                 )
                 assert (breakdown is not None) == reference_ok
