@@ -15,9 +15,11 @@ Theorem-1 suffix-cluster enumeration dominating, DP array work small):
   suffix table: six solve caps walked loosest-first on one lattice
   versus a fresh lattice per cap;
 * the probe pattern that ``choose_period`` actually produces: a loose
-  cap whose table exceeds DPA1D's 1M transition budget (the build
-  raises ``BudgetExceeded``), then the 10x tighter cap on the same
-  lattice, against the tighter cap on a fresh lattice;
+  cap whose table would exceed DPA1D's 1M transition budget, then the
+  10x tighter cap on the same lattice, against the tighter cap on a
+  fresh lattice.  The loose request is also timed alone on a fresh
+  lattice, and the section records whether the SP-tree transition
+  bound rejected it before any enumeration (``bound_rejected``);
 * ``budget_rejection``: ``IdealLattice(spg, 120_000).ideals()`` on the
   StreamIt apps 1-5 (original CCR) and the Figure-12 n=150 panel graphs,
   where the exact series-parallel ideal count rejects most lattices
@@ -209,22 +211,43 @@ def bench_reuse(repeats: int) -> dict:
 def bench_probe(repeats: int) -> dict:
     """A budget-blowing loose probe, then the 10x tighter cap.
 
-    ``probed`` times both requests on one lattice (the failed build
-    included), ``fresh`` the tighter cap alone on a fresh lattice; the
-    two tighter tables must be byte-identical.  Vector kernel.
+    ``rejection`` times the loose request alone on a fresh lattice whose
+    ideals are not enumerated yet, as a solve's first probe meets it;
+    ``bound_rejected`` says whether the SP-tree transition bound decided
+    it (``partition.transition_bound_rejects``), with no ideal or
+    cluster enumerated, rather than the enumeration crossing the
+    budget.  ``probed`` times both requests on one lattice whose ideals
+    are enumerated (the failed request included), ``fresh`` the tighter
+    cap alone on a fresh lattice; the two tighter tables must be
+    byte-identical.  Vector kernel.
     """
     from repro.core.errors import BudgetExceeded
     from repro.core.partition import IdealLattice
+    from repro.obs.session import observability
 
     panel, frac = PROBE
     spg, _cap = _panel(*PANELS[panel])
     loose = sum(spg.weights) * frac
     tight = loose / 10
-    probed_samples, fresh_samples = [], []
+    probed_samples, fresh_samples, rejection_samples = [], [], []
     equal = True
     raised = True
+    bound_rejected = True
     transitions = 0
     for _ in range(repeats):
+        gc.collect()
+        lat = IdealLattice(spg, budget=IDEAL_BUDGET, kernel="vector")
+        with observability() as session:
+            t0 = time.perf_counter()
+            try:
+                lat.suffix_table(loose, TRANSITION_BUDGET)
+                raised = False
+            except BudgetExceeded:
+                pass
+            rejection_samples.append(time.perf_counter() - t0)
+        bound_rejected = bound_rejected and session.metrics.counters.get(
+            "partition.transition_bound_rejects", 0) == 1
+        del lat
         gc.collect()
         lat = IdealLattice(spg, budget=IDEAL_BUDGET, kernel="vector")
         lat.ideals()
@@ -252,6 +275,9 @@ def bench_probe(repeats: int) -> dict:
         "loose_cap_fraction": frac,
         "transition_budget": TRANSITION_BUDGET,
         "loose_raised": raised,
+        "bound_rejected": bound_rejected,
+        "rejection_seconds": min(rejection_samples),
+        "rejection_samples": rejection_samples,
         "tight_transitions": transitions,
         "probed_seconds": min(probed_samples),
         "probed_samples": probed_samples,

@@ -28,7 +28,11 @@ from repro.core.kernels import (
 )
 from repro.obs.session import inc, trace_span
 from repro.spg.analysis import ancestor_masks, descendant_masks
-from repro.spg.decompose import enumerate_ideals, ideal_count
+from repro.spg.decompose import (
+    enumerate_ideals,
+    ideal_count,
+    transition_lower_bound,
+)
 from repro.spg.graph import SPG
 from repro.util.bitset import (
     bit,
@@ -229,16 +233,45 @@ class IdealLattice:
         """
         if self._ideals is not None:
             return self._ideals
-        if self._budget_error is not None:
-            raise BudgetExceeded(self._budget_error)
-        count = ideal_count(self.spg)
-        if count is None:
+        if self._checked_count() is None:
             return self._ideals_bfs()
-        if count > self.budget:
-            self._over_budget()
         self._ideal_words = enumerate_ideals(self.spg)
         self._ideals = join_words(self._ideal_words)
         return self._ideals
+
+    def _checked_count(self) -> int | None:
+        """The ideal count of a series-parallel graph (``None`` for any
+        other), raising the lattice's budget failure when it is over."""
+        if self._budget_error is not None:
+            raise BudgetExceeded(self._budget_error)
+        count = ideal_count(self.spg)
+        if count is not None and count > self.budget:
+            self._over_budget()
+        return count
+
+    def _check_transition_bound(
+        self, max_weight: float, transition_budget: int
+    ) -> None:
+        """Raise the enumeration's own :class:`BudgetExceeded` when the
+        SP-tree bound (:func:`~repro.spg.decompose.transition_lower_bound`)
+        proves that the suffix clusters at ``max_weight`` exceed
+        ``transition_budget``, before any ideal or cluster is enumerated.
+
+        The ideal-budget check runs first, so its failure keeps
+        precedence.  A lattice of ``count`` ideals has at most ``count *
+        (count - 1) / 2`` transitions, so one that small skips the bound;
+        a graph that is not series-parallel has none.  Either way, and
+        whenever the bound fits the budget, the enumeration decides.
+        """
+        count = self._checked_count()
+        if count is None or count * (count - 1) // 2 <= transition_budget:
+            return
+        bound = transition_lower_bound(
+            self.spg, max_weight, transition_budget
+        )
+        if bound is not None and bound > transition_budget:
+            inc("partition.transition_bound_rejects")
+            raise BudgetExceeded(_transition_msg(transition_budget))
 
     def _ideals_bfs(self) -> list[int]:
         """Breadth-first ideal enumeration over Python-int masks, the
@@ -432,14 +465,21 @@ class IdealLattice:
         clusters heavier than the cap, so filtering reproduces a pruned
         enumeration element for element); a looser cap builds a new
         table, which replaces the kept one once the build completes.
-        When ``transition_budget`` is given a build raises
-        :class:`BudgetExceeded` as soon as the cumulative transition
-        count exceeds it, leaving the kept table in place; a kept or
-        filtered table re-checks its total against the caller's budget
-        (which may differ per solve), with the same message.
+
+        When ``transition_budget`` is given, a build first checks the
+        ideal budget and then the SP-tree transition bound
+        (:meth:`_check_transition_bound`): a lattice the bound proves
+        over budget raises :class:`BudgetExceeded` before its ideals or
+        any cluster are enumerated.  Otherwise the build raises as soon
+        as the cumulative transition count exceeds the budget, leaving
+        the kept table in place.  A kept or filtered table re-checks its
+        exact total against the caller's budget (which may differ per
+        solve) instead.  Every path raises the same message.
         """
         kept = self._table
         if kept is None or kept[0] < max_weight:
+            if transition_budget is not None:
+                self._check_transition_bound(max_weight, transition_budget)
             tbl = self._build_table(max_weight, transition_budget)
             self._table = (max_weight, tbl)
             inc("kernel.table_builds")
@@ -450,9 +490,7 @@ class IdealLattice:
             tbl = _filter_table(kept[1], max_weight)
             inc("kernel.table_filtered")
         if transition_budget is not None and tbl[5] > transition_budget:
-            raise BudgetExceeded(
-                f"DPA1D exceeded {transition_budget} DP transitions"
-            )
+            raise BudgetExceeded(_transition_msg(transition_budget))
         return tbl
 
     def _build_table(
@@ -472,7 +510,7 @@ class IdealLattice:
         masks_parts: list = []
         works_parts: list = []
         transitions = 0
-        budget_msg = f"DPA1D exceeded {transition_budget} DP transitions"
+        budget_msg = _transition_msg(transition_budget)
         for s in range(0, len(nz), TABLE_CHUNK):
             chunk = nz[s:s + TABLE_CHUNK]
             remaining = (
@@ -516,17 +554,27 @@ class IdealLattice:
         :data:`STREAM_TRANSITIONS` transitions (at most
         :data:`TABLE_CHUNK`).  Nothing of a range is kept once the
         caller moves on, so no whole-lattice table is ever materialised.
-        The forest counts against ``transition_budget`` as it goes: a
-        doomed run raises :class:`BudgetExceeded` before enumerating the
-        rest.
+
+        The call itself, before it returns the stream, checks the ideal
+        budget and then the SP-tree transition bound
+        (:meth:`_check_transition_bound`), so a lattice the bound proves
+        over ``transition_budget`` raises :class:`BudgetExceeded` with
+        no ideal or cluster enumerated.  Past that, the forest counts
+        against the budget as it goes: a doomed run raises before
+        enumerating the rest, with the same message.
 
         Each range's enumeration runs in a ``partition.suffix`` trace
         span, the kind the lattice's table methods are timed under.
         """
+        self._check_transition_bound(max_weight, transition_budget)
+        return self._stream(max_weight, transition_budget)
+
+    def _stream(self, max_weight: float, transition_budget: int):
+        """The generator behind :meth:`suffix_stream`."""
         import numpy as np
 
         words = self.ideal_words()
-        budget_msg = f"DPA1D exceeded {transition_budget} DP transitions"
+        budget_msg = _transition_msg(transition_budget)
         transitions = 0
         lo, size = 1, 1
         while lo < words.shape[1]:
@@ -610,6 +658,12 @@ class IdealLattice:
             mask
             for mask, _w in self.suffix_clusters_weighted(ideal, max_weight)
         ]
+
+
+def _transition_msg(transition_budget: int) -> str:
+    """The message of DPA1D's transition-budget failure, the same
+    whichever check decides it."""
+    return f"DPA1D exceeded {transition_budget} DP transitions"
 
 
 def _edge_cuts(spg: SPG, count: int, bit):

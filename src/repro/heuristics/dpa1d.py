@@ -16,9 +16,15 @@ layer at a time, as numpy batches, for graphs of any width.
 
 The number of ideals is bounded by ``n^ymax``; like the paper we let the
 heuristic *fail* when the state space explodes (budget caps), which is
-exactly its reported behaviour on high-elevation workflows.  For linear
-chains (and for any SPG when communications are free) DPA1D is optimal
-among all mappings.
+exactly its reported behaviour on high-elevation workflows.  Both
+budgets are decided on the SP decomposition tree where they can be,
+before anything is enumerated: the exact ideal count, then a lower bound
+on the DP transitions
+(:func:`~repro.spg.decompose.transition_lower_bound`); a lattice the
+bound cannot reject is enumerated, and its suffix-cluster enumeration
+fails as soon as it crosses the transition budget.  For linear chains
+(and for any SPG when communications are free) DPA1D is optimal among
+all mappings.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.core.mapping import Mapping
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
 from repro.heuristics.base import register
+from repro.spg.decompose import ideal_count
 from repro.util.bitset import bits_of, split_words
 
 __all__ = ["dpa1d_mapping", "solve_uniline"]
@@ -111,17 +118,28 @@ class _UnilineDP:
         suffix stream for wider graphs, which runs the multi-word suffix
         forest over chunks of ideals and looks prefix rows up by exact
         key; both enumerate in bulk and never one ideal at a time.
+
+        The source is asked for first: it checks the ideal budget and
+        then the SP-tree transition bound before enumerating the ideals,
+        so a lattice the bound proves over ``transition_budget`` fails
+        with no enumeration at all.  A graph with no SP count, or over
+        the ideal budget, goes through :meth:`IdealLattice.ideals` first
+        (the search, or the ideal-budget failure), as before: an
+        ideal-budget failure still comes from ``ideals()`` and a
+        transition failure from the suffix source, so a trace of the
+        lattice's methods tells the two apart.
         """
         lat = self.lat
-        ideals = lat.ideals()  # may raise BudgetExceeded
+        count = ideal_count(self.spg)
+        if count is None or count > lat.budget:
+            lat.ideals()  # may raise BudgetExceeded
         source = (
-            self._table_source if lat.cut_table() is not None
-            else self._wide_source
+            self._table_source if self.spg.n <= 62 else self._wide_source
         )
-        self.rows_of, cuts, batches = source(ideals, transition_budget)
+        self.rows_of, cuts, batches = source(transition_budget)
         self.cuts = cuts
         r, model = self.r, self.model
-        B = self.B = np.full((len(ideals), r + 1), INF)
+        B = self.B = np.full((len(lat.ideals()), r + 1), INF)
         empty_row, full_row = self.rows_of([0, lat.full]).tolist()
         B[empty_row, 0] = 0.0
         speeds, power = np.array(model.speeds), np.array(model.dyn_power)
@@ -152,25 +170,28 @@ class _UnilineDP:
             B[rows[alive], 1:] = np.minimum.reduceat(cand, starts, axis=0)
         return self._finish(self._row(full_row))
 
-    def _table_source(self, ideals: list[int], transition_budget: int):
+    def _table_source(self, transition_budget: int):
         """``(rows_of, cuts, batches)`` for a word-sized graph (n <= 62):
         one batch per popcount layer, sliced from the flat suffix table.
 
         The lattice keeps one table at the loosest cap seen and serves
-        tighter caps as filtered copies; a run destined to blow its
-        transition budget raises in there without any DP work.  Rows
+        tighter caps as filtered copies.  A run destined to blow its
+        transition budget raises in :meth:`IdealLattice.suffix_table`
+        without any DP work: before enumerating anything when the
+        SP-tree bound proves it, otherwise as soon as the enumeration
+        crosses the budget, or from a kept table's exact total.  Rows
         and prefix rows index :meth:`IdealLattice.cut_table`.
         """
         lat = self.lat
-        vals, cuts = lat.cut_table()
         _M, W, counts, offsets, pidx, _total = lat.suffix_table(
             self.cap_work, transition_budget
         )
+        vals, cuts = lat.cut_table()
         _ideal_vals, epos = lat.ideal_positions()
         batches = (
             (epos[lo:hi], counts[lo:hi], pidx[offsets[lo]:offsets[hi]],
              W[offsets[lo]:offsets[hi]])
-            for lo, hi in _layers(ideals)
+            for lo, hi in _layers(lat.ideals())
         )
         return (
             lambda masks: np.searchsorted(vals, np.array(masks, np.uint64)),
@@ -178,7 +199,7 @@ class _UnilineDP:
             batches,
         )
 
-    def _wide_source(self, ideals: list[int], transition_budget: int):
+    def _wide_source(self, transition_budget: int):
         """``(rows_of, cuts, batches)`` for a graph of any width: rows
         are DP indices (:meth:`IdealLattice.dp_rows`) and the batches are
         cut from :meth:`IdealLattice.suffix_stream`.
@@ -189,8 +210,8 @@ class _UnilineDP:
         per-batch arrays stay small while the stream moves on.
         """
         lat = self.lat
-        layer_ends = np.array([hi for _lo, hi in _layers(ideals)])
         stream = lat.suffix_stream(self.cap_work, transition_budget)
+        layer_ends = np.array([hi for _lo, hi in _layers(lat.ideals())])
         batches = (
             batch
             for lo, hi, counts, pidx, W in stream

@@ -5,8 +5,9 @@ construction, producing a binary decomposition tree whose leaves are the
 graph's edges and whose internal nodes are series or parallel compositions.
 The tree certifies series-parallelness.  Walking it counts and
 enumerates the graph's order ideals (the admissible subgraphs of the DP
-heuristics) and measures structural statistics (series/parallel depth).
-Every walk is iterative: a chain nests as deep as it is long.
+heuristics), bounds the number of DPA1D transitions from below, and
+measures structural statistics (series/parallel depth).  Every walk is
+iterative, ``repr`` included: a chain nests as deep as it is long.
 
 The algorithm is the classical two-terminal SP reduction: repeatedly fuse
 a degree-(1,1) node into a series composition and merge duplicate edges
@@ -23,17 +24,28 @@ from repro.util.bitset import split_words, word_count
 
 __all__ = [
     "SPTree", "decompose", "enumerate_ideals", "ideal_count", "sp_depth",
-    "sp_tree",
+    "sp_tree", "transition_lower_bound",
 ]
 
+#: Weight buckets of :func:`transition_lower_bound`: a cluster counts
+#: when its stages' rounded-up bucket counts sum to at most this.
+BOUND_BUCKETS = 64
 
-@dataclass(frozen=True)
+#: Relative slack of :func:`transition_lower_bound`'s bucket width.
+BOUND_SLACK = 1e-9
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SPTree:
     """A node of the series-parallel decomposition tree.
 
     ``kind`` is "edge" (leaf; ``edge`` holds the original ``(i, j)`` pair),
     "series" (children joined at ``via``, the fused middle stage) or
     "parallel".
+
+    Nodes compare and hash by identity: the generated ``__eq__`` and
+    ``__hash__`` would recurse through the children, as deep as the
+    tree.  ``repr`` keeps the dataclass format but is built iteratively.
     """
 
     kind: str
@@ -50,6 +62,29 @@ class SPTree:
     def count(self, kind: str) -> int:
         """Number of tree nodes of the given kind."""
         return sum(nd.kind == kind for nd in _postorder(self))
+
+    def __repr__(self) -> str:
+        parts = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            parts.append(
+                f"SPTree(kind={node.kind!r}, source={node.source!r}, "
+                f"sink={node.sink!r}, children=("
+            )
+            # A one-element tuple keeps its trailing comma.
+            stack.append(
+                ("," if len(node.children) == 1 else "")
+                + f"), edge={node.edge!r}, via={node.via!r})"
+            )
+            for k in range(len(node.children) - 1, -1, -1):
+                stack.append(node.children[k])
+                if k:
+                    stack.append(", ")
+        return "".join(parts)
 
     def render(self, indent: int = 0) -> str:
         """Multi-line indented rendering (debugging / teaching aid)."""
@@ -271,6 +306,106 @@ def _tree_ideals(root: SPTree, words: int):
                 )
             product[id(node)] = block
     return flatten(root)
+
+
+def transition_lower_bound(spg: SPG, cap: float, limit: int) -> int | None:
+    """A lower bound on DPA1D's transitions at weight cap ``cap``, from
+    one walk of the SP tree; ``None`` when the graph is not
+    series-parallel, has a negative stage weight or a million stages or
+    more.
+
+    A transition is a pair of order ideals ``I' ⊊ I`` whose difference,
+    a suffix cluster of ``I``, the enumeration keeps at ``cap``.  The
+    bound counts the pairs whose difference fits in :data:`BOUND_BUCKETS`
+    buckets of width ``δ = cap * (1 - BOUND_SLACK) / BOUND_BUCKETS``,
+    each stage rounded *up* to ``q_i = ceil(w_i / δ)`` buckets.  Every
+    count is saturated at ``limit + 1`` (and at ``2**28``, which keeps
+    every product inside ``int64``), so the result is
+    ``min(pairs, limit + 1)`` and still decides "more than ``limit``".
+
+    Per tree node the walk keeps three truncated histograms over the
+    bucket sums of the node's inner ideals (those holding its source but
+    not its sink): ``A`` of the ideal minus the source, ``U`` of the
+    node's body (every stage but the sink) minus the ideal, and ``P`` of
+    ``I \\ I'`` over the pairs ``I' ⊆ I``.  An edge is ``(1, 1, 1)``; a
+    series node ``G1 →v→ G2`` has ``A = A1 + x^(b1 - q_s + q_v) A2``,
+    ``U = x^b2 U1 + U2`` and ``P = P1 + P2 + U1 x^q_v A2`` (the pairs
+    whose smaller ideal stops in ``G1`` and whose larger one reaches
+    into ``G2``); a parallel node multiplies its branches' ``A``, ``U``
+    and ``P``, since the branches share only their endpoints.  ``b`` is
+    the body's bucket sum: ``b1 + b2`` in series, the branches' sum with
+    the shared source counted once in parallel.  The root adds the
+    pairs that start at ∅ (``x^q_s A``), end at the full graph
+    (``x^q_t U``) or both, and drops bucket 0, where the ``I' = I``
+    pairs lie.
+
+    Why every counted pair is a transition: its cluster has at most
+    ``n`` stages and a real weight of at most ``BOUND_BUCKETS * δ``,
+    which is ``cap * (1 - BOUND_SLACK) * (1 + 4u)`` with rounding in
+    ``δ`` and in each ``w_i / δ`` (``u = 2**-53``).  The enumeration
+    accumulates the same non-negative weights one at a time, in DFS
+    order, which raises a sum by a relative ``(n - 1) * u < 1.2e-10``
+    at most for ``n < 10**6``, far inside the slack.  So each counted
+    cluster, and every DFS prefix of it, weighs at most ``cap``, and a
+    bound above a transition budget is a budget the enumeration would
+    exceed too, under any kernel.
+    """
+    import numpy as np
+
+    weights = spg.weights
+    if spg.n >= 10**6 or min(weights) < 0:
+        return None
+    root = sp_tree(spg)
+    if root is None and spg.n > 1:
+        return None
+    top = BOUND_BUCKETS
+    sat = min(limit + 1, 1 << 28)
+    delta = cap * (1.0 - BOUND_SLACK) / top
+    if not delta > 0:
+        return 0
+    # A stage past top buckets keeps every set it is in out of the bound.
+    q = np.minimum(np.ceil(np.asarray(weights) / delta), top + 1)
+    q = q.astype(np.int64).tolist()
+    if root is None:  # one stage: the single pair ∅ ⊊ {0}
+        return min(int(1 <= q[0] <= top), sat)
+    size = top + 1
+    one = np.zeros(size, np.int64)
+    one[0] = 1
+
+    def shift(h, k):
+        out = np.zeros(size, np.int64)
+        if k < size:
+            out[k:] = h[:size - k]
+        return out
+
+    def mul(a, b):
+        return np.minimum(np.convolve(a, b)[:size], sat)
+
+    hists: dict[int, tuple] = {}
+    for node in _postorder(root):
+        if node.kind == "edge":
+            hists[id(node)] = (one, one, one, q[node.source])
+            continue
+        kids = [hists.pop(id(c)) for c in node.children]
+        if node.kind == "series":
+            (a1, u1, p1, b1), (a2, u2, p2, b2) = kids
+            qv = q[node.via]
+            hists[id(node)] = (
+                np.minimum(a1 + shift(a2, b1 - q[node.source] + qv), sat),
+                np.minimum(shift(u1, b2) + u2, sat),
+                np.minimum(p1 + p2 + mul(u1, shift(a2, qv)), sat),
+                b1 + b2,
+            )
+            continue
+        a, u, p, b = kids[0]
+        for a2, u2, p2, b2 in kids[1:]:
+            a, u, p = mul(a, a2), mul(u, u2), mul(p, p2)
+            b += b2 - q[node.source]
+        hists[id(node)] = (a, u, p, b)
+    a, u, p, b = hists[id(root)]
+    pairs = p + shift(a, q[root.source]) + shift(u, q[root.sink])
+    whole = b + q[root.sink]
+    return min(int(pairs[1:].sum()) + int(1 <= whole <= top), sat)
 
 
 def sp_depth(tree: SPTree) -> int:

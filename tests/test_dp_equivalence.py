@@ -30,9 +30,11 @@ from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
 from repro.heuristics import dpa1d, dpa2d
 from repro.heuristics.dpa1d import _UnilineDP, solve_uniline
+from repro.obs.session import observability
 from repro.platform.cmp import CMPGrid
 from repro.platform.topology import get_topology
 from repro.spg.build import chain, split_join
+from repro.spg.decompose import transition_lower_bound
 from repro.spg.random_gen import random_spg_with_elevation
 from tests.dp_reference import ReferenceDpa2dSolver, reference_uniline
 
@@ -89,14 +91,30 @@ class TestWideDpa1d:
             got = (e, len(clusters), clusters, speeds)
         assert got == want
 
-    def test_budget_failure_stops_the_forest_early(self, monkeypatch):
+    @staticmethod
+    def _bound_and_exact():
+        """A wide graph, its problem, and the SP-tree transition bound
+        and exact transition count at the solve's cap."""
         g = random_spg_with_elevation(
             70, 2, np.random.default_rng(3), ccr=10.0
         )
         prob = ProblemInstance(g, CMPGrid(4, 4), g.total_work / 1e9 / 4)
-        msg = "DPA1D exceeded 500 DP transitions"
+        cap = _UnilineDP(prob, 16, 120_000).cap_work
+        bound = transition_lower_bound(g, cap, 1 << 20)
+        exact = sum(
+            int(counts.sum()) for _lo, _hi, counts, _p, _w
+            in IdealLattice(g, 120_000).suffix_stream(cap, 1 << 20)
+        )
+        return g, prob, bound, exact
+
+    def test_budget_failure_stops_the_forest_early(self, monkeypatch):
+        # A budget in [bound, exact): the bound cannot reject it, so the
+        # forest must, part way through the lattice.
+        g, prob, budget, exact = self._bound_and_exact()
+        assert budget < exact
+        msg = f"DPA1D exceeded {budget} DP transitions"
         with pytest.raises(HeuristicFailure, match=msg):
-            reference_uniline(prob, 16, transition_budget=500)
+            reference_uniline(prob, 16, transition_budget=budget)
         calls: list = []
         forest = partition.suffix_forest
 
@@ -112,14 +130,49 @@ class TestWideDpa1d:
         _no_reference_dfs(monkeypatch)
         monkeypatch.setattr(partition, "suffix_forest", spy)
         with pytest.raises(BudgetExceeded) as exc:
-            solve_uniline(prob, 16, transition_budget=500)
+            solve_uniline(prob, 16, transition_budget=budget)
         assert str(exc.value) == msg
         # The forest itself raised, so no call enumerated every ideal it
         # was handed, and the completed calls stayed inside the budget.
         assert calls and calls[-1][1] is None
-        assert sum(t for _k, t in calls[:-1]) <= 500
+        assert sum(t for _k, t in calls[:-1]) <= budget
         covered = sum(k for k, t in calls if t is not None)
         assert covered < len(IdealLattice.for_spg(g, 120_000).ideals()) - 1
+
+    def test_budget_under_the_bound_enumerates_nothing(self, monkeypatch):
+        # A budget under the bound: the same failure as the reference,
+        # decided before any ideal or cluster is enumerated.
+        g, prob, bound, _exact = self._bound_and_exact()
+        budget = bound - 1
+        msg = f"DPA1D exceeded {budget} DP transitions"
+        with pytest.raises(HeuristicFailure, match=msg):
+            reference_uniline(prob, 16, transition_budget=budget)
+        calls: list = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        _no_reference_dfs(monkeypatch)
+        monkeypatch.setattr(partition, "suffix_forest",
+                            spy("forest", partition.suffix_forest))
+        for name in kernels.kernel_names():
+            kernel = kernels.get_kernel(name)
+            monkeypatch.setattr(kernel, "enumerate_bulk",
+                                spy(name, kernel.enumerate_bulk))
+        lat = IdealLattice(g, 120_000)
+        monkeypatch.setattr(IdealLattice, "for_spg",
+                            staticmethod(lambda *_a, **_k: lat))
+        with observability() as session:
+            with pytest.raises(BudgetExceeded) as exc:
+                solve_uniline(prob, 16, transition_budget=budget)
+        assert str(exc.value) == msg
+        assert calls == []
+        assert lat._ideals is None
+        assert session.metrics.counters[
+            "partition.transition_bound_rejects"] == 1
 
 
 class TestWideSourceOnWordSizedGraphs:

@@ -102,6 +102,39 @@ class TestCount:
         assert words.shape == (word_count(n), n + 1)
         assert join_words(words) == [(1 << k) - 1 for k in range(n + 1)]
 
+    def test_deep_chain_tree_compares_hashes_and_prints(self):
+        # SPTree compares and hashes by identity, and builds its repr
+        # without recursing, so none of them overflows the stack.
+        n = 3000
+        g = SPG([1.0] * n, None, {(i, i + 1): 1.0 for i in range(n - 1)})
+        tree = decompose(g)
+        assert hash(tree) == hash(tree)
+        assert tree == tree
+        assert tree != decompose(g)
+        assert len({tree, tree.children[0], tree}) == 2
+        text = repr(tree)
+        assert text.count("SPTree(") == 2 * n - 3
+        assert text.startswith(
+            f"SPTree(kind='series', source=0, sink={n - 1}, children=("
+        )
+
+    def test_tree_repr_is_the_dataclass_format(self):
+        tree = decompose(split_join([1, 2]))
+        namespace = {"SPTree": type(tree)}
+        assert repr(eval(repr(tree), namespace)) == repr(tree)
+        edge = tree
+        while edge.children:
+            edge = edge.children[0]
+        assert repr(edge) == (
+            f"SPTree(kind='edge', source={edge.source}, sink={edge.sink}, "
+            f"children=(), edge={edge.edge!r}, via=None)"
+        )
+        one = type(tree)("parallel", 0, 1, (edge,))
+        assert repr(one) == (
+            f"SPTree(kind='parallel', source=0, sink=1, children=({edge!r},)"
+            ", edge=None, via=None)"
+        )
+
     def test_non_sp_is_none(self):
         assert ideal_count(n_graph()) is None
 
