@@ -9,7 +9,9 @@ It times
 
 * the evaluation core (``cycle_times`` + ``energy`` + ``validate`` on a
   fixed Greedy mapping, 2000 repetitions),
-* the DPA2D solver on three fixed random 50-stage instances,
+* the DPA2D solver on three fixed random 50-stage instances, alternately
+  with the reference solver of ``tests/dp_reference.py`` (see
+  :func:`bench_dpa2d`),
 * the full Figure-10 random 50-stage 4x4 panel (CCR = 10, benchmark
   replicate settings, seed 2011), serially and through the parallel
   experiment engine for each requested ``--jobs`` value,
@@ -30,6 +32,10 @@ import time
 from pathlib import Path
 
 from _common import merge_bench_sections
+
+# The reference DPA2D solver lives in the test suite
+# (``tests/dp_reference.py``), importable from the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline_perf_core.json"
 
@@ -77,27 +83,65 @@ def bench_eval_core(baseline: dict) -> dict:
     }
 
 
-def bench_dpa2d(baseline: dict) -> dict:
+def bench_dpa2d(baseline: dict, repeats: int = 3) -> dict:
+    """Time the DPA2D solver against the reference solver of the test
+    suite (``tests/dp_reference.py``), on the same host in the same run.
+
+    Both solve the seed's three random 50-stage instances on a 4x4 grid,
+    alternately, ``repeats`` times each; the best of each is reported.
+    Every run solves freshly generated graphs, so no block the solver
+    caches on a graph carries over from an earlier run.  The outputs
+    must equal the reference's (plans and energy bits) and the seed's
+    recorded energies.  ``columns`` and ``reference_columns`` count the
+    inner DPs each solver ran over the three instances.  The seed-ratio
+    fields (``baseline_seconds``, ``speedup``) divide a time recorded on
+    another host and stay only so the section compares with old records.
+    """
     from repro.core.problem import ProblemInstance
-    from repro.heuristics.dpa2d import solve_dpa2d
+    from repro.heuristics.dpa2d import _Dpa2dSolver
     from repro.platform.cmp import CMPGrid
     from repro.spg.random_gen import random_spg
+    from tests.dp_reference import ReferenceDpa2dSolver
 
     grid = CMPGrid(4, 4)
-    t0 = time.perf_counter()
-    energies = {}
-    for seed_str, period in baseline["periods"].items():
-        seed = int(seed_str)
-        spg = random_spg(50, rng=seed, ccr=1.0)
-        prob = ProblemInstance(spg, grid, period)
-        e, _plans = solve_dpa2d(prob, 4, 4)
-        energies[seed_str] = repr(e)
-    seconds = time.perf_counter() - t0
+
+    def solve_all(solver_cls):
+        problems = [
+            (seed_str, ProblemInstance(
+                random_spg(50, rng=int(seed_str), ccr=1.0), grid, period))
+            for seed_str, period in baseline["periods"].items()
+        ]
+        outputs, columns = {}, 0
+        t0 = time.perf_counter()
+        for seed_str, prob in problems:
+            solver = solver_cls(prob, 4, 4)
+            e, plans = solver.solve()
+            outputs[seed_str] = (repr(e), plans)
+            columns += len(solver._columns)
+        return time.perf_counter() - t0, outputs, columns
+
+    samples: dict[str, list[float]] = {"solver": [], "reference": []}
+    for _ in range(repeats):
+        seconds, outputs, columns = solve_all(_Dpa2dSolver)
+        samples["solver"].append(seconds)
+        ref_seconds, ref_outputs, ref_columns = solve_all(ReferenceDpa2dSolver)
+        samples["reference"].append(ref_seconds)
+    seconds, ref_seconds = min(samples["solver"]), min(samples["reference"])
+    energies = {k: e for k, (e, _plans) in outputs.items()}
     return {
+        "instances": "random_spg(50, seed, ccr=1.0) on 4x4, seeds "
+                     + ", ".join(baseline["periods"]),
+        "repeats": repeats,
         "seconds": seconds,
+        "reference_seconds": ref_seconds,
+        "speedup_vs_reference": ref_seconds / seconds,
+        "samples": samples,
+        "columns": columns,
+        "reference_columns": ref_columns,
         "baseline_seconds": baseline["seconds"],
         "speedup": baseline["seconds"] / seconds,
-        "outputs_equal": energies == baseline["energies"],
+        "outputs_equal": (outputs == ref_outputs
+                          and energies == baseline["energies"]),
     }
 
 
@@ -232,7 +276,7 @@ def main(argv=None) -> int:
             "the headline number"
         ),
         "eval_core": bench_eval_core(baseline["eval_core"]),
-        "dpa2d": bench_dpa2d(baseline["dpa2d"]),
+        "dpa2d": bench_dpa2d(baseline["dpa2d"], repeats=args.repeats),
         "fig10_panel": bench_fig10(
             baseline["fig10_panel"], args.jobs, repeats=args.repeats
         ),

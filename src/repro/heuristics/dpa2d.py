@@ -27,6 +27,7 @@ from repro.core.errors import HeuristicFailure, MappingError
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
 from repro.heuristics.base import register
+from repro.obs.session import inc
 from repro.spg.analysis import ancestor_masks, descendant_masks
 
 __all__ = ["dpa2d_mapping", "dpa2d1d_mapping", "solve_dpa2d"]
@@ -162,17 +163,19 @@ _NO_DECOMPOSITION = "DPA2D: no feasible column decomposition"
 REACH_SLACK = 1e-9
 
 
-def _fewest_columns(reach: list[int]) -> int | None:
-    """The fewest columns covering levels ``1..len(reach)``, each a range
-    ``m_prev + 1..m`` with ``m <= reach[m_prev]``, or None when some
-    start cannot extend.  Jumping to the furthest reach is optimal
-    because every sub-range of an admitted range is admitted too."""
-    m = need = 0
-    while m < len(reach):
-        if reach[m] == m:
-            return None
-        m, need = reach[m], need + 1
-    return need
+def _columns_left(reach: list[int]) -> list[int | None]:
+    """``left[m]``: the fewest columns covering levels ``m + 1..len(reach)``,
+    each a range ``m_prev + 1..m'`` with ``m' <= reach[m_prev]``, or None
+    when some start on the way cannot extend.  Jumping to the furthest
+    reach is optimal because every sub-range of an admitted range is
+    admitted too, so one backward pass over the jumps finds them all."""
+    xmax = len(reach)
+    left: list[int | None] = [None] * xmax + [0]
+    for m in range(xmax - 1, -1, -1):
+        r = reach[m]
+        if r != m and left[r] is not None:
+            left[m] = left[r] + 1
+    return left
 
 
 class _Dpa2dSolver:
@@ -192,8 +195,10 @@ class _Dpa2dSolver:
         # distribution) that the outer DP re-probes from many states.
         self._clusters: dict[tuple[int, int], object] = {}
         self._columns: dict[tuple[int, int, Distribution], _ColumnResult | None] = {}
-        #: The last solve's reach bound (see reach_bound()).
+        #: The last solve's reach bound (see reach_bound()) and the
+        #: fewest columns it allows after each level (see solve()).
         self.reach: list[int] | None = None
+        self.left: list[int | None] | None = None
 
     # ------------------------------------------------------------------
     def block(self, m1: int, m2: int) -> _Block:
@@ -456,40 +461,67 @@ class _Dpa2dSolver:
         return reach
 
     def solve(self) -> tuple[float, list[ColumnPlan]]:
-        """Outer DP over (level prefix, columns used).
+        """Outer DP over (level prefix, columns used), on the states that
+        can still finish.
 
         Each predecessor state ``(m_prev, v - 1)`` pays its boundary cost
         once, then extends to ``m = m_prev + 1, ..., reach[m_prev]``
         (:meth:`reach_bound`) until the block outgrows a column; each
         ``m`` keeps the first minimal candidate in ascending ``m_prev``.
         A column past the bound is one the exact tests reject, so the
-        bound saves work without changing the result.  Before the DP, the
-        fewest columns the bound allows is a lower bound on every
-        decomposition's: when it exceeds ``q`` the DP could not finish,
-        and the solve fails with the DP's own message without building a
-        block.
+        bound saves work without changing the result.
+
+        ``left[m]`` (:func:`_columns_left`) is the fewest columns the bound
+        allows for levels ``m + 1..xmax``, a lower bound on every
+        decomposition's.  When ``left[0]`` exceeds ``q`` the DP could not
+        finish, and the solve fails with the DP's own message without
+        building a block.  Otherwise round ``v`` builds only the states
+        ``(m, v)`` with ``left[m] <= q - v``, the ones that can still
+        finish in the columns left.  ``reach`` is nondecreasing, so
+        ``left`` is nonincreasing (None as infinity) and those ``m`` are
+        a suffix: each predecessor starts at the later of ``m_prev + 1``
+        and the suffix's first level, and skips its boundary cost when
+        nothing is left to extend to.  The total-work break is monotone
+        in ``m``, so starting later changes nothing before it.
+
+        The outputs cannot change.  If ``m <= reach[m_prev]``, then
+        ``left[m_prev] <= 1 + left[m]``, because the furthest jump from
+        ``m_prev`` reaches ``m`` or beyond and the greedy jump is optimal.
+        So every predecessor of a state that can finish can finish too:
+        such a state gets the same candidates, in the same ascending
+        ``m_prev`` order, as without the prune, and so the same float
+        totals, the same first minimal parent, ``dout`` and plan.  Every
+        final state ``(xmax, v)`` has ``left = 0``, so the energy, the
+        plans and the failure message are all unchanged.
         """
         xmax, q = self.xmax, self.q
         prefix_work = _levels(self.spg)[3]
         col_cap = self.p * self.cap_work
         reach = self.reach = self.reach_bound()
-        need = _fewest_columns(reach)
-        if need is None or need > q:
+        left = self.left = _columns_left(reach)
+        if left[0] is None or left[0] > q:
             raise HeuristicFailure(_NO_DECOMPOSITION)
 
         # memo[(m, v)] = (energy, dout, (m', plan)); (0, 0) is the empty
         # start, whose empty distribution crosses for 0.0.
         memo: dict[tuple[int, int], tuple] = {(0, 0): (0.0, (), None)}
         for v in range(1, q + 1):
+            # The first level that can still finish in q - v columns.
+            first = next(m for m, k in enumerate(left)
+                         if k is not None and k <= q - v)
             for m_prev in range(v - 1, xmax):
                 prev = memo.get((m_prev, v - 1))
                 if prev is None:
+                    continue
+                stop = reach[m_prev] + 1
+                start = max(m_prev + 1, first)
+                if start >= stop:
                     continue
                 prev_e, din = prev[0], prev[1]
                 h = self.h_cost(din)
                 if h == INF:
                     continue
-                for m in range(m_prev + 1, reach[m_prev] + 1):
+                for m in range(start, stop):
                     # Prune: the block's total work must fit the column.
                     if prefix_work[m] - prefix_work[m_prev] > col_cap:
                         break
@@ -500,6 +532,7 @@ class _Dpa2dSolver:
                     best = memo.get((m, v))
                     if best is None or total < best[0]:
                         memo[(m, v)] = (total, res.dout, (m_prev, res.plan))
+        inc("dpa2d.columns", len(self._columns))
 
         best_v, best_e = -1, INF
         for v in range(1, q + 1):

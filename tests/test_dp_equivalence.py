@@ -11,8 +11,9 @@ same message.  A wide solve must never call the reference DFS, and a
 budget failure must stop the forest before it has enumerated every
 ideal.  DPA2D must return the same plans and the same energy bits as
 the solver that built its blocks per solver and costed clusters lazily,
-and its reach bound and column-count certificate must keep it so, on
-drawn graphs and at the edges of the bound's slack.
+and its reach bound, column-count certificate and prune to states that
+can still finish must keep it so, on drawn graphs, at the edges of the
+bound's slack and at column budgets around the fewest the bound allows.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ class TestDpa2dAgainstReference:
                     got = (repr(e), plans)
                 except HeuristicFailure as exc:
                     got = str(exc)
-                    need = dpa2d._fewest_columns(solver.reach)
+                    need = solver.left[0]
                     certified += (need is None or need > q) and \
                         not solver._columns
                 assert got == want
@@ -387,3 +388,78 @@ class TestDpa2dReachBound:
         assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
         assert got == "DPA2D: no feasible column decomposition"
         assert not solver._columns  # the certificate failed it
+
+
+@st.composite
+def _tight_problem(draw):
+    """A random SPG and period on a fabric, for solves whose column
+    budget ``q`` sits at the fewest columns the reach bound allows."""
+    n = draw(st.integers(8, 80))
+    elevation = draw(st.integers(1, max(1, min(16, n // 3))))
+    g = random_spg_with_elevation(
+        n, elevation, np.random.default_rng(draw(st.integers(0, 10_000))),
+        ccr=10.0,
+    )
+    parallelism = draw(st.sampled_from([1.5, 3.0, 6.0, 10.0]))
+    topology = draw(st.sampled_from(["mesh", "ring", "hetmesh"]))
+    return ProblemInstance(
+        g, get_topology(topology, 4, 4), g.total_work / 1e9 / parallelism
+    )
+
+
+class TestDpa2dCompletableStates:
+    """The outer DP builds only states that can finish in the columns
+    left, and that changes no output."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(prob=_tight_problem())
+    def test_tight_budget_matches_reference(self, prob):
+        for p in (1, 2, 4):
+            need = dpa2d._columns_left(dpa2d._Dpa2dSolver(prob, p, 1)
+                                       .reach_bound())[0]
+            if need is None:
+                need = prob.spg.xmax + 1  # no budget can finish
+            for q in (need - 1, need, need + 1):
+                if q < 1:
+                    continue
+                got = _solve(dpa2d._Dpa2dSolver, prob, p, q)
+                assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
+
+    def test_builds_only_completable_columns(self):
+        # A fig10-shaped instance (n=50, CCR 10) at 4x4 that needs all
+        # four columns, so the budget is tight from the first round.
+        g = random_spg_with_elevation(
+            50, 2, np.random.default_rng(1), ccr=10.0
+        )
+        prob = ProblemInstance(g, CMPGrid(4, 4), g.total_work / 1e9 / 3.0)
+        solver = dpa2d._Dpa2dSolver(prob, 4, 4)
+        with observability() as session:
+            e, plans = solver.solve()
+        reference = ReferenceDpa2dSolver(prob, 4, 4)
+        assert (repr(e), plans) == _solve(lambda *_a: reference, prob, 4, 4)
+        left = solver.left
+        assert left[0] == 4
+        assert all(left[m2] is not None and left[m2] <= 4 - 1
+                   for _m1, m2, _din in solver._columns)
+        assert len(solver._columns) < len(reference._columns)
+        assert session.metrics.counters["dpa2d.columns"] == len(
+            solver._columns)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_columns_left_is_the_fewest_and_nonincreasing(self, p):
+        g = random_spg_with_elevation(
+            50, 8, np.random.default_rng(0), ccr=10.0
+        )
+        prob = ProblemInstance(g, CMPGrid(4, 4), g.total_work / 1e9 / 6.0)
+        reach = dpa2d._Dpa2dSolver(prob, p, 4).reach_bound()
+        left = dpa2d._columns_left(reach)
+        inf = len(reach) + 1
+        # Brute force: fewest admitted ranges from each level to the end.
+        want = [0] * (len(reach) + 1)
+        for m in range(len(reach) - 1, -1, -1):
+            want[m] = min((want[r] + 1 for r in range(m + 1, reach[m] + 1)),
+                          default=inf)
+        want = [None if k >= inf else k for k in want]
+        assert left == want
+        ranks = [inf if k is None else k for k in left]
+        assert ranks == sorted(ranks, reverse=True)

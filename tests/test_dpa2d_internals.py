@@ -317,7 +317,7 @@ class TestReachBound:
         assert str(exc.value) == "DPA2D: no feasible column decomposition"
         assert built == []
         assert s.reach == list(range(1, 9))
-        assert dpa2d._fewest_columns(s.reach) == 8
+        assert s.left[0] == 8
 
     @pytest.mark.parametrize("period", [0.1, 0.25, 0.5, 0.8, 2.0, 10.0])
     @pytest.mark.parametrize("p,q", [(4, 4), (2, 8), (1, 16)])
