@@ -115,6 +115,14 @@ class IdealLattice:
     returns as is.  A hand-built DAG that does not decompose falls back
     to a breadth-first search over Python-int masks.
 
+    Everything the lattice holds -- the ideals, their sorted values,
+    the suffix table, the row keys and the forest scratch -- depends on
+    the graph's stages, edges and weights only, never on the edge
+    volumes: it reads no ``edges``, ``edge_list``, ``comm`` or
+    ``total_comm`` from ``spg``.  So one lattice serves every graph that
+    differs from ``spg`` in its volumes alone (see :meth:`for_spg`); the
+    cut volumes a DP needs come from its own graph instead.
+
     Parameters
     ----------
     spg:
@@ -158,11 +166,10 @@ class IdealLattice:
         self.anc = ancestor_masks(spg)
         self._ideals: list[int] | None = None
         self._budget_error: str | None = None
-        self._ideal_cuts = None
         self._ideal_words = None
         # (sorted void keys of the ideal words, DP index of each).
         self._row_keys: tuple | None = None
-        self._cut_table: tuple | None = None
+        self._sorted_values = None
         self._initc: dict[int, list[int]] = {0: []}
         # Successor-free stages of every ideal, built by the first
         # _init_list call once the ideals exist (only reference_dfs reads
@@ -184,18 +191,28 @@ class IdealLattice:
         budget: int = 200_000,
         kernel: "str | EnumerationKernel | None" = None,
     ) -> "IdealLattice":
-        """The lattice of ``spg``, cached on the (immutable) graph.
+        """The lattice of ``spg``, kept in the graph's shape cache.
 
-        Heuristics re-run on the same SPG at several candidate periods; the
-        lattice (and its enumeration, cut volumes, even a cached budget
-        failure) only depends on the graph, so one instance per ``(spg,
-        budget, kernel)`` triple serves them all.
+        Heuristics re-run on the same SPG at several candidate periods,
+        and the paper's CCR variants of one workflow differ only in their
+        edge volumes.  The lattice (its enumeration, suffix table, even a
+        cached budget failure) depends on none of that, so one instance
+        per ``(budget, kernel)`` pair serves every probe of every graph
+        sharing ``spg``'s shape cache (:meth:`SPG.shape_cached`).  Counts
+        ``kernel.lattice_hits`` when the cache already holds the lattice
+        and ``kernel.lattice_misses`` when it builds one.
         """
         k = resolve_kernel(kernel)
-        return spg.cached(
-            ("ideal_lattice", budget, k.name),
-            lambda: IdealLattice(spg, budget, k),
-        )
+        built = False
+
+        def build() -> IdealLattice:
+            nonlocal built
+            built = True
+            return IdealLattice(spg, budget, k)
+
+        lat = spg.shape_cached(("ideal_lattice", budget, k.name), build)
+        inc("kernel.lattice_misses" if built else "kernel.lattice_hits")
+        return lat
 
     # ------------------------------------------------------------------
     def weight(self, mask: int) -> float:
@@ -315,25 +332,6 @@ class IdealLattice:
         )
         raise BudgetExceeded(self._budget_error)
 
-    def ideal_cuts(self):
-        """Cut volume of every ideal, in :meth:`ideals` order (numpy array).
-
-        One vectorised pass over :meth:`ideal_words`, so it serves
-        graphs of any width; one masked add per edge in ``edge_list``
-        order makes each value bit-identical to
-        :func:`repro.spg.analysis.cut_volume`.  Computed once per lattice
-        and shared across periods.
-        """
-        if self._ideal_cuts is None:
-            import numpy as np
-
-            words = self.ideal_words()
-            self._ideal_cuts = _edge_cuts(
-                self.spg, words.shape[1],
-                lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
-            )
-        return self._ideal_cuts
-
     def ideal_words(self):
         """Every ideal in :meth:`ideals` order as a ``(words, N)``
         ``uint64`` array, ``words = ceil(n / 64)`` (see
@@ -361,27 +359,19 @@ class IdealLattice:
         sorted_keys, order = self._row_keys
         return order[np.searchsorted(sorted_keys, _void_keys(masks))]
 
-    def cut_table(self):
-        """``(values, cuts)`` numpy arrays over all ideals, value-sorted.
-
-        ``values`` is a sorted ``uint64`` array of every ideal bitmask and
-        ``cuts[k]`` the cut volume of ``values[k]`` — the DP's vectorised
-        prefix lookups run ``np.searchsorted`` against it.  ``None`` when
-        the graph exceeds a machine word (n > 62) or the ideals have not
-        been enumerated yet.
+    def sorted_values(self):
+        """Every ideal bitmask as a sorted ``uint64`` array: the DP's
+        vectorised row lookups run ``np.searchsorted`` against it.
+        ``None`` when the graph exceeds a machine word (n > 62) or the
+        ideals have not been enumerated yet.
         """
-        if self._cut_table is None:
+        if self._sorted_values is None:
             if self.spg.n > 62 or self._ideals is None:
                 return None
             import numpy as np
 
-            vals = np.sort(self.ideal_words()[0])
-            one = np.uint64(1)
-            cuts = _edge_cuts(
-                self.spg, len(vals), lambda i: (vals >> np.uint64(i)) & one
-            )
-            self._cut_table = (vals, cuts)
-        return self._cut_table
+            self._sorted_values = np.sort(self.ideal_words()[0])
+        return self._sorted_values
 
     # ------------------------------------------------------------------
     def suffix_clusters_weighted(
@@ -456,7 +446,7 @@ class IdealLattice:
         suffix clusters concatenated in DP ideal order (``counts[k]``
         transitions for ``ideals()[k]``, sliced by ``offsets``), with
         ``pidx`` the value-index of each transition's prefix ``ideal ^
-        mask`` in :meth:`cut_table`'s sorted array.  Word-sized graphs
+        mask`` in :meth:`sorted_values`.  Word-sized graphs
         only.
 
         The lattice keeps one table, built at the loosest cap requested
@@ -503,7 +493,7 @@ class IdealLattice:
         import numpy as np
 
         ideals = self.ideals()
-        vals, _cuts = self.cut_table()
+        vals = self.sorted_values()
         n_ideals = len(ideals)
         nz = [k for k, ideal in enumerate(ideals) if ideal]
         counts = np.zeros(n_ideals, dtype=np.intp)
@@ -597,11 +587,11 @@ class IdealLattice:
 
     def ideal_positions(self) -> tuple:
         """``(ideal_vals, epos)``: every ideal as ``uint64`` in DP order
-        and its index into :meth:`cut_table`'s value-sorted array."""
+        and its index into :meth:`sorted_values`."""
         if self._ideal_pos is None:
             import numpy as np
 
-            vals, _cuts = self.cut_table()
+            vals = self.sorted_values()
             ideal_vals = self.ideal_words()[0]
             self._ideal_pos = (ideal_vals, np.searchsorted(vals, ideal_vals))
         return self._ideal_pos
@@ -610,7 +600,7 @@ class IdealLattice:
         """Index of ``ideal`` in :meth:`ideals` (DP order)."""
         import numpy as np
 
-        vals, _cuts = self.cut_table()
+        vals = self.sorted_values()
         v = int(np.searchsorted(vals, np.uint64(ideal)))
         if v == len(vals) or int(vals[v]) != ideal:
             raise ValueError(f"{ideal:#x} is not an order ideal of the SPG")
@@ -664,19 +654,6 @@ def _transition_msg(transition_budget: int) -> str:
     """The message of DPA1D's transition-budget failure, the same
     whichever check decides it."""
     return f"DPA1D exceeded {transition_budget} DP transitions"
-
-
-def _edge_cuts(spg: SPG, count: int, bit):
-    """Cut volumes of ``count`` ideals, ``bit(i)`` being the 0/1 array of
-    stage ``i``'s membership: one masked add per edge in ``edge_list``
-    order, so each cut sums exactly like
-    :func:`repro.spg.analysis.cut_volume`."""
-    import numpy as np
-
-    cuts = np.zeros(count)
-    for i, j, d in spg.edge_list:
-        cuts[(bit(i) == 1) & (bit(j) == 0)] += d
-    return cuts
 
 
 def _void_keys(masks):

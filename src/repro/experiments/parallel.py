@@ -10,6 +10,10 @@ engine fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`:
   that — it generates every instance and pre-draws every heuristic seed in
   the original order — and ships ``(instance, seed)`` tasks to workers.
   Results are therefore bit-identical to a serial run for any ``jobs``.
+  A StreamIt task is one workflow at all its CCRs, with one pre-drawn
+  seed per CCR: the variants differ only in their edge volumes and
+  share one ideal lattice, and the sharing never leaves the task, so
+  every count is the same at any ``jobs`` too.
 * **Tracked per-chunk futures.**  Tasks are submitted in deterministic
   chunks through per-chunk futures (not bare ``Executor.map``), so the
   engine knows exactly which task indices are in flight and can re-run
@@ -59,7 +63,14 @@ from typing import Callable, Sequence
 
 from repro.experiments.period import PeriodChoice, choose_period
 from repro.obs.profile import maybe_profile
-from repro.obs.session import absorb, capture, capture_config, event, inc
+from repro.obs.session import (
+    absorb,
+    capture,
+    capture_config,
+    event,
+    inc,
+    trace_span,
+)
 from repro.resilience import (
     ExecutionStats,
     FaultPlan,
@@ -584,24 +595,34 @@ def random_panel_task(task) -> PeriodChoice:
         # Experiment records keep the SPG alive for the whole sweep; drop
         # the instance's DP scratch state (ideal lattice, suffix table)
         # so serial runs don't accumulate it.  (Pool workers shed it
-        # implicitly: SPG.__reduce__ excludes the cache from the pickle.)
-        spg._derived.clear()
+        # implicitly: SPG.__reduce__ excludes the caches from the pickle.)
+        spg.drop_caches()
 
 
-def streamit_task(task) -> PeriodChoice:
-    """Worker for one (workflow, CCR) instance: ``(idx, ccr, wf_seed,
-    grid, heuristics, seed, options)`` — the workflow is synthesised in the
-    worker (it only depends on the integer ``wf_seed``)."""
-    from repro.spg.streamit import streamit_workflow
+def streamit_task(task) -> list[PeriodChoice]:
+    """Worker for one workflow at several CCRs: ``(idx, ccrs, wf_seed,
+    grid, heuristics, seeds, options)``, one pre-drawn heuristic seed per
+    CCR, returning one :class:`PeriodChoice` per CCR in ``ccrs`` order.
 
-    idx, ccr, wf_seed, grid, heuristics, seed, options = task
-    spg = streamit_workflow(idx, ccr=ccr, seed=wf_seed)
+    The workflow is synthesised in the worker (it only depends on the
+    integer ``wf_seed``).  Its CCR variants differ only in their edge
+    volumes, so they share one shape cache and DPA1D enumerates one ideal
+    lattice for all of them.  The sharing never leaves the task, so every
+    count is the same at any ``jobs``.
+    """
+    from repro.spg.streamit import streamit_variants
+
+    idx, ccrs, wf_seed, grid, heuristics, seeds, options = task
+    with trace_span("spg.generate"):
+        spgs = streamit_variants(idx, ccrs, seed=wf_seed)
     try:
-        return choose_period(
-            spg, grid, heuristics, seed=seed, options=options
-        )
+        return [
+            choose_period(spg, grid, heuristics, seed=seed, options=options)
+            for spg, seed in zip(spgs, seeds)
+        ]
     finally:
-        spg._derived.clear()
+        for spg in spgs:
+            spg.drop_caches()
 
 
 def _identity_probe(x):  # pragma: no cover - used by engine self-tests

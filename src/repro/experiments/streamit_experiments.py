@@ -97,9 +97,10 @@ def run_streamit_experiment(
     ``workflows`` restricts to a subset of Table-1 indices (all by default);
     benchmarks use subsets to bound wall-time.
 
-    ``jobs`` fans the per-instance ``choose_period`` runs out over a
-    process pool (``None``/``0`` = all CPUs); solver seeds are pre-drawn
-    serially so results match a serial run bit for bit.
+    ``jobs`` fans the workflows out over a process pool (``None``/``0``
+    = all CPUs), one task running ``choose_period`` at each of the
+    workflow's CCRs; solver seeds are pre-drawn serially per instance so
+    results match a serial run bit for bit.
 
     ``solvers``, when given, replaces the ``heuristics`` axis with
     arbitrary solver specs from the unified registry
@@ -109,14 +110,21 @@ def run_streamit_experiment(
     rng = as_rng(seed)
     heuristics = tuple(solvers) if solvers else tuple(heuristics)
     indices = workflows or tuple(s.index for s in STREAMIT_TABLE1)
+    ccrs = tuple(ccrs)
     keys: list[tuple[int, float | None]] = []
     tasks = []
+    # One task per workflow, so its CCR variants share one ideal lattice;
+    # the heuristic seeds are still drawn per (workflow, CCR) instance in
+    # the serial order.
     for idx in indices:
-        for ccr in ccrs:
-            hseed = int(rng.integers(0, 2**63 - 1))
-            keys.append((idx, ccr))
-            tasks.append((idx, ccr, seed, grid, heuristics, hseed, options))
-    choices = run_tasks(streamit_task, tasks, jobs=jobs)
+        hseeds = tuple(int(rng.integers(0, 2**63 - 1)) for _ in ccrs)
+        keys.extend((idx, ccr) for ccr in ccrs)
+        tasks.append((idx, ccrs, seed, grid, heuristics, hseeds, options))
+    choices = [
+        choice
+        for per_ccr in run_tasks(streamit_task, tasks, jobs=jobs)
+        for choice in per_ccr
+    ]
     records: dict[tuple[int, float | None], InstanceRecord] = {}
     for (idx, ccr), choice in zip(keys, choices):
         label = f"app{idx}/ccr={'orig' if ccr is None else ccr}"

@@ -68,9 +68,11 @@ class _UnilineDP:
         self.r = min(r, self.spg.n)
         self.cap_work = self.T * self.model.s_max
         self.cap_bytes = self.model.link_capacity(self.T)
-        # The lattice (ideal enumeration, cut volumes, suffix table) only
-        # depends on the SPG, so it is shared across the several periods
-        # choose_period probes on the same graph.
+        # The lattice (ideal enumeration, suffix table) depends on the
+        # SPG's stages, edges and weights only, so it is shared across the
+        # several periods choose_period probes on the same graph, and
+        # across the graphs that differ from it in their volumes alone.
+        # The cut volumes come from this graph (value_cuts, ideal_cuts).
         self.lat = IdealLattice.for_spg(
             self.spg, budget=ideal_budget, kernel=kernel
         )
@@ -85,6 +87,33 @@ class _UnilineDP:
         """DP row ``row`` (None when its ideal is unreachable)."""
         values = self.B[row]
         return values if np.isfinite(values).any() else None
+
+    def value_cuts(self) -> np.ndarray:
+        """Cut volume of every ideal of
+        :meth:`IdealLattice.sorted_values`, in that order, on this DP's
+        own graph (word-sized graphs only; cached on the graph)."""
+        vals = self.lat.sorted_values()
+        one = np.uint64(1)
+        return self.spg.cached(
+            "dpa1d.value_cuts",
+            lambda: _edge_cuts(
+                self.spg, len(vals), lambda i: (vals >> np.uint64(i)) & one
+            ),
+        )
+
+    def ideal_cuts(self) -> np.ndarray:
+        """Cut volume of every ideal, in :meth:`IdealLattice.ideals`
+        order, on this DP's own graph: one vectorised pass over the
+        ideal words, so it serves graphs of any width (cached on the
+        graph)."""
+        words = self.lat.ideal_words()
+        return self.spg.cached(
+            "dpa1d.ideal_cuts",
+            lambda: _edge_cuts(
+                self.spg, words.shape[1],
+                lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
+            ),
+        )
 
     def transition(
         self, prefix: int, prefix_row: int, work: float
@@ -180,13 +209,13 @@ class _UnilineDP:
         without any DP work: before enumerating anything when the
         SP-tree bound proves it, otherwise as soon as the enumeration
         crosses the budget, or from a kept table's exact total.  Rows
-        and prefix rows index :meth:`IdealLattice.cut_table`.
+        and prefix rows index :meth:`IdealLattice.sorted_values`.
         """
         lat = self.lat
         _M, W, counts, offsets, pidx, _total = lat.suffix_table(
             self.cap_work, transition_budget
         )
-        vals, cuts = lat.cut_table()
+        vals = lat.sorted_values()
         _ideal_vals, epos = lat.ideal_positions()
         batches = (
             (epos[lo:hi], counts[lo:hi], pidx[offsets[lo]:offsets[hi]],
@@ -195,7 +224,7 @@ class _UnilineDP:
         )
         return (
             lambda masks: np.searchsorted(vals, np.array(masks, np.uint64)),
-            cuts,
+            self.value_cuts(),
             batches,
         )
 
@@ -220,7 +249,7 @@ class _UnilineDP:
         words = lat.ideal_words().shape[0]
         return (
             lambda masks: lat.dp_rows(split_words(masks, words)),
-            lat.ideal_cuts(),
+            self.ideal_cuts(),
             batches,
         )
 
@@ -260,6 +289,17 @@ class _UnilineDP:
             if not found:  # pragma: no cover - numerical safety net
                 raise HeuristicFailure("DPA1D: reconstruction failed")
         return clusters_rev[::-1], speeds_rev[::-1]
+
+
+def _edge_cuts(spg, count: int, bit) -> np.ndarray:
+    """Cut volumes of ``count`` ideals, ``bit(i)`` being the 0/1 array of
+    stage ``i``'s membership: one masked add per edge in ``edge_list``
+    order, so each cut sums exactly like
+    :func:`repro.spg.analysis.cut_volume`."""
+    cuts = np.zeros(count)
+    for i, j, d in spg.edge_list:
+        cuts[(bit(i) == 1) & (bit(j) == 0)] += d
+    return cuts
 
 
 def _layers(ideals: list[int]):

@@ -177,9 +177,10 @@ def decompose(spg: SPG) -> SPTree:
 
 
 def sp_tree(spg: SPG) -> SPTree | None:
-    """:func:`decompose` of ``spg``, cached on the graph; ``None`` when the
-    graph is not series-parallel (or is a single stage).  The ideal count
-    and the ideal enumeration share this one decomposition."""
+    """:func:`decompose` of ``spg``, cached in the graph's shape cache
+    (it depends on the edges, not their volumes); ``None`` when the graph
+    is not series-parallel (or is a single stage).  The ideal count and
+    the ideal enumeration share this one decomposition."""
 
     def build() -> SPTree | None:
         try:
@@ -187,7 +188,7 @@ def sp_tree(spg: SPG) -> SPTree | None:
         except ValueError:
             return None
 
-    return spg.cached("sp_tree", build)
+    return spg.shape_cached("sp_tree", build)
 
 
 def ideal_count(spg: SPG) -> int | None:

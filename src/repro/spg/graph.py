@@ -63,7 +63,8 @@ class SPG:
     """
 
     __slots__ = (
-        "weights", "labels", "edges", "_preds", "_succs", "_topo", "_derived"
+        "weights", "labels", "edges", "_preds", "_succs", "_topo",
+        "_derived", "_shape",
     )
 
     def __init__(
@@ -95,6 +96,9 @@ class SPG:
         # arrays, reachability masks, ...).  SPGs are immutable, so entries
         # never need invalidation; the dict is dropped on pickling.
         self._derived: dict = {}
+        # Derived data of the stages, edges and weights alone, shared by
+        # reference with volume-only copies (see shape_cached).
+        self._shape: dict = {}
         if labels is None:
             labels = self._fallback_labels()
         self.labels: tuple[tuple[int, int], ...] = tuple(
@@ -125,16 +129,46 @@ class SPG:
     def cached(self, key: str, factory: Callable[[], object]):
         """Fetch derived data from the per-instance cache, computing once.
 
-        The cache holds anything recomputable from the immutable graph:
-        label extrema, adjacency arrays, reachability bitmasks, the ideal
-        lattice of the DP heuristics.  ``factory`` runs at most once per
-        key for the lifetime of the SPG.
+        The cache holds anything recomputable from the immutable graph,
+        edge volumes included: label extrema, adjacency arrays,
+        reachability bitmasks, the cut volumes of the DP heuristics.
+        ``factory`` runs at most once per key for the lifetime of the SPG
+        (or until :meth:`drop_caches`).
         """
         try:
             return self._derived[key]
         except KeyError:
             value = self._derived[key] = factory()
             return value
+
+    def shape_cached(self, key, factory: Callable[[], object]):
+        """Fetch derived data from the shape cache, computing once.
+
+        The shape cache holds data that depends only on the stages, the
+        edges (not their volumes) and the weights, such as the ideal
+        lattice of DPA1D.  A copy that differs only in its volumes
+        (:meth:`with_weights` with ``weights=None``, and so
+        :meth:`with_comm_scaled` and :meth:`with_ccr`) shares this dict by
+        reference, so ``factory`` runs once for the whole family.  Any
+        other constructor, and unpickling, starts an empty one.  Only a
+        StreamIt workflow's CCR variants are such a family in the paper's
+        panels: the random panels draw every graph afresh.
+        """
+        try:
+            return self._shape[key]
+        except KeyError:
+            value = self._shape[key] = factory()
+            return value
+
+    def drop_caches(self) -> None:
+        """Empty both derived-data caches, to free their memory.
+
+        The shape cache is cleared in place, so volume-only copies
+        sharing it lose its entries too; everything is recomputed on
+        demand.
+        """
+        self._derived.clear()
+        self._shape.clear()
 
     @property
     def xmax(self) -> int:
@@ -273,19 +307,27 @@ class SPG:
         weights: list[float] | None = None,
         edges: Mapping[tuple[int, int], float] | None = None,
     ) -> "SPG":
-        """A copy of this SPG with replaced node weights and/or edge volumes."""
+        """A copy of this SPG with replaced node weights and/or edge volumes.
+
+        A copy that keeps the weights (``weights=None``) differs from this
+        graph in its volumes at most, so it shares the shape cache (see
+        :meth:`shape_cached`).
+        """
         new_edges = dict(self.edges)
         if edges is not None:
             for e, d in edges.items():
                 if e not in new_edges:
                     raise KeyError(f"edge {e} not present")
                 new_edges[e] = float(d)
-        return SPG(
+        out = SPG(
             list(weights) if weights is not None else list(self.weights),
             list(self.labels),
             new_edges,
             validate=False,
         )
+        if weights is None:
+            out._shape = self._shape
+        return out
 
     def with_comm_scaled(self, factor: float) -> "SPG":
         """A copy with every communication volume multiplied by ``factor``."""
@@ -381,7 +423,7 @@ class SPG:
 
     # ------------------------------------------------------------------
     # Pickling (the parallel experiment engine ships SPGs to workers).
-    # The derived-data cache is dropped: workers rebuild what they need.
+    # Both derived-data caches are dropped: workers rebuild what they need.
     # ------------------------------------------------------------------
     def __reduce__(self):
         return (_unpickle_spg, (self.weights, self.labels, self.edges))

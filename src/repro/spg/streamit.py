@@ -29,6 +29,7 @@ __all__ = [
     "STREAMIT_TABLE1",
     "StreamItSpec",
     "streamit_workflow",
+    "streamit_variants",
     "streamit_suite",
     "streamit_names",
 ]
@@ -120,6 +121,35 @@ def _build_structure(spec: StreamItSpec) -> SPG:
     return pipeline_of(segments)
 
 
+def streamit_variants(
+    which: "int | str",
+    ccrs: "tuple[float | None, ...] | list[float | None]",
+    seed: int = 0,
+) -> list[SPG]:
+    """One StreamIt workflow at each CCR of ``ccrs``, in that order.
+
+    The structure and the weight draw are made once; each variant then
+    rescales the same volumes to its CCR (``None`` keeps the published
+    one).  The variants differ only in their volumes, so they share one
+    shape cache (:meth:`SPG.shape_cached`) and DPA1D builds one ideal
+    lattice for all of them.  Each variant is equal to
+    :func:`streamit_workflow` at that CCR.
+    """
+    if isinstance(which, str):
+        try:
+            spec = _BY_NAME[which.lower()]
+        except KeyError:
+            raise KeyError(f"unknown StreamIt workflow {which!r}") from None
+    else:
+        try:
+            spec = _BY_INDEX[which]
+        except KeyError:
+            raise KeyError(f"StreamIt index must be 1..12, got {which}") from None
+    rng = np.random.default_rng((seed, spec.index))
+    base = random_weights(_build_structure(spec), rng)
+    return [base.with_ccr(spec.ccr if c is None else c) for c in ccrs]
+
+
 def streamit_workflow(
     which: "int | str",
     ccr: float | None = None,
@@ -138,20 +168,7 @@ def streamit_workflow(
         Weight-synthesis seed (combined with the workflow index so that each
         workflow gets a distinct but reproducible weight draw).
     """
-    if isinstance(which, str):
-        try:
-            spec = _BY_NAME[which.lower()]
-        except KeyError:
-            raise KeyError(f"unknown StreamIt workflow {which!r}") from None
-    else:
-        try:
-            spec = _BY_INDEX[which]
-        except KeyError:
-            raise KeyError(f"StreamIt index must be 1..12, got {which}") from None
-    structure = _build_structure(spec)
-    rng = np.random.default_rng((seed, spec.index))
-    target = spec.ccr if ccr is None else ccr
-    return random_weights(structure, rng, ccr=target)
+    return streamit_variants(which, (ccr,), seed)[0]
 
 
 def streamit_suite(ccr: float | None = None, seed: int = 0) -> list[SPG]:

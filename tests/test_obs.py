@@ -22,6 +22,10 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.report import report_json
 from repro.experiments.scenarios import run_scenario_sweep
+from repro.experiments.streamit_experiments import (
+    CCR_SETTINGS,
+    run_streamit_experiment,
+)
 from repro.obs import (
     DEFAULT_BUCKETS,
     Histogram,
@@ -45,6 +49,7 @@ from repro.obs.session import (
     observe,
     trace_span,
 )
+from repro.platform.cmp import CMPGrid
 from repro.store.backend import ResultStore
 
 
@@ -325,6 +330,32 @@ class TestSweepInvariance:
         assert serial["counters"]["solver.runs"] > 0
         assert _sweep_counts(jobs=2) == serial
         assert _sweep_counts(jobs=4) == serial
+
+    def test_streamit_counts_invariant_across_jobs(self):
+        # One task per workflow: its CCR variants share one ideal lattice
+        # inside the task, so lattice and table counts cannot depend on
+        # which worker ran which workflow.
+        needs_pool()
+
+        def run(jobs):
+            with observability(metrics=True) as s:
+                exp = run_streamit_experiment(
+                    CMPGrid(4, 4), workflows=(7, 9), seed=3, jobs=jobs
+                )
+            records = {
+                key: (rec.period, {h: repr(r.total_energy) if r.ok else None
+                                   for h, r in rec.results.items()})
+                for key, rec in exp.records.items()
+            }
+            return records, s.metrics.counts()
+
+        serial_records, serial = run(1)
+        assert len(serial_records) == 2 * len(CCR_SETTINGS)
+        counters = serial["counters"]
+        assert counters["kernel.lattice_misses"] == 2
+        assert counters["kernel.lattice_hits"] > 0
+        assert counters["kernel.table_builds"] > 0
+        assert run(2) == (serial_records, serial)
 
     def test_counts_invariant_across_shard_resume(self, tmp_path):
         db = tmp_path / "cells.sqlite"
