@@ -8,8 +8,13 @@ parallel experiment engine landed.  These tests re-run the same sweeps and
 require bit-identical outputs, serially and through the process pool.
 
 ``tests/data/golden_refine_outputs.json`` pins the refinement engine the
-same way on fixed mesh scenarios: periods, base/refined energies, final
-allocations and the accepted-move sequences.  Future PRs touching the
+same way on fixed scenarios: periods, base/refined energies, final
+allocations and the accepted-move sequences.  Besides mesh starts from
+Random and Greedy, the scenarios cover DPA2D1D starts (few accepted
+moves, as in a topology sweep) on the per-core-model ``hetmesh``, the
+``torus``, the ``ring`` and the ``uniring``, a ``uniline`` whose
+candidates often route an edge against its one-way links (an invalid
+route), and the ``best`` and ``anneal`` schedules.  Future PRs touching the
 delta layer or the refiner cannot silently drift refinement results.
 Regenerate deliberately with::
 
@@ -127,44 +132,74 @@ class TestSuccessCounts:
 
 
 # ----------------------------------------------------------------------
-# Refinement-engine golden fixtures (seed mesh scenarios)
+# Refinement-engine golden fixtures
 # ----------------------------------------------------------------------
 def _refine_snapshots() -> dict:
-    """Refiner outputs on fixed mesh scenarios, JSON-serialisable."""
+    """Refiner outputs on fixed scenarios, JSON-serialisable."""
     from tests.helpers import loose_period
 
     from repro.core.evaluate import energy
     from repro.core.problem import ProblemInstance
     from repro.heuristics.base import run as run_heuristic
     from repro.heuristics.refine import refine_mapping
+    from repro.platform.topology import get_topology
     from repro.spg.random_gen import random_spg
     from repro.spg.streamit import streamit_workflow
 
     scenarios = {
-        # label: (SPG, grid size, base heuristic, seed, schedule, general)
+        # label: (SPG, topology, grid size, base heuristic, seed,
+        #         schedule, general)
         "random18_3x3_greedy_first": (
-            random_spg(18, rng=3, ccr=5.0), (3, 3), "Greedy", 0,
+            random_spg(18, rng=3, ccr=5.0), "mesh", (3, 3), "Greedy", 0,
             "first", False,
         ),
         "random24_4x4_random_first": (
-            random_spg(24, rng=8, ccr=10.0), (4, 4), "Random", 1,
+            random_spg(24, rng=8, ccr=10.0), "mesh", (4, 4), "Random", 1,
             "first", False,
         ),
         "random18_3x3_greedy_general": (
-            random_spg(18, rng=3, ccr=5.0), (3, 3), "Greedy", 0,
+            random_spg(18, rng=3, ccr=5.0), "mesh", (3, 3), "Greedy", 0,
             "first", True,
         ),
         "dct_4x4_greedy_best": (
-            streamit_workflow("DCT", ccr=1.0, seed=0), (4, 4), "Greedy", 0,
+            streamit_workflow("DCT", ccr=1.0, seed=0), "mesh", (4, 4),
+            "Greedy", 0, "best", False,
+        ),
+        "dct_4x4_hetmesh_dpa2d1d_first": (
+            streamit_workflow("DCT", ccr=1.0, seed=0), "hetmesh", (4, 4),
+            "DPA2D1D", 0, "first", False,
+        ),
+        "random30_4x4_torus_dpa2d1d_first": (
+            random_spg(30, rng=0, ccr=10.0), "torus", (4, 4), "DPA2D1D", 0,
+            "first", False,
+        ),
+        "random30_4x4_ring_dpa2d1d_first": (
+            random_spg(30, rng=0, ccr=10.0), "ring", (4, 4), "DPA2D1D", 0,
+            "first", False,
+        ),
+        "random30_4x4_uniring_dpa2d1d_first": (
+            random_spg(30, rng=1, ccr=10.0), "uniring", (4, 4), "DPA2D1D",
+            1, "first", False,
+        ),
+        "random30_4x4_uniline_dpa2d1d_first": (
+            random_spg(30, rng=1, ccr=10.0), "uniline", (4, 4), "DPA2D1D",
+            1, "first", False,
+        ),
+        "random30_4x4_dpa2d1d_best": (
+            random_spg(30, rng=0, ccr=10.0), "mesh", (4, 4), "DPA2D1D", 0,
             "best", False,
+        ),
+        "random30_4x4_torus_greedy_anneal": (
+            random_spg(30, rng=0, ccr=10.0), "torus", (4, 4), "Greedy", 0,
+            "anneal", False,
         ),
     }
     out: dict = {}
-    for label, (spg, (p, q), heur, seed, schedule, general) in (
+    for label, (spg, topo, (p, q), heur, seed, schedule, general) in (
         scenarios.items()
     ):
         problem = ProblemInstance(
-            spg, CMPGrid(p, q), loose_period(spg, parallelism=4.0)
+            spg, get_topology(topo, p, q), loose_period(spg, parallelism=4.0)
         )
         res = run_heuristic(heur, problem, rng=seed)
         assert res.ok, f"{heur} must succeed on {label}"
