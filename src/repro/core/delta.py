@@ -12,9 +12,19 @@ heavy constants.  :class:`DeltaState` keeps the evaluation state of the
   topology's own ``route`` policy (not hardwired XY),
 * route-validity and DAG-partition bookkeeping,
 
-so that a move touches only the affected cores, edges and links:
-:meth:`apply` / :meth:`revert` are O(affected), and :meth:`score` /
-:meth:`period_feasible` are O(active resources) with tiny constants.
+so that a move touches only the affected cores, edges and links.  The
+refiner grades a candidate move in three steps:
+
+1. :meth:`screen` reads the affected cores and edges, changes nothing,
+   and returns the approximate energy change, or ``None`` when a
+   touched core has no feasible speed.  Its cost is O(affected).
+2. :meth:`evaluate_move` applies the move and runs the exact checks:
+   speeds, quotient acyclicity (Kahn over the whole quotient), route
+   validity, the period and :meth:`score`.  Applying is O(affected);
+   :meth:`period_feasible` and :meth:`score` walk every active core
+   and link.
+3. The caller keeps the move or undoes it with :meth:`revert`, which
+   is O(affected).
 
 **Bit-identity.**  The refiner's full-rebuild reference path accepts a
 move by comparing ``energy(rebuilt_mapping).total`` against a strict
@@ -35,6 +45,10 @@ Unaffected resources keep their previously-canonical values, so every
 :meth:`score` equals ``energy(Mapping(spg, grid, {i: alloc[i] for i in
 range(n)}, best_feasible_speeds))`` bit for bit — the equivalence suite
 in ``tests/test_refine_equivalence.py`` pins this across topologies.
+:meth:`screen` is the one place that sums a change; its approximate
+value only decides which candidates skip the exact path, and nothing it
+returns is stored or compared against the acceptance threshold as a
+final score.
 
 Supported moves: :class:`MoveStage` (one stage to another core),
 :class:`SwapClusters` (exchange two cores' whole clusters) and
@@ -307,6 +321,79 @@ class DeltaState:
             comm_dyn += comm_energy(traffic[link])
         return EnergyBreakdown(comp_leak, comp_dyn, comm_leak, comm_dyn)
 
+    def screen(self, move) -> float | None:
+        """Approximate change of the total energy under ``move``.
+
+        Reads the state without changing it.  The change is summed over
+        the affected resources only:
+
+        * each touched core's new-minus-old dynamic term, its new work
+          summed in canonical stage order by the same helper
+          :meth:`evaluate_move` uses, so its speed choice is exact;
+        * the leakage of each core that powers on or off;
+        * ``comm_energy(sum(vol_k * dhops_k))`` over the edges incident to
+          a moved stage.  ``comm_energy`` is linear in the volume, so
+          this equals the change of the per-link ``comm_energy`` sum.
+
+        Returns ``None`` when a touched core has no feasible speed; then
+        :meth:`evaluate_move` rejects the move as well.  Otherwise the
+        current total plus the change equals the moved state's
+        :meth:`score` up to float rounding (the relative bound is argued
+        in :mod:`repro.heuristics.refine`).  Speeds, quotient cycles,
+        route validity and the period are left to :meth:`evaluate_move`.
+        """
+        moved = self._collect(move)
+        if not moved:
+            return 0.0
+        alloc = self._alloc
+        cluster = self._cluster
+        members: dict[Core, set[int]] = {}
+        for i, dst in moved:
+            src = alloc[i]
+            if src not in members:
+                members[src] = set(cluster[src])
+            if dst not in members:
+                members[dst] = set(cluster.get(dst, ()))
+            members[src].discard(i)
+            members[dst].add(i)
+        change = 0.0
+        powered = 0
+        term = self._term
+        for c, stages in members.items():
+            if c in cluster:
+                change -= term[c]
+                powered -= 1
+            if stages:
+                _work, speed, new = self._core_energy(c, stages)
+                if speed is None:
+                    return None
+                change += new
+                powered += 1
+        if powered:
+            change += powered * self._model.comp_leak * self._period
+        new_core = dict(moved)
+        stage_edges = self._stage_edges
+        if len(moved) == 1:
+            edge_ids = stage_edges[moved[0][0]]
+        else:
+            edge_ids = {k for i, _dst in moved for k in stage_edges[i]}
+        esrc, edst, evol = self._esrc, self._edst, self._evol
+        epath = self._epath
+        volume = 0.0
+        for k in edge_ids:
+            path = epath.get(k)
+            hops = 1 - len(path) if path is not None else 0
+            u, v = esrc[k], edst[k]
+            a = new_core.get(u, alloc[u])
+            b = new_core.get(v, alloc[v])
+            if a != b:
+                hops += len(self._route(a, b)) - 1
+            if hops:
+                volume += evol[k] * hops
+        if volume:
+            change += self._model.comm_energy(volume)
+        return change
+
     def evaluate_move(self, move) -> tuple[_Token, EnergyBreakdown | None]:
         """Apply ``move`` and grade the result in one call.
 
@@ -508,6 +595,23 @@ class DeltaState:
                 self._min_stage[c],
             )
 
+    def _core_energy(self, c: Core, stages) -> tuple:
+        """``(work, speed, term)`` of ``stages`` placed on core ``c``.
+
+        The work is summed in ascending stage order, the order a fresh
+        rebuild uses, so the speed choice is exact; ``speed`` and
+        ``term`` are ``None`` when no speed meets the period.
+        """
+        weights = self._weights
+        work = 0.0
+        for i in sorted(stages):
+            work += weights[i]
+        model = self._core_model(c)
+        speed = model.best_feasible(work, self._period)
+        if speed is None:
+            return work, None, None
+        return work, speed, (work / speed) * model.power_at(speed)
+
     def _refresh_core(self, c: Core) -> None:
         """Recompute one core's work/speed/term in canonical stage order."""
         stages = self._cluster.get(c)
@@ -519,20 +623,14 @@ class DeltaState:
             self._min_stage.pop(c, None)
             self._broken.discard(c)
             return
-        weights = self._weights
-        work = 0.0
-        for i in sorted(stages):
-            work += weights[i]
+        work, speed, term = self._core_energy(c, stages)
         self._work[c] = work
         self._min_stage[c] = min(stages)
-        model = self._core_model(c)
-        speed = model.best_feasible(work, self._period)
         self._speed[c] = speed
+        self._term[c] = term
         if speed is None:
-            self._term[c] = None
             self._broken.add(c)
         else:
-            self._term[c] = (work / speed) * model.power_at(speed)
             self._broken.discard(c)
 
     def _route(self, src: Core, dst: Core) -> list[Core]:

@@ -20,12 +20,28 @@ heuristics.  This module provides a local-search refiner that
   experiments quantify exactly how much the DAG-partition rule costs.
 
 Candidates are graded by the incremental
-:class:`~repro.core.delta.DeltaState` layer, which scores each move in
-O(affected cores/links) instead of rebuilding the full mapping.  The
-refiner that rebuilt and re-validated a whole mapping per candidate
-lives on in ``tests/refine_reference.py``, and
-``tests/test_refine_equivalence.py`` pins the two bit-identical (same
-accepted-move sequence, same final mapping).
+:class:`~repro.core.delta.DeltaState` layer instead of rebuilding the full
+mapping, in three steps:
+
+1. **Screen.**  :meth:`~repro.core.delta.DeltaState.screen` reads the
+   affected cores and edges only, without touching the state, and
+   returns the approximate energy change (or ``None`` when a touched core
+   has no feasible speed).  The first- and best-improvement schedules
+   skip a candidate whose approximate total cannot pass the acceptance
+   test; most candidates stop here.
+2. **Exact path.**  Every other candidate goes through
+   :meth:`~repro.core.delta.DeltaState.evaluate_move`: speeds, quotient
+   cycle, route validity, the period and the canonical ``score``.  Those
+   last two walk every active core and link.
+3. **Commit or revert.**  An accepted move stays applied; any other is
+   undone with :meth:`~repro.core.delta.DeltaState.revert`.
+
+Annealing skips the screen: it draws from its RNG on every valid
+worsening candidate, so it must grade each one exactly.  The refiner that
+rebuilt and re-validated a whole mapping per candidate lives on in
+``tests/refine_reference.py``, and ``tests/test_refine_equivalence.py``
+pins the two bit-identical (same accepted-move sequence, same final
+mapping).
 
 Deterministic given the RNG; every schedule runs a bounded sweep budget
 and returns a mapping never worse than its input.
@@ -50,6 +66,23 @@ SCHEDULES = ("first", "best", "anneal")
 #: Relative improvement a move must achieve to be accepted.
 _EPS = 1e-12
 
+#: Relative margin by which a candidate's screened total must exceed the
+#: acceptance threshold before the candidate is skipped.
+#:
+#: The screened total is the current state's exact total plus a change
+#: summed from nonnegative quantities: core terms, leakage, and edge
+#: volumes times hop counts (at most about 100 terms).  The exact
+#: ``score`` sums the same quantities in another order.  Each float
+#: operation is off by at most 2**-53 relative to the magnitudes it adds,
+#: and no magnitude exceeds ``max(current total, candidate total)``, so
+#: the two totals differ by at most about 1e-13 of that larger total.
+#: The margin is 1e-9 of ``max(threshold, current total)``, which is
+#: about four orders of magnitude wider than that error.  A candidate
+#: whose exact total passes the threshold therefore always reaches the
+#: exact path, and accepted moves, logs and outputs are bit-identical to
+#: grading every candidate exactly.
+SCREEN_MARGIN = 1e-9
+
 
 # ----------------------------------------------------------------------
 # Delta-evaluated engine: acceptance schedules
@@ -64,22 +97,53 @@ class _FirstImprovement:
         self.best_e = initial_e
         self.log = log
         self.accepted = 0
+        self.candidates = 0
+        self.screened = 0
+        # Exact canonical total of the current state; ``None`` (a core
+        # of the input has no feasible speed) turns the screen off until
+        # a move is accepted.
+        score = state.score()
+        self.total = None if score is None else score.total
 
     def begin_sweep(self, sweep: int) -> None:
         pass
 
+    def _unscreened(self, moves):
+        """The candidates of ``moves`` that the screen cannot rule out.
+
+        The acceptance threshold is fixed for the whole scan: a scan ends
+        at its first acceptance, or applies its best move only after the
+        last candidate.
+        """
+        state = self.state
+        total = self.total
+        if total is not None:
+            threshold = self.best_e * (1 - _EPS)
+            cutoff = threshold + SCREEN_MARGIN * max(threshold, total)
+        for item in moves:
+            self.candidates += 1
+            if total is not None:
+                change = state.screen(item[0])
+                if change is None or total + change > cutoff:
+                    self.screened += 1
+                    continue
+            yield item
+
+    def _accept(self, total: float, entry) -> None:
+        self.best_e = self.total = total
+        self.accepted += 1
+        if self.log is not None:
+            self.log.append((*entry, repr(total)))
+
     def scan(self, moves) -> bool:
         state = self.state
-        for move, entry in moves:
+        for move, entry in self._unscreened(moves):
             token, breakdown = state.evaluate_move(move)
             if (
                 breakdown is not None
                 and breakdown.total < self.best_e * (1 - _EPS)
             ):
-                self.best_e = breakdown.total
-                self.accepted += 1
-                if self.log is not None:
-                    self.log.append((*entry, repr(self.best_e)))
+                self._accept(breakdown.total, entry)
                 return True
             state.revert(token)
         return False
@@ -94,7 +158,7 @@ class _BestImprovement(_FirstImprovement):
     def scan(self, moves) -> bool:
         state = self.state
         best_move = best_entry = best_val = None
-        for move, entry in moves:
+        for move, entry in self._unscreened(moves):
             token, breakdown = state.evaluate_move(move)
             if breakdown is not None:
                 e = breakdown.total
@@ -106,10 +170,7 @@ class _BestImprovement(_FirstImprovement):
         if best_move is None:
             return False
         _token, breakdown = state.evaluate_move(best_move)
-        self.best_e = breakdown.total
-        self.accepted += 1
-        if self.log is not None:
-            self.log.append((*best_entry, repr(self.best_e)))
+        self._accept(breakdown.total, best_entry)
         return True
 
 
@@ -144,6 +205,7 @@ class _Anneal(_FirstImprovement):
     def scan(self, moves) -> bool:
         state = self.state
         for move, entry in moves:
+            self.candidates += 1
             token, breakdown = state.evaluate_move(move)
             if breakdown is None:
                 state.revert(token)
@@ -256,4 +318,6 @@ def refine_mapping(
             )
         _run_schedule(problem, state, strategy, rng, sweeps)
         inc("refine.moves_accepted", strategy.accepted)
+        inc("refine.candidates", strategy.candidates)
+        inc("refine.screened", strategy.screened)
         return strategy.result(problem, mapping)
