@@ -69,17 +69,19 @@ _EPS = 1e-12
 #: Relative margin by which a candidate's screened total must exceed the
 #: acceptance threshold before the candidate is skipped.
 #:
-#: The screened total is the current state's exact total plus a change
-#: summed from nonnegative quantities: core terms, leakage, and edge
-#: volumes times hop counts (at most about 100 terms).  The exact
-#: ``score`` sums the same quantities in another order.  Each float
-#: operation is off by at most 2**-53 relative to the magnitudes it adds,
-#: and no magnitude exceeds ``max(current total, candidate total)``, so
-#: the two totals differ by at most about 1e-13 of that larger total.
-#: The margin is 1e-9 of ``max(threshold, current total)``, which is
-#: about four orders of magnitude wider than that error.  A candidate
+#: Both totals add up the same nonnegative quantities: core terms,
+#: leakage, and edge volumes times hop counts.  The exact ``score`` sums
+#: them resource by resource in canonical order; the screened total is
+#: the current state's exact total plus the change of the touched
+#: resources.  In real arithmetic the two are equal.  Each float addition
+#: is off by at most 2**-53 of a partial sum, and no partial sum exceeds
+#: ``max(current total, candidate total)``, so with ``m`` terms in all the
+#: two totals differ by at most about ``2 * m * 2**-53`` of that larger
+#: total.  ``m`` is a few hundred on a 6x6 grid, which bounds the gap by
+#: about 1e-13.  The margin is 1e-9 of ``max(threshold, current total)``:
+#: wider than the gap for any ``m`` below about four million.  A candidate
 #: whose exact total passes the threshold therefore always reaches the
-#: exact path, and accepted moves, logs and outputs are bit-identical to
+#: exact path, so accepted moves, logs and outputs are bit-identical to
 #: grading every candidate exactly.
 SCREEN_MARGIN = 1e-9
 
