@@ -151,10 +151,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     results: dict = {"target_speedup": TARGET_SPEEDUP, "workloads": {}}
-    for label, *shape in WORKLOADS:
-        print(f"benchmarking {label} (sweeps={shape[3]}) ...")
+    for label, n, p, q, sweeps, start, period_rule in WORKLOADS:
+        print(f"benchmarking {label} (sweeps={sweeps}) ...")
         results["workloads"][label] = bench_workload(
-            label, *shape, args.repeats
+            label, n, p, q, sweeps, start, period_rule, args.repeats
         )
     headline = results["workloads"][HEADLINE]
     results["headline"] = HEADLINE

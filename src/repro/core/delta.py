@@ -45,10 +45,9 @@ Unaffected resources keep their previously-canonical values, so every
 :meth:`score` equals ``energy(Mapping(spg, grid, {i: alloc[i] for i in
 range(n)}, best_feasible_speeds))`` bit for bit — the equivalence suite
 in ``tests/test_refine_equivalence.py`` pins this across topologies.
-:meth:`screen` is the one place that sums a change; its approximate
-value only decides which candidates skip the exact path, and nothing it
-returns is stored or compared against the acceptance threshold as a
-final score.
+:meth:`screen` is the one place that sums a change.  Its approximate
+value only decides which candidates skip the exact path; a move is
+accepted on its exact :meth:`score` alone.
 
 Supported moves: :class:`MoveStage` (one stage to another core),
 :class:`SwapClusters` (exchange two cores' whole clusters) and
@@ -339,8 +338,8 @@ class DeltaState:
         :meth:`evaluate_move` rejects the move as well.  Otherwise the
         current total plus the change equals the moved state's
         :meth:`score` up to float rounding (the relative bound is argued
-        in :mod:`repro.heuristics.refine`).  Speeds, quotient cycles,
-        route validity and the period are left to :meth:`evaluate_move`.
+        in :mod:`repro.heuristics.refine`).  Quotient cycles, route
+        validity and the period are left to :meth:`evaluate_move`.
         """
         moved = self._collect(move)
         if not moved:

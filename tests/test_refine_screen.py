@@ -39,9 +39,9 @@ from repro.heuristics.refine import (
     _BestImprovement,
     _FirstImprovement,
     _run_schedule,
+    refine_mapping,
 )
 from repro.obs.session import observability
-from repro.heuristics.refine import refine_mapping
 from repro.platform.cmp import CMPGrid
 from repro.platform.speeds import XSCALE
 from repro.platform.topology import get_topology, topology_names
