@@ -150,6 +150,10 @@ def test_screen_sound_on_random_graphs(
     )
     res = run(start, problem, rng=seed)
     assume(res.ok)
+    # ``validate`` allows 1e-9 of period slack, ``best_feasible`` 1e-12,
+    # so a valid start can leave a core without a canonical speed; the
+    # refiner then runs unscreened until its first accepted move.
+    assume(DeltaState(problem, res.mapping).score() is not None)
     _checked_run(problem, res.mapping, schedule_cls, seed)
 
 
@@ -241,3 +245,26 @@ def test_counters_report_the_screen_once_per_run():
     anneal = counts["anneal"]
     assert anneal["refine.candidates"] > 0
     assert anneal["refine.screened"] == 0
+
+
+def test_start_without_a_canonical_speed_refines_unscreened():
+    """``validate`` allows 1e-9 of period slack and ``best_feasible``
+    1e-12, so a valid start can hold a core with no canonical speed.  The
+    refiner must grade such a start exactly instead of screening it."""
+    from repro.core.evaluate import energy, validate
+
+    s_max = XSCALE.s_max
+    period = 1.0
+    work = s_max * period * (1.0 + 5e-10)
+    spg = SPG([work / 3] * 3, None, {(0, 1): 1.0, (1, 2): 1.0})
+    grid = CMPGrid(1, 2)
+    problem = ProblemInstance(spg, grid, period)
+    base = Mapping(spg, grid, {0: (0, 0), 1: (0, 0), 2: (0, 0)},
+                   {(0, 0): s_max})
+    validate(base, period)
+    assert DeltaState(problem, base).score() is None
+    with observability(metrics=True) as session:
+        out = refine_mapping(problem, base, rng=0)
+    validate(out, period)
+    assert energy(out, period).total < energy(base, period).total
+    assert session.metrics.counters["refine.candidates"] > 0
