@@ -55,8 +55,8 @@ def bench_eval_core(baseline: dict) -> dict:
     from repro.core.evaluate import cycle_times, energy, validate
     from repro.core.problem import ProblemInstance
     from repro.experiments import choose_period
-    from repro.heuristics.base import run
     from repro.platform.cmp import CMPGrid
+    from repro.solvers import run
     from repro.spg.random_gen import random_spg
 
     spg = random_spg(50, rng=42, ccr=1.0)

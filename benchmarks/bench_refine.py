@@ -70,11 +70,11 @@ def bench_workload(
     from repro.core.evaluate import energy
     from repro.core.problem import ProblemInstance
     from repro.experiments.period import choose_period
-    from repro.heuristics.base import run
     from repro.heuristics.refine import refine_mapping
     from repro.obs.session import observability
     from tests.refine_reference import refine_mapping_rebuild
     from repro.platform.cmp import CMPGrid
+    from repro.solvers import run
     from repro.spg.random_gen import random_spg
 
     spg = random_spg(n, rng=2011, ccr=10.0)

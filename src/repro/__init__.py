@@ -17,9 +17,9 @@ Quickstart::
     print(result.energy.total, "J per period")
 
 Any solver spec from the unified registry works in place of "Greedy" —
-``run("dpa2d1d+refine", ...)``, ``run("portfolio", ...)`` — or use
-:func:`repro.solve` directly for the full
-:class:`~repro.solvers.SolverResult` (stats, timings, portfolio
+``run("dpa2d1d+refine", ...)``, ``run("portfolio", ...)``.  Every solver
+returns a :class:`~repro.solvers.SolverResult` (mapping, re-validated
+energy, failure, and stats: timings, pipeline stages, portfolio
 members).  ``repro solvers list`` on the CLI shows the registry.
 """
 
@@ -53,21 +53,18 @@ from repro.experiments import (
 )
 from repro.heuristics import (
     PAPER_ORDER,
-    REGISTRY,
-    HeuristicResult,
     dpa1d_mapping,
     dpa2d1d_mapping,
     dpa2d_mapping,
     greedy_mapping,
     random_mapping,
-    run,
 )
 from repro.platform import XSCALE, CMPGrid, PowerModel, xscale_model
 from repro.solvers import (
     SolverResult,
     get_solver,
     parse_solver_spec,
-    solve,
+    run,
     solver_names,
 )
 from repro.store import (
@@ -135,10 +132,7 @@ __all__ = [
     "XSCALE",
     "xscale_model",
     # heuristics
-    "run",
-    "REGISTRY",
     "PAPER_ORDER",
-    "HeuristicResult",
     "random_mapping",
     "greedy_mapping",
     "dpa1d_mapping",
@@ -146,7 +140,7 @@ __all__ = [
     "dpa2d1d_mapping",
     # solvers
     "SolverResult",
-    "solve",
+    "run",
     "get_solver",
     "parse_solver_spec",
     "solver_names",

@@ -110,12 +110,14 @@ from repro.experiments import (
     sweep_summary,
     write_report,
 )
-from repro.heuristics.base import PAPER_ORDER, run
+from repro.heuristics.base import PAPER_ORDER
 from repro.platform.topology import TOPOLOGIES, get_topology, topology_names
 from repro.solvers import (
     SOLVERS,
     get_solver,
+    lookup_solver,
     parse_solver_spec,
+    run,
     solver_names,
 )
 from repro.spg.random_gen import random_spg
@@ -607,7 +609,7 @@ def cmd_solvers(args, out) -> int:
     if args.name is None:
         print("solvers describe needs a solver name or spec", file=out)
         return 2
-    spec = SOLVERS.get(args.name) or SOLVERS.get(args.name.lower())
+    spec = lookup_solver(args.name)
     if spec is not None:
         # Registered name: describe the built solver directly (transform
         # stages are valid names here even though they cannot *start* a
@@ -634,7 +636,7 @@ def cmd_solve(args, out) -> int:
         T = choose_period(app, grid, rng=args.seed).period
         print(f"period (Section 6.1.3): T = {T:g} s", file=out)
     prob = ProblemInstance(app, grid, T)
-    res = solver.solve(prob, rng=args.seed)
+    res = run(solver, prob, rng=args.seed)
     members = res.stats.get("members")
     if members:
         rows = [

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from repro.core.evaluate import period_out_of_reach
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import PAPER_ORDER, HeuristicResult, run
+from repro.heuristics.base import PAPER_ORDER
 from repro.platform.topology import Topology
+from repro.solvers.base import SolverResult, run
 from repro.spg.graph import SPG
 from repro.util.rng import as_rng
 
@@ -31,7 +32,7 @@ class PeriodChoice:
     """The selected period and the heuristic results obtained at it."""
 
     period: float
-    results: dict[str, HeuristicResult]
+    results: dict[str, SolverResult]
 
     @property
     def successes(self) -> int:
@@ -43,7 +44,7 @@ def run_all(
     heuristics=PAPER_ORDER,
     rng=None,
     options: dict | None = None,
-) -> dict[str, HeuristicResult]:
+) -> dict[str, SolverResult]:
     """Run every solver on ``problem`` with per-solver RNG streams.
 
     ``heuristics`` entries are Section-5 heuristic names or any solver
@@ -53,7 +54,7 @@ def run_all(
     """
     rng = as_rng(rng)
     options = options or {}
-    out: dict[str, HeuristicResult] = {}
+    out: dict[str, SolverResult] = {}
     for name in heuristics:
         child = as_rng(int(rng.integers(0, 2**63 - 1)))
         out[name] = run(name, problem, rng=child, **options.get(name, {}))
@@ -96,7 +97,7 @@ def choose_period(
         rng = as_rng(rng)
         seed = int(rng.integers(0, 2**63 - 1))
 
-    def attempt(T: float) -> dict[str, HeuristicResult]:
+    def attempt(T: float) -> dict[str, SolverResult]:
         if period_out_of_reach(spg, grid, T):
             return {}
         return run_all(

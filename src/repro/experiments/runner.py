@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.period import PeriodChoice
-from repro.heuristics.base import PAPER_ORDER, HeuristicResult
+from repro.heuristics.base import PAPER_ORDER
+from repro.solvers.base import SolverResult
 
 __all__ = ["InstanceRecord", "FailureCounter", "normalized_energy",
            "normalized_inverse_energy"]
@@ -17,7 +18,7 @@ class InstanceRecord:
 
     label: str
     period: float
-    results: dict[str, HeuristicResult]
+    results: dict[str, SolverResult]
 
     @staticmethod
     def from_choice(label: str, choice: PeriodChoice) -> "InstanceRecord":

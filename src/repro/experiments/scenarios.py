@@ -11,7 +11,7 @@ cross-product also fans over strategies (``dpa2d1d+refine``,
 
 Each scenario instance runs the full divide-by-10 period selection plus
 every requested solver (independently re-validated by
-:func:`repro.heuristics.base.run`, so every route in the report passed
+:func:`repro.solvers.run`, so every route in the report passed
 ``Topology.validate_path``).  Instances and solver seeds are generated
 serially in the parent in a fixed order, then executed through
 :func:`repro.experiments.parallel.run_tasks` — results are bit-identical

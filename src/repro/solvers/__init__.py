@@ -2,9 +2,10 @@
 
 One abstraction for every mapping strategy — the Section-5 heuristics,
 the exact Section-4 solvers, local-search refinement as a pipeline
-stage, and portfolios over all of them.  See ``repro.solvers.base`` for
-the protocol/registry and ``repro.solvers.composite`` for composition;
-``repro solvers list`` surfaces the registry on the CLI.
+stage, and portfolios over all of them — run through one entry point,
+:func:`run`.  See ``repro.solvers.base`` for the protocol, registry and
+``run``, and ``repro.solvers.composite`` for composition; ``repro
+solvers list`` surfaces the registry on the CLI.
 """
 
 from repro.solvers.base import (
@@ -13,18 +14,13 @@ from repro.solvers.base import (
     SolverResult,
     SolverSpec,
     get_solver,
+    lookup_solver,
     parse_solver_spec,
     register_solver,
-    solve,
+    run,
     solver_names,
 )
-from repro.solvers.adapters import (
-    HEURISTIC_KEYS,
-    ExactSolver,
-    HeuristicSolver,
-    RefineStage,
-    solver_for_run,
-)
+from repro.solvers.adapters import ExactSolver, HeuristicSolver, RefineStage
 from repro.solvers.composite import (
     PipelineSolver,
     PortfolioSolver,
@@ -37,16 +33,15 @@ __all__ = [
     "SolverResult",
     "SolverSpec",
     "get_solver",
+    "lookup_solver",
     "parse_solver_spec",
     "register_solver",
-    "solve",
+    "run",
     "solver_names",
-    "HEURISTIC_KEYS",
     "ExactSolver",
     "HeuristicSolver",
     "RefineStage",
     "PipelineSolver",
     "PortfolioSolver",
     "portfolio_member_task",
-    "solver_for_run",
 ]

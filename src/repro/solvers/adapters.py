@@ -2,11 +2,11 @@
 
 Three families:
 
-* :class:`HeuristicSolver` wraps any callable in the Section-5 heuristic
-  registry (``repro.heuristics.base.REGISTRY``): run the heuristic, then
-  *independently* re-validate its output so results never depend on
-  heuristic-internal bookkeeping — byte-for-byte the contract the legacy
-  ``heuristics.base.run`` enforced (the golden mesh fixtures pin this).
+* :class:`HeuristicSolver` wraps one of the five Section-5 heuristics
+  (``repro.heuristics.base.REGISTRY``, registered here under
+  ``name.lower()``): run the heuristic, then *independently* re-validate
+  its output so results never depend on heuristic-internal bookkeeping
+  (the golden mesh fixtures pin this).
 * :class:`RefineStage` turns the Section-7 local-search refiner into a
   *transform* stage: ``"dpa2d1d+refine"`` refines DPA2D1D's output,
   continuing the producer's RNG stream.
@@ -28,15 +28,10 @@ from repro.core.errors import (
     UnsupportedPlatform,
 )
 from repro.core.evaluate import validate
-from repro.solvers.base import (
-    Solver,
-    SolverResult,
-    parse_solver_spec,
-    register_solver,
-    timed,
-)
+from repro.heuristics.base import PAPER_ORDER
+from repro.solvers.base import Solver, SolverResult, register_solver, timed
 
-__all__ = ["HeuristicSolver", "RefineStage", "ExactSolver", "solver_for_run"]
+__all__ = ["HeuristicSolver", "RefineStage", "ExactSolver"]
 
 
 def _validated_result(
@@ -69,22 +64,16 @@ def _validated_result(
         stats.update(extra_stats)
     return SolverResult(spec, mapping, breakdown, stats=stats)
 
-#: solver key -> Section-5 heuristic registry name.
-HEURISTIC_KEYS = {
-    "random": "Random",
-    "greedy": "Greedy",
-    "dpa2d": "DPA2D",
-    "dpa1d": "DPA1D",
-    "dpa2d1d": "DPA2D1D",
-}
-
 
 class HeuristicSolver(Solver):
     """A producer wrapping one registered Section-5 heuristic.
 
     ``heuristic`` is the *heuristic* registry name (``"Random"``,
-    ``"Greedy"``, ... — looked up lazily so ad-hoc test registrations
-    work too); ``options`` are forwarded to the heuristic callable.
+    ``"Greedy"``, ...); ``options`` are forwarded to the heuristic
+    callable.  The callable is looked up in ``REGISTRY`` at solve time,
+    not at construction, because the per-layer benchmark trace
+    (``perfbench/layers.py``) wraps the registry entries in place after
+    import.
     """
 
     kind = "producer"
@@ -113,23 +102,6 @@ class HeuristicSolver(Solver):
 
     def describe(self) -> str:
         return f"producer wrapping the {self.heuristic} heuristic"
-
-
-def solver_for_run(name: str, options: dict | None = None) -> Solver:
-    """The solver behind one ``heuristics.base.run`` invocation.
-
-    A registered Section-5 heuristic name (``"Random"``, ``"Greedy"``,
-    ... — ad-hoc test registrations included) becomes a
-    :class:`HeuristicSolver`; anything else is a solver spec for
-    :func:`~repro.solvers.base.parse_solver_spec` (``"dpa2d1d+refine"``,
-    ``"portfolio"``, ``"greedy|dpa1d"``), which raises ``KeyError`` for
-    unknown names and ``ValueError`` for structurally invalid specs.
-    """
-    from repro.heuristics.base import REGISTRY
-
-    if name in REGISTRY:
-        return HeuristicSolver(name, options, spec=name)
-    return parse_solver_spec(name, options or None)
 
 
 class RefineStage(Solver):
@@ -243,22 +215,23 @@ class ExactSolver(Solver):
 # ----------------------------------------------------------------------
 def _register_heuristics() -> None:
     summaries = {
-        "random": "random valid DAG-partition mappings, best of N trials "
+        "Random": "random valid DAG-partition mappings, best of N trials "
                   "(Section 5.1)",
-        "greedy": "speed-level sweep of the forwarding greedy placement "
+        "Greedy": "speed-level sweep of the forwarding greedy placement "
                   "(Section 5.2)",
-        "dpa2d": "2D double dynamic program on the real grid (Section 5.3)",
-        "dpa1d": "optimal uni-line DP mapped along the line embedding "
+        "DPA2D": "2D double dynamic program on the real grid (Section 5.3)",
+        "DPA1D": "optimal uni-line DP mapped along the line embedding "
                  "(Section 5.4)",
-        "dpa2d1d": "DPA2D on a virtual 1 x pq line, snake-embedded "
+        "DPA2D1D": "DPA2D on a virtual 1 x pq line, snake-embedded "
                    "(Section 5.4)",
     }
-    for key, name in HEURISTIC_KEYS.items():
+    for name in PAPER_ORDER:
+        key = name.lower()
 
         def factory(_name=name, _key=key, **options) -> Solver:
             return HeuristicSolver(_name, options, spec=_key)
 
-        register_solver(key, summaries[key], kind="producer")(factory)
+        register_solver(key, summaries[name], kind="producer")(factory)
 
 
 def _register_transforms() -> None:

@@ -1,11 +1,11 @@
-"""The unified solver abstraction: protocol, result type and registry.
+"""The unified solver abstraction: protocol, result type, registry and
+the one entry point.
 
 The paper compares many mapping *strategies* — the five Section-5
 heuristics, the exact Section-4 solvers, and local-search refinement —
-but each historically had its own call path (``heuristics.base.run``,
-``exact/`` entry points, refinement flags in the experiment runners).
-This module unifies them behind one abstraction, mirroring the platform
-subsystem's registry (``repro/platform/topology.py``):
+and runs every one the same way: map, re-validate, total the energy.
+This module is that one way, mirroring the platform subsystem's
+registry (``repro/platform/topology.py``):
 
 * a :class:`Solver` produces (or transforms) a mapping for one
   :class:`~repro.core.problem.ProblemInstance` and returns a
@@ -19,23 +19,25 @@ subsystem's registry (``repro/platform/topology.py``):
   (``"dpa2d1d+refine"``), ``|`` joins alternatives into a
   :class:`~repro.solvers.composite.PortfolioSolver`
   (``"greedy|dpa2d1d+refine"``) that returns the best feasible result
-  with deterministic, jobs-invariant tie-breaking.
+  with deterministic, jobs-invariant tie-breaking;
+* :func:`run` parses a spec, solves, and records the ``solver.run``
+  span and metrics — every caller (experiments, CLI, batch service,
+  benchmarks) goes through it.
 
-Every solver's ``solve`` is deterministic given its RNG input, and the
-registry-routed adapters are pinned bit-identical to the legacy direct
-call paths they wrap (``tests/test_solvers.py``).
+Every solver's ``solve`` is deterministic given its RNG input.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.evaluate import EnergyBreakdown
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
+from repro.obs.session import inc, observe, trace_span
 
 __all__ = [
     "SolverResult",
@@ -43,10 +45,11 @@ __all__ = [
     "SolverSpec",
     "SOLVERS",
     "register_solver",
+    "lookup_solver",
     "get_solver",
     "solver_names",
     "parse_solver_spec",
-    "solve",
+    "run",
 ]
 
 
@@ -59,14 +62,16 @@ class SolverResult:
     the same mapping report bit-identical energies.  ``stats`` carries
     solver-specific metadata — at least ``{"seconds": wall_clock}``;
     composites add per-stage / per-member sub-records and the portfolio
-    winner.  Stats never influence the mapping or its score.
+    winner.  Stats never influence the mapping or its score, and they
+    are excluded from equality (timings differ run to run; results must
+    not).
     """
 
     solver: str
     mapping: Mapping | None
     energy: EnergyBreakdown | None
     failure: str | None = None
-    stats: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -76,24 +81,6 @@ class SolverResult:
     def total_energy(self) -> float:
         """Total energy, or +inf for failures (for min/normalisation)."""
         return self.energy.total if self.energy is not None else float("inf")
-
-    # -- serialization (the result-store contract) ---------------------
-    def to_payload(self) -> dict:
-        """A plain-JSON payload that round-trips this result losslessly.
-
-        The payload does not repeat the SPG/platform (the store key
-        already pins them); :meth:`from_payload` takes them as context.
-        """
-        from repro.store.serialize import result_to_payload
-
-        return result_to_payload(self)
-
-    @staticmethod
-    def from_payload(payload: dict, spg, grid) -> "SolverResult":
-        """Rebuild a result from :meth:`to_payload` output."""
-        from repro.store.serialize import solver_result_from_payload
-
-        return solver_result_from_payload(payload, spg, grid)
 
 
 class Solver(ABC):
@@ -184,13 +171,18 @@ def solver_names() -> list[str]:
     return sorted(SOLVERS)
 
 
+def lookup_solver(name: str) -> SolverSpec | None:
+    """The registration behind ``name`` (exact key, else lowercased)."""
+    return SOLVERS.get(name) or SOLVERS.get(name.lower())
+
+
 def get_solver(name: str, **options) -> Solver:
     """Build registered solver ``name`` (case-insensitive key).
 
     Raises ``KeyError`` with the available names when ``name`` is
     unknown, mirroring :func:`repro.platform.topology.get_topology`.
     """
-    spec = SOLVERS.get(name) or SOLVERS.get(name.lower())
+    spec = lookup_solver(name)
     if spec is None:
         raise KeyError(
             f"unknown solver {name!r}; available: "
@@ -247,8 +239,32 @@ def parse_solver_spec(
     return PipelineSolver(stages, spec=s)
 
 
-def solve(
+def run(
     spec: "str | Solver", problem: ProblemInstance, rng=None, **options
 ) -> SolverResult:
-    """One-call convenience: parse ``spec`` and solve ``problem``."""
-    return parse_solver_spec(spec, options or None).solve(problem, rng=rng)
+    """Run solver ``spec`` on ``problem`` and return its result.
+
+    ``spec`` is anything :func:`parse_solver_spec` accepts: a registered
+    name in any case (``"Greedy"``, ``"dpa1d"``), a pipeline
+    (``"dpa2d1d+refine"``), a portfolio (``"portfolio"``,
+    ``"greedy|dpa1d"``) or a built :class:`Solver`.  Unknown names raise
+    ``KeyError`` and structurally invalid specs (a bare transform like
+    ``"refine"``, a producer after ``+``) raise ``ValueError``;
+    ``options`` go to the producer.
+
+    The result's energy is independently re-validated: a mapping that
+    fails validation is an ``INVALID OUTPUT`` failure (a solver bug
+    rather than an infeasible instance).  The result carries the name it
+    was asked for, so ``run("Greedy", p).solver == "Greedy"`` while the
+    registry key is ``"greedy"``.
+    """
+    solver = parse_solver_spec(spec, options or None)
+    name = spec if isinstance(spec, str) else solver.spec
+    t0 = time.perf_counter()
+    with trace_span("solver.run", solver=name):
+        res = solver.solve(problem, rng=rng)
+    inc("solver.runs")
+    if res.mapping is None:
+        inc("solver.failures")
+    observe("solver.duration_s", time.perf_counter() - t0)
+    return res if res.solver == name else replace(res, solver=name)

@@ -54,7 +54,6 @@ from repro.store.serialize import (
     PAYLOAD_SCHEMA_VERSION,
     choice_from_payload,
     choice_to_payload,
-    heuristic_result_from_payload,
     mapping_from_payload,
     mapping_to_payload,
     result_to_payload,
@@ -88,7 +87,6 @@ __all__ = [
     "mapping_from_payload",
     "result_to_payload",
     "solver_result_from_payload",
-    "heuristic_result_from_payload",
     "choice_to_payload",
     "choice_from_payload",
     "BatchRequest",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro.core.evaluate import EnergyBreakdown
 from repro.core.mapping import Mapping
 from repro.experiments.period import PeriodChoice
-from repro.heuristics.base import HeuristicResult
 from repro.platform.topology import Topology
 from repro.solvers.base import SolverResult
 from repro.spg.graph import SPG
@@ -37,7 +36,6 @@ __all__ = [
     "mapping_from_payload",
     "result_to_payload",
     "solver_result_from_payload",
-    "heuristic_result_from_payload",
     "choice_to_payload",
     "choice_from_payload",
 ]
@@ -112,17 +110,11 @@ def mapping_from_payload(payload: dict, spg: SPG, grid: Topology) -> Mapping:
 # ----------------------------------------------------------------------
 # Solver results
 # ----------------------------------------------------------------------
-def result_to_payload(res: "SolverResult | HeuristicResult") -> dict:
-    """One payload shape for both result flavours.
-
-    ``SolverResult`` names its strategy ``solver``; the legacy-stable
-    ``HeuristicResult`` calls it ``name`` — the payload always uses
-    ``"solver"``.
-    """
-    name = res.solver if isinstance(res, SolverResult) else res.name
+def result_to_payload(res: SolverResult) -> dict:
+    """A plain-JSON payload that round-trips ``res`` losslessly."""
     out: dict = {
         "schema": PAYLOAD_SCHEMA_VERSION,
-        "solver": name,
+        "solver": res.solver,
         "ok": res.ok,
         "failure": res.failure,
         "stats": res.stats,
@@ -136,33 +128,16 @@ def result_to_payload(res: "SolverResult | HeuristicResult") -> dict:
     return out
 
 
-def _result_parts(payload: dict, spg: SPG, grid: Topology):
+def solver_result_from_payload(
+    payload: dict, spg: SPG, grid: Topology
+) -> SolverResult:
+    """Rebuild a result from :func:`result_to_payload` output."""
     mapping = energy = None
     if payload["mapping"] is not None:
         mapping = mapping_from_payload(payload["mapping"], spg, grid)
         energy = energy_from_payload(payload["energy"])
-    return mapping, energy
-
-
-def solver_result_from_payload(
-    payload: dict, spg: SPG, grid: Topology
-) -> SolverResult:
-    mapping, energy = _result_parts(payload, spg, grid)
     return SolverResult(
         solver=payload["solver"],
-        mapping=mapping,
-        energy=energy,
-        failure=payload["failure"],
-        stats=payload["stats"],
-    )
-
-
-def heuristic_result_from_payload(
-    payload: dict, spg: SPG, grid: Topology
-) -> HeuristicResult:
-    mapping, energy = _result_parts(payload, spg, grid)
-    return HeuristicResult(
-        name=payload["solver"],
         mapping=mapping,
         energy=energy,
         failure=payload["failure"],
@@ -196,7 +171,7 @@ def choice_from_payload(
     return PeriodChoice(
         period=payload["period"],
         results={
-            name: heuristic_result_from_payload(results[name], spg, grid)
+            name: solver_result_from_payload(results[name], spg, grid)
             for name in names
         },
     )

@@ -56,7 +56,7 @@ from repro.resilience import (
     TaskFailure,
     resolve_fault_plan,
 )
-from repro.solvers.adapters import solver_for_run
+from repro.solvers.base import run
 from repro.spg.graph import SPG
 from repro.spg.random_gen import random_spg
 from repro.store.backend import ResultStore, open_store
@@ -163,9 +163,9 @@ def _solve_task(task):
     with trace_span("serve.request", solver=spec):
         if period is None:
             period = choose_period(spg, platform, rng=as_rng(seed)).period
-        solver = solver_for_run(spec, options or None)
-        res = solver.solve(
-            ProblemInstance(spg, platform, period), rng=as_rng(seed)
+        res = run(
+            spec, ProblemInstance(spg, platform, period), rng=as_rng(seed),
+            **(options or {}),
         )
         return period, result_to_payload(res)
 

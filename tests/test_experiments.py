@@ -12,8 +12,9 @@ from repro.experiments.runner import (
     normalized_inverse_energy,
 )
 from repro.experiments.streamit_experiments import run_streamit_experiment
-from repro.heuristics.base import PAPER_ORDER, HeuristicResult
+from repro.heuristics.base import PAPER_ORDER
 from repro.platform.cmp import CMPGrid
+from repro.solvers import SolverResult
 from repro.spg.build import chain
 from repro.spg.streamit import streamit_workflow
 
@@ -81,11 +82,11 @@ def _fake_record(energies: dict[str, float | None]) -> InstanceRecord:
     results = {}
     for name, e in energies.items():
         if e is None:
-            results[name] = HeuristicResult(name, None, None, "failed")
+            results[name] = SolverResult(name, None, None, "failed")
         else:
             from repro.core.evaluate import EnergyBreakdown
 
-            results[name] = HeuristicResult(
+            results[name] = SolverResult(
                 name, "dummy", EnergyBreakdown(e, 0.0, 0.0, 0.0)
             )
     return InstanceRecord("test", 1.0, results)

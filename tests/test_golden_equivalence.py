@@ -140,7 +140,7 @@ def _refine_snapshots() -> dict:
 
     from repro.core.evaluate import energy
     from repro.core.problem import ProblemInstance
-    from repro.heuristics.base import run as run_heuristic
+    from repro.solvers import run as run_heuristic
     from repro.heuristics.refine import refine_mapping
     from repro.platform.topology import get_topology
     from repro.spg.random_gen import random_spg

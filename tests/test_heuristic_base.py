@@ -1,12 +1,13 @@
-"""Tests for the heuristic registry and the run() wrapper contract."""
+"""Tests for the heuristic registry and the run() contract on heuristics."""
 
 import pytest
 
 from repro.core.errors import HeuristicFailure
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import PAPER_ORDER, REGISTRY, register, run
+from repro.heuristics.base import PAPER_ORDER, REGISTRY, register
 from repro.platform.speeds import GHZ
+from repro.solvers import run
 from repro.spg.build import chain
 
 
@@ -28,6 +29,21 @@ class TestRegistry:
         finally:
             del REGISTRY["_test_dummy"]
 
+    def test_registered_names_are_not_solver_specs(self, grid_2x2):
+        """``run`` resolves every name through the solver registry; an
+        ad-hoc heuristic registration is not runnable by name."""
+
+        @register("_test_dummy")
+        def dummy(problem, rng=None):
+            raise HeuristicFailure("dummy")
+
+        problem = ProblemInstance(chain(2, [1e8] * 2, [1e5]), grid_2x2, 1.0)
+        try:
+            with pytest.raises(KeyError):
+                run("_test_dummy", problem)
+        finally:
+            del REGISTRY["_test_dummy"]
+
 
 class TestRunWrapper:
     @pytest.fixture
@@ -38,7 +54,7 @@ class TestRunWrapper:
     def test_success_result(self, problem):
         res = run("Greedy", problem, rng=0)
         assert res.ok
-        assert res.name == "Greedy"
+        assert res.solver == "Greedy"
         assert res.energy is not None
         assert res.failure is None
         assert res.total_energy == res.energy.total
@@ -51,11 +67,12 @@ class TestRunWrapper:
         assert res.total_energy == float("inf")
         assert res.failure
 
-    def test_invalid_output_guard(self, problem):
+    def test_invalid_output_guard(self, problem, monkeypatch):
         """A buggy heuristic returning a broken mapping is flagged, not
-        silently accepted."""
+        silently accepted.  The broken callable replaces a registry entry
+        in place, the way the per-layer benchmark trace wraps them, so
+        the solver looks it up at solve time."""
 
-        @register("_test_broken")
         def broken(prob, rng=None):
             # Mapping that misses the period: one core at minimum speed.
             alloc = {i: (0, 0) for i in range(prob.spg.n)}
@@ -63,12 +80,10 @@ class TestRunWrapper:
                 prob.spg, prob.grid, alloc, {(0, 0): 0.15 * GHZ}
             )
 
-        try:
-            res = run("_test_broken", problem.scaled(0.2), rng=0)
-            assert not res.ok
-            assert res.failure.startswith("INVALID OUTPUT")
-        finally:
-            del REGISTRY["_test_broken"]
+        monkeypatch.setitem(REGISTRY, "Greedy", broken)
+        res = run("Greedy", problem.scaled(0.2), rng=0)
+        assert not res.ok
+        assert res.failure.startswith("INVALID OUTPUT")
 
     def test_options_forwarded(self, problem):
         res = run("Random", problem, rng=0, trials=1)

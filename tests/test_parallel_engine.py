@@ -13,7 +13,7 @@ from repro.experiments.parallel import (
     resolve_jobs,
     run_tasks,
 )
-from repro.heuristics.base import run
+from repro.solvers import run
 from repro.platform.cmp import CMPGrid
 from repro.spg.random_gen import random_spg
 

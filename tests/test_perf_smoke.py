@@ -28,7 +28,7 @@ DPA1D_BUDGET = 10.0
 def test_evaluation_core_stays_fast():
     from repro.core.evaluate import cycle_times, energy, validate
     from repro.core.problem import ProblemInstance
-    from repro.heuristics.base import run
+    from repro.solvers import run
     from repro.platform.cmp import CMPGrid
     from repro.spg.random_gen import random_spg
 

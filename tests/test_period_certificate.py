@@ -77,8 +77,8 @@ def _assert_same_choice(got: PeriodChoice, want: PeriodChoice) -> None:
     assert got.period == want.period
     assert list(got.results) == list(want.results)
     for name, res in want.results.items():
-        # HeuristicResult equality covers the mapping, the energy and
-        # the failure string.
+        # SolverResult equality covers the name, the mapping, the energy
+        # and the failure string.
         assert got.results[name] == res, name
 
 

@@ -14,7 +14,7 @@ from repro.core.errors import HeuristicFailure
 from repro.core.evaluate import max_cycle_time, validate
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import run
+from repro.solvers import run
 from repro.platform.cmp import CMPGrid
 from repro.spg.analysis import is_series_parallel
 from repro.spg.graph import SPG, parallel, series, sp_edge

@@ -25,7 +25,7 @@ from repro.heuristics.random_heuristic import random_mapping
 from repro.heuristics.refine import refine_mapping
 from repro.platform.cmp import CMPGrid
 from repro.platform.speeds import GHZ
-from repro.solvers import solve
+from repro.solvers import run
 from repro.spg.build import chain, diamond
 from repro.spg.random_gen import random_spg
 
@@ -75,7 +75,7 @@ class TestRefine:
         validate(out, problem.period, require_dag_partition=False)
 
     def test_refined_wrapper(self, problem):
-        res = solve("greedy+refine", problem, rng=0)
+        res = run("greedy+refine", problem, rng=0)
         assert res.ok
         validate(res.mapping, problem.period)
 

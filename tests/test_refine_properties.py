@@ -15,9 +15,10 @@ from tests.helpers import loose_period
 
 from repro.core.evaluate import energy, is_period_feasible, validate
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import PAPER_ORDER, run
+from repro.heuristics.base import PAPER_ORDER
 from repro.heuristics.refine import SCHEDULES, refine_mapping
 from repro.platform.topology import get_topology, topology_names
+from repro.solvers import run
 from repro.spg.random_gen import random_spg
 from repro.spg.streamit import streamit_workflow
 

@@ -32,7 +32,7 @@ from tests.helpers import loose_period
 from repro.core.delta import DeltaState, MoveStage
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import run
+from repro.solvers import run
 from repro.heuristics.refine import (
     _EPS,
     SCREEN_MARGIN,

@@ -26,8 +26,9 @@ import pytest
 
 from repro.core.problem import ProblemInstance
 from repro.experiments.period import choose_period
-from repro.heuristics.base import PAPER_ORDER, run
+from repro.heuristics.base import PAPER_ORDER
 from repro.platform.topology import get_topology
+from repro.solvers import run
 from repro.spg.random_gen import random_spg
 from repro.store.serialize import (
     choice_from_payload,
@@ -98,8 +99,7 @@ def _text(payload: dict) -> str:
 
 def _assert_agree(fresh, decoded) -> None:
     """The fields every report reads, compared exactly."""
-    assert (result_to_payload(fresh)["solver"]
-            == result_to_payload(decoded)["solver"])
+    assert fresh.solver == decoded.solver
     assert fresh.failure == decoded.failure
     assert fresh.ok == decoded.ok
     if fresh.ok:

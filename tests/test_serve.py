@@ -71,6 +71,26 @@ class TestServeBatch:
         # Everything except the cached flag is bit-identical.
         assert strip_cached(cold) == strip_cached(warm)
 
+    def test_solver_is_answered_as_spelled(self):
+        """Each spelling is its own request and answers under the name
+        it was asked for, cold and warm; the mapping is the same."""
+        spellings = ("Greedy", "GREEDY", "greedy")
+        reqs = load_requests([
+            {"solver": name, "app": "random-10", "size": "2x2", "seed": 0}
+            for name in spellings
+        ])
+        store = ResultStore()
+        cold = serve_batch(reqs, store=store)
+        warm = serve_batch(reqs, store=store)
+        assert cold["meta"]["misses"] == 3 and warm["meta"]["hits"] == 3
+        for report in (cold, warm):
+            responses = report["responses"]
+            assert [r["solver"] for r in responses] == list(spellings)
+            assert all(r["ok"] for r in responses)
+            assert len({r["key"] for r in responses}) == 3
+            assert len({json.dumps(r["energy"]) for r in responses}) == 1
+        assert strip_cached(cold) == strip_cached(warm)
+
     def test_jobs_invariance(self):
         reqs = load_requests(REQS)
         serial = serve_batch(reqs, store=ResultStore(), jobs=1)

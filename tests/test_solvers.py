@@ -15,17 +15,18 @@ from repro.core.evaluate import validate
 from repro.core.problem import ProblemInstance
 from repro.experiments import choose_period
 from repro.experiments.parallel import pool_available
-from repro.heuristics.base import PAPER_ORDER, REGISTRY, run
+from repro.heuristics.base import PAPER_ORDER, REGISTRY
 from repro.platform.cmp import CMPGrid
 from repro.solvers import (
-    HEURISTIC_KEYS,
     SOLVERS,
+    HeuristicSolver,
     PipelineSolver,
     PortfolioSolver,
     RefineStage,
     get_solver,
+    lookup_solver,
     parse_solver_spec,
-    solve,
+    run,
     solver_names,
 )
 from repro.spg.random_gen import random_spg
@@ -60,7 +61,10 @@ class TestRegistry:
         assert SOLVERS["portfolio"].kind == "composite"
 
     def test_every_paper_heuristic_is_wrapped(self):
-        assert set(HEURISTIC_KEYS.values()) == set(PAPER_ORDER)
+        for name in PAPER_ORDER:
+            solver = get_solver(name.lower())
+            assert isinstance(solver, HeuristicSolver)
+            assert solver.heuristic == name and solver.spec == name.lower()
 
     def test_unknown_name_raises_keyerror_with_names(self):
         with pytest.raises(KeyError, match="available"):
@@ -68,6 +72,9 @@ class TestRegistry:
 
     def test_lookup_is_case_insensitive(self):
         assert get_solver("DPA2D1D").spec == "dpa2d1d"
+        assert lookup_solver("Greedy") is SOLVERS["greedy"]
+        assert lookup_solver("GREEDY") is SOLVERS["greedy"]
+        assert lookup_solver("no-such-solver") is None
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +169,7 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("name", PAPER_ORDER)
     @pytest.mark.parametrize("seed", [0, 11])
     def test_registry_matches_direct_call(self, instance, name, seed):
-        res = solve(name.lower(), instance, rng=as_rng(seed))
+        res = run(name.lower(), instance, rng=as_rng(seed))
         expected = legacy_run(name, instance, rng=as_rng(seed))
         assert_same_outcome(res, *expected)
 
@@ -172,15 +179,15 @@ class TestLegacyEquivalence:
         self, instance, name, schedule
     ):
         stage = "refine" if schedule == "first" else f"refine-{schedule}"
-        res = solve(f"{name.lower()}+{stage}", instance, rng=as_rng(5))
+        res = run(f"{name.lower()}+{stage}", instance, rng=as_rng(5))
         expected = legacy_run(
             name, instance, rng=as_rng(5), refine=True, schedule=schedule
         )
         assert_same_outcome(res, *expected)
 
     def test_run_results_carry_solver_stats(self, instance):
-        """Portfolio metadata survives the HeuristicResult conversion
-        (so experiment records can say which member won)."""
+        """Portfolio metadata reaches the result ``run`` returns (so
+        experiment records can say which member won)."""
         res = run("portfolio", instance, rng=as_rng(5))
         assert res.stats["winner"] is not None
         assert len(res.stats["members"]) == 5
@@ -196,6 +203,47 @@ class TestLegacyEquivalence:
             run("NoSuchSolver+refine", instance)
 
 
+class TestRunEntryPoint:
+    def test_result_carries_the_name_asked_for(self, instance):
+        assert run("Greedy", instance, rng=0).solver == "Greedy"
+        assert run("greedy", instance, rng=0).solver == "greedy"
+        assert run("GREEDY", instance, rng=0).solver == "GREEDY"
+        assert get_solver("Greedy").solve(instance, rng=0).solver == "greedy"
+
+    def test_built_solver_keeps_its_spec(self, instance):
+        res = run(get_solver("dpa1d"), instance, rng=0)
+        assert res.solver == "dpa1d"
+
+    def test_equal_runs_compare_equal_despite_timings(self, instance):
+        a = run("dpa2d1d+refine", instance, rng=as_rng(4))
+        b = run("dpa2d1d+refine", instance, rng=as_rng(4))
+        assert a.ok
+        assert a == b
+        assert a.stats["seconds"] != b.stats["seconds"]
+        assert a.stats != b.stats
+
+    def test_spellings_of_one_solver_share_one_outcome(self, instance):
+        a = run("Greedy", instance, rng=as_rng(2))
+        b = run("greedy", instance, rng=as_rng(2))
+        assert a != b  # the names differ ...
+        assert (a.mapping, a.energy, a.failure) == (
+            b.mapping, b.energy, b.failure
+        )  # ... and nothing else does
+
+    def test_run_records_span_and_metrics(self, instance):
+        from repro.obs.session import observability
+
+        with observability(trace=True) as obs:
+            run("Greedy", instance, rng=0)
+            run("Greedy", instance.scaled(1e-9), rng=0)
+        spans = [s for s in obs.tracer.spans if s.kind == "solver.run"]
+        assert [s.attrs["solver"] for s in spans] == ["Greedy", "Greedy"]
+        counters = obs.metrics.counters
+        assert counters["solver.runs"] == 2
+        assert counters["solver.failures"] == 1
+        assert obs.metrics.histograms["solver.duration_s"].count == 2
+
+
 class TestExactAdapters:
     @pytest.fixture(scope="class")
     def tiny(self):
@@ -208,14 +256,14 @@ class TestExactAdapters:
         from repro.exact import brute_force_optimal
 
         mapping, obj = brute_force_optimal(tiny)
-        res = solve("bruteforce", tiny)
+        res = run("bruteforce", tiny)
         assert res.ok
         assert res.mapping.alloc == mapping.alloc
         assert repr(res.total_energy) == repr(obj)
         assert res.stats["objective"] == obj
 
     def test_bruteforce_failure_is_recorded(self, tiny):
-        res = solve("bruteforce", tiny.scaled(1e-9))
+        res = run("bruteforce", tiny.scaled(1e-9))
         assert not res.ok and "brute force" in res.failure
 
     def test_ilp_unsupported_platform_is_a_recorded_failure(self, tiny):
@@ -227,7 +275,7 @@ class TestExactAdapters:
         torus = ProblemInstance(
             tiny.spg, get_topology("torus", 2, 2), tiny.period
         )
-        res = solve("ilp", torus)
+        res = get_solver("ilp").solve(torus)
         assert not res.ok
         assert res.failure.startswith("UnsupportedPlatform")
         assert "mesh" in res.failure
@@ -255,7 +303,7 @@ class TestExactAdapters:
         prob = ProblemInstance(g, CMPGrid(2, 2, two_speed_model), 0.6)
         mapping, obj = ilp_optimal(prob)
         for spec in ("ilp", "bnb"):
-            res = solve(spec, prob)
+            res = run(spec, prob)
             assert res.ok and res.solver == spec
             assert res.mapping.alloc == mapping.alloc
             assert res.stats["objective"] == pytest.approx(obj)
@@ -266,7 +314,7 @@ class TestExactAdapters:
 # ----------------------------------------------------------------------
 class TestPortfolio:
     def test_winner_is_best_feasible_member(self, instance):
-        res = solve("portfolio", instance, rng=as_rng(5))
+        res = run("portfolio", instance, rng=as_rng(5))
         assert res.ok
         members = res.stats["members"]
         best = min(
@@ -299,7 +347,7 @@ class TestPortfolio:
         assert res.stats["winner"] == "greedy"
 
     def test_all_members_failing(self, instance):
-        res = solve("portfolio", instance.scaled(1e-9), rng=as_rng(0))
+        res = run("portfolio", instance.scaled(1e-9), rng=as_rng(0))
         assert not res.ok
         assert "every member failed" in res.failure
         assert all(not m["ok"] for m in res.stats["members"])
@@ -362,8 +410,8 @@ class TestPortfolio:
             PortfolioSolver(["greedy", "nope"])
 
     def test_pipeline_over_portfolio(self, instance):
-        res = solve("portfolio+refine", instance, rng=as_rng(5))
-        base = solve("portfolio", instance, rng=as_rng(5))
+        res = run("portfolio+refine", instance, rng=as_rng(5))
+        base = run("portfolio", instance, rng=as_rng(5))
         assert res.ok
         assert res.total_energy <= base.total_energy
 
@@ -377,19 +425,19 @@ class TestStageContract:
             RefineStage().solve(instance, rng=0)
 
     def test_pipeline_short_circuits_on_failure(self, instance):
-        res = solve("greedy+refine", instance.scaled(1e-9), rng=as_rng(0))
+        res = run("greedy+refine", instance.scaled(1e-9), rng=as_rng(0))
         assert not res.ok
         assert [st["solver"] for st in res.stats["stages"]] == ["greedy"]
 
     def test_stats_carry_timings(self, instance):
-        res = solve("dpa2d1d+refine", instance, rng=as_rng(0))
+        res = run("dpa2d1d+refine", instance, rng=as_rng(0))
         assert res.stats["seconds"] >= 0
         assert all(st["seconds"] >= 0 for st in res.stats["stages"])
 
 
 class TestOptionPlumbing:
     def test_producer_options_forwarded_through_spec(self, instance):
-        res = solve("random", instance, rng=as_rng(1), trials=1)
+        res = run("random", instance, rng=as_rng(1), trials=1)
         assert res.ok or res.failure
 
 

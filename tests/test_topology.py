@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.evaluate import validate
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import PAPER_ORDER, run
+from repro.heuristics.base import PAPER_ORDER
 from repro.platform import (
     CMPGrid,
     BenesTopology,
@@ -18,6 +18,7 @@ from repro.platform import (
     xy_path,
 )
 from repro.platform.speeds import GHZ, xscale_model
+from repro.solvers import run
 from repro.spg.build import chain
 from repro.util.rng import as_rng
 
