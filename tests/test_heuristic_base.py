@@ -19,26 +19,16 @@ class TestRegistry:
     def test_paper_order(self):
         assert PAPER_ORDER == ("Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D")
 
-    def test_register_decorator(self):
-        @register("_test_dummy")
-        def dummy(problem, rng=None):
-            raise HeuristicFailure("dummy")
-
-        try:
-            assert REGISTRY["_test_dummy"] is dummy
-        finally:
-            del REGISTRY["_test_dummy"]
-
-    def test_registered_names_are_not_solver_specs(self, grid_2x2):
-        """``run`` resolves every name through the solver registry; an
-        ad-hoc heuristic registration is not runnable by name."""
-
+    def test_register_decorator(self, grid_2x2):
         @register("_test_dummy")
         def dummy(problem, rng=None):
             raise HeuristicFailure("dummy")
 
         problem = ProblemInstance(chain(2, [1e8] * 2, [1e5]), grid_2x2, 1.0)
         try:
+            assert REGISTRY["_test_dummy"] is dummy
+            # run() resolves names through the solver registry only: an
+            # ad-hoc heuristic registration is not runnable by name.
             with pytest.raises(KeyError):
                 run("_test_dummy", problem)
         finally:

@@ -8,6 +8,8 @@ portfolio winners must be identical for any ``jobs`` value.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import HeuristicFailure, MappingError
@@ -205,10 +207,16 @@ class TestLegacyEquivalence:
 
 class TestRunEntryPoint:
     def test_result_carries_the_name_asked_for(self, instance):
-        assert run("Greedy", instance, rng=0).solver == "Greedy"
-        assert run("greedy", instance, rng=0).solver == "greedy"
+        a = run("Greedy", instance, rng=as_rng(2))
+        b = run("greedy", instance, rng=as_rng(2))
+        assert (a.solver, b.solver) == ("Greedy", "greedy")
         assert run("GREEDY", instance, rng=0).solver == "GREEDY"
         assert get_solver("Greedy").solve(instance, rng=0).solver == "greedy"
+        # Equality covers the name; nothing else differs.
+        assert a != b
+        assert (a.mapping, a.energy, a.failure) == (
+            b.mapping, b.energy, b.failure
+        )
 
     def test_built_solver_keeps_its_spec(self, instance):
         res = run(get_solver("dpa1d"), instance, rng=0)
@@ -219,16 +227,9 @@ class TestRunEntryPoint:
         b = run("dpa2d1d+refine", instance, rng=as_rng(4))
         assert a.ok
         assert a == b
-        assert a.stats["seconds"] != b.stats["seconds"]
-        assert a.stats != b.stats
-
-    def test_spellings_of_one_solver_share_one_outcome(self, instance):
-        a = run("Greedy", instance, rng=as_rng(2))
-        b = run("greedy", instance, rng=as_rng(2))
-        assert a != b  # the names differ ...
-        assert (a.mapping, a.energy, a.failure) == (
-            b.mapping, b.energy, b.failure
-        )  # ... and nothing else does
+        # However the two wall-clocks fell, other timings compare equal.
+        slower = {**b.stats, "seconds": b.stats["seconds"] + 1.0}
+        assert a == replace(b, stats=slower)
 
     def test_run_records_span_and_metrics(self, instance):
         from repro.obs.session import observability
