@@ -69,8 +69,8 @@ class HeuristicSolver(Solver):
     """A producer wrapping one registered Section-5 heuristic.
 
     ``heuristic`` is the *heuristic* registry name (``"Random"``,
-    ``"Greedy"``, ...); ``options`` are forwarded to the heuristic
-    callable.  The callable is looked up in ``REGISTRY`` at solve time,
+    ``"Greedy"``, ...) and its lowercase form the solver spec;
+    ``options`` are forwarded to the heuristic callable.  The callable is looked up in ``REGISTRY`` at solve time,
     not at construction, because the per-layer benchmark trace
     (``perfbench/layers.py``) wraps the registry entries in place after
     import.
@@ -78,13 +78,10 @@ class HeuristicSolver(Solver):
 
     kind = "producer"
 
-    def __init__(
-        self, heuristic: str, options: dict | None = None,
-        spec: str | None = None,
-    ) -> None:
+    def __init__(self, heuristic: str, options: dict | None = None) -> None:
         self.heuristic = heuristic
         self.options = dict(options or {})
-        self.spec = spec if spec is not None else heuristic.lower()
+        self.spec = heuristic.lower()
 
     def solve(self, problem, rng=None, upstream=None) -> SolverResult:
         from repro.heuristics.base import REGISTRY
@@ -226,12 +223,11 @@ def _register_heuristics() -> None:
                    "(Section 5.4)",
     }
     for name in PAPER_ORDER:
-        key = name.lower()
 
-        def factory(_name=name, _key=key, **options) -> Solver:
-            return HeuristicSolver(_name, options, spec=_key)
+        def factory(_name=name, **options) -> Solver:
+            return HeuristicSolver(_name, options)
 
-        register_solver(key, summaries[name], kind="producer")(factory)
+        register_solver(name.lower(), summaries[name])(factory)
 
 
 def _register_transforms() -> None:
