@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--fault-plan", metavar="SPEC", default=None,
             help="deterministic fault injection, e.g. "
                  "'crash@task:0;hang@task:2:0.2;corrupt@key:*' "
-                 "(default: the REPRO_FAULT_PLAN environment variable)",
+                 "(default: the REPRO_FAULT_PLAN environment variable); "
+                 "a sweep's task:IDX names a group of cells sharing a graph",
         )
 
     for p in (p_map, p_solve, p_cmp, p_exp):

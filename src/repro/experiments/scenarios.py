@@ -17,6 +17,11 @@ serially in the parent in a fixed order, then executed through
 :func:`repro.experiments.parallel.run_tasks` — results are bit-identical
 for any ``jobs`` value, exactly as in the figure sweeps.
 
+A StreamIt (app, CCR) graph is built once per call, and the selected
+cells sharing it run as one pool task (:func:`sweep_group_task`), so a
+worker builds its ideal lattice and DPA2D blocks once for every
+topology.  Records, fingerprints, failures and progress stay per cell.
+
 Sweeps are **resumable and shardable** through the content-addressed
 result store (``repro/store/``): ``store=`` files every completed cell
 under its fingerprint, ``resume=True`` skips cells already present, and
@@ -35,8 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.parallel import random_panel_task, run_tasks
-from repro.experiments.period import PeriodChoice
+from repro.experiments.parallel import run_tasks
+from repro.experiments.period import PeriodChoice, choose_period
 from repro.experiments.report import REPORT_SCHEMA_VERSION
 from repro.obs.session import inc, trace_span
 from repro.resilience import (
@@ -158,12 +163,25 @@ def parse_shard(spec: "str | tuple[int, int] | None") -> tuple[int, int] | None:
     return i, n
 
 
-def sweep_cell_task(task) -> PeriodChoice:
-    """Worker for one sweep cell: :func:`random_panel_task` under a
-    ``sweep.cell`` span, so a traced sweep shows per-cell timings with
-    the solver spans nested inside (a no-op wrapper when obs is off)."""
-    with trace_span("sweep.cell"):
-        return random_panel_task(task)
+def sweep_group_task(cells) -> list[PeriodChoice]:
+    """Worker for the sweep cells that share one SPG object: ``cells``
+    holds their ``(spg, platform, heuristics, seed, options)`` tuples,
+    run in order, each under its own ``sweep.cell`` span.
+
+    Pickling the group ships the graph once, so its ideal lattice,
+    DPA1D cut tables and DPA2D blocks are built once for every topology
+    in the group; the caches are dropped after the last cell.
+    """
+    try:
+        out = []
+        for spg, platform, heuristics, seed, options in cells:
+            with trace_span("sweep.cell"):
+                out.append(choose_period(
+                    spg, platform, heuristics, seed=seed, options=options
+                ))
+        return out
+    finally:
+        cells[0][0].drop_caches()
 
 
 def _snap_choice(
@@ -274,7 +292,8 @@ def run_scenario_sweep(
     ``checkpoint``
         Compute cache misses in batches of this many cells, filing each
         batch before starting the next (bounds how much work a killed
-        sweep can lose).  ``None`` = one batch.
+        sweep can lose).  ``None`` = one batch.  Cells are grouped by
+        graph within a batch, so a group never spans two batches.
 
     Instance generation and seed pre-draws always cover the *full* grid
     in sweep order regardless of shard/resume/limit, so every cell's
@@ -294,10 +313,12 @@ def run_scenario_sweep(
     ``faults``
         A :class:`~repro.resilience.FaultPlan` or spec string (CLI
         ``--fault-plan``; default: the ``REPRO_FAULT_PLAN`` environment
-        variable) injecting deterministic worker crashes/hangs (task
-        sites address positions within each executed batch) and store
-        row corruption.  Corrupt rows are detected by checksum on the
-        next resumed read, quarantined, and recomputed.
+        variable) injecting deterministic worker crashes/hangs and store
+        row corruption.  A ``task:IDX`` site names the IDX-th graph
+        group of an executed batch; a group that fails permanently is
+        recorded as one failure per member cell, under its own label.
+        Corrupt rows are detected by checksum on the next resumed read,
+        quarantined, and recomputed.
     ``stats``
         An :class:`~repro.resilience.ExecutionStats` filled with
         retry/crash/timeout/respawn counters (operator telemetry; the
@@ -347,11 +368,15 @@ def run_scenario_sweep(
     tasks = []
     task_meta: list[tuple[int, str]] = []  # (scenario index, label)
     platforms: list[Topology] = []
+    graphs: dict = {}  # (app, ccr) -> the one SPG of a StreamIt app
     for s_idx, spec in enumerate(scenarios):
         platform = spec.build_platform()
         platforms.append(platform)
         for rep in range(replicates):
-            spg = spec.build_app(rng, seed)
+            if spec.app.startswith("random-"):
+                spg = spec.build_app(rng, seed)
+            elif (spg := graphs.get((spec.app, spec.ccr))) is None:
+                spg = graphs[spec.app, spec.ccr] = spec.build_app(rng, seed)
             hseed = int(rng.integers(0, 2**63 - 1))
             tasks.append((spg, platform, heuristics, hseed, options))
             task_meta.append((s_idx, f"{spec.label()}/rep{rep}"))
@@ -382,25 +407,39 @@ def run_scenario_sweep(
     from repro.obs.progress import as_progress
 
     tracker = as_progress(progress, stats=stats)
-    on_cell = None
-    if tracker is not None:
-        def on_cell(_index, result):
-            tracker.cell_done(failed=isinstance(result, TaskFailure))
 
-    def execute(indices: list[int]):
-        """Run a batch of cells fault-tolerantly; terminally failed
-        cells come back as TaskFailure records (index-local)."""
-        return run_tasks(
-            sweep_cell_task,
-            [tasks[i] for i in indices],
+    def execute(indices: list[int]) -> list:
+        """Run a batch of cells fault-tolerantly, one task per group of
+        cells sharing an SPG; returns one outcome per cell in ``indices``
+        order, a failed group's TaskFailure standing for each member."""
+        groups: dict[int, list[int]] = {}
+        for i in indices:
+            groups.setdefault(id(tasks[i][0]), []).append(i)
+        members = list(groups.values())
+
+        def on_group(g: int, result) -> None:
+            for _ in members[g]:
+                tracker.cell_done(failed=isinstance(result, TaskFailure))
+
+        outs = run_tasks(
+            sweep_group_task,
+            [tuple(tasks[i] for i in m) for m in members],
             jobs=jobs,
             policy=policy,
             failures="record",
             faults=plan,
-            tokens=[tasks[i][3] for i in indices],
+            tokens=[tasks[m[0]][3] for m in members],
+            # The deadline stays per cell: a group gets one per member.
+            deadlines=None if policy.deadline_s is None
+            else [policy.deadline_s * len(m) for m in members],
             stats=stats,
-            progress=on_cell,
+            progress=None if tracker is None else on_group,
         )
+        by_idx: dict[int, object] = {}
+        for m, out in zip(members, outs):
+            failed = isinstance(out, TaskFailure)
+            by_idx.update(zip(m, [out] * len(m) if failed else out))
+        return [by_idx[i] for i in indices]
 
     choices_by_idx: dict[int, PeriodChoice] = {}
     failed_by_idx: dict[int, TaskFailure] = {}

@@ -161,17 +161,16 @@ def choice_to_payload(choice: PeriodChoice) -> dict:
 
 
 def choice_from_payload(
-    payload: dict, spg: SPG, grid: Topology, order=None
+    payload: dict, spg: SPG, grid: Topology, order
 ) -> PeriodChoice:
-    """Rebuild a :class:`PeriodChoice`; ``order`` fixes the column order
-    (fresh computes insert results in solver-column order, so resumed
-    sweeps do too)."""
+    """Rebuild a :class:`PeriodChoice` with its columns in ``order``
+    (required: payloads are stored with sorted keys, so only the caller
+    knows the solver-column order of a fresh compute)."""
     results = payload["results"]
-    names = list(order) if order is not None else list(results)
     return PeriodChoice(
         period=payload["period"],
         results={
             name: solver_result_from_payload(results[name], spg, grid)
-            for name in names
+            for name in order
         },
     )

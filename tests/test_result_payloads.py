@@ -155,6 +155,13 @@ def test_choice_decode_reencode_is_exact(payloads):
     assert _text(again) == _text(payload)
 
 
+def test_choice_decode_needs_a_column_order(payloads):
+    # Stored payloads have sorted keys: only the caller knows the order.
+    spg, grid = _choice_context()
+    with pytest.raises(TypeError):
+        choice_from_payload(payloads["choice"], spg, grid)
+
+
 def test_fresh_choice_agrees_with_decoded(payloads):
     spg, grid = _choice_context()
     decoded = choice_from_payload(
