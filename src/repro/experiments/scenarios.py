@@ -38,9 +38,9 @@ CLI: ``repro sweep --topologies mesh torus benes --sizes 3x3 4x4
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.experiments.parallel import run_tasks
+from repro.experiments.parallel import resolve_jobs, run_tasks
 from repro.experiments.period import PeriodChoice, choose_period
 from repro.experiments.report import REPORT_SCHEMA_VERSION
 from repro.obs.session import inc, trace_span
@@ -163,25 +163,25 @@ def parse_shard(spec: "str | tuple[int, int] | None") -> tuple[int, int] | None:
     return i, n
 
 
-def sweep_group_task(cells) -> list[PeriodChoice]:
-    """Worker for the sweep cells that share one SPG object: ``cells``
-    holds their ``(spg, platform, heuristics, seed, options)`` tuples,
-    run in order, each under its own ``sweep.cell`` span.
-
-    Pickling the group ships the graph once, so its ideal lattice,
-    DPA1D cut tables and DPA2D blocks are built once for every topology
-    in the group; the caches are dropped after the last cell.
+def sweep_group_task(cells) -> list:
+    """Worker for the sweep cells (``(spg, platform, heuristics, seed,
+    options)`` tuples, each run under a ``sweep.cell`` span) that share
+    one SPG object, so its ideal lattice, DPA1D cut tables and DPA2D
+    blocks are built once for all of them.  A cell that raises yields an
+    ``"error"`` :class:`TaskFailure` in its slot; its siblings survive.
     """
-    try:
-        out = []
-        for spg, platform, heuristics, seed, options in cells:
-            with trace_span("sweep.cell"):
+    out: list = []
+    for spg, platform, heuristics, seed, options in cells:
+        with trace_span("sweep.cell"):
+            try:
                 out.append(choose_period(
                     spg, platform, heuristics, seed=seed, options=options
                 ))
-        return out
-    finally:
-        cells[0][0].drop_caches()
+            except Exception as exc:
+                msg = f"{type(exc).__name__}: {exc}"
+                out.append(TaskFailure(len(out), "error", msg, 1))
+    cells[0][0].drop_caches()
+    return out
 
 
 def _snap_choice(
@@ -314,17 +314,19 @@ def run_scenario_sweep(
         A :class:`~repro.resilience.FaultPlan` or spec string (CLI
         ``--fault-plan``; default: the ``REPRO_FAULT_PLAN`` environment
         variable) injecting deterministic worker crashes/hangs and store
-        row corruption.  A ``task:IDX`` site names the IDX-th graph
-        group of an executed batch; a group that fails permanently is
+        row corruption.  A ``task:IDX`` site names the IDX-th group of
+        an executed batch (its cells sharing a graph, split further when
+        graphs are fewer than workers); a group that fails permanently is
         recorded as one failure per member cell, under its own label.
         Corrupt rows are detected by checksum on the next resumed read,
         quarantined, and recomputed.
     ``stats``
         An :class:`~repro.resilience.ExecutionStats` filled with
-        retry/crash/timeout/respawn counters (operator telemetry; the
-        counters enter the report only as ``meta["fault_stats"]`` when
-        permanent failures exist — a clean recovered run's report
-        carries no trace of the recovery).
+        retry/crash/timeout/respawn counters per task and permanent
+        failures per cell, as ``meta["failures"]`` lists them (operator
+        telemetry; the counters enter the report only as
+        ``meta["fault_stats"]`` when permanent failures exist — a clean
+        recovered run's report carries no trace of the recovery).
     ``kernel``
         Enumeration-kernel name for the whole sweep (CLI ``--kernel``;
         default: the ambient :mod:`repro.core.kernels` selection).  All
@@ -409,22 +411,30 @@ def run_scenario_sweep(
     tracker = as_progress(progress, stats=stats)
 
     def execute(indices: list[int]) -> list:
-        """Run a batch of cells fault-tolerantly, one task per group of
-        cells sharing an SPG; returns one outcome per cell in ``indices``
-        order, a failed group's TaskFailure standing for each member."""
+        """Run a batch of cells, one task per group of cells sharing an
+        SPG, dealt into sub-groups when there are fewer graphs than
+        workers; returns one outcome per cell in ``indices`` order."""
         groups: dict[int, list[int]] = {}
         for i in indices:
             groups.setdefault(id(tasks[i][0]), []).append(i)
-        members = list(groups.values())
+        workers = resolve_jobs(jobs) if len(indices) > 1 else 1
+        k = -(-workers // max(1, len(groups)))
+        members = [
+            m[j::k] for m in groups.values() for j in range(min(k, len(m)))
+        ]
 
-        def on_group(g: int, result) -> None:
-            for _ in members[g]:
-                tracker.cell_done(failed=isinstance(result, TaskFailure))
+        def cells_of(g: int, out) -> list:
+            failed = isinstance(out, TaskFailure)
+            return [out] * len(members[g]) if failed else out
+
+        def on_group(g: int, out) -> None:
+            for r in cells_of(g, out):
+                tracker.cell_done(failed=isinstance(r, TaskFailure))
 
         outs = run_tasks(
             sweep_group_task,
             [tuple(tasks[i] for i in m) for m in members],
-            jobs=jobs,
+            jobs=workers,
             policy=policy,
             failures="record",
             faults=plan,
@@ -435,10 +445,17 @@ def run_scenario_sweep(
             stats=stats,
             progress=None if tracker is None else on_group,
         )
+        # Stats file failures per cell, as the report does, indexed by
+        # batch position: a failed group's record is re-filed per member.
         by_idx: dict[int, object] = {}
-        for m, out in zip(members, outs):
-            failed = isinstance(out, TaskFailure)
-            by_idx.update(zip(m, [out] * len(m) if failed else out))
+        for g, out in enumerate(outs):
+            if isinstance(out, TaskFailure):
+                stats.failures.remove(out)
+            for i, res in zip(members[g], cells_of(g, out)):
+                if isinstance(res, TaskFailure):
+                    res = replace(res, index=indices.index(i))
+                    stats.failures.append(res)
+                by_idx[i] = res
         return [by_idx[i] for i in indices]
 
     choices_by_idx: dict[int, PeriodChoice] = {}

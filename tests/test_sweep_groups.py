@@ -6,7 +6,9 @@ call, and the selected cells mapping it run as one
 builds the graph's ideal lattice once for every topology.  Everything a
 caller sees stays per cell: the report equals an oracle that runs each
 cell alone on a fresh copy of its graph, at any ``jobs``, and failures,
-progress ticks and resumption keep cell granularity.
+progress ticks and resumption keep cell granularity.  When a batch
+holds fewer graphs than workers, a graph's cells are dealt into
+sub-groups so every worker still gets a task.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import pytest
 
 import repro.experiments.scenarios as scenarios_mod
 import repro.spg.streamit as streamit_mod
+from repro.cli import main
 from repro.experiments import report_json, run_scenario_sweep
 from repro.experiments.parallel import pool_available, random_panel_task
 from repro.obs.progress import SweepProgress
 from repro.obs.session import observability
 from repro.platform.topology import get_topology
-from repro.resilience import RetryPolicy
+from repro.resilience import ExecutionStats, RetryPolicy
 from repro.store import ResultStore
 
 TOPOLOGIES = ("mesh", "torus", "ring", "hetmesh")
@@ -120,6 +123,22 @@ class TestGroupedSweep:
         run_scenario_sweep(**GRID, store=db, resume=True)
         assert len(builds) == 2 * GRAPHS
 
+    def test_few_graphs_split_over_workers(self, monkeypatch):
+        needs_pool()
+        grid = dict(GRID, ccrs=(10.0,), apps=("DCT",))
+        cold = report_json(run_scenario_sweep(**grid))
+        calls = record_groups(monkeypatch)
+        with observability(metrics=True) as session:
+            split = run_scenario_sweep(**grid, jobs=2)
+        assert sizes(calls) == [[2, 2]]
+        assert [[c[1] for c in g] for g in calls[0]] == [
+            [get_topology(t, 2, 2) for t in names]
+            for names in (("mesh", "ring"), ("torus", "hetmesh"))
+        ]
+        assert session.metrics.counters["kernel.lattice_misses"] == 2
+        assert report_json(split) == cold
+
+    # GRID has as many graphs as workers, so no graph is split.
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_lattice_per_graph(self, jobs):
         if jobs > 1:
@@ -141,8 +160,9 @@ class TestGroupedSweep:
 
 class TestPerCellContracts:
     def test_crashed_group_fails_each_member(self, cold_text):
+        stats = ExecutionStats()
         report = run_scenario_sweep(
-            **GRID, policy=FAST, faults="crash@task:0*99"
+            **GRID, policy=FAST, faults="crash@task:0*99", stats=stats
         )
         failures = report["meta"]["failures"]
         assert [f["label"] for f in failures] == [
@@ -151,12 +171,62 @@ class TestPerCellContracts:
         assert {(f["reason"], f["attempts"]) for f in failures} == {
             ("crash", FAST.max_attempts)
         }
+        # The DCT/ccr=10 cells come first in each topology's block of 4.
+        assert [tf.index for tf in stats.failures] == [0, 4, 8, 12]
         cold = json.loads(cold_text)
         for got, want in zip(report["scenarios"], cold["scenarios"]):
             if (got["app"], got["ccr"]) == ("DCT", 10.0):
                 assert got["instances"] == 0 and got["records"] == []
             else:
                 assert got == want
+
+    def test_permanent_failures_count_cells(self, tmp_path):
+        stats, out = tmp_path / "stats.json", tmp_path / "r.json"
+        code = main([
+            "sweep", "--topologies", "mesh", "ring", "--sizes", "2x2",
+            "--ccr", "10", "--apps", "DCT", "--replicates", "1",
+            "--retries", "1", "--fault-plan", "crash@task:0*99",
+            "--out", str(out), "--stats-json", str(stats),
+        ], out=io.StringIO())
+        assert code == 0
+        failures = json.loads(out.read_text())["meta"]["failures"]
+        doc = json.loads(stats.read_text())
+        assert doc["execution"]["permanent_failures"] == len(failures) == 2
+
+    def test_failing_cell_spares_its_siblings(
+        self, cold_text, monkeypatch, tmp_path
+    ):
+        real = scenarios_mod.choose_period
+
+        def fails_on_hetmesh(spg, platform, *args, **kw):
+            if platform.heterogeneous:
+                raise RuntimeError("solver bug")
+            return real(spg, platform, *args, **kw)
+
+        monkeypatch.setattr(scenarios_mod, "choose_period", fails_on_hetmesh)
+        stats = ExecutionStats()
+        db = tmp_path / "cells.sqlite"
+        report = run_scenario_sweep(**GRID, store=db, stats=stats)
+        failures = report["meta"]["failures"]
+        assert [f["label"] for f in failures] == [
+            f"hetmesh/2x2/ccr={c:g}/{a}/rep0"
+            for c in GRID["ccrs"] for a in GRID["apps"]
+        ]
+        assert {(f["reason"], f["message"], f["attempts"]) for f in failures} \
+            == {("error", "RuntimeError: solver bug", 1)}
+        assert [tf.index for tf in stats.failures] == [12, 13, 14, 15]
+        cold = json.loads(cold_text)
+        for got, want in zip(report["scenarios"], cold["scenarios"]):
+            if not got["heterogeneous"]:
+                assert got == want
+        # The siblings were stored: a resume recomputes only hetmesh.
+        monkeypatch.setattr(scenarios_mod, "choose_period", real)
+        tracker = SweepProgress(stream=io.StringIO(), use_thread=False)
+        resumed = run_scenario_sweep(
+            **GRID, store=db, resume=True, progress=tracker
+        )
+        assert tracker.resumed == CELLS - GRAPHS
+        assert report_json(resumed) == cold_text
 
     def test_progress_ticks_once_per_cell(self, tmp_path):
         tracker = SweepProgress(stream=io.StringIO(), use_thread=False)
