@@ -26,6 +26,13 @@ into ``BENCH_perf_core.json`` at the repository root under the
 ``"refine"`` key so future PRs can track the trajectory; the delta
 engine is expected to stay at or above 5x on the headline workload.
 Exits 1 when any workload's outputs differ from the reference.
+
+It also exits 1, without merging, when a workload's ``candidates`` or
+``screened`` count differs from the one already recorded in
+``BENCH_perf_core.json``: a weaker screen sends more candidates down the
+exact path and still produces identical outputs, so only the counts show
+it.  A change that moves the counts on purpose records the new ones in
+that file by hand.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import sys
 import time
 from pathlib import Path
 
-from _common import merge_bench_sections
+from _common import BENCH_JSON, merge_bench_sections
 
 # The full-rebuild reference refiner lives in the test suite
 # (``tests/refine_reference.py``), importable from the repository root.
@@ -141,6 +148,17 @@ def bench_workload(
     }
 
 
+def recorded_counts(path: Path = BENCH_JSON) -> dict:
+    """The recorded ``(candidates, screened)`` of each workload."""
+    if not path.exists():
+        return {}
+    section = json.loads(path.read_text()).get("refine", {})
+    return {
+        label: (w["candidates"], w["screened"])
+        for label, w in section.get("workloads", {}).items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -150,6 +168,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    recorded = recorded_counts()
     results: dict = {"target_speedup": TARGET_SPEEDUP, "workloads": {}}
     for label, n, p, q, sweeps, start, period_rule in WORKLOADS:
         print(f"benchmarking {label} (sweeps={sweeps}) ...")
@@ -164,6 +183,23 @@ def main(argv=None) -> int:
         w["outputs_identical"] for w in results["workloads"].values()
     )
     results["all_outputs_identical"] = ok
+
+    drifted = {
+        label: ((w["candidates"], w["screened"]), recorded[label])
+        for label, w in results["workloads"].items()
+        if label in recorded
+        and (w["candidates"], w["screened"]) != recorded[label]
+    }
+    if drifted:
+        print(json.dumps(results, indent=1, sort_keys=True))
+        for label, (now, then) in sorted(drifted.items()):
+            print(
+                f"ERROR: {label} graded {now[0]} candidates and screened "
+                f"{now[1]}; {BENCH_JSON.name} records {then[0]} and "
+                f"{then[1]}",
+                file=sys.stderr,
+            )
+        return 1
 
     out_path = merge_bench_sections({"refine": results})
 

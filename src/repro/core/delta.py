@@ -13,11 +13,19 @@ heavy constants.  :class:`DeltaState` keeps the evaluation state of the
 * route-validity and DAG-partition bookkeeping,
 
 so that a move touches only the affected cores, edges and links.  The
-refiner grades a candidate move in three steps:
+refiner grades the candidate moves of a neighbourhood in three steps:
 
-1. :meth:`screen` reads the affected cores and edges, changes nothing,
-   and returns the approximate energy change, or ``None`` when a
-   touched core has no feasible speed.  Its cost is O(affected).
+1. :meth:`screen_neighbourhood` takes one neighbourhood — a stage moved
+   to every core, a core swapped with every core, or a core powered off
+   into every active core — and lazily yields each candidate's
+   approximate energy change, or ``None`` when a touched core has no
+   feasible speed.  It reads the affected cores and edges and changes
+   nothing.  What does not depend on the destination (the source core's
+   new term, the moved stages' edges and old hop counts) is computed
+   once per neighbourhood, as copies: :meth:`revert` swaps snapshot
+   copies into the state, so a reference held across candidates would
+   go stale.  Each candidate then costs O(affected at the destination).
+   :meth:`screen` is its one-destination call.
 2. :meth:`evaluate_move` applies the move and runs the exact checks:
    speeds, quotient acyclicity (Kahn over the whole quotient), route
    validity, the period and :meth:`score`.  Applying is O(affected);
@@ -45,9 +53,9 @@ Unaffected resources keep their previously-canonical values, so every
 :meth:`score` equals ``energy(Mapping(spg, grid, {i: alloc[i] for i in
 range(n)}, best_feasible_speeds))`` bit for bit — the equivalence suite
 in ``tests/test_refine_equivalence.py`` pins this across topologies.
-:meth:`screen` is the one place that sums a change.  Its approximate
-value only decides which candidates skip the exact path; a move is
-accepted on its exact :meth:`score` alone.
+:meth:`screen_neighbourhood` is the one place that sums a change.  Its
+approximate value only decides which candidates skip the exact path; a
+move is accepted on its exact :meth:`score` alone.
 
 Supported moves: :class:`MoveStage` (one stage to another core),
 :class:`SwapClusters` (exchange two cores' whole clusters) and
@@ -57,6 +65,7 @@ leakage).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.core.evaluate import EnergyBreakdown
@@ -323,8 +332,28 @@ class DeltaState:
     def screen(self, move) -> float | None:
         """Approximate change of the total energy under ``move``.
 
-        Reads the state without changing it.  The change is summed over
-        the affected resources only:
+        A one-destination call of :meth:`screen_neighbourhood`, so the
+        single-move and neighbourhood screens cannot drift apart.
+        """
+        if isinstance(move, MoveStage):
+            kind, a, b = MoveStage, move.stage, move.core
+        elif isinstance(move, SwapClusters):
+            kind, a, b = SwapClusters, move.a, move.b
+        elif isinstance(move, PowerOff):
+            kind, a, b = PowerOff, move.core, move.target
+        else:
+            raise TypeError(f"unknown move kind: {move!r}")
+        return next(self.screen_neighbourhood(kind, a, (b,)))
+
+    def screen_neighbourhood(
+        self, kind, a, targets
+    ) -> Iterator[float | None]:
+        """Approximate energy change of ``kind(a, b)`` for each target ``b``.
+
+        ``kind`` is :class:`MoveStage` (``a`` a stage), :class:`SwapClusters`
+        or :class:`PowerOff` (``a`` a core).  Reads the state without
+        changing it.  The change is summed over the affected resources
+        only:
 
         * each touched core's new-minus-old dynamic term, its new work
           summed in canonical stage order by the same helper
@@ -334,64 +363,31 @@ class DeltaState:
           a moved stage.  ``comm_energy`` is linear in the volume, so
           this equals the change of the per-link ``comm_energy`` sum.
 
-        Returns ``None`` when a touched core has no feasible speed; then
+        Work that does not depend on the destination is done once, when
+        the first change is drawn: the source core's new term, and the
+        moved stages' edges with their old hop counts.  A same-model swap
+        reads each core's new term from the other core's current one.
+        The generator is lazy, so the caller may grade a candidate with
+        :meth:`evaluate_move` and :meth:`revert` it before drawing the
+        next change.  ``revert`` swaps snapshot copies into the state, so
+        everything held across destinations is a copy, never a reference
+        into the state.
+
+        Yields ``None`` when a touched core has no feasible speed; then
         :meth:`evaluate_move` rejects the move as well.  Otherwise the
         current total plus the change equals the moved state's
         :meth:`score` up to float rounding (the relative bound is argued
         in :mod:`repro.heuristics.refine`).  Quotient cycles, route
         validity and the period are left to :meth:`evaluate_move`.
         """
-        moved = self._collect(move)
-        if not moved:
-            return 0.0
-        alloc = self._alloc
-        cluster = self._cluster
-        members: dict[Core, set[int]] = {}
-        for i, dst in moved:
-            src = alloc[i]
-            if src not in members:
-                members[src] = set(cluster[src])
-            if dst not in members:
-                members[dst] = set(cluster.get(dst, ()))
-            members[src].discard(i)
-            members[dst].add(i)
-        change = 0.0
-        powered = 0
-        term = self._term
-        for c, stages in members.items():
-            if c in cluster:
-                change -= term[c]
-                powered -= 1
-            if stages:
-                _work, speed, new = self._core_energy(c, stages)
-                if speed is None:
-                    return None
-                change += new
-                powered += 1
-        if powered:
-            change += powered * self._model.comp_leak * self._period
-        new_core = dict(moved)
-        stage_edges = self._stage_edges
-        if len(moved) == 1:
-            edge_ids = stage_edges[moved[0][0]]
-        else:
-            edge_ids = {k for i, _dst in moved for k in stage_edges[i]}
-        esrc, edst, evol = self._esrc, self._edst, self._evol
-        epath = self._epath
-        volume = 0.0
-        for k in edge_ids:
-            path = epath.get(k)
-            hops = 1 - len(path) if path is not None else 0
-            u, v = esrc[k], edst[k]
-            a = new_core.get(u, alloc[u])
-            b = new_core.get(v, alloc[v])
-            if a != b:
-                hops += len(self._route(a, b)) - 1
-            if hops:
-                volume += evol[k] * hops
-        if volume:
-            change += self._model.comm_energy(volume)
-        return change
+        if kind is MoveStage:
+            return self._screen_shifts(self._alloc[a], [a], targets)
+        if kind is PowerOff:
+            moving = sorted(self._cluster.get(a, ()))
+            return self._screen_shifts(a, moving, targets)
+        if kind is SwapClusters:
+            return self._screen_swaps(a, targets)
+        raise TypeError(f"unknown move kind: {kind!r}")
 
     def evaluate_move(self, move) -> tuple[_Token, EnergyBreakdown | None]:
         """Apply ``move`` and grade the result in one call.
@@ -610,6 +606,133 @@ class DeltaState:
         if speed is None:
             return work, None, None
         return work, speed, (work / speed) * model.power_at(speed)
+
+    def _screen_shifts(self, src: Core, moving: list[int], targets):
+        """Screen moving the stages ``moving`` (sorted, all on ``src``)
+        to each target: one stage, or a whole cluster powered off."""
+        cluster, term = self._cluster, self._term
+        if moving:
+            rest = sorted(cluster[src].difference(moving))
+            head, powered = 0.0 - term[src], -1
+            if rest:
+                _work, speed, new = self._core_energy(src, rest)
+                if speed is not None:
+                    head += new
+                    powered += 1
+                else:
+                    head = None
+            records = self._edge_records(dict.fromkeys(moving))
+        lone: dict = {}  # moving stages' energy on an empty core, by model
+        for b in targets:
+            if b == src or not moving:
+                yield 0.0
+                continue
+            if head is None:
+                yield None
+                continue
+            change, up = head, powered + 1
+            stages = cluster.get(b)
+            if stages is not None:
+                change -= term[b]
+                up -= 1
+                energy = self._core_energy(b, [*stages, *moving])
+            else:
+                model = self._core_model(b)
+                energy = lone.get(model)
+                if energy is None:
+                    energy = lone[model] = self._core_energy(b, moving)
+            _work, speed, new = energy
+            if speed is None:
+                yield None
+                continue
+            yield self._settle(change + new, up, self._volume(records, b))
+
+    def _screen_swaps(self, a: Core, targets):
+        """Screen exchanging core ``a``'s cluster with each target's."""
+        cluster, term = self._cluster, self._term
+        own = sorted(cluster.get(a, ()))
+        model = self._core_model(a)
+        if own:
+            head, lit = 0.0 - term[a], -1
+            mine = (self._work[a], self._speed[a], term[a])
+        else:
+            head, lit = 0.0, 0
+        # An empty target adds no edges and sends none of a's edges to a.
+        own_records = self._edge_records(dict.fromkeys(own))
+        for b in targets:
+            stages = cluster.get(b)
+            if b == a or not (own or stages):
+                yield 0.0
+                continue
+            # Same model: each core's new term is the other's current one.
+            same = self._core_model(b) is model
+            change, powered = head, lit
+            theirs = sorted(stages or ())
+            if theirs:
+                _work, speed, new = (
+                    (self._work[b], self._speed[b], term[b]) if same
+                    else self._core_energy(a, theirs)
+                )
+                if speed is None:
+                    yield None
+                    continue
+                change = change + new - term[b]
+            if own:
+                _work, speed, new = mine if same else self._core_energy(b, own)
+                if speed is None:
+                    yield None
+                    continue
+                change += new
+                powered += 1
+            records = own_records
+            if theirs:
+                new_core = dict.fromkeys(own)
+                new_core.update(dict.fromkeys(theirs, a))
+                records = self._edge_records(new_core)
+            yield self._settle(change, powered, self._volume(records, b))
+
+    def _edge_records(self, new_core: dict[int, Core | None]) -> list:
+        """``(volume, old hops, new source, new target)`` of each edge
+        incident to a stage of ``new_core``, which maps each moved stage
+        to its new core (``None``: the screened destination).  The old
+        hops are negated (``1 - len(path)``), ready to add the new ones."""
+        alloc, epath = self._alloc, self._epath
+        esrc, edst, evol = self._esrc, self._edst, self._evol
+        stage_edges = self._stage_edges
+        records = []
+        for k in dict.fromkeys(k for i in new_core for k in stage_edges[i]):
+            path = epath.get(k)
+            u, v = esrc[k], edst[k]
+            records.append((
+                evol[k],
+                1 - len(path) if path is not None else 0,
+                new_core.get(u, alloc[u]),
+                new_core.get(v, alloc[v]),
+            ))
+        return records
+
+    def _volume(self, records: list, b: Core) -> float:
+        """``sum(vol_k * dhops_k)`` of ``records`` with the moved stages
+        that land on the destination placed on ``b``."""
+        routes = self._route_cache
+        volume = 0.0
+        for vol, hops, x, y in records:
+            x = x or b
+            y = y or b
+            if x != y:
+                hops += len(routes.get((x, y)) or self._route(x, y)) - 1
+            if hops:
+                volume += vol * hops
+        return volume
+
+    def _settle(self, change: float, powered: int, volume: float) -> float:
+        """Add the leakage of ``powered`` cores and the traffic change."""
+        model = self._model
+        if powered:
+            change += powered * model.comp_leak * self._period
+        if volume:
+            change += model.comm_energy(volume)
+        return change
 
     def _refresh_core(self, c: Core) -> None:
         """Recompute one core's work/speed/term in canonical stage order."""

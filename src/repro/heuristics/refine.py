@@ -23,12 +23,18 @@ Candidates are graded by the incremental
 :class:`~repro.core.delta.DeltaState` layer instead of rebuilding the full
 mapping, in three steps:
 
-1. **Screen.**  :meth:`~repro.core.delta.DeltaState.screen` reads the
-   affected cores and edges only, without touching the state, and
-   returns the approximate energy change (or ``None`` when a touched core
-   has no feasible speed).  The first- and best-improvement schedules
-   skip a candidate whose approximate total cannot pass the acceptance
-   test; most candidates stop here.
+1. **Screen.**  Each neighbourhood (one stage to every other core, one
+   core swapped with every other core, one core powered off into every
+   other active core) is screened in one
+   :meth:`~repro.core.delta.DeltaState.screen_neighbourhood` pass.  It
+   reads the affected cores and edges only, without touching the state,
+   and yields each candidate's approximate energy change (or ``None``
+   when a touched core has no feasible speed); work shared by all
+   destinations is done once, on copies, since step 3 swaps snapshot
+   copies into the state between candidates.  The first- and
+   best-improvement schedules skip a candidate whose approximate total
+   cannot pass the acceptance test, and build a move object and its log
+   entry only for the candidates that pass; most candidates stop here.
 2. **Exact path.**  Every other candidate goes through
    :meth:`~repro.core.delta.DeltaState.evaluate_move`: speeds, quotient
    cycle, route validity, the period and the canonical ``score``.  Those
@@ -50,6 +56,7 @@ and returns a mapping never worse than its input.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from repro.core.delta import DeltaState, MoveStage, PowerOff, SwapClusters
 from repro.core.evaluate import energy
@@ -110,26 +117,32 @@ class _FirstImprovement:
     def begin_sweep(self, sweep: int) -> None:
         pass
 
-    def _unscreened(self, moves):
-        """The candidates of ``moves`` that the screen cannot rule out.
+    def _unscreened(self, kind, a, targets, prefix):
+        """The ``(move, entry)`` candidates of one neighbourhood that the
+        screen cannot rule out.
 
-        The acceptance threshold is fixed for the whole scan: a scan ends
-        at its first acceptance, or applies its best move only after the
-        last candidate.
+        The neighbourhood is the moves ``kind(a, b)`` for ``b`` in
+        ``targets``, logged as ``(*prefix, b)``; a move and its entry are
+        built only for the candidates that pass.  The acceptance
+        threshold is fixed for the whole scan: a scan ends at its first
+        acceptance, or applies its best move only after the last
+        candidate.
         """
-        state = self.state
         total = self.total
-        if total is not None:
+        if total is None:
+            changes = repeat(None)
+        else:
+            changes = self.state.screen_neighbourhood(kind, a, targets)
             threshold = self.best_e * (1 - _EPS)
             cutoff = threshold + SCREEN_MARGIN * max(threshold, total)
-        for item in moves:
+        for b, change in zip(targets, changes):
             self.candidates += 1
-            if total is not None:
-                change = state.screen(item[0])
-                if change is None or total + change > cutoff:
-                    self.screened += 1
-                    continue
-            yield item
+            if total is not None and (
+                change is None or total + change > cutoff
+            ):
+                self.screened += 1
+                continue
+            yield kind(a, b), (*prefix, b)
 
     def _accept(self, total: float, entry) -> None:
         self.best_e = self.total = total
@@ -137,9 +150,9 @@ class _FirstImprovement:
         if self.log is not None:
             self.log.append((*entry, repr(total)))
 
-    def scan(self, moves) -> bool:
+    def scan(self, kind, a, targets, prefix) -> bool:
         state = self.state
-        for move, entry in self._unscreened(moves):
+        for move, entry in self._unscreened(kind, a, targets, prefix):
             token, breakdown = state.evaluate_move(move)
             if (
                 breakdown is not None
@@ -157,10 +170,10 @@ class _FirstImprovement:
 class _BestImprovement(_FirstImprovement):
     """Scan each neighbourhood fully and apply its best improving move."""
 
-    def scan(self, moves) -> bool:
+    def scan(self, kind, a, targets, prefix) -> bool:
         state = self.state
         best_move = best_entry = best_val = None
-        for move, entry in self._unscreened(moves):
+        for move, entry in self._unscreened(kind, a, targets, prefix):
             token, breakdown = state.evaluate_move(move)
             if breakdown is not None:
                 e = breakdown.total
@@ -204,11 +217,11 @@ class _Anneal(_FirstImprovement):
     def begin_sweep(self, sweep: int) -> None:
         self.temperature = self.t0 * (self.decay ** sweep)
 
-    def scan(self, moves) -> bool:
+    def scan(self, kind, a, targets, prefix) -> bool:
         state = self.state
-        for move, entry in moves:
+        for b in targets:
             self.candidates += 1
-            token, breakdown = state.evaluate_move(move)
+            token, breakdown = state.evaluate_move(kind(a, b))
             if breakdown is None:
                 state.revert(token)
                 continue
@@ -226,7 +239,7 @@ class _Anneal(_FirstImprovement):
                 self.cur_e = e
                 self.accepted += 1
                 if self.log is not None:
-                    self.log.append((*entry, repr(e)))
+                    self.log.append((*prefix, b, repr(e)))
                 if e < self.best_e * (1 - _EPS):
                     self.best_e = e
                     self.best_mapping = state.to_mapping()
@@ -249,25 +262,22 @@ def _run_schedule(problem, state, strategy, rng, sweeps: int) -> None:
             i = int(i)
             current = state.core_of(i)
             strategy.scan(
-                (MoveStage(i, b), ("move", i, current, b))
-                for b in cores
-                if b != current
+                MoveStage, i, [b for b in cores if b != current],
+                ("move", i, current),
             )
         for a in sorted(state.active_cores()):
             if not state.cluster_of(a):
                 continue
             strategy.scan(
-                (SwapClusters(a, b), ("swap", a, b))
-                for b in cores
-                if b != a
+                SwapClusters, a, [b for b in cores if b != a], ("swap", a)
             )
         for a in sorted(state.active_cores()):
-            if not state.cluster_of(a):
+            active = state.active_cores()
+            if a not in active:
                 continue
             strategy.scan(
-                (PowerOff(a, b), ("off", a, b))
-                for b in cores
-                if b != a and state.cluster_of(b)
+                PowerOff, a, [b for b in cores if b != a and b in active],
+                ("off", a),
             )
         if strategy.accepted == before and strategy.stop_when_stuck:
             break

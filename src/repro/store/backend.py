@@ -329,14 +329,14 @@ class ResultStore:
                     result = None
             if sp is not None:
                 sp.attrs["hit"] = result is not None
-        with self._db() as conn:
-            if result is not None:
-                conn.execute(
-                    "UPDATE results SET hits = hits + 1, last_hit_at = ?, "
-                    "rrpv = 0 WHERE key = ?",
-                    (self._clock(), key),
-                )
-            self._bump(conn, "hits" if result is not None else "misses")
+            with self._db() as conn:
+                if result is not None:
+                    conn.execute(
+                        "UPDATE results SET hits = hits + 1, "
+                        "last_hit_at = ?, rrpv = 0 WHERE key = ?",
+                        (self._clock(), key),
+                    )
+                self._bump(conn, "hits" if result is not None else "misses")
         inc("store.hits" if result is not None else "store.misses")
         return result
 

@@ -16,6 +16,12 @@ refine runs: all registered topologies at 3x3 and 4x4, then random
 graphs drawn by hypothesis.  The last is a white-box check of the cutoff,
 and a hand-built case pins the canonical work sum behind the exact speed
 choice.
+
+Each neighbourhood is screened in one pass, and each of its changes must
+equal the one-move :meth:`~repro.core.delta.DeltaState.screen` of the
+same candidate, also when drawn after other candidates were applied and
+reverted.  Recorded counter values pin which candidates the screen
+skips, which the outputs alone do not show.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import loose_period
 
-from repro.core.delta import DeltaState, MoveStage
+from repro.core.delta import DeltaState, MoveStage, PowerOff, SwapClusters
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
 from repro.solvers import run
@@ -53,11 +59,21 @@ from repro.util.rng import as_rng
 TOLERANCE = 1e-12
 
 
-def _check_candidate(strategy, move, entry) -> None:
-    """Grade ``move`` by the screen and by the exact path, and compare."""
+def _assert_same_screen(change, single, entry) -> None:
+    """A neighbourhood's screened change equals the one-move screen's."""
+    if change is None or single is None:
+        assert change is None and single is None, entry
+    else:
+        assert abs(change - single) <= TOLERANCE * abs(single), entry
+
+
+def _check_candidate(strategy, kind, a, b, prefix, change) -> None:
+    """Grade ``kind(a, b)`` by the screen and by the exact path, and
+    compare; ``change`` is its neighbourhood screen's value."""
     state = strategy.state
+    move, entry = kind(a, b), (*prefix, b)
     before = state.score()
-    change = state.screen(move)
+    _assert_same_screen(change, state.screen(move), entry)
     token, exact = state.evaluate_move(move)
     speeds_ok = state.speeds_feasible()
     state.revert(token)
@@ -76,23 +92,28 @@ def _check_candidate(strategy, move, entry) -> None:
         assert exact.total == moved.total
         if exact.total < strategy.best_e * (1 - _EPS):
             # An acceptable candidate always reaches the exact path.
-            assert list(strategy._unscreened([(move, entry)])), entry
+            assert list(strategy._unscreened(kind, a, [b], prefix)), entry
 
 
 def _checked(schedule_cls):
-    """``schedule_cls`` grading every candidate of every scan both ways."""
+    """``schedule_cls`` grading every candidate of every scan both ways.
+
+    The neighbourhood's changes are drawn lazily between exact gradings,
+    so each one after the first is screened on a state that has just
+    been moved and reverted, as in a real scan.
+    """
 
     class Checked(schedule_cls):
         def __init__(self, *args) -> None:
             super().__init__(*args)
             self.kinds: set[str] = set()
 
-        def scan(self, moves) -> bool:
-            moves = list(moves)
-            for move, entry in moves:
-                _check_candidate(self, move, entry)
-                self.kinds.add(entry[0])
-            kept = super().scan(moves)
+        def scan(self, kind, a, targets, prefix) -> bool:
+            changes = self.state.screen_neighbourhood(kind, a, targets)
+            for b, change in zip(targets, changes):
+                _check_candidate(self, kind, a, b, prefix, change)
+                self.kinds.add(prefix[0])
+            kept = super().scan(kind, a, targets, prefix)
             if kept:
                 assert self.total == self.state.score().total
             return kept
@@ -157,6 +178,92 @@ def test_screen_sound_on_random_graphs(
     _checked_run(problem, res.mapping, schedule_cls, seed)
 
 
+@pytest.mark.parametrize("topo", topology_names())
+@settings(
+    max_examples=8, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**16),
+    size=st.sampled_from([(3, 3), (4, 4)]),
+    start=st.sampled_from(["Random", "Greedy", "DPA2D1D"]),
+)
+def test_neighbourhood_screen_equals_one_move_screen(
+    topo, n, seed, size, start
+):
+    """Every target of every neighbourhood, all cores included, screens
+    as its one-move screen does and within float error of the moved
+    state's exact total.  Each candidate is applied and reverted before
+    the next change is drawn, so a value computed from a reference into
+    the state (which ``revert`` replaces by a snapshot copy) shows."""
+    spg = random_spg(n, rng=seed, ccr=5.0)
+    problem = ProblemInstance(
+        spg, get_topology(topo, *size), loose_period(spg, parallelism=4.0)
+    )
+    res = run(start, problem, rng=seed)
+    assume(res.ok)
+    state = DeltaState(problem, res.mapping)
+    score = state.score()
+    assume(score is not None)
+    cores = problem.grid.cores()
+    active = sorted(state.active_cores())
+    for kind, anchors in (
+        (MoveStage, range(n)), (SwapClusters, cores), (PowerOff, active)
+    ):
+        for a in anchors:
+            changes = state.screen_neighbourhood(kind, a, cores)
+            for b, change in zip(cores, changes):
+                move = kind(a, b)
+                _assert_same_screen(change, state.screen(move), move)
+                token = state.apply(move)
+                moved = state.score()
+                state.revert(token)
+                if change is not None:
+                    approx = score.total + change
+                    assert abs(approx - moved.total) <= (
+                        TOLERANCE * moved.total
+                    ), move
+
+
+#: ``refine.candidates``, ``refine.screened`` and ``refine.moves_accepted``
+#: of the runs in :func:`test_screen_decisions_match_recorded_counts`,
+#: recorded before the screen was batched per neighbourhood.
+RECORDED_COUNTS = {
+    "hetmesh": (11515, 10887, 134),
+    "torus": (10770, 10235, 132),
+    "uniline": (7454, 6564, 75),
+}
+
+
+@pytest.mark.parametrize("topo", sorted(RECORDED_COUNTS))
+def test_screen_decisions_match_recorded_counts(topo):
+    """The screen skips exactly the candidates it skipped when recorded.
+
+    Outputs alone would not show a weaker screen: it sends more
+    candidates down the exact path and still accepts the same moves.
+    ``hetmesh`` mixes core models, so it also covers swaps between
+    cores of different models.
+    """
+    spg = random_spg(30, rng=11, ccr=5.0)
+    problem = ProblemInstance(
+        spg, get_topology(topo, 4, 4), loose_period(spg, parallelism=4.0)
+    )
+    with observability(metrics=True) as session:
+        for start in ("Random", "Greedy", "DPA2D1D"):
+            res = run(start, problem, rng=0)
+            if not res.ok:
+                continue
+            for schedule in ("first", "best"):
+                refine_mapping(problem, res.mapping, rng=0, schedule=schedule)
+    counters = session.metrics.counters
+    assert (
+        counters["refine.candidates"],
+        counters["refine.screened"],
+        counters["refine.moves_accepted"],
+    ) == RECORDED_COUNTS[topo]
+
+
 # ----------------------------------------------------------------------
 # White-box checks
 # ----------------------------------------------------------------------
@@ -170,8 +277,8 @@ class _FixedScreen:
     def score(self):
         return SimpleNamespace(total=self.total)
 
-    def screen(self, move):
-        return self.change
+    def screen_neighbourhood(self, kind, a, targets):
+        return [self.change for _b in targets]
 
 
 def test_cutoff_keeps_candidates_at_and_just_above_the_threshold():
@@ -181,7 +288,8 @@ def test_cutoff_keeps_candidates_at_and_just_above_the_threshold():
 
     def passes(total: float | None) -> bool:
         state.change = None if total is None else total - state.total
-        return bool(list(strategy._unscreened([("m", ("move",))])))
+        candidates = strategy._unscreened(MoveStage, 0, [(0, 1)], ("move",))
+        return bool(list(candidates))
 
     # threshold - 1.0 is exact (Sterbenz), so this total is the threshold.
     assert state.total + (threshold - state.total) == threshold

@@ -285,6 +285,31 @@ class TestSQLitePersistence:
         assert s2.stats()["entries"] == 1
         s2.close()
 
+    def test_get_span_covers_the_hit_accounting(self, tmp_path, monkeypatch):
+        """``store.get_s`` times the whole read: the hit/miss accounting
+        write runs inside the ``store.get`` span."""
+        from repro.obs.session import observability
+
+        store = ResultStore(tmp_path / "span.sqlite")
+        store.put("k", PAYLOAD)
+        bump = ResultStore._bump
+        seen = []
+
+        def spying_bump(conn, name, n=1):
+            tracer = session.tracer
+            sid = tracer.current_id()
+            seen.append((name, sid))
+            bump(conn, name, n)
+
+        monkeypatch.setattr(ResultStore, "_bump", staticmethod(spying_bump))
+        with observability(trace=True) as session:
+            assert store.get("k") == PAYLOAD
+            assert store.get("missing") is None
+        spans = [s.span_id for s in session.tracer.spans
+                 if s.kind == "store.get"]
+        assert seen == [("hits", spans[0]), ("misses", spans[1])]
+        store.close()
+
 
 class TestOpenStore:
     def test_none_and_memory(self):
