@@ -363,9 +363,9 @@ class DeltaState:
           a moved stage.  ``comm_energy`` is linear in the volume, so
           this equals the change of the per-link ``comm_energy`` sum.
 
-        Work that does not depend on the destination is done once, when
-        the first change is drawn: the source core's new term, and the
-        moved stages' edges with their old hop counts.  A same-model swap
+        Work that does not depend on the destination is done once per
+        call, before the first change: the source core's new term, and
+        the moved stages' edges with their old hop counts.  A same-model swap
         reads each core's new term from the other core's current one.
         The generator is lazy, so the caller may grade a candidate with
         :meth:`evaluate_move` and :meth:`revert` it before drawing the
