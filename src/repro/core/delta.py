@@ -373,8 +373,9 @@ class DeltaState:
         everything held across destinations is a copy, never a reference
         into the state.
 
-        Yields ``None`` when a touched core has no feasible speed; then
-        :meth:`evaluate_move` rejects the move as well.  Otherwise the
+        Yields ``None`` when a touched core has no feasible speed after
+        the move, where :meth:`evaluate_move` rejects it as well, or
+        before it, where the state has no total to change.  Otherwise the
         current total plus the change equals the moved state's
         :meth:`score` up to float rounding (the relative bound is argued
         in :mod:`repro.heuristics.refine`).  Quotient cycles, route
@@ -613,8 +614,9 @@ class DeltaState:
         cluster, term = self._cluster, self._term
         if moving:
             rest = sorted(cluster[src].difference(moving))
-            head, powered = 0.0 - term[src], -1
-            if rest:
+            old = term[src]
+            head, powered = None if old is None else 0.0 - old, -1
+            if rest and head is not None:
                 _work, speed, new = self._core_energy(src, rest)
                 if speed is not None:
                     head += new
@@ -627,7 +629,7 @@ class DeltaState:
             if b == src or not moving:
                 yield 0.0
                 continue
-            if head is None:
+            if head is None or term.get(b, 0.0) is None:
                 yield None
                 continue
             change, up = head, powered + 1
@@ -653,8 +655,9 @@ class DeltaState:
         own = sorted(cluster.get(a, ()))
         model = self._core_model(a)
         if own:
-            head, lit = 0.0 - term[a], -1
-            mine = (self._work[a], self._speed[a], term[a])
+            old = term[a]
+            head, lit = None if old is None else 0.0 - old, -1
+            mine = (self._work[a], self._speed[a], old)
         else:
             head, lit = 0.0, 0
         # An empty target adds no edges and sends none of a's edges to a.
@@ -663,6 +666,9 @@ class DeltaState:
             stages = cluster.get(b)
             if b == a or not (own or stages):
                 yield 0.0
+                continue
+            if head is None or term.get(b, 0.0) is None:
+                yield None
                 continue
             # Same model: each core's new term is the other's current one.
             same = self._core_model(b) is model

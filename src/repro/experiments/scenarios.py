@@ -20,7 +20,11 @@ for any ``jobs`` value, exactly as in the figure sweeps.
 A StreamIt (app, CCR) graph is built once per call, and the selected
 cells sharing it run as one pool task (:func:`sweep_group_task`), so a
 worker builds its ideal lattice and DPA2D blocks once for every
-topology.  Records, fingerprints, failures and progress stay per cell.
+topology.  The cells also share the DP solves memoised on the graph
+(:func:`repro.heuristics.base.shared_solve`): DPA1D, DPA2D and DPA2D1D
+are keyed by period, base power model and virtual grid, never by the
+topology, and hetmesh keeps the base model as ``grid.model``.  Records,
+fingerprints, failures and progress stay per cell.
 
 Sweeps are **resumable and shardable** through the content-addressed
 result store (``repro/store/``): ``store=`` files every completed cell

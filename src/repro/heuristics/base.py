@@ -11,11 +11,14 @@ independently so results never depend on heuristic-internal bookkeeping.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Callable
 
+from repro.core.errors import HeuristicFailure
 from repro.core.mapping import Mapping
+from repro.obs.session import inc
 
-__all__ = ["REGISTRY", "PAPER_ORDER", "register"]
+__all__ = ["REGISTRY", "PAPER_ORDER", "register", "shared_solve"]
 
 
 #: name -> heuristic callable
@@ -33,3 +36,28 @@ def register(name: str):
         return fn
 
     return deco
+
+
+def shared_solve(spg, key: tuple, solve: Callable[[], object]):
+    """``solve()``, memoised in ``spg.cached`` under ``key``.
+
+    ``key`` holds everything the solve reads besides the graph, never
+    the grid object, so fabrics with the same base model share it.  A
+    :class:`HeuristicFailure` is memoised and raised again with its type
+    and message; callers get deep copies.  Counts ``dp.solve_hits`` and
+    ``dp.solve_misses``.
+    """
+    missed = []
+
+    def run():
+        missed.append(True)
+        try:
+            return solve()
+        except HeuristicFailure as exc:
+            return type(exc)(*exc.args)  # no traceback to keep alive
+
+    value = spg.cached(key, run)
+    inc("dp.solve_misses" if missed else "dp.solve_hits")
+    if isinstance(value, HeuristicFailure):
+        raise type(value)(*value.args)
+    return deepcopy(value)

@@ -25,6 +25,11 @@ bound cannot reject is enumerated, and its suffix-cluster enumeration
 fails as soon as it crosses the transition budget.  For linear chains
 (and for any SPG when communications are free) DPA1D is optimal among
 all mappings.
+
+The solve reads only the graph, the period, the base power model, ``r``,
+the budgets and the kernel, so :func:`solve_uniline` memoises it on the
+graph under that key: every fabric with ``r`` cores, hetmesh included
+(its ``grid.model`` is the base model), lays out one shared solve.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ from itertools import groupby
 import numpy as np
 
 from repro.core.errors import HeuristicFailure
+from repro.core.kernels import resolve_kernel
 from repro.core.mapping import Mapping
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import register
+from repro.heuristics.base import register, shared_solve
 from repro.spg.decompose import ideal_count
 from repro.util.bitset import bits_of, split_words
 
@@ -344,10 +350,16 @@ def solve_uniline(
     ``kernel`` picks the enumeration kernel (byte-identical results; see
     :mod:`repro.core.kernels`); ``None`` uses the ambient default.
     """
-    dp = _UnilineDP(problem, r, ideal_budget, kernel=kernel)
-    e, k_best = dp.solve(transition_budget)
-    clusters, speeds = dp.reconstruct(k_best)
-    return e, clusters, speeds
+
+    def solve():
+        dp = _UnilineDP(problem, r, ideal_budget, kernel=kernel)
+        e, k_best = dp.solve(transition_budget)
+        clusters, speeds = dp.reconstruct(k_best)
+        return e, clusters, speeds
+
+    key = ("dpa1d.solve", problem.period, problem.grid.model, r,
+           ideal_budget, transition_budget, resolve_kernel(kernel).name)
+    return shared_solve(problem.spg, key, solve)
 
 
 @register("DPA1D")

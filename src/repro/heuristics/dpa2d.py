@@ -17,6 +17,12 @@ Per-cluster DAG-partition convexity is enforced inside the inner DP
 (``Ecal = +inf`` for non-convex clusters, as in the paper); the assembled
 mapping is re-validated at the end and the heuristic fails on the rare
 quotient cycle the local checks cannot see.
+
+The solver reads only the graph, the period, the base power model and
+the virtual ``p x q`` grid, so DPA2D and DPA2D1D solve through
+:func:`solve_dpa2d`, memoised on the graph under ``(period, model, p,
+q)``: the fabrics of a sweep share one solve per shape (ring's DPA2D is
+DPA2D1D's ``(1, pq)``) and only place the plans on their own cores.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import NamedTuple
 from repro.core.errors import HeuristicFailure, MappingError
 from repro.core.mapping import Mapping
 from repro.core.problem import ProblemInstance
-from repro.heuristics.base import register
+from repro.heuristics.base import register, shared_solve
 from repro.obs.session import inc
 from repro.spg.analysis import ancestor_masks, descendant_masks
 
@@ -603,16 +609,17 @@ def _plans_to_mapping(
 def dpa2d_mapping(problem: ProblemInstance, rng=None) -> Mapping:
     """The 2D double-DP heuristic on the real grid (XY-routed)."""
     grid = problem.grid
-    solver = _Dpa2dSolver(problem, grid.p, grid.q)
-    _e, plans = solver.solve()
+    _e, plans = solve_dpa2d(problem, grid.p, grid.q)
     return _plans_to_mapping(problem, plans, lambda u, c: (u, c))
 
 
 def solve_dpa2d(
     problem: ProblemInstance, p: int, q: int
 ) -> tuple[float, list[ColumnPlan]]:
-    """Run the DPA2D solver on a virtual ``p x q`` grid (same power model)."""
-    return _Dpa2dSolver(problem, p, q).solve()
+    """DPA2D's solve on a virtual ``p x q`` grid, memoised on the graph."""
+    key = ("dpa2d.solve", problem.period, problem.grid.model, p, q)
+    return shared_solve(problem.spg, key,
+                        lambda: _Dpa2dSolver(problem, p, q).solve())
 
 
 @register("DPA2D1D")
@@ -620,9 +627,7 @@ def dpa2d1d_mapping(problem: ProblemInstance, rng=None) -> Mapping:
     """DPA2D on a virtual 1 x (p*q) line, mapped along the topology's
     line embedding (the snake of Section 5.4 on the mesh)."""
     grid = problem.grid
-    r = grid.n_cores
-    solver = _Dpa2dSolver(problem, 1, r)
-    _e, plans = solver.solve()
+    _e, plans = solve_dpa2d(problem, 1, grid.n_cores)
     order = grid.line_order()
 
     # Column c of the virtual line is line position c; route along it.

@@ -355,6 +355,36 @@ def test_counters_report_the_screen_once_per_run():
     assert anneal["refine.screened"] == 0
 
 
+@pytest.mark.parametrize("weights,alloc", [
+    # The whole load on the source core (0, 0).
+    ([1 / 3] * 3, {0: (0, 0), 1: (0, 0), 2: (0, 0)}),
+    # The whole load on the target core (0, 1).
+    ([1e-3, 1 / 3, 1 / 3, 1 / 3],
+     {0: (0, 0), 1: (0, 1), 2: (0, 1), 3: (0, 1)}),
+])
+def test_screen_without_a_canonical_speed_is_none(weights, alloc):
+    """A touched core with no canonical speed gives the state no total,
+    so every screen of a move touching it is ``None``, not an error."""
+    work = XSCALE.s_max * (1.0 + 5e-10)  # period 1.0
+    n = len(weights)
+    spg = SPG([w * work for w in weights], None,
+              {(i, i + 1): 1.0 for i in range(n - 1)})
+    grid = CMPGrid(1, 2)
+    speeds = {c: XSCALE.s_max for c in set(alloc.values())}
+    state = DeltaState(ProblemInstance(spg, grid, 1.0),
+                       Mapping(spg, grid, alloc, speeds))
+    assert state.score() is None
+    src, dst = (0, 0), (0, 1)
+    other = {src: dst, dst: src}
+    moves = [MoveStage(i, other[c]) for i, c in alloc.items()]
+    moves += [SwapClusters(src, dst), SwapClusters(dst, src)]
+    moves += [PowerOff(c, other[c]) for c in speeds]
+    for move in moves:
+        assert state.screen(move) is None, move
+    assert list(state.screen_neighbourhood(MoveStage, 0, [src, dst])) == [
+        0.0, None]
+
+
 def test_start_without_a_canonical_speed_refines_unscreened():
     """``validate`` allows 1e-9 of period slack and ``best_feasible``
     1e-12, so a valid start can hold a core with no canonical speed.  The
