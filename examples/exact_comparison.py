@@ -7,7 +7,7 @@ future work.  This example provides that measure at small scale: for a set
 of tiny SPGs on a 2x2 CMP it computes
 
 * the exhaustive optimal DAG-partition mapping (brute force, XY routing),
-* the ILP optimum (branch & bound over scipy LP relaxations), and
+* the ILP optimum (HiGHS via ``scipy.optimize.milp``), and
 * every heuristic's energy,
 
 and prints the optimality gaps.

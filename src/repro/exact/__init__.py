@@ -7,7 +7,6 @@ from repro.exact.ilp_model import (
     ilp_optimal,
     require_ilp_platform,
 )
-from repro.exact.bnb import BnBResult, solve_binary_program
 
 __all__ = [
     "brute_force_optimal",
@@ -16,6 +15,4 @@ __all__ = [
     "build_ilp",
     "ilp_optimal",
     "require_ilp_platform",
-    "BnBResult",
-    "solve_binary_program",
 ]

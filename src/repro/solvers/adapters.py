@@ -11,11 +11,10 @@ Three families:
   *transform* stage: ``"dpa2d1d+refine"`` refines DPA2D1D's output,
   continuing the producer's RNG stream.
 * :class:`ExactSolver` wraps the ``exact/`` solvers (brute force and the
-  Section-4.4 ILP, the latter also registered as ``bnb`` after the
-  in-house 0-1 branch & bound that solves it).  Exact solvers are
-  deterministic and ignore the RNG; unsupported platforms fail loudly
-  (:class:`~repro.core.errors.UnsupportedPlatform`) instead of silently
-  assuming the mesh.
+  Section-4.4 ILP, solved by HiGHS through ``scipy.optimize.milp``).
+  Exact solvers are deterministic and ignore the RNG; unsupported
+  platforms fail loudly (:class:`~repro.core.errors.UnsupportedPlatform`)
+  instead of silently assuming the mesh.
 """
 
 from __future__ import annotations
@@ -172,13 +171,10 @@ class ExactSolver(Solver):
 
     kind = "producer"
 
-    def __init__(
-        self, which: str, options: dict | None = None,
-        spec: str | None = None,
-    ) -> None:
+    def __init__(self, which: str, options: dict | None = None) -> None:
         self.which = which
         self.options = dict(options or {})
-        self.spec = spec if spec is not None else which
+        self.spec = which
 
     def solve(self, problem, rng=None, upstream=None) -> SolverResult:
         t0 = time.perf_counter()
@@ -255,16 +251,10 @@ def _register_exact() -> None:
     )(lambda **options: ExactSolver("bruteforce", options))
     register_solver(
         "ilp",
-        "Section-4.4 ILP solved by the in-house 0-1 branch & bound "
+        "Section-4.4 ILP solved to a proven optimum by HiGHS "
         "(homogeneous mesh only)",
         kind="producer",
-    )(lambda **options: ExactSolver("ilp", options, spec="ilp"))
-    register_solver(
-        "bnb",
-        "alias of ilp: the same Section-4.4 model through the 0-1 "
-        "branch & bound",
-        kind="producer",
-    )(lambda **options: ExactSolver("ilp", options, spec="bnb"))
+    )(lambda **options: ExactSolver("ilp", options))
 
 
 _register_heuristics()

@@ -106,8 +106,8 @@ class TestSolvers:
     def test_list_shows_registry(self):
         code, text = run_cli("solvers", "list")
         assert code == 0
-        for name in ("greedy", "dpa2d1d", "bruteforce", "ilp", "bnb",
-                     "refine", "portfolio"):
+        for name in ("greedy", "dpa2d1d", "bruteforce", "ilp", "refine",
+                     "portfolio"):
             assert name in text
 
     def test_describe_named_solver(self):

@@ -51,7 +51,7 @@ class TestRegistry:
     def test_all_expected_solvers_registered(self):
         expected = {
             "random", "greedy", "dpa2d", "dpa1d", "dpa2d1d",
-            "bruteforce", "ilp", "bnb",
+            "bruteforce", "ilp",
             "refine", "refine-best", "refine-anneal",
             "portfolio",
         }
@@ -296,18 +296,18 @@ class TestExactAdapters:
         assert by_topo["torus"]["failures"]["Greedy"] == 0
         assert by_topo["mesh"]["failures"]["ilp"] == 0
 
-    def test_ilp_and_bnb_match_direct_call(self, two_speed_model):
+    def test_ilp_matches_direct_call(self, two_speed_model):
         from repro.exact import ilp_optimal
         from repro.spg.build import diamond
 
         g = diamond((4e8, 2e8, 3e8, 1e8), (1e7, 2e7, 3e7, 4e7))
         prob = ProblemInstance(g, CMPGrid(2, 2, two_speed_model), 0.6)
-        mapping, obj = ilp_optimal(prob)
-        for spec in ("ilp", "bnb"):
-            res = run(spec, prob)
-            assert res.ok and res.solver == spec
-            assert res.mapping.alloc == mapping.alloc
-            assert res.stats["objective"] == pytest.approx(obj)
+        _mapping, obj = ilp_optimal(prob)
+        res = run("ilp", prob)
+        assert res.ok and res.solver == "ilp"
+        # Optima of equal energy may differ in placement: compare energy.
+        assert res.stats["objective"] == pytest.approx(obj)
+        assert res.total_energy == pytest.approx(obj, rel=1e-9)
 
 
 # ----------------------------------------------------------------------
