@@ -135,8 +135,9 @@ class DeltaState:
     mapping:
         The starting mapping; only its allocation is read.
     require_dag_partition:
-        When true (the default), :meth:`structure_valid` additionally
-        checks quotient acyclicity; ``False`` admits *general mappings*.
+        When true (the default), :meth:`evaluate_move` also rejects a
+        move that leaves the quotient cyclic; ``False`` admits *general
+        mappings*.
     """
 
     def __init__(
@@ -238,15 +239,6 @@ class DeltaState:
         """True iff every active core has a period-feasible speed."""
         return not self._broken
 
-    def routes_valid(self) -> bool:
-        """True iff every remote edge's route is a valid link chain.
-
-        Routing policies may emit paths a restricted fabric cannot carry
-        (XY routes on a uni-directional grid); those candidates must be
-        rejected exactly as the full validator rejects them.
-        """
-        return not self._bad_edges
-
     def max_cycle_time(self) -> float:
         """Max cycle-time over all resources, bit-equal to the full eval."""
         mx = 0.0
@@ -299,12 +291,6 @@ class DeltaState:
                     del indeg[b]
                     stack.append(b)
         return seen == n_nodes
-
-    def structure_valid(self) -> bool:
-        """Route validity plus (unless general) quotient acyclicity."""
-        if self._bad_edges:
-            return False
-        return not self._require_dag or self.quotient_acyclic()
 
     def score(self) -> EnergyBreakdown | None:
         """Energy of the current state (``None`` when a speed is missing).

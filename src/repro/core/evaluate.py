@@ -52,31 +52,21 @@ def cycle_times(mapping: Mapping) -> dict[object, float]:
     """Cycle-time of every used resource.
 
     Keys are cores ``(u, v)`` (computation time ``w/s``) and directed links
-    ``((u,v), (u',v'))`` (transfer time ``bytes / BW``).  Period-independent,
-    hence memoised on the (frozen-after-construction) mapping.
+    ``((u,v), (u',v'))`` (transfer time ``bytes / BW``).
     """
-    cached = mapping._memo.get("cycle_times")
-    if cached is None:
-        out: dict[object, float] = {}
-        speeds = mapping.speeds
-        for core, work in mapping.core_work().items():
-            out[core] = work / speeds[core]
-        bw = mapping.grid.model.bandwidth
-        for link, traffic in mapping.link_traffic().items():
-            out[link] = traffic / bw
-        cached = mapping._memo["cycle_times"] = out
-    return cached
+    out: dict[object, float] = {}
+    speeds = mapping.speeds
+    for core, work in mapping.core_work().items():
+        out[core] = work / speeds[core]
+    bw = mapping.grid.model.bandwidth
+    for link, traffic in mapping.link_traffic().items():
+        out[link] = traffic / bw
+    return out
 
 
 def max_cycle_time(mapping: Mapping) -> float:
     """The maximum cycle-time over all resources (the achievable period)."""
-    cached = mapping._memo.get("max_cycle_time")
-    if cached is None:
-        times = cycle_times(mapping)
-        cached = mapping._memo["max_cycle_time"] = (
-            max(times.values()) if times else 0.0
-        )
-    return cached
+    return max(cycle_times(mapping).values(), default=0.0)
 
 
 #: Relative slack of every period test: absorbs float round-off in DP

@@ -63,8 +63,9 @@ class Mapping:
     # Views
     #
     # Mappings are effectively frozen once constructed (heuristics build a
-    # fresh Mapping per candidate), so the derived views below are computed
-    # once and memoised.  Treat the returned containers as read-only.
+    # fresh Mapping per candidate), so the derived views the evaluation
+    # reads (all but clusters) are computed once and memoised.  Treat the
+    # returned containers as read-only.
     # ------------------------------------------------------------------
     def remote_edges(self) -> list[Edge]:
         """Application edges whose endpoints are on distinct cores.
@@ -90,15 +91,12 @@ class Mapping:
         :meth:`ascii` usable mid-construction; :meth:`check_structure` is
         the place where partial allocations are rejected.
         """
-        cached = self._memo.get("clusters")
-        if cached is None:
-            out: dict[Core, list[int]] = {}
-            for i in range(self.spg.n):
-                c = self.alloc.get(i)
-                if c is not None:
-                    out.setdefault(c, []).append(i)
-            cached = self._memo["clusters"] = out
-        return cached
+        out: dict[Core, list[int]] = {}
+        for i in range(self.spg.n):
+            c = self.alloc.get(i)
+            if c is not None:
+                out.setdefault(c, []).append(i)
+        return out
 
     def active_cores(self) -> set[Core]:
         """Cores executing at least one stage."""

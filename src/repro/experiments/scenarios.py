@@ -247,7 +247,6 @@ def run_scenario_sweep(
     policy: RetryPolicy | None = None,
     faults=None,
     stats: ExecutionStats | None = None,
-    kernel: str | None = None,
     progress=None,
 ) -> dict:
     """Run the sweep and return the consolidated JSON-serialisable report.
@@ -331,11 +330,6 @@ def run_scenario_sweep(
         telemetry; the counters enter the report only as
         ``meta["fault_stats"]`` when permanent failures exist — a clean
         recovered run's report carries no trace of the recovery).
-    ``kernel``
-        Enumeration-kernel name for the whole sweep (CLI ``--kernel``;
-        default: the ambient :mod:`repro.core.kernels` selection).  All
-        kernels produce byte-identical reports; the choice is purely a
-        speed knob and never enters cell fingerprints.
     ``progress``
         ``True`` (CLI ``--progress``) emits a live stderr heartbeat —
         cells done/total, rolling-mean ETA, store hit-rate, retry/crash
@@ -348,22 +342,6 @@ def run_scenario_sweep(
     from repro.store.backend import open_store
     from repro.store.fingerprint import cell_fingerprint
     from repro.store.serialize import choice_from_payload, choice_to_payload
-
-    if kernel is not None:
-        # Scoped enumeration-kernel override (``repro sweep --kernel``):
-        # exported via REPRO_KERNEL so pool workers inherit, restored on
-        # exit.  Results are byte-identical under every kernel.
-        from repro.core.kernels import use_kernel
-
-        with use_kernel(kernel):
-            return run_scenario_sweep(
-                topologies, sizes, ccrs, apps, replicates=replicates,
-                seed=seed, heuristics=heuristics, options=options,
-                jobs=jobs, solvers=solvers, store=store,
-                eviction=eviction, resume=resume, shard=shard, limit=limit,
-                checkpoint=checkpoint, policy=policy, faults=faults,
-                stats=stats, kernel=None, progress=progress,
-            )
 
     rng = as_rng(seed)
     plan = resolve_fault_plan(faults)

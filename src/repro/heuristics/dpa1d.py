@@ -78,7 +78,7 @@ class _UnilineDP:
         # SPG's stages, edges and weights only, so it is shared across the
         # several periods choose_period probes on the same graph, and
         # across the graphs that differ from it in their volumes alone.
-        # The cut volumes come from this graph (value_cuts, ideal_cuts).
+        # The cut volumes come from this graph (see _edge_cuts).
         self.lat = IdealLattice.for_spg(
             self.spg, budget=ideal_budget, kernel=kernel
         )
@@ -93,33 +93,6 @@ class _UnilineDP:
         """DP row ``row`` (None when its ideal is unreachable)."""
         values = self.B[row]
         return values if np.isfinite(values).any() else None
-
-    def value_cuts(self) -> np.ndarray:
-        """Cut volume of every ideal of
-        :meth:`IdealLattice.sorted_values`, in that order, on this DP's
-        own graph (word-sized graphs only; cached on the graph)."""
-        vals = self.lat.sorted_values()
-        one = np.uint64(1)
-        return self.spg.cached(
-            "dpa1d.value_cuts",
-            lambda: _edge_cuts(
-                self.spg, len(vals), lambda i: (vals >> np.uint64(i)) & one
-            ),
-        )
-
-    def ideal_cuts(self) -> np.ndarray:
-        """Cut volume of every ideal, in :meth:`IdealLattice.ideals`
-        order, on this DP's own graph: one vectorised pass over the
-        ideal words, so it serves graphs of any width (cached on the
-        graph)."""
-        words = self.lat.ideal_words()
-        return self.spg.cached(
-            "dpa1d.ideal_cuts",
-            lambda: _edge_cuts(
-                self.spg, words.shape[1],
-                lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
-            ),
-        )
 
     def transition(
         self, prefix: int, prefix_row: int, work: float
@@ -215,7 +188,8 @@ class _UnilineDP:
         without any DP work: before enumerating anything when the
         SP-tree bound proves it, otherwise as soon as the enumeration
         crosses the budget, or from a kept table's exact total.  Rows
-        and prefix rows index :meth:`IdealLattice.sorted_values`.
+        and prefix rows index :meth:`IdealLattice.sorted_values`, and so
+        do the cuts.
         """
         lat = self.lat
         _M, W, counts, offsets, pidx, _total = lat.suffix_table(
@@ -228,9 +202,12 @@ class _UnilineDP:
              W[offsets[lo]:offsets[hi]])
             for lo, hi in _layers(lat.ideals())
         )
+        one = np.uint64(1)
         return (
             lambda masks: np.searchsorted(vals, np.array(masks, np.uint64)),
-            self.value_cuts(),
+            _edge_cuts(
+                self.spg, len(vals), lambda i: (vals >> np.uint64(i)) & one
+            ),
             batches,
         )
 
@@ -252,10 +229,13 @@ class _UnilineDP:
             for lo, hi, counts, pidx, W in stream
             for batch in _dp_batches(lo, hi, counts, pidx, W, layer_ends)
         )
-        words = lat.ideal_words().shape[0]
+        words = lat.ideal_words()
         return (
-            lambda masks: lat.dp_rows(split_words(masks, words)),
-            self.ideal_cuts(),
+            lambda masks: lat.dp_rows(split_words(masks, words.shape[0])),
+            _edge_cuts(
+                self.spg, words.shape[1],
+                lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
+            ),
             batches,
         )
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.obs.summarize import percentile
+from repro.obs.summarize import percentile, summarize_spans
 from repro.obs.trace import Span, load_trace
 from repro.util.fmt import format_table
 
@@ -147,22 +147,6 @@ def critical_path(spans: list[Span]) -> list[dict]:
 # ----------------------------------------------------------------------
 # Trace diff
 # ----------------------------------------------------------------------
-def _kind_stats(spans: list[Span]) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    by_kind: dict[str, list[float]] = {}
-    for s in spans:
-        by_kind.setdefault(s.kind, []).append(s.duration_s)
-    for kind, durations in by_kind.items():
-        durations.sort()
-        out[kind] = {
-            "count": len(durations),
-            "total_s": sum(durations),
-            "p50_s": percentile(durations, 0.50),
-            "p99_s": percentile(durations, 0.99),
-        }
-    return out
-
-
 def diff_traces(
     a: "str | Path | list[Span]", b: "str | Path | list[Span]"
 ) -> dict:
@@ -176,8 +160,8 @@ def diff_traces(
     """
     spans_a = a if isinstance(a, list) else load_trace(a)[1]
     spans_b = b if isinstance(b, list) else load_trace(b)[1]
-    stats_a = _kind_stats(spans_a)
-    stats_b = _kind_stats(spans_b)
+    stats_a = {r["kind"]: r for r in summarize_spans(spans_a)}
+    stats_b = {r["kind"]: r for r in summarize_spans(spans_b)}
     kinds = sorted(set(stats_a) | set(stats_b))
     rows = []
     for kind in kinds:

@@ -123,15 +123,6 @@ class CMPGrid(Topology):
             return False
         return True
 
-    def links(self) -> list[Link]:
-        """All directed links of the platform (cached; treat read-only)."""
-        cached = self._cache.get("links")
-        if cached is None:
-            cached = self._cache["links"] = [
-                (c, nb) for c in self.cores() for nb in self.neighbors(c)
-            ]
-        return cached
-
     # ------------------------------------------------------------------
     # Topology: routing and line embedding
     # ------------------------------------------------------------------

@@ -78,10 +78,7 @@ class Topology(ABC):
 
     def in_bounds(self, core: Core) -> bool:
         """True iff ``core`` is a node of this topology."""
-        cached = self._cache.get("core_set")
-        if cached is None:
-            cached = self._cache["core_set"] = frozenset(self.cores())
-        return core in cached
+        return core in self.cores()
 
     # -- link set ------------------------------------------------------
     @abstractmethod

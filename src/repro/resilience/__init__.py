@@ -20,8 +20,8 @@ This package makes faults *first-class, deterministic inputs*:
 The engine (:func:`repro.experiments.parallel.run_tasks`) re-runs lost
 work with the *same pre-drawn seeds*, so results that survive a fault
 are bit-identical to a fault-free run — the chaos battery
-(``tests/test_resilience.py``) and the CI chaos-smoke job ``cmp`` the
-consolidated reports byte for byte.
+(``tests/test_resilience.py``) and the chaos steps of the CI store-smoke
+job ``cmp`` the consolidated reports byte for byte.
 """
 
 from repro.resilience.faults import (

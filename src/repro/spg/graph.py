@@ -92,9 +92,9 @@ class SPG:
         # The topological order is computed lazily: compositions build many
         # intermediate SPGs (validate=False) that never ask for it.
         self._topo: tuple[int, ...] | None = None
-        # Lazily computed derived data (label extrema, totals, adjacency
-        # arrays, reachability masks, ...).  SPGs are immutable, so entries
-        # never need invalidation; the dict is dropped on pickling.
+        # Lazily computed derived data (see cached).  SPGs are immutable,
+        # so entries never need invalidation; the dict is dropped on
+        # pickling.
         self._derived: dict = {}
         # Derived data of the stages, edges and weights alone, shared by
         # reference with volume-only copies (see shape_cached).
@@ -130,8 +130,9 @@ class SPG:
         """Fetch derived data from the per-instance cache, computing once.
 
         The cache holds anything recomputable from the immutable graph,
-        edge volumes included: label extrema, adjacency arrays,
-        reachability bitmasks, the cut volumes of the DP heuristics.
+        edge volumes included: the length ``xmax``, adjacency arrays,
+        reachability bitmasks, the DPA2D levels and blocks, and the DP
+        solves of :func:`~repro.heuristics.base.shared_solve`.
         ``factory`` runs at most once per key for the lifetime of the SPG
         (or until :meth:`drop_caches`).
         """
@@ -178,7 +179,7 @@ class SPG:
     @property
     def ymax(self) -> int:
         """Elevation of the SPG: the maximal ``y`` label."""
-        return self.cached("ymax", lambda: max(y for _, y in self.labels))
+        return max(y for _, y in self.labels)
 
     def preds(self, i: int) -> tuple[int, ...]:
         """Immediate predecessors of stage ``i``."""
@@ -213,29 +214,13 @@ class SPG:
 
     def in_edges(self, j: int) -> tuple[tuple[int, float], ...]:
         """Incoming ``(pred, delta)`` pairs of stage ``j`` (sorted by pred)."""
-        return self._in_edges_table()[j]
-
-    def out_edges(self, i: int) -> tuple[tuple[int, float], ...]:
-        """Outgoing ``(succ, delta)`` pairs of stage ``i`` (sorted by succ)."""
-        return self._out_edges_table()[i]
-
-    def _in_edges_table(self) -> tuple:
         return self.cached(
             "in_edges",
             lambda: tuple(
-                tuple((i, self.edges[(i, j)]) for i in self._preds[j])
-                for j in range(self.n)
+                tuple((i, self.edges[(i, k)]) for i in self._preds[k])
+                for k in range(self.n)
             ),
-        )
-
-    def _out_edges_table(self) -> tuple:
-        return self.cached(
-            "out_edges",
-            lambda: tuple(
-                tuple((j, self.edges[(i, j)]) for j in self._succs[i])
-                for i in range(self.n)
-            ),
-        )
+        )[j]
 
     def descendant_masks(self) -> list[int]:
         """``masks[i]`` = bitset of strict descendants of stage ``i`` (cached)."""
@@ -266,12 +251,12 @@ class SPG:
     @property
     def total_work(self) -> float:
         """Sum of all computation requirements."""
-        return self.cached("total_work", lambda: sum(self.weights))
+        return sum(self.weights)
 
     @property
     def total_comm(self) -> float:
         """Sum of all communication volumes."""
-        return self.cached("total_comm", lambda: sum(self.edges.values()))
+        return sum(self.edges.values())
 
     @property
     def ccr(self) -> float:

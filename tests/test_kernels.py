@@ -622,7 +622,8 @@ class TestKernelPlumbing:
             topologies=["mesh"], sizes=[(2, 2)], ccrs=[10.0],
             apps=["random-8"], replicates=1, seed=1,
         )
-        reports = {
-            k: run_scenario_sweep(kernel=k, **kw) for k in kernel_names()
-        }
+        reports = {}
+        for k in kernel_names():
+            with use_kernel(k):
+                reports[k] = run_scenario_sweep(**kw)
         assert reports["python"] == reports["vector"]
