@@ -9,9 +9,9 @@ It times
 
 * the evaluation core (``cycle_times`` + ``energy`` + ``validate`` on a
   fixed Greedy mapping, 2000 repetitions),
-* the DPA2D solver on three fixed random 50-stage instances, alternately
-  with the reference solver of ``tests/dp_reference.py`` (see
-  :func:`bench_dpa2d`),
+* the DPA2D solver on three fixed random 50-stage instances and on the
+  four CCR variants of DES, alternately with the reference solver of
+  ``tests/dp_reference.py`` (see :func:`bench_dpa2d`),
 * the full Figure-10 random 50-stage 4x4 panel (CCR = 10, benchmark
   replicate settings, seed 2011), serially and through the parallel
   experiment engine for each requested ``--jobs`` value,
@@ -96,11 +96,20 @@ def bench_dpa2d(baseline: dict, repeats: int = 3) -> dict:
     inner DPs each solver ran over the three instances.  The seed-ratio
     fields (``baseline_seconds``, ``speedup``) divide a time recorded on
     another host and stay only so the section compares with old records.
+
+    ``des_variants`` times both solvers the same way on the four CCR
+    variants of the DES workflow, which differ only in their volumes:
+    DPA2D (4x4) and DPA2D1D (1x16) at two periods each.  The variants
+    share the solver's level blocks, while the reference builds its own
+    per solver; ``blocks`` and ``reference_blocks`` count the blocks
+    each built, and the outputs must equal the reference's.
     """
+    from repro.core.errors import HeuristicFailure
     from repro.core.problem import ProblemInstance
     from repro.heuristics.dpa2d import _Dpa2dSolver
     from repro.platform.cmp import CMPGrid
     from repro.spg.random_gen import random_spg
+    from repro.spg.streamit import streamit_variants
     from tests.dp_reference import ReferenceDpa2dSolver
 
     grid = CMPGrid(4, 4)
@@ -120,13 +129,41 @@ def bench_dpa2d(baseline: dict, repeats: int = 3) -> dict:
             columns += len(solver._columns)
         return time.perf_counter() - t0, outputs, columns
 
+    def solve_des(solver_cls):
+        variants = streamit_variants("DES", (None, 10.0, 1.0, 0.1), seed=2011)
+        outputs, solvers = [], []
+        t0 = time.perf_counter()
+        for g in variants:
+            for parallelism in (2.0, 6.0):
+                prob = ProblemInstance(g, grid, g.total_work / 1e9 / parallelism)
+                for p, q in ((4, 4), (1, 16)):
+                    solvers.append(solver_cls(prob, p, q))
+                    try:
+                        e, plans = solvers[-1].solve()
+                        outputs.append((repr(e), plans))
+                    except HeuristicFailure as exc:
+                        outputs.append(str(exc))
+        return time.perf_counter() - t0, outputs, variants, solvers
+
     samples: dict[str, list[float]] = {"solver": [], "reference": []}
+    des_samples: dict[str, list[float]] = {"solver": [], "reference": []}
     for _ in range(repeats):
         seconds, outputs, columns = solve_all(_Dpa2dSolver)
         samples["solver"].append(seconds)
         ref_seconds, ref_outputs, ref_columns = solve_all(ReferenceDpa2dSolver)
         samples["reference"].append(ref_seconds)
+        seconds, des_outputs, variants, _ = solve_des(_Dpa2dSolver)
+        des_samples["solver"].append(seconds)
+        # The variants share one shape cache, which holds the blocks.
+        des_blocks = sum(isinstance(key, tuple) and key[0] == "dpa2d.block"
+                         for key in variants[0]._shape)
+        seconds, des_ref_outputs, _, solvers = solve_des(ReferenceDpa2dSolver)
+        des_samples["reference"].append(seconds)
+        des_ref_blocks = sum(len(solver._blocks) for solver in solvers)
     seconds, ref_seconds = min(samples["solver"]), min(samples["reference"])
+    des_seconds = min(des_samples["solver"])
+    des_ref_seconds = min(des_samples["reference"])
+    des_equal = des_outputs == des_ref_outputs
     energies = {k: e for k, (e, _plans) in outputs.items()}
     return {
         "instances": "random_spg(50, seed, ccr=1.0) on 4x4, seeds "
@@ -138,9 +175,21 @@ def bench_dpa2d(baseline: dict, repeats: int = 3) -> dict:
         "samples": samples,
         "columns": columns,
         "reference_columns": ref_columns,
+        "des_variants": {
+            "instances": "streamit_variants('DES', (None, 10, 1, 0.1), "
+                         "seed=2011) on 4x4, DPA2D and DPA2D1D at "
+                         "T = total_work / 1e9 / {2, 6}",
+            "seconds": des_seconds,
+            "reference_seconds": des_ref_seconds,
+            "speedup_vs_reference": des_ref_seconds / des_seconds,
+            "samples": des_samples,
+            "blocks": des_blocks,
+            "reference_blocks": des_ref_blocks,
+            "outputs_equal": des_equal,
+        },
         "baseline_seconds": baseline["seconds"],
         "speedup": baseline["seconds"] / seconds,
-        "outputs_equal": (outputs == ref_outputs
+        "outputs_equal": (outputs == ref_outputs and des_equal
                           and energies == baseline["energies"]),
     }
 

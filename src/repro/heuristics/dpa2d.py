@@ -23,6 +23,14 @@ the virtual ``p x q`` grid, so DPA2D and DPA2D1D solve through
 :func:`solve_dpa2d`, memoised on the graph under ``(period, model, p,
 q)``: the fabrics of a sweep share one solve per shape (ring's DPA2D is
 DPA2D1D's ``(1, pq)``) and only place the plans on their own cores.
+
+What reads no edge volume lives in the graph's shape cache
+(:meth:`~repro.spg.graph.SPG.shape_cached`): the levels, the level
+blocks and, per period, the blocks' cluster costs.  Copies that differ
+only in their volumes, such as a StreamIt workflow's CCR variants,
+build each once.  The outer DP prices a candidate column by its energy
+alone and assembles the outgoing distribution and plan only for the
+states it reads.
 """
 
 from __future__ import annotations
@@ -52,28 +60,24 @@ class ColumnPlan(NamedTuple):
     cores: tuple  # length p; entries: (tuple[int, ...], float) | None
 
 
-class _ColumnResult(NamedTuple):
-    energy: float
-    dout: Distribution
-    plan: ColumnPlan
-
-
 class _Block:
-    """Period-independent data of a level block ``m1 <= x <= m2``.
+    """Volume-free data of a level block ``m1 <= x <= m2``.
 
-    Cached per SPG (see :meth:`_Dpa2dSolver.block`), so both solvers and
-    every period probe share one instance.  It is built from per-level
-    stage and edge lists kept in stage-index and ``edge_list`` order, so
-    row work sums and edge lists accumulate in the same float order as a
-    scan of the whole graph.  Per-row aggregates (work prefix sums, stage
-    masks, reachability unions) let the solver cost a row range in
-    O(rows).
+    Kept in the SPG's shape cache (see :meth:`_Dpa2dSolver.block`), so
+    both solvers, every period probe and every copy of the graph that
+    differs only in its volumes (a StreamIt workflow's CCR variants)
+    share one instance.  It is built from per-level stage and edge lists
+    kept in stage-index and ``edge_list`` order, so row work sums
+    accumulate in the same float order as a scan of the whole graph.
+    Edges are held by their ``edge_list`` position, and each solve reads
+    its own graph's volumes there.  Per-row aggregates
+    (work prefix sums, stage masks, reachability unions) let the solver
+    cost a row range in O(rows).
     """
 
     def __init__(self, spg, m1: int, m2: int) -> None:
         level_stages, level_edges = _levels(spg)[:2]
         labels, weights = spg.labels, spg.weights
-        desc, anc = descendant_masks(spg), ancestor_masks(spg)
         stages: list[int] = []
         edges: list[tuple] = []
         for x in range(m1, min(m2, spg.xmax) + 1):
@@ -86,42 +90,51 @@ class _Block:
         for i in stages:
             self.rows.setdefault(labels[i][1], []).append(i)
         self.ymax = gmax = max(self.rows, default=0)
-        # Internal edges spanning distinct rows (vertical traffic) and
-        # edges leaving the block to later levels.
-        self.v_edges: list[tuple[int, int, float]] = []
-        self.out_edges: list[tuple[int, int, float]] = []
-        for _pos, i, j, d, yi, xj, yj in edges:
+        # Internal edges spanning distinct rows (vertical traffic), as
+        # (y_i, y_j, position), and edges leaving the block to later
+        # levels, as (i, j, position).  Every edge increases x, so none
+        # leaving a level of the block ends before it.
+        self.v_pos: list[tuple[int, int, int]] = []
+        self.out_pos: list[tuple[int, int, int]] = []
+        for pos, i, j, yi, xj, yj in edges:
             if xj > m2:
-                self.out_edges.append((i, j, d))
-            elif xj >= m1 and yi != yj:
-                self.v_edges.append((yi, yj, d))
+                self.out_pos.append((i, j, pos))
+            elif yi != yj:
+                self.v_pos.append((yi, yj, pos))
         # Row aggregates, index g = row g (0 empty); pwork[g] sums rows
         # 1..g, and row_work_max is the heaviest row as the prefix
         # difference row ranges use.
         row_mask = [0] * (gmax + 1)
         pwork = [0.0] * (gmax + 1)
-        row_desc = [0] * (gmax + 1)
-        row_anc = [0] * (gmax + 1)
-        whole = below = above = 0
         row_work_max = 0.0
         for g in range(1, gmax + 1):
-            rm = rd = ra = 0
+            rm = 0
             rw = 0.0
             for i in self.rows.get(g, ()):
                 rm |= 1 << i
                 rw += weights[i]
-                rd |= desc[i]
-                ra |= anc[i]
-            row_mask[g], row_desc[g], row_anc[g] = rm, rd, ra
+            row_mask[g] = rm
             pwork[g] = pwork[g - 1] + rw
             row_work_max = max(row_work_max, pwork[g] - pwork[g - 1])
-            whole, below, above = whole | rm, below | rd, above | ra
         self.row_mask, self.pwork = row_mask, pwork
-        self.row_desc, self.row_anc = row_desc, row_anc
         self.row_work_max = row_work_max
-        #: Whether the whole block is convex: no outside stage sits on a
-        #: path between two of its stages.
-        self.convex = not (below & above) & ~whole
+        self._reach: tuple[list[int], list[int]] | None = None
+
+    def row_reach(self, spg) -> tuple[list[int], list[int]]:
+        """``(row_desc, row_anc)``: per row ``g``, the union of its stages'
+        descendant and ancestor masks.  Built on the first call, which
+        only a solve with ``p > 1`` makes: a whole block of levels needs
+        no convexity test (see :meth:`_Dpa2dSolver.clusters`)."""
+        if self._reach is None:
+            desc, anc = descendant_masks(spg), ancestor_masks(spg)
+            row_desc = [0] * (self.ymax + 1)
+            row_anc = [0] * (self.ymax + 1)
+            for g, row in self.rows.items():
+                for i in row:
+                    row_desc[g] |= desc[i]
+                    row_anc[g] |= anc[i]
+            self._reach = row_desc, row_anc
+        return self._reach
 
     def stages_of(self, g1: int, g2: int) -> list[int]:
         """Stages of rows ``g1 < y <= g2`` in row-major order (as the
@@ -133,10 +146,11 @@ class _Block:
 
 def _levels(spg) -> tuple:
     """Per level ``x`` of ``spg``: its stages in index order, the edges
-    leaving it as ``(edge_list position, i, j, delta, y_i, x_j, y_j)``,
-    its work as ``(total, ((row, work), ...))`` with rows ascending, and
+    leaving it as ``(edge_list position, i, j, y_i, x_j, y_j)``, its work
+    as ``(total, ((row, work), ...))`` with rows ascending, and
     ``prefix_work[x]``, the work of levels ``1..x``.  All sums run in
-    stage-index order."""
+    stage-index order.  Nothing here reads a volume, so the levels live
+    in the shape cache; volume-only copies keep ``edge_list`` order."""
 
     def build():
         labels, weights = spg.labels, spg.weights
@@ -144,9 +158,9 @@ def _levels(spg) -> tuple:
         edges: list[list[tuple]] = [[] for _ in range(spg.xmax + 1)]
         for i, (x, _y) in enumerate(labels):
             stages[x].append(i)
-        for pos, (i, j, d) in enumerate(spg.edge_list):
+        for pos, (i, j, _d) in enumerate(spg.edge_list):
             (xi, yi), (xj, yj) = labels[i], labels[j]
-            edges[xi].append((pos, i, j, d, yi, xj, yj))
+            edges[xi].append((pos, i, j, yi, xj, yj))
         works: list[tuple] = [(0.0, ())]
         prefix_work = [0.0] * (spg.xmax + 1)
         for x in range(1, spg.xmax + 1):
@@ -160,7 +174,7 @@ def _levels(spg) -> tuple:
             prefix_work[x] = prefix_work[x - 1] + total
         return stages, edges, works, prefix_work
 
-    return spg.cached("dpa2d.levels", build)
+    return spg.shape_cached("dpa2d.levels", build)
 
 
 _NO_DECOMPOSITION = "DPA2D: no feasible column decomposition"
@@ -196,11 +210,17 @@ class _Dpa2dSolver:
         self.cap_bytes = self.model.link_capacity(self.T)
         self.speed = self.model.speed_lookup(self.T)
         self.xmax = self.spg.xmax
-        # Per-period memos: cluster costs per block (see clusters()), and
-        # inner-DP results, pure functions of (block, incoming
-        # distribution) that the outer DP re-probes from many states.
-        self._clusters: dict[tuple[int, int], object] = {}
-        self._columns: dict[tuple[int, int, Distribution], _ColumnResult | None] = {}
+        # Per-period memos: cluster costs per block (see clusters()),
+        # which read no volume, so every volume-only copy of the graph
+        # shares them at a period; inner-DP results, pure functions of
+        # (block, incoming distribution) that the outer DP re-probes from
+        # many states; and the assembled columns of the states it keeps.
+        self._clusters: dict[tuple[int, int], object] = (
+            self.spg.shape_cached(
+                ("dpa2d.clusters", self.T, self.model, p == 1), dict)
+        )
+        self._columns: dict[tuple[int, int, Distribution], tuple | None] = {}
+        self._assembled: dict[tuple[int, int, Distribution], tuple] = {}
         #: The last solve's reach bound (see reach_bound()) and the
         #: fewest columns it allows after each level (see solve()).
         self.reach: list[int] | None = None
@@ -209,13 +229,18 @@ class _Dpa2dSolver:
     # ------------------------------------------------------------------
     def block(self, m1: int, m2: int) -> _Block:
         spg = self.spg
-        return spg.cached(("dpa2d.block", m1, m2), lambda: _Block(spg, m1, m2))
+        return spg.shape_cached(("dpa2d.block", m1, m2),
+                                lambda: _Block(spg, m1, m2))
 
     def clusters(self, m1: int, m2: int):
-        """One-core costs of block ``m1..m2``'s row ranges at this period.
+        """One-core costs of block ``m1..m2``'s row ranges at this period,
+        or None when the block holds no stage.
 
-        For ``p == 1`` only the whole block can form a column: its
-        ``(energy, speed)``, or None.  Otherwise None when one row misses
+        For ``p == 1`` only the whole block can form a column, and it is
+        its own cost: ``(energy, ((0, ymax, speed),))``, or None when it
+        misses the period.  A block of whole levels is always convex:
+        every edge increases ``x``, so a path between two of its stages
+        stays inside its levels.  Otherwise None when one row misses
         the period on its own (every range holding it is at least as
         heavy), else ``tab`` with ``tab[g1][g2 - g1]`` the ``(energy,
         speed)`` of rows ``g1 < y <= g2`` on one core: None when not
@@ -231,24 +256,28 @@ class _Dpa2dSolver:
         model, index = self.model, self.speed.index
         leak = model.comp_leak * self.T
         pwork, gmax = blk.pwork, blk.ymax
-        if self.p == 1:
+        if not blk.stages:
+            tab = None
+        elif self.p == 1:
             work = pwork[gmax] - pwork[0]
             k = index(work)
             tab = None
-            if k >= 0 and blk.convex:
+            if k >= 0:
                 s = model.speeds[k]
-                tab = (leak + (work / s) * model.dyn_power[k], s)
+                tab = (leak + (work / s) * model.dyn_power[k],
+                       ((0, gmax, s),))
         elif index(blk.row_work_max) < 0:
             tab = None
         else:
+            row_desc, row_anc = blk.row_reach(self.spg)
             tab = []
             for g1 in range(gmax + 1):
                 entries: list[tuple[float, float] | None] = [(0.0, 0.0)]
                 mask = below = above = 0
                 for g2 in range(g1 + 1, gmax + 1):
                     mask |= blk.row_mask[g2]
-                    below |= blk.row_desc[g2]
-                    above |= blk.row_anc[g2]
+                    below |= row_desc[g2]
+                    above |= row_anc[g2]
                     if not mask:
                         entries.append((0.0, 0.0))
                         continue
@@ -283,72 +312,42 @@ class _Dpa2dSolver:
         return self.model.comm_energy(total)
 
     # ------------------------------------------------------------------
-    def column(self, m1: int, m2: int, din: Distribution) -> _ColumnResult | None:
-        """Inner DP result for levels ``m1..m2`` and incoming ``din`` (memoised)."""
+    def column(self, m1: int, m2: int, din: Distribution):
+        """The best column for levels ``m1..m2`` and incoming ``din``:
+        ``(energy, spans)`` with ``spans[u] = (lo, hi, speed)`` for core
+        ``u`` holding rows ``lo < y <= hi``, or None if infeasible.
+
+        With ``p == 1`` it is the block's own cost (:meth:`clusters`),
+        which no distribution changes; otherwise the inner DP, memoised
+        on ``(m1, m2, din)``.
+        """
+        if self.p == 1:
+            return self.clusters(m1, m2)
         key = (m1, m2, din)
         hit = self._columns.get(key, _MISS)
         if hit is _MISS:
-            hit = self._columns[key] = self._column_impl(m1, m2, din)
+            tab = self.clusters(m1, m2)
+            hit = self._columns[key] = (
+                None if tab is None else self._inner_dp(m1, m2, tab, din)
+            )
         return hit
 
-    def _column_impl(
-        self, m1: int, m2: int, din: Distribution
-    ) -> _ColumnResult | None:
-        """Inner DP: map levels ``m1..m2`` onto the ``p`` cores of a column."""
-        blk = self.block(m1, m2)
-        tab = self.clusters(m1, m2) if blk.stages else None
-        if tab is None:
-            return None
-        spg, p = self.spg, self.p
-        # Split the incoming distribution into deliveries (dest in block,
-        # with its destination row) and pass-through entries.
-        deliveries: list[tuple[int, int, float]] = []  # (entry_row, y_dest, b)
-        passthrough: list[tuple[int, int, float]] = []
+    def _inner_dp(self, m1: int, m2: int, tab: list, din: Distribution):
+        """Inner DP: cut block ``m1..m2``'s rows into ranges on
+        consecutive cores of a column, from its cluster table ``tab``;
+        the result of :meth:`column`."""
+        labels = self.spg.labels
+        # The incoming entries delivered inside the block, as
+        # (entry_row, y_dest, bytes); the others pass through.
+        deliveries: list[tuple[int, int, float]] = []
         for row, dest, b in din:
-            x, y = spg.labels[dest]
+            x, y = labels[dest]
             if m1 <= x <= m2:
                 deliveries.append((row, y, b))
-            else:
-                passthrough.append((row, dest, b))
-        if p == 1:
-            # One core holds the whole block: the inner DP would only add
-            # 0.0 around its energy.
-            best_e, spans = tab[0], [(0, blk.ymax, tab[1])]
-        else:
-            best = self._inner_dp(blk, tab, deliveries)
-            if best is None:
-                return None
-            best_e, spans = best
-
-        cores: list[tuple[tuple[int, ...], float] | None] = [None] * p
-        core_of_row: dict[int, int] = {}
-        for u, (lo, hi, speed) in enumerate(spans):
-            stages = tuple(blk.stages_of(lo, hi))
-            for y in range(lo + 1, hi + 1):
-                core_of_row[y] = u
-            if stages:
-                cores[u] = (stages, speed)
-
-        # Outgoing distribution: pass-through plus the block's own exits.
-        agg: dict[tuple[int, int], float] = {}
-        for row, dest, b in passthrough:
-            agg[(row, dest)] = agg.get((row, dest), 0.0) + b
-        for i, j, d in blk.out_edges:
-            row = core_of_row[spg.labels[i][1]]
-            agg[(row, j)] = agg.get((row, j), 0.0) + d
-        dout = tuple(
-            (row, dest, b) for (row, dest), b in sorted(agg.items())
-        )
-        return _ColumnResult(best_e, dout, ColumnPlan(tuple(cores)))
-
-    def _inner_dp(self, blk: _Block, tab: list, deliveries: list):
-        """Cut the block's rows into ranges on consecutive cores.
-
-        Returns ``(energy, spans)``, ``spans[u] = (lo, hi, speed)`` for
-        core ``u`` holding rows ``lo < y <= hi``, or None if infeasible.
-        """
-        p, gmax, cap_bytes = self.p, blk.ymax, self.cap_bytes
-        comm_energy = self.model.comm_energy
+        blk, el = self.block(m1, m2), self.spg.edge_list
+        p, gmax = self.p, blk.ymax
+        v_edges = [(yi, yj, el[pos][2]) for yi, yj, pos in blk.v_pos]
+        cap_bytes, comm_energy = self.cap_bytes, self.model.comm_energy
 
         def boundary_cost(w: int, gcut: int) -> float:
             """Vertical traffic crossing the link between cores w-1 and w.
@@ -363,7 +362,7 @@ class _Dpa2dSolver:
                     down += b
                 elif a >= w and yd <= gcut:
                     up += b
-            for ys, yd, dvol in blk.v_edges:
+            for ys, yd, dvol in v_edges:
                 if ys <= gcut < yd:
                     down += dvol
                 elif yd <= gcut < ys:
@@ -426,6 +425,43 @@ class _Dpa2dSolver:
             assert cl is not None
             spans.append((lo, hi, cl[1]))
         return best_e, spans
+
+    def assemble(self, m1: int, m2: int,
+                 din: Distribution) -> tuple[Distribution, ColumnPlan]:
+        """The outgoing distribution and plan of the feasible column
+        ``column(m1, m2, din)``, memoised on ``(m1, m2, din)``.
+
+        The outer DP asks only for the states it reads: as a predecessor,
+        or when it reconstructs the plans.  The outgoing distribution is
+        the pass-through entries of ``din`` plus the block's own exits,
+        each on the core row of its source.
+        """
+        key = (m1, m2, din)
+        hit = self._assembled.get(key)
+        if hit is not None:
+            return hit
+        labels, el, p = self.spg.labels, self.spg.edge_list, self.p
+        blk = self.block(m1, m2)
+        cores: list[tuple[tuple[int, ...], float] | None] = [None] * p
+        core_of_row: dict[int, int] = {}
+        for u, (lo, hi, speed) in enumerate(self.column(m1, m2, din)[1]):
+            stages = tuple(blk.stages_of(lo, hi))
+            for y in range(lo + 1, hi + 1):
+                core_of_row[y] = u
+            if stages:
+                cores[u] = (stages, speed)
+        agg: dict[tuple[int, int], float] = {}
+        for row, dest, b in din:
+            if not m1 <= labels[dest][0] <= m2:
+                agg[(row, dest)] = agg.get((row, dest), 0.0) + b
+        for i, j, pos in blk.out_pos:
+            row = core_of_row[labels[i][1]]
+            agg[(row, j)] = agg.get((row, j), 0.0) + el[pos][2]
+        dout = tuple(
+            (row, dest, b) for (row, dest), b in sorted(agg.items())
+        )
+        hit = self._assembled[key] = (dout, ColumnPlan(tuple(cores)))
+        return hit
 
     # ------------------------------------------------------------------
     def reach_bound(self) -> list[int]:
@@ -499,6 +535,12 @@ class _Dpa2dSolver:
         totals, the same first minimal parent, ``dout`` and plan.  Every
         final state ``(xmax, v)`` has ``left = 0``, so the energy, the
         plans and the failure message are all unchanged.
+
+        A candidate is priced by its energy alone (:meth:`column`).  Only
+        a state that is read, as a predecessor or in the reconstruction,
+        gets its column assembled (:meth:`assemble`), from its first
+        minimal parent and that parent's ``dout``: the same distribution
+        and plan as building every candidate's and keeping the best.
         """
         xmax, q = self.xmax, self.q
         prefix_work = _levels(self.spg)[3]
@@ -508,9 +550,21 @@ class _Dpa2dSolver:
         if left[0] is None or left[0] > q:
             raise HeuristicFailure(_NO_DECOMPOSITION)
 
-        # memo[(m, v)] = (energy, dout, (m', plan)); (0, 0) is the empty
-        # start, whose empty distribution crosses for 0.0.
-        memo: dict[tuple[int, int], tuple] = {(0, 0): (0.0, (), None)}
+        # memo[(m, v)] = (energy, m') of the first minimal candidate;
+        # (0, 0) is the empty start.  built[(m, v)] = (dout, plan) of a
+        # state that was read; the start's empty distribution crosses
+        # for 0.0.
+        memo: dict[tuple[int, int], tuple] = {(0, 0): (0.0, None)}
+        built: dict[tuple[int, int], tuple] = {(0, 0): ((), None)}
+
+        def assembled(m: int, v: int) -> tuple:
+            hit = built.get((m, v))
+            if hit is None:
+                m_prev = memo[(m, v)][1]
+                din = assembled(m_prev, v - 1)[0]
+                hit = built[(m, v)] = self.assemble(m_prev + 1, m, din)
+            return hit
+
         for v in range(1, q + 1):
             # The first level that can still finish in q - v columns.
             first = next(m for m, k in enumerate(left)
@@ -523,7 +577,8 @@ class _Dpa2dSolver:
                 start = max(m_prev + 1, first)
                 if start >= stop:
                     continue
-                prev_e, din = prev[0], prev[1]
+                prev_e = prev[0]
+                din = assembled(m_prev, v - 1)[0]
                 h = self.h_cost(din)
                 if h == INF:
                     continue
@@ -534,10 +589,10 @@ class _Dpa2dSolver:
                     res = self.column(m_prev + 1, m, din)
                     if res is None:
                         continue
-                    total = prev_e + h + res.energy
+                    total = prev_e + h + res[0]
                     best = memo.get((m, v))
                     if best is None or total < best[0]:
-                        memo[(m, v)] = (total, res.dout, (m_prev, res.plan))
+                        memo[(m, v)] = (total, m_prev)
         inc("dpa2d.columns", len(self._columns))
 
         best_v, best_e = -1, INF
@@ -551,9 +606,8 @@ class _Dpa2dSolver:
         plans: list[ColumnPlan] = []
         m, v = xmax, best_v
         while v >= 1:
-            _e, _d, (m_prev, plan) = memo[(m, v)]
-            plans.append(plan)
-            m, v = m_prev, v - 1
+            plans.append(assembled(m, v)[1])
+            m, v = memo[(m, v)][1], v - 1
         plans.reverse()
         return best_e, plans
 

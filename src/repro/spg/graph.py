@@ -19,8 +19,10 @@ and the sink is always node ``n - 1`` (compositions renumber accordingly).
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["SPG", "series", "parallel", "sp_edge"]
 
@@ -131,8 +133,8 @@ class SPG:
 
         The cache holds anything recomputable from the immutable graph,
         edge volumes included: the length ``xmax``, adjacency arrays,
-        reachability bitmasks, the DPA2D levels and blocks, and the DP
-        solves of :func:`~repro.heuristics.base.shared_solve`.
+        reachability bitmasks and the DP solves of
+        :func:`~repro.heuristics.base.shared_solve`.
         ``factory`` runs at most once per key for the lifetime of the SPG
         (or until :meth:`drop_caches`).
         """
@@ -146,8 +148,9 @@ class SPG:
         """Fetch derived data from the shape cache, computing once.
 
         The shape cache holds data that depends only on the stages, the
-        edges (not their volumes) and the weights, such as the ideal
-        lattice of DPA1D.  A copy that differs only in its volumes
+        edges (not their volumes) and the weights: the ideal lattice of
+        DPA1D, the SP decomposition tree, and DPA2D's levels, level blocks
+        and per-period cluster costs.  A copy that differs only in its volumes
         (:meth:`with_weights` with ``weights=None``, and so
         :meth:`with_comm_scaled` and :meth:`with_ccr`) shares this dict by
         reference, so ``factory`` runs once for the whole family.  Any
@@ -278,7 +281,11 @@ class SPG:
         """Export as a :class:`networkx.DiGraph`.
 
         Nodes carry ``w``, ``x``, ``y`` attributes; edges carry ``delta``.
+        networkx is imported here, its only use, so importing the
+        package does not load it.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         for i, w in enumerate(self.weights):
             x, y = self.labels[i]

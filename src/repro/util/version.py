@@ -5,16 +5,20 @@ service responses, result-store rows) record the same version so that a
 store can be audited for entries written by older code.  The version is
 read from the installed package metadata when available (``pip install
 -e .``) and falls back to ``repro.__version__`` for plain
-``PYTHONPATH=src`` checkouts.
+``PYTHONPATH=src`` checkouts.  The lookup scans the import path for
+package metadata, so it runs once per process; every later call returns
+the same string.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import metadata
 
 __all__ = ["repro_version"]
 
 
+@cache
 def repro_version() -> str:
     """The package version, from metadata or the in-tree fallback."""
     try:

@@ -14,10 +14,13 @@ the solver that built its blocks per solver and costed clusters lazily,
 and its reach bound, column-count certificate and prune to states that
 can still finish must keep it so, on drawn graphs, at the edges of the
 bound's slack and at column budgets around the fewest the bound allows.
+Copies of a graph that differ only in their volumes share its level
+blocks, and must solve as if they had built their own.
 """
 
 from __future__ import annotations
 
+import pickle
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -37,6 +40,7 @@ from repro.platform.topology import get_topology
 from repro.spg.build import chain, split_join
 from repro.spg.decompose import transition_lower_bound
 from repro.spg.random_gen import random_spg_with_elevation
+from repro.spg.streamit import streamit_variants
 from tests.dp_reference import ReferenceDpa2dSolver, reference_uniline
 
 
@@ -277,7 +281,7 @@ class TestDpa2dAgainstReference:
                     got = str(exc)
                     need = solver.left[0]
                     certified += (need is None or need > q) and \
-                        not solver._columns
+                        not solver._clusters
                 assert got == want
                 solved += not isinstance(got, str)
                 # Starts whose reach a row alone cut short of where the
@@ -378,7 +382,7 @@ class TestDpa2dReachBound:
         assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
         assert got == "DPA2D: no feasible column decomposition"
         assert solver.reach[1] >= 2  # the bound admitted level 2
-        assert solver._columns  # ... and the DP ran
+        assert solver._clusters  # ... and the DP priced a column
 
     @pytest.mark.parametrize("period", [0.0, -1.0])
     @pytest.mark.parametrize("p,q", [(4, 4), (1, 16)])
@@ -391,7 +395,7 @@ class TestDpa2dReachBound:
         got = _solve(lambda *_a: solver, prob, p, q)
         assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
         assert got == "DPA2D: no feasible column decomposition"
-        assert not solver._columns  # the certificate failed it
+        assert not solver._clusters  # the certificate failed it
 
 
 @st.composite
@@ -467,3 +471,51 @@ class TestDpa2dCompletableStates:
         assert left == want
         ranks = [inf if k is None else k for k in left]
         assert ranks == sorted(ranks, reverse=True)
+
+
+class TestDpa2dSharedBlocks:
+    """The CCR variants of a StreamIt workflow share one set of level
+    blocks (the shape cache), and solving through them changes no
+    output."""
+
+    CCRS = (None, 10.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("index", range(1, 13))
+    def test_variants_match_unshared_copies(self, index, monkeypatch):
+        variants = streamit_variants(index, self.CCRS, seed=2011)
+        built = []
+        block_cls = dpa2d._Block
+
+        def spy(*args):
+            built.append(args[1:])
+            return block_cls(*args)
+
+        grid = CMPGrid(4, 4)
+        for g in variants:
+            # Unpickling starts empty caches, so the copy builds its own
+            # blocks (outside the spy).
+            fresh = pickle.loads(pickle.dumps(g))
+            for parallelism in (2.0, 6.0):
+                T = g.total_work / 1e9 / parallelism
+                for p, q in ((4, 4), (1, 16)):
+                    with monkeypatch.context() as m:
+                        m.setattr(dpa2d, "_Block", spy)
+                        got = _solve(dpa2d._Dpa2dSolver,
+                                     ProblemInstance(g, grid, T), p, q)
+                    want = _solve(dpa2d._Dpa2dSolver,
+                                  ProblemInstance(fresh, grid, T), p, q)
+                    assert got == want
+        assert built and len(built) == len(set(built))
+
+    @settings(max_examples=10, deadline=None)
+    @given(prob=_tight_problem(),
+           factors=st.lists(st.sampled_from([1e-3, 0.5, 4.0, 1e3]),
+                            min_size=1, max_size=3))
+    def test_comm_scaled_copies_match_reference(self, prob, factors):
+        """Each copy solves on the blocks the earlier ones built."""
+        for factor in (1.0, *factors):
+            scaled = ProblemInstance(prob.spg.with_comm_scaled(factor),
+                                     prob.grid, prob.period)
+            for p, q in _shapes(scaled):
+                got = _solve(dpa2d._Dpa2dSolver, scaled, p, q)
+                assert got == _solve(ReferenceDpa2dSolver, scaled, p, q)

@@ -5,11 +5,15 @@ import pytest
 
 from repro.core.errors import HeuristicFailure
 from repro.core.problem import ProblemInstance
+from repro.experiments import run_streamit_experiment
 from repro.heuristics import dpa2d
 from repro.heuristics.dpa2d import _Dpa2dSolver
 from repro.platform.cmp import CMPGrid
 from repro.platform.speeds import PowerModel, xscale_model
+from repro.spg.analysis import ancestor_masks, descendant_masks
 from repro.spg.build import chain, diamond, split_join
+from repro.spg.random_gen import random_spg_with_elevation
+from repro.spg.streamit import streamit_workflow
 
 
 @pytest.fixture
@@ -43,14 +47,58 @@ class TestBlocks:
     def test_out_edges_leave_block(self, solver):
         s, g = solver
         blk = s.block(1, 2)
-        for (i, j, _d) in blk.out_edges:
+        assert blk.out_pos
+        for (i, j, pos) in blk.out_pos:
+            assert g.edge_list[pos][:2] == (i, j)
             assert g.labels[i][0] <= 2 < g.labels[j][0]
 
     def test_v_edges_are_cross_row(self, solver):
-        s, _g = solver
+        s, g = solver
         blk = s.block(1, 3)
-        for (ys, yd, _d) in blk.v_edges:
+        assert blk.v_pos
+        for (ys, yd, pos) in blk.v_pos:
+            i, j, _d = g.edge_list[pos]
+            assert (g.labels[i][1], g.labels[j][1]) == (ys, yd)
             assert ys != yd
+
+
+class TestSharedBlocks:
+    def test_every_whole_level_block_is_convex(self):
+        """No stage outside levels m1..m2 sits on a path between two
+        stages inside them, which DPA2D1D's columns rely on."""
+        graphs = [streamit_workflow(i, seed=0) for i in range(1, 13)]
+        graphs += [
+            random_spg_with_elevation(n, e, np.random.default_rng(s))
+            for n, e, s in [(30, 2, 0), (50, 8, 1), (70, 16, 2), (150, 24, 3)]
+        ]
+        for g in graphs:
+            desc, anc = descendant_masks(g), ancestor_masks(g)
+            levels = g.levels()
+            for m1 in range(1, g.xmax + 1):
+                mask = below = above = 0
+                for m2 in range(m1, g.xmax + 1):
+                    for i in levels[m2]:
+                        mask |= 1 << i
+                        below |= desc[i]
+                        above |= anc[i]
+                    assert not (below & above) & ~mask
+
+    def test_des_variants_build_one_set_of_blocks(self, monkeypatch):
+        """DPA2D and DPA2D1D over DES's four CCR variants (the Figure-8
+        period search) build each block once, not once per variant."""
+        built = []
+        block_cls = dpa2d._Block
+
+        def spy(*args):
+            built.append(args[1:])
+            return block_cls(*args)
+
+        monkeypatch.setattr(dpa2d, "_Block", spy)
+        run_streamit_experiment(
+            CMPGrid(4, 4), ccrs=(None, 10.0, 1.0, 0.1), workflows=(8,),
+            heuristics=("DPA2D", "DPA2D1D"), seed=2011, jobs=1,
+        )
+        assert len(built) == len(set(built)) == 515
 
 
 def _cluster(solver, m1, m2, g1, g2):
@@ -219,22 +267,22 @@ class TestColumnResults:
 
         g = chain(4, [1e7] * 4, [1e3] * 3)
         s = _Dpa2dSolver(PI(g, grid_4x4, 1.0), 4, 4)
-        res = s.column(1, g.xmax, ())
-        assert res is not None
+        assert s.column(1, g.xmax, ()) is not None
+        dout, plan = s.assemble(1, g.xmax, ())
         placed = [
             i
-            for entry in res.plan.cores
+            for entry in plan.cores
             if entry is not None
             for i in entry[0]
         ]
         assert sorted(placed) == list(range(g.n))
-        assert res.dout == ()
+        assert dout == ()
 
     def test_dout_points_beyond_block(self, solver):
         s, g = solver
-        res = s.column(1, 2, ())
-        assert res is not None
-        for (_row, dest, _b) in res.dout:
+        assert s.column(1, 2, ()) is not None
+        dout, _plan = s.assemble(1, 2, ())
+        for (_row, dest, _b) in dout:
             assert g.labels[dest][0] > 2
 
     def test_empty_block_is_none(self, grid_4x4):
@@ -252,11 +300,12 @@ class TestColumnResults:
         prob = ProblemInstance(g, grid_4x4, 0.5)
         s = _Dpa2dSolver(prob, 4, 4)
         big = s.cap_bytes * 1.5
-        res = s.column(3, 3, ((3, g.sink, big),))
-        assert res is not None
+        din = ((3, g.sink, big),)
+        assert s.column(3, 3, din) is not None
         # The sink must have been pushed up to physical row 3.
-        assert res.plan.cores[3] is not None
-        assert res.plan.cores[0] is None
+        cores = s.assemble(3, 3, din)[1].cores
+        assert cores[3] is not None
+        assert cores[0] is None
 
     def test_conflicting_deliveries_infeasible(self, grid_4x4):
         """Two over-capacity deliveries entering at opposite rows cannot

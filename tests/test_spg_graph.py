@@ -1,7 +1,12 @@
 """Unit tests for the SPG data structure and its composition rules."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.spg.graph import SPG, parallel, series, sp_edge
 
 
@@ -215,6 +220,17 @@ class TestAccessors:
         assert nxg.number_of_nodes() == 4
         assert nxg.number_of_edges() == 4
         assert nxg.nodes[0]["x"] == 1
+
+    def test_import_does_not_load_networkx(self):
+        """Only ``to_networkx`` needs networkx, so a worker that never
+        exports a graph never pays for importing it."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = "import sys, repro; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
     def test_equality_and_hash(self, small_diamond):
         clone = SPG(

@@ -1,10 +1,11 @@
-"""Unit tests for the util helpers (bitsets, formatting, RNG)."""
+"""Unit tests for the util helpers (bitsets, formatting, RNG, version)."""
 
 import numpy as np
 import pytest
 
 from repro.util.bitset import bit, bits_of, iter_bits, mask_of, popcount
 from repro.util.fmt import format_grid, format_table
+from repro.util import version
 from repro.util.rng import as_rng, spawn_rng
 
 
@@ -90,3 +91,21 @@ class TestRng:
         a = [g.integers(0, 100) for g in spawn_rng(as_rng(5), 4)]
         b = [g.integers(0, 100) for g in spawn_rng(as_rng(5), 4)]
         assert a == b
+
+
+class TestVersion:
+    def test_metadata_is_read_once(self, monkeypatch):
+        calls = []
+
+        def lookup(name):
+            calls.append(name)
+            return "9.9"
+
+        version.repro_version.cache_clear()
+        monkeypatch.setattr(version.metadata, "version", lookup)
+        try:
+            assert version.repro_version() == "9.9"
+            assert version.repro_version() == "9.9"
+            assert calls == ["repro"]
+        finally:
+            version.repro_version.cache_clear()
