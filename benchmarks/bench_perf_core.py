@@ -12,6 +12,8 @@ It times
 * the DPA2D solver on three fixed random 50-stage instances and on the
   four CCR variants of DES, alternately with the reference solver of
   ``tests/dp_reference.py`` (see :func:`bench_dpa2d`),
+* DPA1D's streamed solve on the Figure-12 panel's widest enumerable
+  lattice, with its step table (see :func:`bench_wide_dpa1d`),
 * the full Figure-10 random 50-stage 4x4 panel (CCR = 10, benchmark
   replicate settings, seed 2011), serially and through the parallel
   experiment engine for each requested ``--jobs`` value,
@@ -194,6 +196,93 @@ def bench_dpa2d(baseline: dict, repeats: int = 3) -> dict:
     }
 
 
+def bench_wide_dpa1d(repeats: int = 3) -> dict:
+    """Time DPA1D's streamed solve on the Figure-12 panel's widest
+    enumerable lattice.
+
+    The panel's random 150-stage SPGs (seed 2011, elevations 2, 8, 16
+    and 24, two replicates each, drawn as ``run_random_experiment``
+    draws them) include one graph, ``n150_elev8_rep0``, whose 4,948
+    ideals fit DPA1D's budget and whose 885,630 transitions at T = 1 s
+    are streamed through the suffix forest.  Its DPA1D solve at T = 1 s
+    on the 1 x 16 snake is timed best of ``repeats``, each on a fresh
+    lattice, so the time includes the ideals and the step table.  The
+    step table's build (best of ``repeats``, fresh lattices with their
+    ideals enumerated) and bytes are reported on their own.
+    ``stream_dp_rows_calls`` counts the ``IdealLattice.dp_rows`` lookups
+    one pass of the stream makes once the table exists, and
+    ``prefix_rows_equal`` checks every streamed prefix row against
+    ``dp_rows`` of the prefix mask from the mask forest.
+    """
+    import numpy as np
+
+    from repro.core.kernels import suffix_forest
+    from repro.core.partition import IdealLattice
+    from repro.core.problem import ProblemInstance
+    from repro.heuristics.dpa1d import _UnilineDP
+    from repro.platform.cmp import CMPGrid
+    from repro.spg.random_gen import random_spg_with_elevation
+    from repro.util.rng import as_rng
+
+    rng = as_rng(2011)
+    graphs = {}
+    for elev in (2, 8, 16, 24):
+        for rep in range(2):
+            graphs[f"n150_elev{elev}_rep{rep}"] = random_spg_with_elevation(
+                150, elev, rng=rng, ccr=10.0
+            )
+            rng.integers(0, 2**63 - 1)  # the instance's heuristic seed
+    spg = graphs["n150_elev8_rep0"]
+    prob = ProblemInstance(spg, CMPGrid(4, 4), 1.0)
+    solve_samples, build_samples = [], []
+    for _ in range(repeats):
+        dp = _UnilineDP(prob, 16, 120_000)
+        dp.lat = IdealLattice(spg, 120_000)
+        t0 = time.perf_counter()
+        energy, k_best = dp.solve(1_000_000)
+        solve_samples.append(time.perf_counter() - t0)
+        lat = IdealLattice(spg, 120_000)
+        lat.ideal_words()
+        t0 = time.perf_counter()
+        step = lat.step_table()
+        build_samples.append(time.perf_counter() - t0)
+
+    calls = 0
+    dp_rows = lat.dp_rows
+
+    def counted(masks):
+        nonlocal calls
+        calls += 1
+        return dp_rows(masks)
+
+    lat.dp_rows = counted
+    transitions = sum(int(counts.sum()) for _lo, _hi, counts, _p, _w
+                      in lat.suffix_stream(dp.cap_work, 1_000_000))
+    lat.dp_rows = dp_rows
+    words = lat.ideal_words()
+    equal = True
+    for lo, hi, counts, pidx, _w in lat.suffix_stream(dp.cap_work,
+                                                       1_000_000):
+        M, _W, _c = suffix_forest(lat, words[:, lo:hi], dp.cap_work)
+        want = lat.dp_rows(np.repeat(words[:, lo:hi], counts, axis=1) ^ M)
+        equal = equal and np.array_equal(pidx, want)
+    return {
+        "instance": "fig12 panel n150_elev8_rep0 (random_spg_with_elevation"
+                    ", seed 2011), DPA1D at T = 1 s on the 1 x 16 snake",
+        "ideals": int(words.shape[1]),
+        "transitions": transitions,
+        "repeats": repeats,
+        "seconds": min(solve_samples),
+        "samples": solve_samples,
+        "energy": repr(energy),
+        "clusters": k_best,
+        "step_table_seconds": min(build_samples),
+        "step_table_bytes": int(step.nbytes),
+        "stream_dp_rows_calls": calls,
+        "prefix_rows_equal": bool(equal),
+    }
+
+
 def run_fig10_panel(jobs: int):
     from repro.experiments import run_random_experiment
     from repro.platform.cmp import CMPGrid
@@ -326,6 +415,7 @@ def main(argv=None) -> int:
         ),
         "eval_core": bench_eval_core(baseline["eval_core"]),
         "dpa2d": bench_dpa2d(baseline["dpa2d"], repeats=args.repeats),
+        "wide_dpa1d": bench_wide_dpa1d(repeats=args.repeats),
         "fig10_panel": bench_fig10(
             baseline["fig10_panel"], args.jobs, repeats=args.repeats
         ),
@@ -334,6 +424,7 @@ def main(argv=None) -> int:
     ok = (
         results["eval_core"]["outputs_equal"]
         and results["dpa2d"]["outputs_equal"]
+        and results["wide_dpa1d"]["prefix_rows_equal"]
         and results["fig10_panel"]["outputs_equal"]
         and results["obs_overhead"]["outputs_equal"]
     )

@@ -9,9 +9,10 @@ with ``words = ceil(n / 64)``, so it serves graphs of any width:
 
 * **n > 62.** :class:`~repro.core.partition.IdealLattice` calls the
   forest directly: DPA1D streams the lattice through it in chunks of
-  ideals (:meth:`~repro.core.partition.IdealLattice.suffix_stream`) and
-  the DP reconstruction runs it on one ideal at a time.  Wide graphs
-  never reach the kernel registry.
+  ideals (:meth:`~repro.core.partition.IdealLattice.suffix_stream`),
+  carrying lattice rows down the lattice's step table instead of masks,
+  and the DP reconstruction runs it on one ideal at a time.  Wide
+  graphs never reach the kernel registry.
 * **n <= 62.** The lattice builds one flat suffix table per lattice by
   handing a kernel whole chunks of ideals
   (:meth:`EnumerationKernel.enumerate_bulk`, the only kernel entry
@@ -332,6 +333,7 @@ def _forest_state(lat):
 def suffix_forest(
     lat, roots, max_weight: float,
     node_budget: int | None = None, budget_msg: str | None = None,
+    root_rows=None,
 ):
     """Suffix clusters of many ideals at once, as one DFS forest.
 
@@ -346,6 +348,16 @@ def suffix_forest(
     order.  When the cumulative cluster count exceeds ``node_budget``
     the call raises :class:`BudgetExceeded` with ``budget_msg``, exactly
     when the reference loop would.
+
+    ``root_rows``, when given, holds the roots' indices in
+    ``lat.ideals()``.  The forest then carries each node's remainder
+    row instead of its cluster and remainder masks, and returns in
+    place of ``M`` the ``intp`` row of every cluster's prefix (the root
+    minus the cluster), in the same order.  A child's row is one read
+    of the lattice's step table (:meth:`IdealLattice.step_table`),
+    ``step[parent_row, stage]``, and a predecessor of the stage is
+    freshly removable exactly when its own entry in the child's row is
+    set, so this mode touches no mask word past the roots.
 
     Every DFS node at depth d is a (mask, work, candidate-list) state;
     the forest keeps one flat batch per depth -- clusters and their
@@ -389,11 +401,18 @@ def suffix_forest(
         free &= (roots[k][:, None] & sm[k]) == 0
     root_of, cand_flat = np.nonzero(inside & free)
     cand_counts = np.bincount(root_of, minlength=n_roots)
-    # Each node carries its cluster and its remainder (ideal \ cluster).
-    masks = np.zeros((words, n_roots), np.uint64)
-    rems = roots
+    # Each node carries its cluster and its remainder (ideal \ cluster),
+    # or only the remainder's lattice row.
+    by_row = root_rows is not None
+    if by_row:
+        n = stage_bits.shape[1]
+        step = lat.step_table().ravel()
+        rows = np.asarray(root_rows, np.intp)
+    else:
+        masks = np.zeros((words, n_roots), np.uint64)
+        rems = roots
     works = np.zeros(n_roots, np.float64)
-    layer_masks: list = []
+    layer_out: list = []
     layer_works: list = []
     layer_par: list = []
     total = 0
@@ -418,10 +437,14 @@ def suffix_forest(
         total += n_child
         if node_budget is not None and total > node_budget:
             raise BudgetExceeded(budget_msg)
-        sb = stage_bits.take(ci, axis=1)
-        cmask = masks.take(cpar, axis=1) | sb
-        crem = rems.take(cpar, axis=1) ^ sb
-        layer_masks.append(cmask)
+        if by_row:
+            crow = step.take(rows.take(cpar) * n + ci).astype(np.intp)
+            layer_out.append(crow)
+        else:
+            sb = stage_bits.take(ci, axis=1)
+            cmask = masks.take(cpar, axis=1) | sb
+            crem = rems.take(cpar, axis=1) ^ sb
+            layer_out.append(cmask)
         layer_works.append(cwork)
         layer_par.append(cpar)
         # Fresh stages: every (child, predecessor of its stage) pair.
@@ -430,9 +453,12 @@ def suffix_forest(
         pair_child = np.arange(n_child, dtype=np.intp).repeat(deg)
         p = pred_idx.take((pred_start.take(ci) - pstart).repeat(deg)
                           + np.arange(pair_child.size, dtype=np.intp))
-        fresh = np.ones(pair_child.size, bool)
-        for k in range(words):
-            fresh &= (sm[k].take(p) & crem[k].take(pair_child)) == 0
+        if by_row:
+            fresh = step.take(crow.take(pair_child) * n + p) >= 0
+        else:
+            fresh = np.ones(pair_child.size, bool)
+            for k in range(words):
+                fresh &= (sm[k].take(p) & crem[k].take(pair_child)) == 0
         fchild = pair_child.compress(fresh)
         fresh_counts = np.bincount(fchild, minlength=n_child)
         # Parent-tail candidates surviving for each child.
@@ -456,12 +482,17 @@ def suffix_forest(
             new_flat[
                 (new_start + tail_counts - fstart).repeat(fresh_counts) + k
             ] = p.compress(fresh)
-        masks, rems, works = cmask, crem, cwork
+        if by_row:
+            rows = crow
+        else:
+            masks, rems = cmask, crem
+        works = cwork
         cand_flat, cand_counts = new_flat, new_counts
 
     if total == 0:
         return (
-            np.empty((words, 0), np.uint64),
+            np.empty(0, np.intp) if by_row
+            else np.empty((words, 0), np.uint64),
             np.empty(0, np.float64),
             np.zeros(n_roots, np.intp),
         )
@@ -484,7 +515,8 @@ def suffix_forest(
     # starting value.  Virtual roots sit one slot before their tree's
     # output range.
     pos_parent = root_totals.cumsum() - root_totals - 1
-    out_m = np.empty((words, total), np.uint64)
+    out_m = (np.empty(total, np.intp) if by_row
+             else np.empty((words, total), np.uint64))
     out_w = np.empty(total, np.float64)
     n_prev = n_roots
     for d in range(depth):
@@ -498,8 +530,11 @@ def suffix_forest(
         group_start = np.zeros(n_prev, np.intp)
         group_start[par.take(fidx)] = cs.take(fidx)
         pos_d = pos_parent.take(par) + 1 + (cs - group_start.take(par))
-        for k in range(words):
-            out_m[k][pos_d] = layer_masks[d][k]
+        if by_row:
+            out_m[pos_d] = layer_out[d]
+        else:
+            for k in range(words):
+                out_m[k][pos_d] = layer_out[d][k]
         out_w[pos_d] = layer_works[d]
         pos_parent = pos_d
         n_prev = layer_works[d].size

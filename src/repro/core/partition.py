@@ -23,6 +23,7 @@ from typing import NoReturn
 from repro.core.errors import BudgetExceeded
 from repro.core.kernels import (
     EnumerationKernel,
+    _forest_state,
     resolve_kernel,
     suffix_forest,
 )
@@ -116,7 +117,10 @@ class IdealLattice:
     to a breadth-first search over Python-int masks.
 
     Everything the lattice holds -- the ideals, their sorted values,
-    the suffix table, the row keys and the forest scratch -- depends on
+    the suffix table, the row keys and the forest scratch with the step
+    table (:meth:`step_table`, ``N * n * 4`` bytes, the one
+    whole-lattice array of a streamed wide solve: about 3 MB for a
+    4,948-ideal, 150-stage lattice) -- depends on
     the graph's stages, edges and weights only, never on the edge
     volumes: it reads no ``edges``, ``edge_list``, ``comm`` or
     ``total_comm`` from ``spg``.  So one lattice serves every graph that
@@ -360,6 +364,41 @@ class IdealLattice:
         sorted_keys, order = self._row_keys
         return order[np.searchsorted(sorted_keys, _void_keys(masks))]
 
+    def step_table(self):
+        """``step[row, i]``, an ``(N, n)`` ``int32`` array: the
+        :meth:`ideals` index of ``ideals()[row]`` minus stage ``i`` when
+        ``i`` is maximal in that ideal (in it, with no successor in it),
+        and -1 otherwise.
+
+        Removing a maximal stage from an ideal leaves an ideal, so every
+        set entry is a lattice row; the table is every such row, found
+        by one :meth:`dp_rows` lookup over all (ideal, maximal stage)
+        pairs.  It is built once per lattice and kept in
+        ``_kernel_scratch``, so the periods and CCR variants sharing the
+        lattice share it too.  It holds ``N * n * 4`` bytes: about 3 MB
+        for a 4,948-ideal lattice of 150 stages.  The streamed DP's
+        forest walks it from each root's row to read every prefix row
+        (see :func:`~repro.core.kernels.suffix_forest`).
+        """
+        step = self._kernel_scratch.get("step")
+        if step is None:
+            import numpy as np
+
+            words = self.ideal_words()
+            _w, sm, stage_bits = _forest_state(self)[:3]
+            inside = np.zeros((words.shape[1], self.spg.n), bool)
+            free = np.ones_like(inside)
+            for k in range(words.shape[0]):
+                inside |= (words[k][:, None] & stage_bits[k]) != 0
+                free &= (words[k][:, None] & sm[k]) == 0
+            row, stage = np.nonzero(inside & free)
+            step = np.full(inside.shape, -1, np.int32)
+            step[row, stage] = self.dp_rows(
+                words.take(row, axis=1) ^ stage_bits.take(stage, axis=1)
+            )
+            self._kernel_scratch["step"] = step
+        return step
+
     def sorted_values(self):
         """Every ideal bitmask as a sorted ``uint64`` array: the DP's
         vectorised row lookups run ``np.searchsorted`` against it.
@@ -537,14 +576,17 @@ class IdealLattice:
         ``[lo, hi)`` of :meth:`ideals` (``lo`` starts at 1, past the
         empty ideal): ``counts[k]`` transitions of ideal ``lo + k``,
         their works ``W`` and the :meth:`ideals` index ``pidx`` of each
-        transition's prefix ``ideal ^ mask``, found by an exact key
-        lookup (:meth:`dp_rows`).  Each range is one
+        transition's prefix ``ideal ^ mask``.  Each range is one
         :func:`~repro.core.kernels.suffix_forest` run, for a graph of any
-        width; the first holds one ideal, and each later one as many as
-        the previous range's clusters per ideal predict to make about
-        :data:`STREAM_TRANSITIONS` transitions (at most
-        :data:`TABLE_CHUNK`).  Nothing of a range is kept once the
-        caller moves on, so no whole-lattice table is ever materialised.
+        width, that carries each node's remainder row down the
+        :meth:`step_table`, so ``pidx`` is read off the forest and no
+        cluster mask is assembled.  The first range holds one ideal, and
+        each later one as many as the previous range's clusters per
+        ideal predict to make about :data:`STREAM_TRANSITIONS`
+        transitions (at most :data:`TABLE_CHUNK`).  Nothing of a range
+        is kept once the caller moves on, so the only whole-lattice
+        array is the step table (``N * n * 4`` bytes, about 3 MB on a
+        fig12 lattice of 4,948 ideals and 150 stages).
 
         The call itself, before it returns the stream, checks the ideal
         budget and then the SP-tree transition bound
@@ -555,7 +597,8 @@ class IdealLattice:
         enumerating the rest, with the same message.
 
         Each range's enumeration runs in a ``partition.suffix`` trace
-        span, the kind the lattice's table methods are timed under.
+        span, the kind the lattice's table methods are timed under; the
+        first range's span also builds the step table.
         """
         self._check_transition_bound(max_weight, transition_budget)
         return self._stream(max_weight, transition_budget)
@@ -571,13 +614,12 @@ class IdealLattice:
         while lo < words.shape[1]:
             hi = min(lo + size, words.shape[1])
             with trace_span("partition.suffix"):
-                roots = words[:, lo:hi]
-                M, W, counts = suffix_forest(
-                    self, roots, max_weight,
+                pidx, W, counts = suffix_forest(
+                    self, words[:, lo:hi], max_weight,
                     transition_budget - transitions, budget_msg,
+                    root_rows=np.arange(lo, hi),
                 )
                 transitions += W.size
-                pidx = self.dp_rows(np.repeat(roots, counts, axis=1) ^ M)
             inc("kernel.enumerations", hi - lo)
             yield lo, hi, counts, pidx, W
             # Size the next range from this one's clusters per ideal.

@@ -124,8 +124,9 @@ class _UnilineDP:
         come from one of two sources: slices of the lattice's flat
         suffix table for word-sized graphs (n <= 62), or the lattice's
         suffix stream for wider graphs, which runs the multi-word suffix
-        forest over chunks of ideals and looks prefix rows up by exact
-        key; both enumerate in bulk and never one ideal at a time.
+        forest over chunks of ideals and reads each prefix row off the
+        lattice's step table; both enumerate in bulk and never one ideal
+        at a time.
 
         The source is asked for first: it checks the ideal budget and
         then the SP-tree transition bound before enumerating the ideals,

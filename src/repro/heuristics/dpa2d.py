@@ -391,21 +391,23 @@ class _Dpa2dSolver:
                         if tot < cur[g]:
                             cur[g], cur_par[g] = tot, g2
 
-        def tail_cost(u: int) -> float:
-            """Vertical hops above the last used core (entry rows >= u)."""
-            cost = 0.0
-            for w in range(u, p):
-                t = sum(b for a, _yd, b in deliveries if a >= w)
-                if t > cap_bytes:
-                    return INF
-                cost += comm_energy(t)
-            return cost
-
+        # Vertical hops above the last used core u: the link into core w
+        # (w >= u) carries the deliveries entering at rows >= w.  Each
+        # link is priced once (INF past the bandwidth), and a tail adds
+        # its links upward from u, in the order a per-u sum would.
+        ends = [u for u in range(1, p + 1) if E[u][gmax] != INF]
+        if not ends:
+            return None
+        hops = []
+        for w in range(ends[0], p):
+            t = sum(b for a, _yd, b in deliveries if a >= w)
+            hops.append(INF if t > cap_bytes else comm_energy(t))
         best_u, best_e = -1, INF
-        for u in range(1, p + 1):
-            if E[u][gmax] == INF:
-                continue
-            e = E[u][gmax] + tail_cost(u)
+        for u in ends:
+            tail = 0.0
+            for hop in hops[u - ends[0]:]:
+                tail += hop
+            e = E[u][gmax] + tail
             if e < best_e:
                 best_u, best_e = u, e
         if best_u < 0:

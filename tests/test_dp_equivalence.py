@@ -123,9 +123,9 @@ class TestWideDpa1d:
         calls: list = []
         forest = partition.suffix_forest
 
-        def spy(lat, roots, *args):
+        def spy(lat, roots, *args, **kwargs):
             try:
-                out = forest(lat, roots, *args)
+                out = forest(lat, roots, *args, **kwargs)
             except BudgetExceeded:
                 calls.append((roots.shape[1], None))
                 raise

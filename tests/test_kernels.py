@@ -430,6 +430,59 @@ class TestSuffixForest:
                 pass
 
 
+def assert_step_rows(lat, cap):
+    """Every step-table entry, and every streamed prefix row, is the
+    :meth:`IdealLattice.dp_rows` row of the remainder it names."""
+    ideals = lat.ideals()
+    words = lat.ideal_words()
+    n = lat.spg.n
+    step = lat.step_table()
+    assert step.dtype == np.int32 and step.shape == (len(ideals), n)
+    assert lat.step_table() is step
+    index = {m: k for k, m in enumerate(ideals)}
+    succ = lat._succ_mask
+    want = np.full(step.shape, -1, np.int32)
+    for row, ideal in enumerate(ideals):
+        for i in range(n):
+            if ideal >> i & 1 and not succ[i] & ideal:
+                want[row, i] = index[ideal ^ (1 << i)]
+    assert step.tobytes() == want.tobytes()
+    rows, stages = np.nonzero(step >= 0)
+    bits = split_words([1 << i for i in range(n)], words.shape[0])
+    assert lat.dp_rows(
+        words.take(rows, axis=1) ^ bits.take(stages, axis=1)
+    ).tolist() == step[rows, stages].tolist()
+    # The stream reads its prefix rows off the table; the mask forest
+    # and dp_rows give the same rows.
+    M, W, counts = suffix_forest(lat, words[:, 1:], cap)
+    prefix = lat.dp_rows(np.repeat(words[:, 1:], counts, axis=1) ^ M)
+    chunks = list(lat.suffix_stream(cap, 10**9))
+    assert np.concatenate([c[3] for c in chunks]).tolist() == prefix.tolist()
+    assert np.concatenate([c[4] for c in chunks]).tobytes() == W.tobytes()
+
+
+class TestStepTable:
+    def test_serpent(self, monkeypatch):
+        monkeypatch.setattr(partition, "STREAM_TRANSITIONS", 50)
+        spg = streamit_workflow(11)
+        assert spg.n == 120
+        lat = IdealLattice(spg, budget=120_000)
+        assert_step_rows(lat, sum(spg.weights) * 0.2)
+
+    @given(
+        n=st.integers(70, 150),
+        elevation=st.integers(2, 4),
+        seed=st.integers(0, 10_000),
+        cap_frac=st.sampled_from([0.02, 0.06]),
+    )
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_random_wide_graphs(self, n, elevation, seed, cap_frac):
+        lat = wide_lattice(n, elevation, seed)
+        assume(lat is not None)
+        assert_step_rows(lat, sum(lat.spg.weights) * cap_frac)
+
+
 # ---------------------------------------------------------------------------
 # One keep-loosest suffix table per lattice
 # ---------------------------------------------------------------------------

@@ -126,6 +126,24 @@ class TestGeneratorEquivalence:
             )
             assert rng.random() == eager_rng.random()
 
+    def test_mt19937_draws_through_numpy(self):
+        """A generator on another bit generator than PCG64 draws every
+        tree through numpy: the same graphs, the same stream after."""
+        def make():
+            return np.random.Generator(np.random.MT19937(2011))
+
+        eager_rng, rng = make(), make()
+        for n, elevation in ((50, 8), (150, 16)):
+            _assert_identical(
+                random_spg_with_elevation(n, elevation, rng=rng, ccr=10.0),
+                eager_random_spg_with_elevation(
+                    n, elevation, eager_rng, ccr=10.0
+                ),
+            )
+        _assert_identical(random_spg(40, rng=rng),
+                          eager_random_spg(40, eager_rng))
+        assert rng.random() == eager_rng.random()
+
     @pytest.mark.parametrize("n,elevation,max_tries", [
         (6, 24, 200),   # unreachable: every try fails, closest kept
         (50, 24, 3),    # reachable, but not always within three tries
