@@ -330,6 +330,21 @@ def _forest_state(lat):
     return st
 
 
+def _maximal_stages(lat, ideals):
+    """``(R, n)`` bool array: ``[k, i]`` is set when stage ``i`` is
+    maximal in ideal ``k`` of the ``(words, R)`` array ``ideals`` (in
+    it, with no successor in it)."""
+    import numpy as np
+
+    words, sm, stage_bits = _forest_state(lat)[:3]
+    inside = np.zeros((ideals.shape[1], stage_bits.shape[1]), bool)
+    free = np.ones_like(inside)
+    for k in range(words):
+        inside |= (ideals[k][:, None] & stage_bits[k]) != 0
+        free &= (ideals[k][:, None] & sm[k]) == 0
+    return inside & free
+
+
 def suffix_forest(
     lat, roots, max_weight: float,
     node_budget: int | None = None, budget_msg: str | None = None,
@@ -394,12 +409,7 @@ def suffix_forest(
     cap = float(max_weight)
     n_roots = roots.shape[1]
     # Root candidates: the ideal's successor-free stages, ascending.
-    inside = np.zeros((n_roots, stage_bits.shape[1]), bool)
-    free = np.ones_like(inside)
-    for k in range(words):
-        inside |= (roots[k][:, None] & stage_bits[k]) != 0
-        free &= (roots[k][:, None] & sm[k]) == 0
-    root_of, cand_flat = np.nonzero(inside & free)
+    root_of, cand_flat = np.nonzero(_maximal_stages(lat, roots))
     cand_counts = np.bincount(root_of, minlength=n_roots)
     # Each node carries its cluster and its remainder (ideal \ cluster),
     # or only the remainder's lattice row.

@@ -24,6 +24,7 @@ from repro.core.errors import BudgetExceeded
 from repro.core.kernels import (
     EnumerationKernel,
     _forest_state,
+    _maximal_stages,
     resolve_kernel,
     suffix_forest,
 )
@@ -385,14 +386,9 @@ class IdealLattice:
             import numpy as np
 
             words = self.ideal_words()
-            _w, sm, stage_bits = _forest_state(self)[:3]
-            inside = np.zeros((words.shape[1], self.spg.n), bool)
-            free = np.ones_like(inside)
-            for k in range(words.shape[0]):
-                inside |= (words[k][:, None] & stage_bits[k]) != 0
-                free &= (words[k][:, None] & sm[k]) == 0
-            row, stage = np.nonzero(inside & free)
-            step = np.full(inside.shape, -1, np.int32)
+            stage_bits = _forest_state(self)[2]
+            row, stage = np.nonzero(_maximal_stages(self, words))
+            step = np.full((words.shape[1], self.spg.n), -1, np.int32)
             step[row, stage] = self.dp_rows(
                 words.take(row, axis=1) ^ stage_bits.take(stage, axis=1)
             )
