@@ -7,21 +7,21 @@ Subcommands
     List the synthesised StreamIt suite with its Table-1 characteristics.
 ``platform``
     List the registered platform topologies, or describe one.
-``map``
-    Map one workflow (or a random SPG) onto a CMP with one heuristic and
-    print the mapping, energy breakdown and link utilisation.
 ``solvers``
     List the unified solver registry, or describe one solver / spec
     (``repro solvers describe dpa2d1d+refine``).
 ``solve``
-    Run any registered solver or composite spec on one workflow:
-    ``repro solve --solver dpa2d1d+refine``, ``--solver portfolio``,
+    Map one workflow (or a random SPG) onto a CMP with any registered
+    solver or composite spec and print the mapping, energy breakdown,
+    latency and link utilisation: ``repro solve --solver
+    dpa2d1d+refine``, ``--solver greedy+refine-general`` (general
+    mappings, Section-7 future work), ``--solver portfolio``,
     ``--solver 'greedy|dpa1d'`` (quote ``|`` from the shell).
 ``compare``
     Run all five heuristics on one workflow at the Section-6.1.3 period
     and print the normalised comparison.
 ``experiment``
-    Re-run one of the paper's experiments (fig8/fig9/table2 subsets) and
+    Re-run one of the paper's StreamIt experiments (fig8/fig9) and
     print/export the tables.
 ``sweep``
     Fan a {topology, size, CCR, app} cross-product over the parallel
@@ -68,8 +68,8 @@ Subcommands
     ``BENCH_history.jsonl`` entry (exit 1 on regression); ``history``
     prints the recorded speedup trajectory.
 
-``map``, ``solve``, ``compare``, ``experiment``, ``sweep`` and ``serve``
-accept the observability flags (``repro/obs/``): ``--trace PATH``
+``solve``, ``compare``, ``experiment``, ``sweep`` and ``serve`` accept
+the observability flags (``repro/obs/``): ``--trace PATH``
 records a hierarchical span trace to a JSONL file (also armed by the
 ``REPRO_TRACE`` environment variable), ``--metrics`` prints the session
 metric aggregates after the command, and ``--profile DIR`` dumps
@@ -77,9 +77,10 @@ per-process ``cProfile`` files (workers included).  Telemetry is
 strictly out-of-band: reports and stored results are byte-identical
 with or without it.
 
-``map``, ``solve``, ``compare``, ``experiment`` and ``sweep`` accept
-``--topology`` (default ``mesh``, the paper's platform); ``repro
-platform list`` shows the alternatives.  The same six commands accept
+``solve``, ``compare`` and ``experiment`` accept ``--topology``
+(default ``mesh``, the paper's platform; ``sweep`` takes
+``--topologies``); ``repro platform list`` shows the alternatives.
+``solve``, ``compare``, ``experiment``, ``sweep`` and ``serve`` accept
 ``--kernel`` selecting the suffix-cluster enumeration kernel
 (``repro/core/kernels.py``; also via ``REPRO_KERNEL``) — a pure speed
 knob, byte-identical outputs under every kernel.  ``repro --version``
@@ -94,7 +95,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.core.evaluate import energy, latency
+from repro.core.evaluate import latency
 from repro.core.kernels import kernel_names
 from repro.core.problem import ProblemInstance
 from repro.core.visualize import (
@@ -213,25 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "6.1.3 procedure)")
         p.add_argument("--seed", type=int, default=0)
 
-    p_map = sub.add_parser("map", help="map one application")
-    add_instance_args(p_map)
-    p_map.add_argument(
-        "--heuristic", "-H", choices=PAPER_ORDER, default="Greedy"
-    )
-    p_map.add_argument("--refine", action="store_true",
-                       help="refine the result with delta-evaluated "
-                            "local search")
-    p_map.add_argument("--refine-schedule", choices=["first", "best",
-                                                     "anneal"],
-                       default="first",
-                       help="refinement acceptance schedule (default "
-                            "first-improvement)")
-    p_map.add_argument("--refine-sweeps", type=int, default=4,
-                       help="refinement sweep budget (default 4)")
-    p_map.add_argument("--refine-general", action="store_true",
-                       help="admit general (non-DAG-partition) mappings "
-                            "during refinement (Section-7 future work)")
-
     p_sv = sub.add_parser(
         "solvers", help="list or describe the registered solvers"
     )
@@ -240,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="solver name or composite spec to describe")
 
     p_solve = sub.add_parser(
-        "solve", help="run one solver (or pipeline/portfolio spec)"
+        "solve", help="map one application with a solver, pipeline or "
+                      "portfolio spec"
     )
     add_instance_args(p_solve)
     p_solve.add_argument(
@@ -330,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "a sweep's task:IDX names a group of cells sharing a graph",
         )
 
-    for p in (p_map, p_solve, p_cmp, p_exp):
+    for p in (p_solve, p_cmp, p_exp):
         add_obs_args(p)
 
     p_sw = sub.add_parser(
@@ -552,49 +535,6 @@ def cmd_platform(args, out) -> int:
     return 0
 
 
-def cmd_map(args, out) -> int:
-    label, app = _load_app(args)
-    grid = get_topology(args.topology, *args.grid)
-    T = args.period
-    if T is None:
-        T = choose_period(app, grid, rng=args.seed).period
-        print(f"period (Section 6.1.3): T = {T:g} s", file=out)
-    prob = ProblemInstance(app, grid, T)
-    res = run(args.heuristic, prob, rng=args.seed)
-    if not res.ok:
-        print(f"{args.heuristic} FAILED on {label}: {res.failure}", file=out)
-        return 1
-    mapping = res.mapping
-    if args.refine:
-        from repro.heuristics.refine import refine_mapping
-
-        before = res.energy.total
-        mapping = refine_mapping(
-            prob, mapping, rng=args.seed, sweeps=args.refine_sweeps,
-            schedule=args.refine_schedule,
-            allow_general=args.refine_general,
-        )
-        b = energy(mapping, T)
-        print(
-            f"refined ({args.refine_schedule}): {before:.4f} -> "
-            f"{b.total:.4f} J/period "
-            f"({100.0 * (1.0 - b.total / before):.2f}% saved)",
-            file=out,
-        )
-    else:
-        b = energy(mapping, T)
-    print(summarize(mapping, T), file=out)
-    print(
-        f"energy: {b.total:.4f} J/period "
-        f"(comp {b.comp:.4f} + comm {b.comm:.4g}); "
-        f"latency {latency(mapping):.4g} s",
-        file=out,
-    )
-    print(render_mapping(mapping, T), file=out)
-    print(render_link_utilisation(mapping, T), file=out)
-    return 0
-
-
 def cmd_solvers(args, out) -> int:
     if args.action == "list":
         rows = [
@@ -675,6 +615,7 @@ def cmd_solve(args, out) -> int:
         file=out,
     )
     print(render_mapping(res.mapping, T), file=out)
+    print(render_link_utilisation(res.mapping, T), file=out)
     return 0
 
 
@@ -1015,9 +956,9 @@ def main(argv=None, out=sys.stdout) -> int:
         return 141
 
 
-#: Commands that accept --trace/--metrics/--profile.
+#: Commands that accept --trace/--metrics/--profile (and --kernel).
 _OBS_COMMANDS = frozenset(
-    {"map", "solve", "compare", "experiment", "sweep", "serve"}
+    {"solve", "compare", "experiment", "sweep", "serve"}
 )
 
 
@@ -1031,10 +972,10 @@ def _dispatch(args, out) -> int:
     cProfile files.  With none of them the command runs exactly as
     before — no session is installed and every hook is a no-op.
 
-    ``--kernel`` (where accepted) scopes the process-default enumeration
-    kernel around the whole command — pool workers inherit it through
-    ``REPRO_KERNEL`` — without touching outputs, which are byte-identical
-    under every kernel.
+    ``--kernel`` (on the same five commands) scopes the process-default
+    enumeration kernel around the whole command — pool workers inherit
+    it through ``REPRO_KERNEL`` — without touching outputs, which are
+    byte-identical under every kernel.
     """
     kernel = getattr(args, "kernel", None)
     if kernel is not None:
@@ -1070,8 +1011,6 @@ def _run_command(args, out) -> int:
         return cmd_workflows(args, out)
     if args.command == "platform":
         return cmd_platform(args, out)
-    if args.command == "map":
-        return cmd_map(args, out)
     if args.command == "solvers":
         return cmd_solvers(args, out)
     if args.command == "solve":

@@ -74,11 +74,10 @@ def max_cycle_time(mapping: Mapping) -> float:
 PERIOD_RTOL = 1e-9
 
 
-def is_period_feasible(
-    mapping: Mapping, period: float, rtol: float = PERIOD_RTOL
-) -> bool:
-    """True iff no resource's cycle-time exceeds ``period``."""
-    return max_cycle_time(mapping) <= period * (1.0 + rtol)
+def is_period_feasible(mapping: Mapping, period: float) -> bool:
+    """True iff no resource's cycle-time exceeds ``period`` (widened by
+    :data:`PERIOD_RTOL`)."""
+    return max_cycle_time(mapping) <= period * (1.0 + PERIOD_RTOL)
 
 
 def period_out_of_reach(spg: SPG, grid: Topology, period: float) -> bool:

@@ -584,13 +584,11 @@ def _run_pool(
 # ----------------------------------------------------------------------
 def random_panel_task(task) -> PeriodChoice:
     """Worker for one random-SPG replicate: ``(spg, grid, heuristics,
-    seed, options)`` — the SPG was generated (and the seed pre-drawn) by
-    the parent so the shared RNG stream is consumed in serial order."""
-    spg, grid, heuristics, seed, options = task
+    seed)`` — the SPG was generated (and the seed pre-drawn) by the
+    parent so the shared RNG stream is consumed in serial order."""
+    spg, grid, heuristics, seed = task
     try:
-        return choose_period(
-            spg, grid, heuristics, seed=seed, options=options
-        )
+        return choose_period(spg, grid, heuristics, seed=seed)
     finally:
         # Experiment records keep the SPG alive for the whole sweep; drop
         # the instance's DP scratch state (ideal lattice, suffix table)
@@ -601,8 +599,8 @@ def random_panel_task(task) -> PeriodChoice:
 
 def streamit_task(task) -> list[PeriodChoice]:
     """Worker for one workflow at several CCRs: ``(idx, ccrs, wf_seed,
-    grid, heuristics, seeds, options)``, one pre-drawn heuristic seed per
-    CCR, returning one :class:`PeriodChoice` per CCR in ``ccrs`` order.
+    grid, heuristics, seeds)``, one pre-drawn heuristic seed per CCR,
+    returning one :class:`PeriodChoice` per CCR in ``ccrs`` order.
 
     The workflow is synthesised in the worker (it only depends on the
     integer ``wf_seed``).  Its CCR variants differ only in their edge
@@ -612,12 +610,12 @@ def streamit_task(task) -> list[PeriodChoice]:
     """
     from repro.spg.streamit import streamit_variants
 
-    idx, ccrs, wf_seed, grid, heuristics, seeds, options = task
+    idx, ccrs, wf_seed, grid, heuristics, seeds = task
     with trace_span("spg.generate"):
         spgs = streamit_variants(idx, ccrs, seed=wf_seed)
     try:
         return [
-            choose_period(spg, grid, heuristics, seed=seed, options=options)
+            choose_period(spg, grid, heuristics, seed=seed)
             for spg, seed in zip(spgs, seeds)
         ]
     finally:

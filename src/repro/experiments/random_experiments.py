@@ -89,8 +89,6 @@ def run_random_experiment(
     elevations=DEFAULT_ELEVATIONS,
     replicates: int = 10,
     seed: int = 0,
-    heuristics=PAPER_ORDER,
-    options: dict | None = None,
     jobs: int | None = 1,
     solvers=None,
 ) -> RandomExperiment:
@@ -104,16 +102,16 @@ def run_random_experiment(
     seeds are generated serially in the parent first, so the results are
     bit-identical for every ``jobs`` value.
 
-    ``solvers``, when given, replaces the ``heuristics`` axis with
-    arbitrary solver specs (``"dpa2d1d+refine"``, ``"portfolio"``, ...)
-    from the unified registry — the comparison columns become those
-    specs.  A refined column is a pipeline spec: ``"<H>+refine"``
-    post-refines every successful ``H`` mapping with the delta-evaluated
-    local search (``+refine-best``/``+refine-anneal`` pick other
-    acceptance rules).
+    ``solvers`` names the comparison columns: the five paper heuristics
+    by default, or any solver specs from the unified registry
+    (``"dpa2d1d+refine"``, ``"portfolio"``, ...).  A refined column is
+    a pipeline spec: ``"<H>+refine"`` post-refines every successful
+    ``H`` mapping with the delta-evaluated local search
+    (``+refine-best``/``+refine-anneal``/``+refine-general`` pick other
+    acceptance rules or admit general mappings).
     """
     rng = as_rng(seed)
-    heuristics = tuple(solvers) if solvers else tuple(heuristics)
+    heuristics = tuple(solvers or PAPER_ORDER)
     labels: list[tuple[int, str]] = []
     tasks = []
     for elev in elevations:
@@ -126,7 +124,7 @@ def run_random_experiment(
             spg = random_spg_with_elevation(n, elev, rng=rng, ccr=ccr)
             hseed = int(rng.integers(0, 2**63 - 1))
             labels.append((elev, f"n{n}/elev{elev}/rep{rep}"))
-            tasks.append((spg, grid, heuristics, hseed, options))
+            tasks.append((spg, grid, heuristics, hseed))
     choices = run_tasks(random_panel_task, tasks, jobs=jobs)
     records: dict[int, list[InstanceRecord]] = {}
     for (elev, label), choice in zip(labels, choices):

@@ -168,19 +168,17 @@ def parse_shard(spec: "str | tuple[int, int] | None") -> tuple[int, int] | None:
 
 
 def sweep_group_task(cells) -> list:
-    """Worker for the sweep cells (``(spg, platform, heuristics, seed,
-    options)`` tuples, each run under a ``sweep.cell`` span) that share
-    one SPG object, so its ideal lattice, DPA1D cut tables and DPA2D
-    blocks are built once for all of them.  A cell that raises yields an
+    """Worker for the sweep cells (``(spg, platform, heuristics, seed)``
+    tuples, each run under a ``sweep.cell`` span) that share one SPG
+    object, so its ideal lattice, DPA1D cut tables and DPA2D blocks are
+    built once for all of them.  A cell that raises yields an
     ``"error"`` :class:`TaskFailure` in its slot; its siblings survive.
     """
     out: list = []
-    for spg, platform, heuristics, seed, options in cells:
+    for spg, platform, heuristics, seed in cells:
         with trace_span("sweep.cell"):
             try:
-                out.append(choose_period(
-                    spg, platform, heuristics, seed=seed, options=options
-                ))
+                out.append(choose_period(spg, platform, heuristics, seed=seed))
             except Exception as exc:
                 msg = f"{type(exc).__name__}: {exc}"
                 out.append(TaskFailure(len(out), "error", msg, 1))
@@ -234,8 +232,6 @@ def run_scenario_sweep(
     apps=DEFAULT_APPS,
     replicates: int = 1,
     seed: int = 0,
-    heuristics=PAPER_ORDER,
-    options: dict | None = None,
     jobs: int | None = 1,
     solvers=None,
     store=None,
@@ -256,10 +252,10 @@ def run_scenario_sweep(
     seeds are pre-drawn serially so results match a serial run bit for
     bit.
 
-    ``solvers``, when given, replaces the ``heuristics`` columns with
-    arbitrary solver specs from the unified registry (CLI: ``repro
-    sweep --solvers Greedy dpa2d1d+refine portfolio``), adding a
-    strategy axis to the scenario cross-product.  A ``"<H>+refine"``
+    ``solvers`` names the columns: the five paper heuristics by
+    default, or any solver specs from the unified registry (CLI:
+    ``repro sweep --solvers Greedy dpa2d1d+refine portfolio``), adding
+    a strategy axis to the scenario cross-product.  A ``"<H>+refine"``
     column post-refines every successful ``H`` mapping with the
     delta-evaluated local search; refined mappings pass the same
     structural re-checks as raw solver outputs.
@@ -347,7 +343,7 @@ def run_scenario_sweep(
     plan = resolve_fault_plan(faults)
     policy = RetryPolicy() if policy is None else policy
     stats = ExecutionStats() if stats is None else stats
-    heuristics = tuple(solvers) if solvers else tuple(heuristics)
+    heuristics = tuple(solvers or PAPER_ORDER)
     scenarios = build_scenarios(topologies, sizes, ccrs, apps)
     tasks = []
     task_meta: list[tuple[int, str]] = []  # (scenario index, label)
@@ -362,7 +358,7 @@ def run_scenario_sweep(
             elif (spg := graphs.get((spec.app, spec.ccr))) is None:
                 spg = graphs[spec.app, spec.ccr] = spec.build_app(rng, seed)
             hseed = int(rng.integers(0, 2**63 - 1))
-            tasks.append((spg, platform, heuristics, hseed, options))
+            tasks.append((spg, platform, heuristics, hseed))
             task_meta.append((s_idx, f"{spec.label()}/rep{rep}"))
 
     shard_part = parse_shard(shard)
@@ -460,9 +456,9 @@ def run_scenario_sweep(
                 keys: dict[int, str] = {}
                 misses: list[int] = []
                 for idx in selected:
-                    spg, platform, _h, hseed, _o = tasks[idx]
+                    spg, platform, _h, hseed = tasks[idx]
                     keys[idx] = cell_fingerprint(
-                        spg, platform, heuristics, hseed, options
+                        spg, platform, heuristics, hseed
                     )
                     # A corrupt stored row is quarantined inside get() and
                     # reads as a miss, so the cell is recomputed here.

@@ -87,8 +87,6 @@ def run_streamit_experiment(
     ccrs=CCR_SETTINGS,
     workflows: tuple[int, ...] | None = None,
     seed: int = 0,
-    heuristics=PAPER_ORDER,
-    options: dict | None = None,
     jobs: int | None = 1,
     solvers=None,
 ) -> StreamItExperiment:
@@ -102,13 +100,13 @@ def run_streamit_experiment(
     workflow's CCRs; solver seeds are pre-drawn serially per instance so
     results match a serial run bit for bit.
 
-    ``solvers``, when given, replaces the ``heuristics`` axis with
-    arbitrary solver specs from the unified registry
+    ``solvers`` names the comparison columns: the five paper heuristics
+    by default, or any solver specs from the unified registry
     (``"dpa2d1d+refine"``, ``"portfolio"``, ...); a refined Figure-8
     run is ``solvers=tuple(f"{h}+refine" for h in PAPER_ORDER)``.
     """
     rng = as_rng(seed)
-    heuristics = tuple(solvers) if solvers else tuple(heuristics)
+    heuristics = tuple(solvers or PAPER_ORDER)
     indices = workflows or tuple(s.index for s in STREAMIT_TABLE1)
     ccrs = tuple(ccrs)
     keys: list[tuple[int, float | None]] = []
@@ -119,7 +117,7 @@ def run_streamit_experiment(
     for idx in indices:
         hseeds = tuple(int(rng.integers(0, 2**63 - 1)) for _ in ccrs)
         keys.extend((idx, ccr) for ccr in ccrs)
-        tasks.append((idx, ccrs, seed, grid, heuristics, hseeds, options))
+        tasks.append((idx, ccrs, seed, grid, heuristics, hseeds))
     choices = [
         choice
         for per_ccr in run_tasks(streamit_task, tasks, jobs=jobs)

@@ -92,6 +92,11 @@ _EPS = 1e-12
 #: grading every candidate exactly.
 SCREEN_MARGIN = 1e-9
 
+#: The annealing schedule's starting temperature, as a fraction of the
+#: input mapping's energy, and its geometric cooling factor per sweep.
+ANNEAL_T0 = 0.05
+ANNEAL_DECAY = 0.5
+
 
 # ----------------------------------------------------------------------
 # Delta-evaluated engine: acceptance schedules
@@ -194,28 +199,24 @@ class _Anneal(_FirstImprovement):
 
     Improving valid moves are always taken; a worsening valid move is
     taken with probability ``exp(-delta / T)`` where ``delta`` is the
-    energy increase relative to the starting energy and ``T`` cools by
-    ``decay`` each sweep.  The best feasible mapping seen is returned, so
+    energy increase relative to the starting energy and ``T`` starts at
+    :data:`ANNEAL_T0` and cools by :data:`ANNEAL_DECAY` each sweep.  The best feasible mapping seen is returned, so
     annealing can escape local minima without ever returning a mapping
     worse than its input.
     """
 
     stop_when_stuck = True
 
-    def __init__(
-        self, state, initial_e, log, rng, t0: float, decay: float
-    ) -> None:
+    def __init__(self, state, initial_e, log, rng) -> None:
         super().__init__(state, initial_e, log)
         self.rng = rng
-        self.t0 = t0
-        self.decay = decay
         self.cur_e = initial_e
         self.scale = max(abs(initial_e), 1e-300)
-        self.temperature = t0
+        self.temperature = ANNEAL_T0
         self.best_mapping: Mapping | None = None
 
     def begin_sweep(self, sweep: int) -> None:
-        self.temperature = self.t0 * (self.decay ** sweep)
+        self.temperature = ANNEAL_T0 * (ANNEAL_DECAY ** sweep)
 
     def scan(self, kind, a, targets, prefix) -> bool:
         state = self.state
@@ -291,8 +292,6 @@ def refine_mapping(
     allow_general: bool = False,
     schedule: str = "first",
     log: list | None = None,
-    anneal_t0: float = 0.05,
-    anneal_decay: float = 0.5,
 ) -> Mapping:
     """Refine ``mapping``; returns an equal-or-better valid mapping.
 
@@ -301,8 +300,8 @@ def refine_mapping(
     schedule:
         ``"first"`` (default) accepts the first improving move of each
         neighbourhood scan, ``"best"`` the best one, ``"anneal"`` runs
-        Metropolis acceptance with geometric cooling (``anneal_t0``,
-        ``anneal_decay``) and returns the best feasible mapping seen.
+        Metropolis acceptance with geometric cooling (:data:`ANNEAL_T0`,
+        :data:`ANNEAL_DECAY`) and returns the best feasible mapping seen.
     allow_general:
         Drop the DAG-partition requirement for the refined mapping (the
         input may be any valid mapping either way).
@@ -325,9 +324,7 @@ def refine_mapping(
         elif schedule == "best":
             strategy = _BestImprovement(state, initial_e, log)
         else:
-            strategy = _Anneal(
-                state, initial_e, log, rng, anneal_t0, anneal_decay
-            )
+            strategy = _Anneal(state, initial_e, log, rng)
         _run_schedule(problem, state, strategy, rng, sweeps)
         inc("refine.moves_accepted", strategy.accepted)
         inc("refine.candidates", strategy.candidates)

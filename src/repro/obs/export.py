@@ -73,9 +73,7 @@ def _nested_timeline(spans: list[Span]) -> dict[int, float]:
     return starts
 
 
-def to_chrome_trace(
-    meta: dict, spans: list[Span], process_name: str = "repro"
-) -> dict:
+def to_chrome_trace(meta: dict, spans: list[Span]) -> dict:
     """Build the Chrome trace-event document for one recording."""
     starts = _nested_timeline(spans)
     events: list[dict] = [{
@@ -83,7 +81,7 @@ def to_chrome_trace(
         "ph": "M",
         "pid": 0,
         "tid": 0,
-        "args": {"name": process_name},
+        "args": {"name": "repro"},
     }]
     for s in spans:
         args = {"span": s.span_id, "parent": s.parent_id, **s.attrs}

@@ -9,7 +9,8 @@ Three families:
   (the golden mesh fixtures pin this).
 * :class:`RefineStage` turns the Section-7 local-search refiner into a
   *transform* stage: ``"dpa2d1d+refine"`` refines DPA2D1D's output,
-  continuing the producer's RNG stream.
+  continuing the producer's RNG stream; ``"+refine-general"`` admits
+  general (non-DAG-partition) mappings.
 * :class:`ExactSolver` wraps the ``exact/`` solvers (brute force and the
   Section-4.4 ILP, solved by HiGHS through ``scipy.optimize.milp``).
   Exact solvers are deterministic and ignore the RNG; unsupported
@@ -227,17 +228,22 @@ def _register_heuristics() -> None:
 
 
 def _register_transforms() -> None:
-    for schedule, summary in (
-        ("first", "delta-evaluated refinement, first-improvement "
-                  "(Section 7)"),
-        ("best", "delta-evaluated refinement, best-improvement per "
-                 "neighbourhood"),
-        ("anneal", "delta-evaluated refinement, simulated annealing"),
+    for key, schedule, general, summary in (
+        ("refine", "first", False,
+         "delta-evaluated refinement, first-improvement (Section 7)"),
+        ("refine-best", "best", False,
+         "delta-evaluated refinement, best-improvement per neighbourhood"),
+        ("refine-anneal", "anneal", False,
+         "delta-evaluated refinement, simulated annealing"),
+        ("refine-general", "first", True,
+         "first-improvement refinement admitting general (non-DAG-"
+         "partition) mappings (Section-7 future work)"),
     ):
-        key = "refine" if schedule == "first" else f"refine-{schedule}"
 
-        def factory(_schedule=schedule, _key=key, **options) -> Solver:
+        def factory(_key=key, _schedule=schedule, _general=general,
+                    **options) -> Solver:
             options.setdefault("schedule", _schedule)
+            options.setdefault("allow_general", _general)
             return RefineStage(spec=_key, **options)
 
         register_solver(key, summary, kind="transform")(factory)

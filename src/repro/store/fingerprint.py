@@ -163,27 +163,22 @@ def solver_payload(spec: str, options: dict | None = None) -> dict:
 KEY_SCHEMA_VERSION = 1
 
 
-def cell_fingerprint(
-    spg: SPG,
-    platform: Topology,
-    solvers,
-    seed: int,
-    options: dict | None = None,
-) -> str:
+def cell_fingerprint(spg: SPG, platform: Topology, solvers, seed: int) -> str:
     """The key of one sweep cell: a full ``choose_period`` panel run.
 
     ``solvers`` is the ordered tuple of solver columns and ``seed`` the
     pre-drawn heuristic seed — together with the instance and platform
-    they determine the cell's :class:`PeriodChoice` bit for bit.
+    they determine the cell's :class:`PeriodChoice` bit for bit.  Each
+    column's payload carries empty run options: stores written by
+    earlier releases keyed every column that way, and they must still
+    resume.
     """
     return fingerprint({
         "kind": "sweep-cell",
         "key_schema": KEY_SCHEMA_VERSION,
         "spg": spg_payload(spg),
         "platform": platform_payload(platform),
-        "solvers": [
-            solver_payload(s, (options or {}).get(s)) for s in solvers
-        ],
+        "solvers": [solver_payload(s) for s in solvers],
         "seed": int(seed),
     })
 

@@ -27,43 +27,62 @@ class TestWorkflows:
 
 
 class TestMap:
+    """Mapping one application with ``repro solve``."""
+
     def test_map_chain_workflow(self):
-        code, text = run_cli("map", "-w", "DCT", "-H", "DPA1D", "--seed", "1")
+        code, text = run_cli(
+            "solve", "-w", "DCT", "--solver", "dpa1d", "--seed", "1"
+        )
         assert code == 0
-        assert "energy:" in text
+        assert "solver dpa1d: energy" in text and "(comp " in text
+        assert "latency" in text
         assert "stages per core" in text
+
+    def test_link_utilisation_table(self):
+        code, text = run_cli("solve", "-w", "DCT", "--seed", "0")
+        assert code == 0
+        assert "Link utilisation" in text
+        assert "bytes/period" in text and "->" in text
 
     def test_explicit_period(self):
         code, text = run_cli(
-            "map", "-w", "DCT", "-H", "Greedy", "-T", "1.0"
+            "solve", "-w", "DCT", "--solver", "greedy", "-T", "1.0"
         )
         assert code == 0
         assert "period (Section 6.1.3)" not in text
 
     def test_failure_exit_code(self):
-        # A hopeless period: every stage needs more than T at top speed.
+        # A hopeless period: every stage needs more than T at top speed,
+        # so the producer fails and the refine stage never runs.
         code, text = run_cli(
-            "map", "-w", "DCT", "-H", "Greedy", "-T", "1e-6"
+            "solve", "-w", "DCT", "--solver", "greedy+refine", "-T", "1e-6"
         )
         assert code == 1
         assert "FAILED" in text
 
     def test_random_instance(self):
         code, text = run_cli(
-            "map", "--random", "12", "-H", "Greedy", "--seed", "3"
+            "solve", "--random", "12", "--solver", "greedy", "--seed", "3"
         )
         assert code == 0
-        assert "energy:" in text
+        assert "solver greedy: energy" in text
 
-    def test_refine_flag(self):
+    def test_refine_spec(self):
         code, text = run_cli(
-            "map", "-w", "DCT", "-H", "Random", "--refine", "--seed", "0"
+            "solve", "-w", "DCT", "--solver", "random+refine-best",
+            "--seed", "0",
         )
         assert code == 0
+        assert "stage refine-best: ok" in text
 
     def test_bad_grid_spec(self):
         with pytest.raises(SystemExit):
-            run_cli("map", "--grid", "4by4")
+            run_cli("solve", "--grid", "4by4")
+
+    def test_map_command_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("map", "-w", "DCT")
+        assert exc.value.code == 2
 
 
 class TestCompare:
@@ -123,7 +142,8 @@ class TestSolvers:
     def test_describe_transform_stage(self):
         """Registered transforms are describable even though they cannot
         start a composite spec."""
-        for name in ("refine", "refine-best", "refine-anneal"):
+        for name in ("refine", "refine-best", "refine-anneal",
+                     "refine-general"):
             code, text = run_cli("solvers", "describe", name)
             assert code == 0, name
             assert "transform" in text

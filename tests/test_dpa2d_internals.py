@@ -96,7 +96,7 @@ class TestSharedBlocks:
         monkeypatch.setattr(dpa2d, "_Block", spy)
         run_streamit_experiment(
             CMPGrid(4, 4), ccrs=(None, 10.0, 1.0, 0.1), workflows=(8,),
-            heuristics=("DPA2D", "DPA2D1D"), seed=2011, jobs=1,
+            solvers=("DPA2D", "DPA2D1D"), seed=2011, jobs=1,
         )
         assert len(built) == len(set(built)) == 515
 

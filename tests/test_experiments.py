@@ -11,6 +11,7 @@ from repro.experiments.runner import (
     normalized_energy,
     normalized_inverse_energy,
 )
+from repro.experiments.scenarios import run_scenario_sweep
 from repro.experiments.streamit_experiments import run_streamit_experiment
 from repro.heuristics.base import PAPER_ORDER
 from repro.platform.cmp import CMPGrid
@@ -187,3 +188,17 @@ class TestRandomExperiment:
             elevations=(1, 5), replicates=1, seed=0,
         )
         assert set(exp.records) == {1}
+
+
+@pytest.mark.parametrize("runner, args", [
+    (run_random_experiment, (6, CMPGrid(2, 2), 10.0)),
+    (run_streamit_experiment, (CMPGrid(2, 2),)),
+    (run_scenario_sweep, ()),
+], ids=["random", "streamit", "sweep"])
+@pytest.mark.parametrize("column_kw", [
+    {"heuristics": ("Greedy",)},
+    {"options": {"Greedy": {}}},
+], ids=["heuristics", "options"])
+def test_solvers_is_the_only_column_axis(runner, args, column_kw):
+    with pytest.raises(TypeError):
+        runner(*args, **column_kw)

@@ -74,6 +74,14 @@ class TestRefine:
         # May violate the DAG-partition rule, but nothing else.
         validate(out, problem.period, require_dag_partition=False)
 
+    def test_refine_general_spec(self, problem):
+        """``+refine-general`` is the spec route to general mappings."""
+        res = run("greedy+refine-general", problem, rng=0)
+        assert res.ok
+        validate(res.mapping, problem.period, require_dag_partition=False)
+        dag = run("greedy+refine", problem, rng=0)
+        assert res.energy.total <= dag.energy.total * (1 + 1e-12)
+
     def test_refined_wrapper(self, problem):
         res = run("greedy+refine", problem, rng=0)
         assert res.ok

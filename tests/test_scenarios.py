@@ -135,11 +135,11 @@ class TestSweepCli:
 
     def test_map_with_topology(self):
         code, text = self.run_cli(
-            "map", "-w", "DCT", "-H", "DPA1D", "--topology", "torus",
-            "--seed", "1",
+            "solve", "-w", "DCT", "--solver", "dpa1d", "--topology",
+            "torus", "--seed", "1",
         )
         assert code == 0
-        assert "energy:" in text
+        assert "solver dpa1d: energy" in text
 
     def test_compare_on_benes(self):
         code, text = self.run_cli(

@@ -52,7 +52,7 @@ class TestRegistry:
         expected = {
             "random", "greedy", "dpa2d", "dpa1d", "dpa2d1d",
             "bruteforce", "ilp",
-            "refine", "refine-best", "refine-anneal",
+            "refine", "refine-best", "refine-anneal", "refine-general",
             "portfolio",
         }
         assert expected <= set(solver_names())

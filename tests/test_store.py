@@ -130,28 +130,32 @@ class TestRequestKeys:
         self.grid = get_topology("mesh", 2, 2)
 
     def test_cell_key_deterministic(self):
-        k1 = cell_fingerprint(self.spg, self.grid, ("Greedy",), 5, None)
-        k2 = cell_fingerprint(self.spg, self.grid, ("Greedy",), 5, {})
+        k1 = cell_fingerprint(self.spg, self.grid, ("Greedy",), 5)
+        k2 = cell_fingerprint(
+            random_spg(10, rng=3, ccr=10.0), get_topology("mesh", 2, 2),
+            ["Greedy"], 5,
+        )
         assert k1 == k2
         assert len(k1) == 64  # sha256 hex
 
+    def test_cell_key_pinned(self):
+        # A store filled by an earlier release must still resume, so a
+        # cell's key may never change for the same inputs.
+        assert cell_fingerprint(self.spg, self.grid, ("Greedy",), 5) == (
+            "27fd96a19627145d418d7c60f1f039f980c8b4bf83273749ef2f7d345376c52e"
+        )
+
     def test_cell_key_sensitive_to_every_input(self):
-        base = cell_fingerprint(self.spg, self.grid, ("Greedy",), 5, None)
+        base = cell_fingerprint(self.spg, self.grid, ("Greedy",), 5)
+        assert base != cell_fingerprint(self.spg, self.grid, ("Greedy",), 6)
         assert base != cell_fingerprint(
-            self.spg, self.grid, ("Greedy",), 6, None
+            self.spg, self.grid, ("Greedy", "DPA1D"), 5
         )
         assert base != cell_fingerprint(
-            self.spg, self.grid, ("Greedy", "DPA1D"), 5, None
-        )
-        assert base != cell_fingerprint(
-            self.spg, get_topology("torus", 2, 2), ("Greedy",), 5, None
-        )
-        assert base != cell_fingerprint(
-            self.spg, self.grid, ("Greedy",), 5,
-            {"Greedy": {"refine": True}},
+            self.spg, get_topology("torus", 2, 2), ("Greedy",), 5
         )
         other = random_spg(10, rng=4, ccr=10.0)
-        assert base != cell_fingerprint(other, self.grid, ("Greedy",), 5, None)
+        assert base != cell_fingerprint(other, self.grid, ("Greedy",), 5)
 
     def test_request_key_period_modes(self):
         auto = request_fingerprint(
@@ -161,15 +165,6 @@ class TestRequestKeys:
             self.spg, self.grid, "greedy", None, 0, 1.0
         )
         assert auto != fixed
-
-    def test_options_ignored_for_other_columns(self):
-        # Options for solvers that are not sweep columns cannot change
-        # the key of a cell that never reads them.
-        a = cell_fingerprint(
-            self.spg, self.grid, ("Greedy",), 5, {"DPA1D": {"x": 1}}
-        )
-        b = cell_fingerprint(self.spg, self.grid, ("Greedy",), 5, None)
-        assert a == b
 
 
 PAYLOAD = {"schema": PAYLOAD_SCHEMA_VERSION, "period": 1.0, "results": {}}
