@@ -200,9 +200,9 @@ class _Anneal(_FirstImprovement):
     Improving valid moves are always taken; a worsening valid move is
     taken with probability ``exp(-delta / T)`` where ``delta`` is the
     energy increase relative to the starting energy and ``T`` starts at
-    :data:`ANNEAL_T0` and cools by :data:`ANNEAL_DECAY` each sweep.  The best feasible mapping seen is returned, so
-    annealing can escape local minima without ever returning a mapping
-    worse than its input.
+    :data:`ANNEAL_T0` and cools by :data:`ANNEAL_DECAY` each sweep.  The
+    best feasible mapping seen is returned, so annealing can escape
+    local minima without ever returning a mapping worse than its input.
     """
 
     stop_when_stuck = True

@@ -13,6 +13,7 @@ from repro.solvers.base import (
     Solver,
     SolverResult,
     SolverSpec,
+    admits_general,
     get_solver,
     lookup_solver,
     parse_solver_spec,
@@ -32,6 +33,7 @@ __all__ = [
     "Solver",
     "SolverResult",
     "SolverSpec",
+    "admits_general",
     "get_solver",
     "lookup_solver",
     "parse_solver_spec",

@@ -118,13 +118,11 @@ class RefineStage(Solver):
         sweeps: int = 4,
         schedule: str = "first",
         allow_general: bool = False,
-        spec: str | None = None,
+        spec: str = "refine",
     ) -> None:
         self.sweeps = sweeps
         self.schedule = schedule
         self.allow_general = allow_general
-        if spec is None:
-            spec = "refine" if schedule == "first" else f"refine-{schedule}"
         self.spec = spec
 
     def solve(self, problem, rng=None, upstream=None) -> SolverResult:

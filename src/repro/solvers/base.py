@@ -49,6 +49,7 @@ __all__ = [
     "get_solver",
     "solver_names",
     "parse_solver_spec",
+    "admits_general",
     "run",
 ]
 
@@ -104,6 +105,10 @@ class Solver(ABC):
     spec: str = "abstract"
     #: One of "producer", "transform", "composite".
     kind: str = "producer"
+    #: True when the solver may return a *general* mapping (cyclic
+    #: quotient, the paper's Section-7 future work), so report paths
+    #: re-check its output with ``require_dag_partition=False``.
+    allow_general: bool = False
 
     @abstractmethod
     def solve(
@@ -237,6 +242,16 @@ def parse_solver_spec(
     # The stage-kind grammar (a transform cannot start a pipeline, only
     # transforms may follow '+') is enforced once, by PipelineSolver.
     return PipelineSolver(stages, spec=s)
+
+
+def admits_general(spec: str) -> bool:
+    """Whether solver ``spec`` may return a general mapping.
+
+    True when any stage or portfolio member sets ``allow_general``
+    (``"greedy+refine-general"``): report paths that re-check a result
+    read this to relax only the DAG-partition rule, for only that spec.
+    """
+    return parse_solver_spec(spec).allow_general
 
 
 def run(

@@ -62,6 +62,7 @@ class PipelineSolver(Solver):
                     "(only the first stage produces a mapping)"
                 )
         self.stages = list(stages)
+        self.allow_general = any(st.allow_general for st in stages)
         self.spec = spec if spec is not None else "+".join(
             st.spec for st in stages
         )
@@ -145,6 +146,7 @@ class PortfolioSolver(Solver):
             raise ValueError("a portfolio needs at least one member")
         self._solvers = [parse_solver_spec(m) for m in members]
         self.members = [s.spec for s in self._solvers]
+        self.allow_general = any(s.allow_general for s in self._solvers)
         self.jobs = jobs
         self.spec = spec if spec is not None else "|".join(self.members)
 

@@ -56,7 +56,7 @@ from repro.resilience import (
     TaskFailure,
     resolve_fault_plan,
 )
-from repro.solvers.base import run
+from repro.solvers.base import admits_general, run
 from repro.spg.graph import SPG
 from repro.spg.random_gen import random_spg
 from repro.store.backend import ResultStore, open_store
@@ -307,7 +307,7 @@ def _serve_batch_inner(store, requests, jobs, policy, plan, stats) -> dict:
         entry["ok"] = res.ok
         entry["failure"] = res.failure
         if res.ok:
-            res.mapping.check_structure()
+            res.mapping.check_structure(not admits_general(req.solver))
             entry["energy"] = {
                 "comp_leak": res.energy.comp_leak,
                 "comp_dyn": res.energy.comp_dyn,

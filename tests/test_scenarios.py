@@ -86,6 +86,38 @@ class TestSweep:
         assert sc["app"] == "DCT"
         assert sc["instances"] == 1
 
+    def test_general_mapping_column(self):
+        """A ``+refine-general`` column whose refined quotient has a
+        cycle is reported, computed and resumed, instead of failing the
+        report path's structural re-check."""
+        from repro.core.partition import is_acyclic_quotient
+        from repro.platform.topology import get_topology
+        from repro.spg.random_gen import random_spg
+        from repro.store import ResultStore
+        from repro.store.serialize import choice_from_payload
+        from repro.util.rng import as_rng
+
+        cols = ("greedy", "greedy+refine-general")
+        kw = dict(
+            topologies=("mesh",), sizes=("4x4",), ccrs=(5.0,),
+            apps=("random-12",), replicates=1, seed=0, solvers=cols,
+        )
+        store = ResultStore()
+        cold = run_scenario_sweep(store=store, **kw)
+        warm = run_scenario_sweep(store=store, resume=True, **kw)
+        assert json.dumps(cold, sort_keys=True) == \
+            json.dumps(warm, sort_keys=True)
+        (rec,) = cold["scenarios"][0]["records"]
+        assert all(rec["results"][c]["ok"] for c in cols)
+        # The sweep's one graph is the first draw of its seeded stream.
+        spg = random_spg(12, rng=as_rng(0), ccr=5.0)
+        (row,) = store.rows()
+        choice = choice_from_payload(
+            row["payload"], spg, get_topology("mesh", 4, 4), cols
+        )
+        general = choice.results["greedy+refine-general"].mapping
+        assert not is_acyclic_quotient(spg, general.alloc)
+
     def test_seed_determinism(self):
         kw = dict(
             topologies=("torus",), sizes=("2x2",), ccrs=(10.0,),

@@ -91,6 +91,28 @@ class TestServeBatch:
             assert len({json.dumps(r["energy"]) for r in responses}) == 1
         assert strip_cached(cold) == strip_cached(warm)
 
+    def test_general_mapping_is_answered_cold_and_warm(self):
+        """A ``+refine-general`` answer whose quotient has a cycle passes
+        the response path's re-check, from a fresh solve and from the
+        store alike."""
+        from repro.core.partition import is_acyclic_quotient
+        from repro.store.serialize import solver_result_from_payload
+
+        reqs = load_requests([{
+            "solver": "greedy+refine-general", "app": "random-12",
+            "size": "4x4", "ccr": 5.0, "seed": 0,
+        }])
+        store = ResultStore()
+        cold = serve_batch(reqs, store=store)
+        warm = serve_batch(reqs, store=store)
+        assert cold["responses"][0]["ok"] and warm["meta"]["hits"] == 1
+        assert strip_cached(cold) == strip_cached(warm)
+        res = solver_result_from_payload(
+            store.get(cold["responses"][0]["key"])["result"],
+            reqs[0].build_app(), reqs[0].build_platform(),
+        )
+        assert not is_acyclic_quotient(res.mapping.spg, res.mapping.alloc)
+
     def test_jobs_invariance(self):
         reqs = load_requests(REQS)
         serial = serve_batch(reqs, store=ResultStore(), jobs=1)

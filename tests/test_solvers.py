@@ -25,6 +25,7 @@ from repro.solvers import (
     PipelineSolver,
     PortfolioSolver,
     RefineStage,
+    admits_general,
     get_solver,
     lookup_solver,
     parse_solver_spec,
@@ -56,6 +57,13 @@ class TestRegistry:
             "portfolio",
         }
         assert expected <= set(solver_names())
+
+    def test_admits_general(self):
+        assert admits_general("greedy+refine-general")
+        assert admits_general("dpa1d|greedy+refine-general")
+        assert not admits_general("greedy+refine")
+        assert not admits_general("portfolio")
+        assert not admits_general("Greedy")
 
     def test_kinds(self):
         assert SOLVERS["greedy"].kind == "producer"
