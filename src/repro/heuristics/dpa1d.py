@@ -14,6 +14,13 @@ before it, so an edge spanning several positions pays once per hop,
 consistently with Section 3.5).  The DP runs over the ideals one popcount
 layer at a time, as numpy batches, for graphs of any width.
 
+Each ideal's row holds only the band of cluster counts from which the
+sink is still reachable within ``r`` clusters, given that no cluster
+outweighs what the fastest speed runs in one period; the proof that
+this changes no output is in :meth:`_UnilineDP.solve`.  The walk-back
+prices all of an ideal's suffix clusters in one array expression and
+takes the first, in DFS order, that meets the DP's entry.
+
 The number of ideals is bounded by ``n^ymax``; like the paper we let the
 heuristic *fail* when the state space explodes (budget caps), which is
 exactly its reported behaviour on high-elevation workflows.  Both
@@ -39,13 +46,13 @@ from itertools import groupby
 import numpy as np
 
 from repro.core.errors import HeuristicFailure
-from repro.core.kernels import resolve_kernel
+from repro.core.kernels import resolve_kernel, suffix_forest
 from repro.core.mapping import Mapping
 from repro.core.partition import IdealLattice
 from repro.core.problem import ProblemInstance
 from repro.heuristics.base import register, shared_solve
 from repro.spg.decompose import ideal_count
-from repro.util.bitset import bits_of, split_words
+from repro.util.bitset import bits_of, join_words
 
 __all__ = ["dpa1d_mapping", "solve_uniline"]
 
@@ -83,34 +90,13 @@ class _UnilineDP:
             self.spg, budget=ideal_budget, kernel=kernel
         )
         # B[row, k] = optimal energy of the ideal at ``row`` on exactly k
-        # clusters (column 0 is only finite for the empty ideal); an
-        # all-inf row is an unreachable ideal.  cuts[row] is the ideal's
-        # cut volume, and rows_of maps a list of ideals to their rows.
+        # clusters, inf outside the ideal's band of cluster counts (see
+        # solve); row 0 is the empty ideal (column 0 is only finite
+        # there) and the last row the full one.  words[:, row] is the
+        # ideal's mask, cuts[row] its cut volume, and suffix(row) its
+        # suffix clusters as (prefix rows, works) in DFS order.
         self.B: np.ndarray | None = None
-        self.rows_of = self.cuts = None
-
-    def _row(self, row: int) -> np.ndarray | None:
-        """DP row ``row`` (None when its ideal is unreachable)."""
-        values = self.B[row]
-        return values if np.isfinite(values).any() else None
-
-    def transition(
-        self, prefix: int, prefix_row: int, work: float
-    ) -> tuple[float, float] | None:
-        """``(cost, speed)`` of a cluster of ``work`` appended after
-        ``prefix`` (at DP row ``prefix_row``), or None when it misses
-        the period or the link."""
-        model = self.model
-        s = model.best_feasible(work, self.T)
-        if s is None:
-            return None
-        cost = model.comp_energy(work, s, self.T)
-        if prefix:
-            cb = self.cuts[prefix_row]
-            if cb > self.cap_bytes:
-                return None
-            cost += model.comm_energy(cb)
-        return cost, s
+        self.words = self.cuts = self.suffix = None
 
     def solve(self, transition_budget: int) -> tuple[float, int]:
         """Forward pass; returns (optimal energy, optimal cluster count).
@@ -128,6 +114,38 @@ class _UnilineDP:
         lattice's step table; both enumerate in bulk and never one ideal
         at a time.
 
+        **The band.**  Only the cluster counts that can reach the sink
+        are computed.  Let ``c = limits[-1] * (1 + 1e-9)``, the heaviest
+        work any speed admits at ``T`` with a margin, ``w(I)`` the work
+        of ideal ``I`` and ``W`` the graph's.  Every cluster weighs at
+        most ``T * s_max < c``, so an ideal on ``k`` clusters has
+        ``k >= ceil(w(I) / c)``, and one that the sink can still be
+        reached from within ``r`` clusters has ``k <= r - ceil((W -
+        w(I)) / c)``.  Row ``I`` computes only that band (each batch the
+        union of its rows' bands) and holds ``inf`` outside it, so ``B``
+        does not depend on how the batches are cut.  The outputs cannot
+        change:
+
+        * *In-band entries read only in-band or naturally infinite
+          prefix entries.*  ``B[I, k]`` reads ``B[P, k - 1]`` for ``P =
+          I \\ C``; ``w(C) < c`` gives ``ceil((W - w(P)) / c) <= ceil((W
+          - w(I)) / c) + 1``, so ``k - 1`` is not above ``P``'s band, and
+          an entry below a band is ``inf`` in any DP (no ``k - 1``
+          clusters hold ``P``).  By induction over the layers every
+          in-band entry is the unbanded DP's, the sink's row included,
+          and so are the energy and the cluster count.
+        * *Every entry on a walk-back path is in its band.*  A prefix
+          the walk-back accepts at ``k - 1`` is finite, and real clusters
+          lead from it to the sink in ``k_best - k + 1 <= r - k + 1``
+          steps, so it lies in its band; the candidates before it in DFS
+          order hold their unbanded value or ``inf``, and are rejected
+          as before.  The walk-back picks the same clusters.
+
+        ``w(I)`` is summed in any order: when the sink is reachable,
+        ``W <= r * T * s_max``, so each ``w(I) / c`` is off by less
+        than ``r * n * 2**-52``, far inside the ``1e-9`` margin; when it
+        is not, the sink's row is ``inf`` either way.
+
         The source is asked for first: it checks the ideal budget and
         then the SP-tree transition bound before enumerating the ideals,
         so a lattice the bound proves over ``transition_budget`` fails
@@ -136,7 +154,8 @@ class _UnilineDP:
         (the search, or the ideal-budget failure), as before: an
         ideal-budget failure still comes from ``ideals()`` and a
         transition failure from the suffix source, so a trace of the
-        lattice's methods tells the two apart.
+        lattice's methods tells the two apart.  Every batch is still
+        drawn, so a stream over its budget fails whatever the band.
         """
         lat = self.lat
         count = ideal_count(self.spg)
@@ -145,42 +164,54 @@ class _UnilineDP:
         source = (
             self._table_source if self.spg.n <= 62 else self._wide_source
         )
-        self.rows_of, cuts, batches = source(transition_budget)
-        self.cuts = cuts
+        words, self.suffix, batches = source(transition_budget)
+        self.words = words
+        cuts = self.cuts = _edge_cuts(self.spg, words)
         r, model = self.r, self.model
-        B = self.B = np.full((len(lat.ideals()), r + 1), INF)
-        empty_row, full_row = self.rows_of([0, lat.full]).tolist()
-        B[empty_row, 0] = 0.0
+        B = self.B = np.full((words.shape[1], r + 1), INF)
+        full_row = words.shape[1] - 1
+        B[0, 0] = 0.0
         speeds, power = np.array(model.speeds), np.array(model.dyn_power)
         leak = model.comp_leak * self.T
         lookup = model.speed_lookup(self.T)
+        c = lookup.limits[-1] * (1 + 1e-9)
+        work = _ideal_works(self.spg.weights, words)
+        k_lo = np.maximum(np.ceil(work / c), 1).astype(np.intp)
+        k_hi = r - np.ceil((work[-1] - work) / c).astype(np.intp)
         for rows, counts, prows, W in batches:
+            lo, hi = k_lo[rows], k_hi[rows]
             # Dead-end pruning: an ideal whose cut exceeds the link
             # capacity can never be extended, so its row stays inf unless
             # it is the final state.  (Its enumeration still counted
-            # towards the transition budget.)
-            alive = (counts > 0) & (
+            # towards the transition budget.)  Nor is an ideal computed
+            # whose band is empty.
+            alive = (counts > 0) & (lo <= hi) & (
                 (cuts[rows] <= self.cap_bytes) | (rows == full_row)
             )
             if not alive.any():
                 continue
             keep = np.repeat(alive, counts)
             prows, W = prows[keep], W[keep]
+            rows, lo, hi = rows[alive], lo[alive], hi[alive]
+            a, b = int(lo.min()), int(hi.max())
             k = lookup.indices(W)
             # One core's energy plus the dynamic cost of the prefix cut,
             # in the scalar order (comm energy is (8.0 * cut) * e_bit).
             costs = (leak + (W / speeds[k]) * power[k]) + (
                 8.0 * cuts[prows] * model.e_bit
             )
-            cand = B[prows, :r] + costs[:, None]
+            cand = B[prows, a - 1:b] + costs[:, None]
             seg = counts[alive]
             starts = np.zeros(len(seg), dtype=np.intp)
             np.cumsum(seg[:-1], out=starts[1:])
-            B[rows[alive], 1:] = np.minimum.reduceat(cand, starts, axis=0)
-        return self._finish(self._row(full_row))
+            best = np.minimum.reduceat(cand, starts, axis=0)
+            ks = np.arange(a, b + 1)
+            best[(ks < lo[:, None]) | (ks > hi[:, None])] = INF
+            B[rows, a:b + 1] = best
+        return self._finish(B[full_row])
 
     def _table_source(self, transition_budget: int):
-        """``(rows_of, cuts, batches)`` for a word-sized graph (n <= 62):
+        """``(words, suffix, batches)`` for a word-sized graph (n <= 62):
         one batch per popcount layer, sliced from the flat suffix table.
 
         The lattice keeps one table at the loosest cap seen and serves
@@ -189,38 +220,40 @@ class _UnilineDP:
         without any DP work: before enumerating anything when the
         SP-tree bound proves it, otherwise as soon as the enumeration
         crosses the budget, or from a kept table's exact total.  Rows
-        and prefix rows index :meth:`IdealLattice.sorted_values`, and so
-        do the cuts.
+        and prefix rows index :meth:`IdealLattice.sorted_values`, so the
+        empty ideal is row 0 and the full one the last; ``suffix(row)``
+        is the ideal's slice of the same table.
         """
         lat = self.lat
         _M, W, counts, offsets, pidx, _total = lat.suffix_table(
             self.cap_work, transition_budget
         )
-        vals = lat.sorted_values()
         _ideal_vals, epos = lat.ideal_positions()
         batches = (
             (epos[lo:hi], counts[lo:hi], pidx[offsets[lo]:offsets[hi]],
              W[offsets[lo]:offsets[hi]])
             for lo, hi in _layers(lat.ideals())
         )
-        one = np.uint64(1)
-        return (
-            lambda masks: np.searchsorted(vals, np.array(masks, np.uint64)),
-            _edge_cuts(
-                self.spg, len(vals), lambda i: (vals >> np.uint64(i)) & one
-            ),
-            batches,
-        )
+        slot = np.empty_like(epos)
+        slot[epos] = np.arange(len(epos))
+
+        def suffix(row: int):
+            lo, hi = offsets[slot[row]], offsets[slot[row] + 1]
+            return pidx[lo:hi], W[lo:hi]
+
+        return lat.sorted_values()[None, :], suffix, batches
 
     def _wide_source(self, transition_budget: int):
-        """``(rows_of, cuts, batches)`` for a graph of any width: rows
-        are DP indices (:meth:`IdealLattice.dp_rows`) and the batches are
-        cut from :meth:`IdealLattice.suffix_stream`.
+        """``(words, suffix, batches)`` for a graph of any width: rows
+        are :meth:`IdealLattice.ideals` indices (the empty ideal first,
+        the full one last) and the batches are cut from
+        :meth:`IdealLattice.suffix_stream`.
 
         A batch never spans two popcount layers, so every prefix row is
         final before it is read, and it ends at the first ideal that
         brings it to :data:`WIDE_CHUNK` transitions, so the DP's
         per-batch arrays stay small while the stream moves on.
+        ``suffix(row)`` runs the same forest on that one ideal.
         """
         lat = self.lat
         stream = lat.suffix_stream(self.cap_work, transition_budget)
@@ -231,62 +264,81 @@ class _UnilineDP:
             for batch in _dp_batches(lo, hi, counts, pidx, W, layer_ends)
         )
         words = lat.ideal_words()
-        return (
-            lambda masks: lat.dp_rows(split_words(masks, words.shape[0])),
-            _edge_cuts(
-                self.spg, words.shape[1],
-                lambda i: (words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1),
-            ),
-            batches,
-        )
 
-    def _finish(self, final: np.ndarray | None) -> tuple[float, int]:
-        if final is None or not np.isfinite(final[1:]).any():
+        def suffix(row: int):
+            prows, W, _counts = suffix_forest(
+                lat, words[:, row:row + 1], self.cap_work, root_rows=[row]
+            )
+            return prows, W
+
+        return words, suffix, batches
+
+    def _finish(self, final: np.ndarray) -> tuple[float, int]:
+        if not np.isfinite(final[1:]).any():
             raise HeuristicFailure("DPA1D: no feasible clustering")
         k_best = int(np.argmin(final[1:])) + 1
         return float(final[k_best]), k_best
 
     def reconstruct(self, k_best: int) -> tuple[list[list[int]], list[float]]:
-        """Walk back through the DP by re-evaluating local transitions."""
+        """Walk back through the DP from the full ideal on ``k_best``
+        clusters.  At each ideal, every suffix cluster is priced in one
+        array expression, with the DP's own arithmetic, and the first in
+        DFS order whose prefix row plus its cost meets the ideal's entry
+        (to a relative ``1e-12``) is taken."""
+        model, words, B = self.model, self.words, self.B
+        speeds, power = np.array(model.speeds), np.array(model.dyn_power)
+        leak = model.comp_leak * self.T
+        lookup = model.speed_lookup(self.T)
         clusters_rev: list[list[int]] = []
         speeds_rev: list[float] = []
-        ideal, k = self.lat.full, k_best
-        row = int(self.rows_of([ideal])[0])
-        while ideal:
-            target = self._row(row)[k]
-            found = False
-            clusters = self.lat.suffix_clusters_weighted(ideal, self.cap_work)
-            prefixes = [ideal & ~cluster for cluster, _work in clusters]
-            prefix_rows = self.rows_of(prefixes).tolist()
-            for (cluster, work), prefix, prefix_row in zip(
-                clusters, prefixes, prefix_rows
-            ):
-                prev = self._row(prefix_row)
-                if prev is None or not np.isfinite(prev[k - 1]):
-                    continue
-                step = self.transition(prefix, prefix_row, work)
-                if step is None:
-                    continue
-                if prev[k - 1] + step[0] <= target * (1 + 1e-12) + 1e-30:
-                    clusters_rev.append(bits_of(cluster))
-                    speeds_rev.append(step[1])
-                    ideal, k, row = prefix, k - 1, prefix_row
-                    found = True
-                    break
-            if not found:  # pragma: no cover - numerical safety net
+        row, k = words.shape[1] - 1, k_best
+        while row:
+            prows, W = self.suffix(row)
+            s = lookup.indices(W)
+            costs = (leak + (W / speeds[s]) * power[s]) + (
+                8.0 * self.cuts[prows] * model.e_bit
+            )
+            hits = np.flatnonzero(
+                B[prows, k - 1] + costs <= B[row, k] * (1 + 1e-12) + 1e-30
+            )
+            if not hits.size:  # pragma: no cover - numerical safety net
                 raise HeuristicFailure("DPA1D: reconstruction failed")
+            j = hits[0]
+            prefix = int(prows[j])
+            cluster = words[:, row:row + 1] ^ words[:, prefix:prefix + 1]
+            clusters_rev.append(bits_of(join_words(cluster)[0]))
+            speeds_rev.append(model.speeds[s[j]])
+            row, k = prefix, k - 1
         return clusters_rev[::-1], speeds_rev[::-1]
 
 
-def _edge_cuts(spg, count: int, bit) -> np.ndarray:
-    """Cut volumes of ``count`` ideals, ``bit(i)`` being the 0/1 array of
-    stage ``i``'s membership: one masked add per edge in ``edge_list``
-    order, so each cut sums exactly like
-    :func:`repro.spg.analysis.cut_volume`."""
-    cuts = np.zeros(count)
+def _edge_cuts(spg, words) -> np.ndarray:
+    """Cut volumes of the ideals in ``words``, a ``(words, N)`` ``uint64``
+    array: one masked add per edge in ``edge_list`` order, so each cut
+    sums exactly like :func:`repro.spg.analysis.cut_volume`."""
+    one = np.uint64(1)
+
+    def bit(i):
+        return (words[i >> 6] >> np.uint64(i & 63)) & one
+
+    cuts = np.zeros(words.shape[1])
     for i, j, d in spg.edge_list:
         cuts[(bit(i) == 1) & (bit(j) == 0)] += d
     return cuts
+
+
+def _ideal_works(weights, words) -> np.ndarray:
+    """Work of every ideal in ``words``, a ``(words, N)`` ``uint64``
+    array, eight stages at a time through a 256-entry table of their
+    subset sums (the band of :meth:`_UnilineDP.solve` admits any float
+    order)."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    work = np.zeros(words.shape[1])
+    for lo in range(0, len(weights), 8):
+        chunk = weights[lo:lo + 8]
+        table = bits[:, :len(chunk)] @ np.array(chunk)
+        work += table[(words[lo >> 6] >> np.uint64(lo & 63)) & np.uint64(255)]
+    return work
 
 
 def _layers(ideals: list[int]):

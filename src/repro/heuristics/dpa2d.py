@@ -26,16 +26,20 @@ DPA2D1D's ``(1, pq)``) and only place the plans on their own cores.
 
 What reads no edge volume lives in the graph's shape cache
 (:meth:`~repro.spg.graph.SPG.shape_cached`): the levels, the level
-blocks and, per period, the blocks' cluster costs.  Copies that differ
-only in their volumes, such as a StreamIt workflow's CCR variants,
-build each once.  The outer DP prices a candidate column by its energy
-alone and assembles the outgoing distribution and plan only for the
-states it reads.
+blocks, and per period the blocks' row-range cluster costs (``p > 1``)
+and the one-core cost of every level range (``p == 1``, an ``(xmax,
+xmax + 1)`` array; see :meth:`_Dpa2dSolver.line_costs`).  Copies that
+differ only in their volumes, such as a StreamIt workflow's CCR
+variants, build each once.  The outer DP prices a candidate column by
+its energy alone, one array of candidates per round, and assembles the
+outgoing distribution and plan only for the states it reads.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.errors import HeuristicFailure, MappingError
 from repro.core.mapping import Mapping
@@ -124,7 +128,7 @@ class _Block:
         """``(row_desc, row_anc)``: per row ``g``, the union of its stages'
         descendant and ancestor masks.  Built on the first call, which
         only a solve with ``p > 1`` makes: a whole block of levels needs
-        no convexity test (see :meth:`_Dpa2dSolver.clusters`)."""
+        no convexity test (see :meth:`_Dpa2dSolver.line_costs`)."""
         if self._reach is None:
             desc, anc = descendant_masks(spg), ancestor_masks(spg)
             row_desc = [0] * (self.ymax + 1)
@@ -216,8 +220,8 @@ class _Dpa2dSolver:
         # (block, incoming distribution) that the outer DP re-probes from
         # many states; and the assembled columns of the states it keeps.
         self._clusters: dict[tuple[int, int], object] = (
-            self.spg.shape_cached(
-                ("dpa2d.clusters", self.T, self.model, p == 1), dict)
+            self.spg.shape_cached(("dpa2d.clusters", self.T, self.model),
+                                  dict)
         )
         self._columns: dict[tuple[int, int, Distribution], tuple | None] = {}
         self._assembled: dict[tuple[int, int, Distribution], tuple] = {}
@@ -233,20 +237,15 @@ class _Dpa2dSolver:
                                 lambda: _Block(spg, m1, m2))
 
     def clusters(self, m1: int, m2: int):
-        """One-core costs of block ``m1..m2``'s row ranges at this period,
-        or None when the block holds no stage.
+        """One-core costs of block ``m1..m2``'s row ranges at this period
+        (a solve with ``p > 1``), or None when the block holds no stage.
 
-        For ``p == 1`` only the whole block can form a column, and it is
-        its own cost: ``(energy, ((0, ymax, speed),))``, or None when it
-        misses the period.  A block of whole levels is always convex:
-        every edge increases ``x``, so a path between two of its stages
-        stays inside its levels.  Otherwise None when one row misses
-        the period on its own (every range holding it is at least as
-        heavy), else ``tab`` with ``tab[g1][g2 - g1]`` the ``(energy,
-        speed)`` of rows ``g1 < y <= g2`` on one core: None when not
-        convex in the full SPG, ``(0.0, 0.0)`` when empty (core off).
-        ``tab[g1]`` ends before the first ``g2`` that misses the period,
-        as work only grows with ``g2``.
+        None when one row misses the period on its own (every range
+        holding it is at least as heavy), else ``tab`` with
+        ``tab[g1][g2 - g1]`` the ``(energy, speed)`` of rows ``g1 < y <=
+        g2`` on one core: None when not convex in the full SPG, ``(0.0,
+        0.0)`` when empty (core off).  ``tab[g1]`` ends before the first
+        ``g2`` that misses the period, as work only grows with ``g2``.
         """
         key = (m1, m2)
         tab = self._clusters.get(key, _MISS)
@@ -256,17 +255,7 @@ class _Dpa2dSolver:
         model, index = self.model, self.speed.index
         leak = model.comp_leak * self.T
         pwork, gmax = blk.pwork, blk.ymax
-        if not blk.stages:
-            tab = None
-        elif self.p == 1:
-            work = pwork[gmax] - pwork[0]
-            k = index(work)
-            tab = None
-            if k >= 0:
-                s = model.speeds[k]
-                tab = (leak + (work / s) * model.dyn_power[k],
-                       ((0, gmax, s),))
-        elif index(blk.row_work_max) < 0:
+        if not blk.stages or index(blk.row_work_max) < 0:
             tab = None
         else:
             row_desc, row_anc = blk.row_reach(self.spg)
@@ -296,6 +285,55 @@ class _Dpa2dSolver:
         self._clusters[key] = tab
         return tab
 
+    def line_costs(self) -> np.ndarray:
+        """``cost[m_prev, m]``: the energy of levels ``m_prev + 1..m`` on
+        one core at this period (a solve with ``p == 1``), ``inf`` when
+        they hold no stage, miss the period, or outweigh the outer DP's
+        total-work break (``prefix_work[m] - prefix_work[m_prev] >
+        T * s_max``).  Entries with ``m <= m_prev`` are never read.
+
+        With one core per column only the whole block can form a column,
+        and a block of whole levels is always convex: every edge
+        increases ``x``, so a path between two of its stages stays inside
+        its levels.  Its work is the fold :class:`_Block` makes, rows
+        ascending and each row's stages in index order, reproduced for
+        every range at once: each row's stages add their weight, in
+        index order, to the ranges that hold them, and the rows' sums
+        add up in ascending order.  A range that misses a stage adds
+        nothing there, and adding 0.0 is exact, so every entry carries
+        the block's own float, whatever the labelling.  The array is
+        kept in the shape cache per (period, model): a StreamIt
+        workflow's CCR variants probe the same periods.
+        """
+        spg, model, T = self.spg, self.model, self.T
+
+        def build() -> np.ndarray:
+            xmax, labels, weights = self.xmax, spg.labels, spg.weights
+            rows: dict[int, list[int]] = {}
+            for i, (_x, y) in enumerate(labels):
+                rows.setdefault(y, []).append(i)
+            work = np.zeros((xmax, xmax + 1))
+            acc = np.empty_like(work)
+            for y in sorted(rows):
+                acc.fill(0.0)
+                for i in rows[y]:
+                    x = labels[i][0]
+                    acc[:x, x:] += weights[i]
+                work += acc
+            levels = _levels(spg)
+            prefix = np.array(levels[3])
+            held = np.cumsum([bool(stages) for stages in levels[0]])
+            k = self.speed.indices(work)
+            cost = model.comp_leak * T + (
+                work / np.array(model.speeds)[k]
+            ) * np.array(model.dyn_power)[k]
+            cost[(k < 0)
+                 | (prefix[None, :] - prefix[:xmax, None] > self.cap_work)
+                 | (held[None, :] == held[:xmax, None])] = INF
+            return cost
+
+        return spg.shape_cached(("dpa2d.line", T, model), build)
+
     def h_cost(self, d: Distribution) -> float:
         """Cost of crossing one column boundary with distribution ``d``.
 
@@ -315,14 +353,10 @@ class _Dpa2dSolver:
     def column(self, m1: int, m2: int, din: Distribution):
         """The best column for levels ``m1..m2`` and incoming ``din``:
         ``(energy, spans)`` with ``spans[u] = (lo, hi, speed)`` for core
-        ``u`` holding rows ``lo < y <= hi``, or None if infeasible.
-
-        With ``p == 1`` it is the block's own cost (:meth:`clusters`),
-        which no distribution changes; otherwise the inner DP, memoised
-        on ``(m1, m2, din)``.
+        ``u`` holding rows ``lo < y <= hi``, or None if infeasible.  The
+        inner DP, memoised on ``(m1, m2, din)``; a solve with ``p == 1``
+        reads :meth:`line_costs` instead.
         """
-        if self.p == 1:
-            return self.clusters(m1, m2)
         key = (m1, m2, din)
         hit = self._columns.get(key, _MISS)
         if hit is _MISS:
@@ -444,9 +478,15 @@ class _Dpa2dSolver:
             return hit
         labels, el, p = self.spg.labels, self.spg.edge_list, self.p
         blk = self.block(m1, m2)
+        if p == 1:
+            # The whole block on one core, at the speed of its work.
+            k = self.speed.index(blk.pwork[blk.ymax])
+            spans = ((0, blk.ymax, self.model.speeds[k]),)
+        else:
+            spans = self.column(m1, m2, din)[1]
         cores: list[tuple[tuple[int, ...], float] | None] = [None] * p
         core_of_row: dict[int, int] = {}
-        for u, (lo, hi, speed) in enumerate(self.column(m1, m2, din)[1]):
+        for u, (lo, hi, speed) in enumerate(spans):
             stages = tuple(blk.stages_of(lo, hi))
             for y in range(lo + 1, hi + 1):
                 core_of_row[y] = u
@@ -538,78 +578,92 @@ class _Dpa2dSolver:
         final state ``(xmax, v)`` has ``left = 0``, so the energy, the
         plans and the failure message are all unchanged.
 
-        A candidate is priced by its energy alone (:meth:`column`).  Only
-        a state that is read, as a predecessor or in the reconstruction,
-        gets its column assembled (:meth:`assemble`), from its first
-        minimal parent and that parent's ``dout``: the same distribution
-        and plan as building every candidate's and keeping the best.
+        A candidate is priced by its energy alone: one row of the round's
+        ``(m_prev, m)`` array per predecessor, ``prev + h`` plus the
+        column's energy, from :meth:`line_costs` when ``p == 1`` and
+        from the inner DP (:meth:`column`) otherwise; ``inf`` where
+        there is no candidate.  Each ``m`` then keeps the first minimum
+        of its column of the array, in ascending ``m_prev``, as a strict
+        ``<`` scan would.  Only a state that is read, as a predecessor or
+        in the reconstruction, gets its column assembled
+        (:meth:`assemble`), from its first minimal parent and that
+        parent's ``dout``: the same distribution and plan as building
+        every candidate's and keeping the best.
         """
-        xmax, q = self.xmax, self.q
+        xmax, q, p = self.xmax, self.q, self.p
         prefix_work = _levels(self.spg)[3]
-        col_cap = self.p * self.cap_work
+        col_cap = p * self.cap_work
         reach = self.reach = self.reach_bound()
         left = self.left = _columns_left(reach)
         if left[0] is None or left[0] > q:
             raise HeuristicFailure(_NO_DECOMPOSITION)
+        line = self.line_costs() if p == 1 else None
 
-        # memo[(m, v)] = (energy, m') of the first minimal candidate;
+        # energy[v, m]: the first minimal energy of levels 1..m on v
+        # columns, inf for a state not built; parent[v, m]: its m_prev.
         # (0, 0) is the empty start.  built[(m, v)] = (dout, plan) of a
         # state that was read; the start's empty distribution crosses
         # for 0.0.
-        memo: dict[tuple[int, int], tuple] = {(0, 0): (0.0, None)}
+        energy = np.full((q + 1, xmax + 1), INF)
+        energy[0, 0] = 0.0
+        parent = np.zeros((q + 1, xmax + 1), np.intp)
         built: dict[tuple[int, int], tuple] = {(0, 0): ((), None)}
 
         def assembled(m: int, v: int) -> tuple:
             hit = built.get((m, v))
             if hit is None:
-                m_prev = memo[(m, v)][1]
+                m_prev = int(parent[v, m])
                 din = assembled(m_prev, v - 1)[0]
                 hit = built[(m, v)] = self.assemble(m_prev + 1, m, din)
             return hit
 
+        columns = np.arange(xmax + 1)
         for v in range(1, q + 1):
             # The first level that can still finish in q - v columns.
             first = next(m for m, k in enumerate(left)
                          if k is not None and k <= q - v)
+            cand = np.full((xmax, xmax + 1), INF)
+            prev_energy = energy[v - 1].tolist()
             for m_prev in range(v - 1, xmax):
-                prev = memo.get((m_prev, v - 1))
-                if prev is None:
+                prev_e = prev_energy[m_prev]
+                if prev_e == INF:
                     continue
                 stop = reach[m_prev] + 1
                 start = max(m_prev + 1, first)
                 if start >= stop:
                     continue
-                prev_e = prev[0]
                 din = assembled(m_prev, v - 1)[0]
                 h = self.h_cost(din)
                 if h == INF:
                     continue
+                base = prev_e + h
+                if line is not None:
+                    cand[m_prev, start:stop] = base + line[m_prev, start:stop]
+                    continue
+                row = cand[m_prev]
                 for m in range(start, stop):
                     # Prune: the block's total work must fit the column.
                     if prefix_work[m] - prefix_work[m_prev] > col_cap:
                         break
                     res = self.column(m_prev + 1, m, din)
-                    if res is None:
-                        continue
-                    total = prev_e + h + res[0]
-                    best = memo.get((m, v))
-                    if best is None or total < best[0]:
-                        memo[(m, v)] = (total, m_prev)
+                    if res is not None:
+                        row[m] = base + res[0]
+            best = cand.argmin(axis=0)
+            parent[v] = best
+            energy[v] = cand[best, columns]
         inc("dpa2d.columns", len(self._columns))
 
-        best_v, best_e = -1, INF
-        for v in range(1, q + 1):
-            entry = memo.get((xmax, v))
-            if entry is not None and entry[0] < best_e:
-                best_v, best_e = v, entry[0]
-        if best_v < 0:
+        # The first minimal energy over the column counts, ascending.
+        best_v = int(energy[1:, xmax].argmin()) + 1
+        best_e = float(energy[best_v, xmax])
+        if best_e == INF:
             raise HeuristicFailure(_NO_DECOMPOSITION)
 
         plans: list[ColumnPlan] = []
         m, v = xmax, best_v
         while v >= 1:
             plans.append(assembled(m, v)[1])
-            m, v = memo[(m, v)][1], v - 1
+            m, v = int(parent[v, m]), v - 1
         plans.reverse()
         return best_e, plans
 

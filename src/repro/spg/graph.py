@@ -150,9 +150,10 @@ class SPG:
         The shape cache holds data that depends only on the stages, the
         edges (not their volumes) and the weights: the ideal lattice of
         DPA1D, the SP decomposition tree, and DPA2D's levels, level blocks
-        and per-period cluster costs.  A copy that differs only in its volumes
-        (:meth:`with_weights` with ``weights=None``, and so
-        :meth:`with_comm_scaled` and :meth:`with_ccr`) shares this dict by
+        and per-period cluster and level-range costs.  A copy that
+        differs only in its volumes (:meth:`with_weights` with
+        ``weights=None``, and so :meth:`with_comm_scaled` and
+        :meth:`with_ccr`) shares this dict by
         reference, so ``factory`` runs once for the whole family.  Any
         other constructor, and unpickling, starts an empty one.  Only a
         StreamIt workflow's CCR variants are such a family in the paper's

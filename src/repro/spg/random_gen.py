@@ -13,13 +13,15 @@ graph.  Each tree is drawn through :func:`repro.util.rng.raw_draws`, which
 serves those draws from PCG64 raw words fetched in bulk and then leaves
 the generator where numpy's own draws would, so the graphs and every
 later draw (``standard_normal``, :func:`random_weights`) are unchanged.
+Only the kept tree is built, as one ``SPG`` whose stages, labels and
+edge order are those its compositions would give.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.spg.graph import SPG, parallel, series, sp_edge
+from repro.spg.graph import SPG, parallel, series
 from repro.util.rng import as_rng, raw_draws
 
 __all__ = ["random_spg", "random_spg_with_elevation", "random_weights"]
@@ -77,13 +79,49 @@ def _draw_structure(
 
 def _build_structure(tree) -> SPG:
     """The SPG of a drawn composition tree (unit weights and volumes; the
-    caller randomises them afterwards)."""
+    caller randomises them afterwards): the graph
+    :func:`~repro.spg.graph.series` and :func:`~repro.spg.graph.parallel`
+    compose with ``merge="first"``, built as one ``SPG``."""
+    labels, edges, _ymax = _compose(tree)
+    return SPG([1.0] * len(labels), labels, edges, validate=False)
+
+
+def _compose(tree) -> tuple[list, dict, int]:
+    """``(labels, edges, ymax)`` of a composition tree, exactly as the
+    composition functions number the stages, label them and insert the
+    edges: :func:`random_weights` draws the volumes in ``edges`` order,
+    and ``edge_list`` order feeds every float fold downstream.  Every
+    weight stays 1.0 under ``merge="first"``."""
     if not tree:
-        return sp_edge(1.0, 1.0, 1.0)
+        return [(1, 1), (2, 1)], {(0, 1): 1.0}, 1
     compose, left, right = tree
-    return compose(
-        _build_structure(left), _build_structure(right), merge="first"
-    )
+    labels1, edges1, y1 = _compose(left)
+    labels2, edges2, y2 = _compose(right)
+    if compose is series:
+        # The second graph's stage j is stage n1 - 1 + j (its source is
+        # the first graph's sink), its levels shifted past the first's.
+        n1, shift = len(labels1), labels1[-1][0] - 1
+        labels1 += [(x + shift, y) for x, y in labels2[1:]]
+        for (i, j), d in edges2.items():
+            edges1[(n1 - 1 + i, n1 - 1 + j)] = d
+        return labels1, edges1, max(y1, y2)
+    # Parallel: the longer graph goes first; the second's inner stages
+    # follow the first's, raised above its rows, and the sink goes last.
+    if labels1[-1][0] < labels2[-1][0]:
+        labels1, edges1, y1, labels2, edges2, y2 = (
+            labels2, edges2, y2, labels1, edges1, y1)
+    n1, n2 = len(labels1), len(labels2)
+    sink = n1 + n2 - 3
+    labels = labels1[:-1] + [(x, y + y1) for x, y in labels2[1:-1]]
+    labels.append(labels1[-1])
+    edges = {(i, sink if j == n1 - 1 else j): d
+             for (i, j), d in edges1.items()}
+    for (i, j), d in edges2.items():
+        e = (0 if i == 0 else n1 - 2 + i,
+             sink if j == n2 - 1 else n1 - 2 + j)
+        # Two source-to-sink edges add up, as in parallel().
+        edges[e] = edges.get(e, 0.0) + d
+    return labels, edges, y1 + y2
 
 
 def random_weights(

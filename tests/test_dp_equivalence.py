@@ -36,12 +36,14 @@ from repro.heuristics import dpa1d, dpa2d
 from repro.heuristics.dpa1d import _UnilineDP, solve_uniline
 from repro.obs.session import observability
 from repro.platform.cmp import CMPGrid
+from repro.platform.speeds import PowerModel
 from repro.platform.topology import get_topology
 from repro.spg.build import chain, split_join
 from repro.spg.decompose import transition_lower_bound
+from repro.spg.graph import SPG
 from repro.spg.random_gen import random_spg_with_elevation
 from repro.spg.streamit import streamit_variants
-from tests.dp_reference import ReferenceDpa2dSolver, reference_uniline
+from tests.dp_reference import INF, ReferenceDpa2dSolver, reference_uniline
 
 
 def _outcome(fn):
@@ -238,6 +240,77 @@ class TestWideSourceOnWordSizedGraphs:
         assert len(batches) > len({i.bit_count() for i in ideals})
 
 
+class TestDpa1dNarrowBand:
+    """At ``T = W / 1e9 / (r - slack)`` every ideal's band of cluster
+    counts is at most ``ceil(slack)`` wide: the banded DP must still
+    match the scalar reference, and fill the same ``B`` from either
+    source and any batch size."""
+
+    GRAPHS = [(40, 1, 0), (40, 2, 1), (40, 3, 2), (30, 2, 5), (70, 1, 3),
+              (70, 2, 4)]
+
+    def test_sources_and_batches_agree(self, monkeypatch):
+        solved = 0
+        for n, elevation, seed in self.GRAPHS:
+            g = random_spg_with_elevation(
+                n, elevation, np.random.default_rng(seed), ccr=10.0
+            )
+            for r in (3, 16):
+                for slack in (0.5, 1.5):
+                    prob = ProblemInstance(
+                        g, CMPGrid(4, 4), g.total_work / 1e9 / (r - slack)
+                    )
+                    solved += self._check(monkeypatch, prob, r, slack)
+        assert solved > 0
+
+    @staticmethod
+    def _check(monkeypatch, prob, r, slack) -> bool:
+        want = _outcome(lambda: reference_uniline(prob, r))
+        sources = ["wide", "small batches"]
+        if prob.spg.n <= 62:
+            sources.insert(0, "table")
+        Bs = set()
+        for source in sources:
+            dp = _UnilineDP(prob, r, 120_000)
+            with monkeypatch.context() as m:
+                if source != "table":
+                    m.setattr(dp, "_table_source", dp._wide_source)
+                if source == "small batches":
+                    m.setattr(dpa1d, "WIDE_CHUNK", 5)
+                    m.setattr(partition, "STREAM_TRANSITIONS", 40)
+                got = _outcome(lambda: dp.solve(1_000_000))
+            if not isinstance(got[0], str):
+                got = (*got, *dp.reconstruct(got[1]))
+            assert got == want
+            B = dp.B
+            if source == "table":
+                B = B[dp.lat.ideal_positions()[1]]
+            assert np.isfinite(B).sum(axis=1).max() <= np.ceil(slack)
+            Bs.add(B.tobytes())
+        assert len(Bs) == 1
+        return not isinstance(want[0], str)
+
+
+class TestDpa1dWalkBack:
+    """Where several clusters meet an entry, as on graphs of equal
+    weights and volumes, the walk-back takes the first in DFS order,
+    like the scalar reference."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: chain(12, [1e8] * 12, [1e3] * 11),
+        lambda: split_join([2, 2, 2], w_source=1e8, w_sink=1e8,
+                           w_branch=1e8, comm=1e3),
+    ])
+    @pytest.mark.parametrize("parallelism", [2.0, 3.0, 5.5])
+    def test_ties_take_the_first_cluster(self, make, parallelism):
+        g = make()
+        prob = ProblemInstance(g, CMPGrid(4, 4),
+                               g.total_work / 1e9 / parallelism)
+        e, clusters, speeds = solve_uniline(prob, 16)
+        assert (e, len(clusters), clusters, speeds) == reference_uniline(
+            prob, 16)
+
+
 # ----------------------------------------------------------------------
 # DPA2D
 # ----------------------------------------------------------------------
@@ -254,6 +327,14 @@ def _problems(topology: str):
                 g, get_topology(topology, 4, 4),
                 g.total_work / 1e9 / parallelism,
             )
+
+
+def _priced(solver) -> bool:
+    """Whether the solve priced a column: a block's row-range costs
+    (``p > 1``) or the level-range costs (``p == 1``)."""
+    if solver.p > 1:
+        return bool(solver._clusters)
+    return ("dpa2d.line", solver.T, solver.model) in solver.spg._shape
 
 
 def _solve(solver_cls, prob, p, q):
@@ -281,7 +362,7 @@ class TestDpa2dAgainstReference:
                     got = str(exc)
                     need = solver.left[0]
                     certified += (need is None or need > q) and \
-                        not solver._clusters
+                        not _priced(solver)
                 assert got == want
                 solved += not isinstance(got, str)
                 # Starts whose reach a row alone cut short of where the
@@ -382,7 +463,7 @@ class TestDpa2dReachBound:
         assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
         assert got == "DPA2D: no feasible column decomposition"
         assert solver.reach[1] >= 2  # the bound admitted level 2
-        assert solver._clusters  # ... and the DP priced a column
+        assert _priced(solver)  # ... and the DP priced a column
 
     @pytest.mark.parametrize("period", [0.0, -1.0])
     @pytest.mark.parametrize("p,q", [(4, 4), (1, 16)])
@@ -395,7 +476,7 @@ class TestDpa2dReachBound:
         got = _solve(lambda *_a: solver, prob, p, q)
         assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
         assert got == "DPA2D: no feasible column decomposition"
-        assert not solver._clusters  # the certificate failed it
+        assert not _priced(solver)  # the certificate failed it
 
 
 @st.composite
@@ -519,3 +600,135 @@ class TestDpa2dSharedBlocks:
             for p, q in _shapes(scaled):
                 got = _solve(dpa2d._Dpa2dSolver, scaled, p, q)
                 assert got == _solve(ReferenceDpa2dSolver, scaled, p, q)
+
+
+class TestDpa2d1dLevelRanges:
+    """With one core per column the outer DP prices every candidate from
+    the level-range costs (:meth:`_Dpa2dSolver.line_costs`), which must
+    be the reference blocks' own floats, whatever the labelling."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(prob=_dpa2d_problem())
+    def test_line_solves_match_reference(self, prob):
+        for q in sorted({1, 2, prob.grid.q, prob.grid.n_cores}):
+            got = _solve(dpa2d._Dpa2dSolver, prob, 1, q)
+            assert got == _solve(ReferenceDpa2dSolver, prob, 1, q)
+
+    @settings(max_examples=10, deadline=None)
+    @given(prob=_dpa2d_problem())
+    def test_dpa2d1d_and_ring_dpa2d_mappings(self, prob):
+        ring = ProblemInstance(prob.spg, get_topology("ring", 4, 4),
+                               prob.period)
+        for fn, inst in ((dpa2d.dpa2d1d_mapping, prob),
+                         (dpa2d.dpa2d_mapping, ring)):
+            got = _outcome(lambda: fn(inst))
+            fresh = ProblemInstance(inst.spg.with_weights(), inst.grid,
+                                    inst.period)
+            real = dpa2d._Dpa2dSolver
+            dpa2d._Dpa2dSolver = ReferenceDpa2dSolver
+            try:
+                want = _outcome(lambda: fn(fresh))
+            finally:
+                dpa2d._Dpa2dSolver = real
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert (got.alloc, got.speeds) == (want.alloc, want.speeds)
+
+    @staticmethod
+    def _fallback_dag(seed):
+        """A hand-built DAG with fallback labels whose rows hold stages
+        against ``x`` order: row 1 is 0, 5, 2, 6, 1, 3, 8 by ``x`` (the
+        chain 0 -> 5 -> 2 -> 7 -> 1 -> 3 -> 8 with a branch 5 -> 4 -> 6
+        -> 3 on levels 3 and 4)."""
+        rng = np.random.default_rng(seed)
+        edges = {(0, 5): 1e3, (5, 2): 1e3, (2, 7): 1e3, (7, 1): 1e3,
+                 (1, 3): 1e3, (3, 8): 1e3, (5, 4): 1e3, (4, 6): 1e3,
+                 (6, 3): 1e3}
+        return SPG((rng.uniform(0.1, 1.0, 9) * 1e8).tolist(), None, edges)
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_fallback_labels_against_x(self, seed):
+        g = self._fallback_dag(seed)
+        assert [i for i in range(g.n) if g.labels[i][1] == 1] != sorted(
+            (i for i in range(g.n) if g.labels[i][1] == 1),
+            key=lambda i: g.labels[i][0])
+        order_matters = 0
+        for parallelism in (1.2, 2.0, 3.5, 6.0):
+            prob = ProblemInstance(g, CMPGrid(4, 4),
+                                   g.total_work / 1e9 / parallelism)
+            solver = dpa2d._Dpa2dSolver(prob, 1, 16)
+            ref = ReferenceDpa2dSolver(prob, 1, 16)
+            line = solver.line_costs()
+            prefix = dpa2d._levels(g)[3]
+            for m_prev in range(g.xmax):
+                for m in range(m_prev + 1, g.xmax + 1):
+                    blk = ref.block(m_prev + 1, m)
+                    cl = blk.cluster(0, blk.ymax)
+                    over = prefix[m] - prefix[m_prev] > solver.cap_work
+                    want = INF if cl is None or over else cl[0]
+                    assert line[m_prev, m] == want
+                    # The fold by x order, as a check that this graph
+                    # tells the orders apart.
+                    by_x = 0.0
+                    for y in sorted(blk.rows):
+                        rw = 0.0
+                        for i in sorted(blk.rows[y],
+                                        key=lambda i: g.labels[i][0]):
+                            rw += g.weights[i]
+                        by_x += rw
+                    order_matters += by_x != blk._pwork[blk.ymax]
+            for q in (2, 4, 16):
+                got = _solve(dpa2d._Dpa2dSolver, prob, 1, q)
+                assert got == _solve(ReferenceDpa2dSolver, prob, 1, q)
+        assert order_matters > 0
+
+    def test_levels_without_stages(self):
+        """Explicit labels may skip a level: a range of empty levels is
+        no column, as in the reference, here with a model where an idle
+        core would cost nothing."""
+        g = SPG([3e8, 2e8, 4e8, 1e8], [(1, 1), (3, 1), (4, 1), (6, 1)],
+                {(0, 1): 1e3, (1, 2): 1e3, (2, 3): 1e3})
+        model = PowerModel((1e9, 2e9), (1.0, 2.0), 0.0, 0.0, 6e-12,
+                           1.92e10)
+        for parallelism in (1.0, 2.0, 3.0):
+            prob = ProblemInstance(g, CMPGrid(4, 4, model=model),
+                                   g.total_work / 2e9 / parallelism)
+            for q in (2, 3, 4, 6, 16):
+                got = _solve(dpa2d._Dpa2dSolver, prob, 1, q)
+                assert got == _solve(ReferenceDpa2dSolver, prob, 1, q)
+
+    @pytest.mark.parametrize("period", [3 / 16, 5 / 16, 7 / 16])
+    def test_ties_keep_the_first_parent(self, period):
+        """Dyadic weights, speeds and powers make equal decompositions
+        tie exactly; each state keeps its first minimal predecessor, in
+        ascending ``m_prev``, as the reference's strict scan does."""
+        model = PowerModel((2.0**28, 2.0**30), (0.25, 1.0), 0.5, 0.0,
+                           2.0**-40, 2.0**40)
+        w = 2.0**26
+        for g in (chain(8, [w] * 8, [1024.0] * 7),
+                  split_join([2, 2], w_source=w, w_sink=w, w_branch=w,
+                             comm=1024.0)):
+            prob = ProblemInstance(g, CMPGrid(4, 4, model=model), period)
+            for p, q in ((1, 16), (1, 4), (2, 8), (4, 4)):
+                got = _solve(dpa2d._Dpa2dSolver, prob, p, q)
+                assert got == _solve(ReferenceDpa2dSolver, prob, p, q)
+
+    @pytest.mark.parametrize("index", [1, 8, 12])
+    def test_ccr_variants_share_one_line_matrix(self, index):
+        variants = streamit_variants(index, (None, 10.0, 1.0, 0.1),
+                                     seed=2011)
+        grid = CMPGrid(4, 4)
+        T = variants[0].total_work / 1e9 / 4.0
+        solvers = [dpa2d._Dpa2dSolver(ProblemInstance(g, grid, T), 1, 16)
+                   for g in variants]
+        shared = solvers[0].line_costs()
+        assert all(s.line_costs() is shared for s in solvers)
+        fresh = pickle.loads(pickle.dumps(variants[-1]))
+        own = dpa2d._Dpa2dSolver(ProblemInstance(fresh, grid, T), 1,
+                                 16).line_costs()
+        assert own is not shared and own.tobytes() == shared.tobytes()
+        for g in variants:
+            prob = ProblemInstance(g, grid, T)
+            got = _solve(dpa2d._Dpa2dSolver, prob, 1, 16)
+            assert got == _solve(ReferenceDpa2dSolver, prob, 1, 16)

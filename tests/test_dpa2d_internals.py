@@ -85,7 +85,9 @@ class TestSharedBlocks:
 
     def test_des_variants_build_one_set_of_blocks(self, monkeypatch):
         """DPA2D and DPA2D1D over DES's four CCR variants (the Figure-8
-        period search) build each block once, not once per variant."""
+        period search) build each block once, not once per variant.
+        DPA2D1D prices its columns from the level-range costs and builds
+        a block only for a column it assembles."""
         built = []
         block_cls = dpa2d._Block
 
@@ -98,7 +100,7 @@ class TestSharedBlocks:
             CMPGrid(4, 4), ccrs=(None, 10.0, 1.0, 0.1), workflows=(8,),
             solvers=("DPA2D", "DPA2D1D"), seed=2011, jobs=1,
         )
-        assert len(built) == len(set(built)) == 515
+        assert len(built) == len(set(built)) == 240
 
 
 def _cluster(solver, m1, m2, g1, g2):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.spg import random_gen
 from repro.spg.graph import SPG, parallel, series, sp_edge
 from repro.spg.random_gen import (
     D_RANGE,
@@ -82,6 +83,40 @@ def _assert_identical(got: SPG, want: SPG) -> None:
 
 
 SIZES = list(range(2, 13)) + [50, 150]
+
+
+def composed(tree) -> SPG:
+    """Reference: a drawn tree composed through ``series``/``parallel``."""
+    if not tree:
+        return sp_edge(1.0, 1.0, 1.0)
+    compose, left, right = tree
+    return compose(composed(left), composed(right), merge="first")
+
+
+class TestOneBuild:
+    """The kept tree is built as one SPG, equal to its composition."""
+
+    @pytest.mark.parametrize("n", [3, 12, 50, 150])
+    @pytest.mark.parametrize("elevation", [2, 4, 8, 16, 24])
+    def test_matches_composition(self, n, elevation, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return SPG(*args, **kwargs)
+
+        monkeypatch.setattr(random_gen, "SPG", spy)
+        guess = min(0.95, 0.15 + 0.08 * elevation)
+        for seed in range(4):
+            rng = as_rng(seed)
+            p = float(np.clip(guess + 0.2 * rng.standard_normal(),
+                              0.05, 0.97))
+            tree, ymax = _draw_structure(n, p, rng)
+            got, want = _build_structure(tree), composed(tree)
+            _assert_identical(got, want)
+            assert list(got.edges) == list(want.edges)
+            assert got.ymax == ymax
+        assert len(built) == 4
 
 
 class TestDrawReplay:
