@@ -81,6 +81,7 @@ class _UnilineDP:
         self.r = min(r, self.spg.n)
         self.cap_work = self.T * self.model.s_max
         self.cap_bytes = self.model.link_capacity(self.T)
+        self.lookup = self.model.speed_lookup(self.T)
         # The lattice (ideal enumeration, suffix table) depends on the
         # SPG's stages, edges and weights only, so it is shared across the
         # several periods choose_period probes on the same graph, and
@@ -167,14 +168,11 @@ class _UnilineDP:
         words, self.suffix, batches = source(transition_budget)
         self.words = words
         cuts = self.cuts = _edge_cuts(self.spg, words)
-        r, model = self.r, self.model
+        r = self.r
         B = self.B = np.full((words.shape[1], r + 1), INF)
         full_row = words.shape[1] - 1
         B[0, 0] = 0.0
-        speeds, power = np.array(model.speeds), np.array(model.dyn_power)
-        leak = model.comp_leak * self.T
-        lookup = model.speed_lookup(self.T)
-        c = lookup.limits[-1] * (1 + 1e-9)
+        c = self.lookup.limits[-1] * (1 + 1e-9)
         work = _ideal_works(self.spg.weights, words)
         k_lo = np.maximum(np.ceil(work / c), 1).astype(np.intp)
         k_hi = r - np.ceil((work[-1] - work) / c).astype(np.intp)
@@ -194,12 +192,7 @@ class _UnilineDP:
             prows, W = prows[keep], W[keep]
             rows, lo, hi = rows[alive], lo[alive], hi[alive]
             a, b = int(lo.min()), int(hi.max())
-            k = lookup.indices(W)
-            # One core's energy plus the dynamic cost of the prefix cut,
-            # in the scalar order (comm energy is (8.0 * cut) * e_bit).
-            costs = (leak + (W / speeds[k]) * power[k]) + (
-                8.0 * cuts[prows] * model.e_bit
-            )
+            costs, _k = self._costs(prows, W)
             cand = B[prows, a - 1:b] + costs[:, None]
             seg = counts[alive]
             starts = np.zeros(len(seg), dtype=np.intp)
@@ -273,6 +266,19 @@ class _UnilineDP:
 
         return words, suffix, batches
 
+    def _costs(self, prows, W) -> tuple[np.ndarray, np.ndarray]:
+        """``(costs, k)`` of clusters of work ``W`` appended after the
+        prefixes at ``prows``: one core at speed index ``k`` plus the
+        dynamic cost of the prefix cut, in the scalar order (comm energy
+        is ``(8.0 * cut) * e_bit``), for the forward pass and the
+        walk-back alike."""
+        model = self.model
+        k = self.lookup.indices(W)
+        comp = model.comp_leak * self.T + (
+            W / np.array(model.speeds)[k]
+        ) * np.array(model.dyn_power)[k]
+        return comp + 8.0 * self.cuts[prows] * model.e_bit, k
+
     def _finish(self, final: np.ndarray) -> tuple[float, int]:
         if not np.isfinite(final[1:]).any():
             raise HeuristicFailure("DPA1D: no feasible clustering")
@@ -285,19 +291,13 @@ class _UnilineDP:
         array expression, with the DP's own arithmetic, and the first in
         DFS order whose prefix row plus its cost meets the ideal's entry
         (to a relative ``1e-12``) is taken."""
-        model, words, B = self.model, self.words, self.B
-        speeds, power = np.array(model.speeds), np.array(model.dyn_power)
-        leak = model.comp_leak * self.T
-        lookup = model.speed_lookup(self.T)
+        words, B = self.words, self.B
         clusters_rev: list[list[int]] = []
         speeds_rev: list[float] = []
         row, k = words.shape[1] - 1, k_best
         while row:
             prows, W = self.suffix(row)
-            s = lookup.indices(W)
-            costs = (leak + (W / speeds[s]) * power[s]) + (
-                8.0 * self.cuts[prows] * model.e_bit
-            )
+            costs, s = self._costs(prows, W)
             hits = np.flatnonzero(
                 B[prows, k - 1] + costs <= B[row, k] * (1 + 1e-12) + 1e-30
             )
@@ -307,7 +307,7 @@ class _UnilineDP:
             prefix = int(prows[j])
             cluster = words[:, row:row + 1] ^ words[:, prefix:prefix + 1]
             clusters_rev.append(bits_of(join_words(cluster)[0]))
-            speeds_rev.append(model.speeds[s[j]])
+            speeds_rev.append(self.model.speeds[s[j]])
             row, k = prefix, k - 1
         return clusters_rev[::-1], speeds_rev[::-1]
 
