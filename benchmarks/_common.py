@@ -8,8 +8,8 @@ Every benchmark regenerates one table or figure of the paper and
 * attaches summary statistics to ``benchmark.extra_info``.
 
 Replication counts are scaled down from the paper (100 graphs per elevation
-point) to keep wall-time in minutes; the counts are recorded both here and
-in EXPERIMENTS.md.
+point) to keep wall-time in minutes; the counts are recorded here, and the
+paper-scale report is planned in ROADMAP.md (item 4).
 """
 
 from __future__ import annotations

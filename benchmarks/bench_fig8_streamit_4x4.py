@@ -22,7 +22,8 @@ def test_fig8(benchmark):
     benchmark.extra_info["failures"] = dict(
         zip(counter.heuristics, counter.row())
     )
-    # Qualitative shape assertions (documented in EXPERIMENTS.md).
+    # Qualitative shape assertions (the paper-scale report is ROADMAP.md
+    # item 4).
     records = exp.records
     assert counter.total == 48
     # Random never fails outright more than the specialised heuristics do.

@@ -16,10 +16,10 @@ Subcommands
     latency and link utilisation: ``repro solve --solver
     dpa2d1d+refine``, ``--solver greedy+refine-general`` (general
     mappings, Section-7 future work), ``--solver portfolio``,
-    ``--solver 'greedy|dpa1d'`` (quote ``|`` from the shell).
-``compare``
-    Run all five heuristics on one workflow at the Section-6.1.3 period
-    and print the normalised comparison.
+    ``--solver 'greedy|dpa1d'`` (quote ``|`` from the shell).  Several
+    specs (``--solver Random Greedy DPA2D DPA1D DPA2D1D``) run at one
+    period, chosen over all of them, and print the normalised energy
+    comparison instead.
 ``experiment``
     Re-run one of the paper's StreamIt experiments (fig8/fig9) and
     print/export the tables.
@@ -57,30 +57,25 @@ Subcommands
     ``ui.perfetto.dev`` / flamegraph tools; ``diff A B [--budget-pct
     X]`` compares two recordings per span kind and exits 1 when any
     kind's total grew past the budget.
-``profile``
-    Work with the ``--profile DIR`` cProfile dumps: ``merge`` aggregates
-    every per-process ``*.pstats`` file into one cumulative-time table;
-    ``flame`` renders them (or a single dump) as collapsed stacks for
-    flamegraph tools.
 ``bench``
     The perf-regression sentinel: ``check`` gates the current
     ``BENCH_perf_core.json`` against the recorded floors and the last
     ``BENCH_history.jsonl`` entry (exit 1 on regression); ``history``
     prints the recorded speedup trajectory.
 
-``solve``, ``compare``, ``experiment``, ``sweep`` and ``serve`` accept
-the observability flags (``repro/obs/``): ``--trace PATH``
-records a hierarchical span trace to a JSONL file (also armed by the
-``REPRO_TRACE`` environment variable), ``--metrics`` prints the session
-metric aggregates after the command, and ``--profile DIR`` dumps
-per-process ``cProfile`` files (workers included).  Telemetry is
-strictly out-of-band: reports and stored results are byte-identical
-with or without it.
+``solve``, ``experiment``, ``sweep`` and ``serve`` accept the
+observability flags (``repro/obs/``): ``--trace PATH`` records a
+hierarchical span trace to a JSONL file (also armed by the
+``REPRO_TRACE`` environment variable) and ``--metrics`` prints the
+session metric aggregates after the command.  Telemetry is strictly
+out-of-band: reports and stored results are byte-identical with or
+without it.  For a function-level profile, run the command serially
+(``--jobs 1``) under ``python -m cProfile -m repro``.
 
-``solve``, ``compare`` and ``experiment`` accept ``--topology``
-(default ``mesh``, the paper's platform; ``sweep`` takes
-``--topologies``); ``repro platform list`` shows the alternatives.
-``solve``, ``compare``, ``experiment``, ``sweep`` and ``serve`` accept
+``solve`` and ``experiment`` accept ``--topology`` (default ``mesh``,
+the paper's platform; ``sweep`` takes ``--topologies``); ``repro
+platform list`` shows the alternatives.
+``solve``, ``experiment``, ``sweep`` and ``serve`` accept
 ``--kernel`` selecting the suffix-cluster enumeration kernel
 (``repro/core/kernels.py``; also via ``REPRO_KERNEL``) — a pure speed
 knob, byte-identical outputs under every kernel.  ``repro --version``
@@ -105,13 +100,13 @@ from repro.core.visualize import (
 )
 from repro.experiments import (
     choose_period,
+    run_all,
     run_scenario_sweep,
     run_streamit_experiment,
     streamit_csv,
     sweep_summary,
     write_report,
 )
-from repro.heuristics.base import PAPER_ORDER
 from repro.platform.topology import TOPOLOGIES, get_topology, topology_names
 from repro.solvers import (
     SOLVERS,
@@ -227,18 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_instance_args(p_solve)
     p_solve.add_argument(
-        "--solver", "-s", default="greedy", metavar="SPEC",
+        "--solver", "-s", nargs="+", default=["greedy"], metavar="SPEC",
         help="registered solver or spec: NAME, NAME+refine, A|B|C "
-             "(default greedy; see 'repro solvers list')",
+             "(default greedy; see 'repro solvers list'); several specs "
+             "print their normalised energy comparison",
     )
     p_solve.add_argument(
         "--jobs", "-j", type=int, default=1,
-        help="worker processes for portfolio members (0 = all CPUs; "
-             "the winner is identical for any value; default 1)",
+        help="worker processes for the portfolio members of a single "
+             "spec (0 = all CPUs; the winner is identical for any "
+             "value; default 1)",
     )
-
-    p_cmp = sub.add_parser("compare", help="run all five heuristics")
-    add_instance_args(p_cmp)
 
     p_exp = sub.add_parser("experiment", help="re-run a paper experiment")
     p_exp.add_argument("which", choices=["fig8", "fig9"])
@@ -266,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--metrics", action="store_true",
             help="print session metric aggregates (counters/histograms) "
                  "after the command",
-        )
-        p.add_argument(
-            "--profile", metavar="DIR", default=None,
-            help="dump per-process cProfile files into DIR (pool "
-                 "workers inherit via REPRO_PROFILE)",
         )
 
     def add_bounded_store_args(p):
@@ -313,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "a sweep's task:IDX names a group of cells sharing a graph",
         )
 
-    for p in (p_solve, p_cmp, p_exp):
+    for p in (p_solve, p_exp):
         add_obs_args(p)
 
     p_sw = sub.add_parser(
@@ -454,21 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="critical-path: hotspot-table rows to print "
                            "(default 15)")
 
-    p_pr = sub.add_parser(
-        "profile",
-        help="work with --profile/REPRO_PROFILE cProfile dumps",
-    )
-    p_pr.add_argument("action", choices=["merge", "flame"])
-    p_pr.add_argument("path",
-                      help="the dump directory (or, for flame, a single "
-                           ".pstats file)")
-    p_pr.add_argument("--top", type=int, default=25, metavar="N",
-                      help="merge: functions in the cumulative table "
-                           "(default 25)")
-    p_pr.add_argument("--out", metavar="PATH", default=None,
-                      help="flame: write the collapsed stacks here "
-                           "(default: stdout)")
-
     p_bm = sub.add_parser(
         "bench", help="benchmark history and the regression sentinel"
     )
@@ -568,9 +542,12 @@ def cmd_solvers(args, out) -> int:
 def cmd_solve(args, out) -> int:
     label, app = _load_app(args)
     grid = get_topology(args.topology, *args.grid)
-    solver = _parse_spec_or_report(args.solver, out)
-    if solver is None:
+    solvers = [_parse_spec_or_report(spec, out) for spec in args.solver]
+    if any(solver is None for solver in solvers):
         return 2
+    if len(solvers) > 1:
+        return _solve_table(args, label, app, grid, out)
+    solver = solvers[0]
     solver.set_jobs(args.jobs)
     T = args.period
     if T is None:
@@ -619,24 +596,26 @@ def cmd_solve(args, out) -> int:
     return 0
 
 
-def cmd_compare(args, out) -> int:
-    label, app = _load_app(args)
-    grid = get_topology(args.topology, *args.grid)
+def _solve_table(args, label, app, grid, out) -> int:
+    """``solve`` with several specs: run each at one period (``-T``, or
+    the Section-6.1.3 choice over all of them) and print their energies
+    normalised to the best."""
+    specs = args.solver
+    if len(set(specs)) < len(specs):
+        print(f"duplicate solver spec in {' '.join(specs)}", file=out)
+        return 2
     if args.period is not None:
-        prob = ProblemInstance(app, grid, args.period)
-        from repro.experiments import run_all
-
-        results = run_all(prob, rng=args.seed)
         T = args.period
+        results = run_all(ProblemInstance(app, grid, T), specs, rng=args.seed)
     else:
-        choice = choose_period(app, grid, rng=args.seed)
+        choice = choose_period(app, grid, specs, rng=args.seed)
         results, T = choice.results, choice.period
     print(f"{label} on {grid.p}x{grid.q}, T = {T:g} s", file=out)
     best = min(
         (r.total_energy for r in results.values()), default=float("inf")
     )
     rows = []
-    for name in PAPER_ORDER:
+    for name in specs:
         r = results[name]
         if r.ok:
             rows.append([
@@ -880,32 +859,6 @@ def cmd_trace(args, out) -> int:
         return 2
 
 
-def cmd_profile(args, out) -> int:
-    from repro.obs.profile import merge_profiles, render_merged_profile
-
-    try:
-        if args.action == "merge":
-            print(render_merged_profile(args.path, top=args.top),
-                  file=out)
-            return 0
-        # flame: a directory merges every dump first; a single .pstats
-        # file converts directly.
-        from repro.obs.export import pstats_to_collapsed
-
-        source = Path(args.path)
-        stats = merge_profiles(source) if source.is_dir() else source
-        text = pstats_to_collapsed(stats)
-        if args.out:
-            atomic_write_text(args.out, text)
-            print(f"collapsed stacks written to {args.out}", file=out)
-        else:
-            out.write(text)
-        return 0
-    except (OSError, ValueError) as exc:
-        print(f"profile error: {exc}", file=out)
-        return 2
-
-
 def cmd_bench(args, out) -> int:
     from repro.obs.history import (
         check_bench,
@@ -956,10 +909,8 @@ def main(argv=None, out=sys.stdout) -> int:
         return 141
 
 
-#: Commands that accept --trace/--metrics/--profile (and --kernel).
-_OBS_COMMANDS = frozenset(
-    {"solve", "compare", "experiment", "sweep", "serve"}
-)
+#: Commands that accept --trace/--metrics (and --kernel).
+_OBS_COMMANDS = frozenset({"solve", "experiment", "sweep", "serve"})
 
 
 def _dispatch(args, out) -> int:
@@ -967,12 +918,11 @@ def _dispatch(args, out) -> int:
 
     ``--trace`` (or the ``REPRO_TRACE`` environment variable) records a
     span trace; ``--metrics`` (or ``--stats-json``, which needs the
-    aggregates) installs the metrics registry; ``--profile`` arms
-    ``REPRO_PROFILE`` so this process *and* spawned pool workers dump
-    cProfile files.  With none of them the command runs exactly as
-    before — no session is installed and every hook is a no-op.
+    aggregates) installs the metrics registry.  With neither the command
+    runs exactly as before — no session is installed and every hook is a
+    no-op.
 
-    ``--kernel`` (on the same five commands) scopes the process-default
+    ``--kernel`` (on the same four commands) scopes the process-default
     enumeration kernel around the whole command — pool workers inherit
     it through ``REPRO_KERNEL`` — without touching outputs, which are
     byte-identical under every kernel.
@@ -988,17 +938,12 @@ def _dispatch(args, out) -> int:
         return _run_command(args, out)
     trace = args.trace or os.environ.get("REPRO_TRACE") or None
     metrics = args.metrics or getattr(args, "stats_json", None) is not None
-    if args.profile:
-        from repro.obs.profile import PROFILE_ENV
-
-        os.environ[PROFILE_ENV] = args.profile
-    if not trace and not metrics and not args.profile:
+    if not trace and not metrics:
         return _run_command(args, out)
-    from repro.obs import maybe_profile, observability, render_metrics
+    from repro.obs import observability, render_metrics
 
     with observability(trace=trace, metrics=metrics) as session:
-        with maybe_profile("cli"):
-            code = _run_command(args, out)
+        code = _run_command(args, out)
         if args.metrics and session.metrics is not None:
             print(render_metrics(session.metrics), file=out)
     if trace:
@@ -1015,8 +960,6 @@ def _run_command(args, out) -> int:
         return cmd_solvers(args, out)
     if args.command == "solve":
         return cmd_solve(args, out)
-    if args.command == "compare":
-        return cmd_compare(args, out)
     if args.command == "experiment":
         return cmd_experiment(args, out)
     if args.command == "sweep":
@@ -1027,8 +970,6 @@ def _run_command(args, out) -> int:
         return cmd_serve(args, out)
     if args.command == "trace":
         return cmd_trace(args, out)
-    if args.command == "profile":
-        return cmd_profile(args, out)
     if args.command == "bench":
         return cmd_bench(args, out)
     raise AssertionError("unreachable")  # pragma: no cover

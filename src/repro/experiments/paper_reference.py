@@ -1,8 +1,8 @@
 """The paper's published evaluation numbers, as data.
 
 Only the numeric tables are transcribed (figures are published as plots);
-benchmarks compare our regenerated counts against these and EXPERIMENTS.md
-records the comparison.  Keys follow :data:`repro.heuristics.PAPER_ORDER`.
+benchmarks compare our regenerated counts against these; the paper-scale
+comparison report is planned in ROADMAP.md (item 4).  Keys follow :data:`repro.heuristics.PAPER_ORDER`.
 """
 
 from __future__ import annotations

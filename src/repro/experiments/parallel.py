@@ -62,7 +62,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.experiments.period import PeriodChoice, choose_period
-from repro.obs.profile import maybe_profile
 from repro.obs.session import (
     absorb,
     capture,
@@ -177,34 +176,28 @@ def _run_chunk(payload):
     When the parent traced/metered (``obs_cfg``), each task runs under a
     local buffering session whose spans and counters ship back with the
     result — the parent absorbs them in task-index order, which keeps
-    metric aggregates identical to a serial run.  ``REPRO_PROFILE``
-    additionally dumps one ``cProfile`` file per executed chunk.
+    metric aggregates identical to a serial run.
     """
     fn, entries, faults, obs_cfg = payload
     out = []
-    with maybe_profile("worker"):
-        for index, attempt, task in entries:
-            if faults is not None:
-                site = faults.task_fault(index, attempt)
-                if site is not None:
-                    trigger_in_worker(site)
-            blob = None
-            try:
-                if obs_cfg is not None:
-                    with capture(obs_cfg) as cap:
-                        result = fn(task)
-                    blob = cap.export()
-                else:
+    for index, attempt, task in entries:
+        if faults is not None:
+            site = faults.task_fault(index, attempt)
+            if site is not None:
+                trigger_in_worker(site)
+        blob = None
+        try:
+            if obs_cfg is not None:
+                with capture(obs_cfg) as cap:
                     result = fn(task)
-            except Exception as exc:
-                result = _ChunkTaskError(
-                    index, f"{type(exc).__name__}: {exc}"
-                )
-                if obs_cfg is not None:
-                    blob = cap.export()
-            out.append(
-                result if blob is None else _ObsWrapped(result, blob)
-            )
+                blob = cap.export()
+            else:
+                result = fn(task)
+        except Exception as exc:
+            result = _ChunkTaskError(index, f"{type(exc).__name__}: {exc}")
+            if obs_cfg is not None:
+                blob = cap.export()
+        out.append(result if blob is None else _ObsWrapped(result, blob))
     return out
 
 

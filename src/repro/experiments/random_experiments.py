@@ -95,7 +95,8 @@ def run_random_experiment(
     """Run one Figure-10..13 panel.
 
     The paper averages 100 random graphs per elevation value; benchmarks use
-    a smaller ``replicates`` (recorded in EXPERIMENTS.md) to bound wall-time.
+    a smaller ``replicates`` to bound wall-time (the paper-scale run is
+    ROADMAP.md item 4).
 
     ``jobs`` fans the per-replicate ``choose_period`` runs out over a
     process pool (``None``/``0`` = all CPUs).  The instances and solver

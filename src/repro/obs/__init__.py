@@ -1,8 +1,8 @@
-"""Zero-dependency observability: span tracing, metrics, profiling.
+"""Zero-dependency observability: span tracing and metrics.
 
 The ROADMAP's service and store-eviction work both need measurement —
 where a sweep spends its time, which pipeline stage dominates, whether
-the store is actually hitting.  This package provides it in three
+the store is actually hitting.  This package provides it in two
 strictly **out-of-band** layers (canonical reports, fingerprints and
 golden fixtures are byte-identical whether observability is on or off,
 for any ``jobs``/shard/resume combination — CI ``cmp``-enforces it):
@@ -19,9 +19,6 @@ for any ``jobs``/shard/resume combination — CI ``cmp``-enforces it):
   ``sweep.cells_failed``, ...) that aggregate deterministically and
   jobs-invariantly — pool workers buffer events locally and the parent
   merges them in task-index order.
-* **Profiling** (:mod:`repro.obs.profile`): opt-in per-worker
-  ``cProfile`` dumps via ``REPRO_PROFILE``/``--profile DIR``;
-  ``repro profile merge DIR`` aggregates the per-process dumps.
 
 On top of the recorders sit pure post-processing layers: **analytics**
 (:mod:`repro.obs.analyze` — self-time hotspots, critical path, trace
@@ -47,7 +44,6 @@ from repro.obs.analyze import (
 )
 from repro.obs.export import (
     export_trace,
-    pstats_to_collapsed,
     to_chrome_trace,
     to_collapsed_stacks,
     write_chrome_trace,
@@ -61,13 +57,6 @@ from repro.obs.history import (
     load_history,
 )
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.profile import (
-    PROFILE_ENV,
-    maybe_profile,
-    merge_profiles,
-    profile_dir,
-    render_merged_profile,
-)
 from repro.obs.progress import SweepProgress, as_progress
 from repro.obs.session import (
     ObsSession,
@@ -125,12 +114,6 @@ __all__ = [
     "capture_config",
     "capture",
     "absorb",
-    # profiling
-    "PROFILE_ENV",
-    "maybe_profile",
-    "profile_dir",
-    "merge_profiles",
-    "render_merged_profile",
     # summaries
     "percentile",
     "summarize_spans",
@@ -147,7 +130,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "to_collapsed_stacks",
-    "pstats_to_collapsed",
     "export_trace",
     # bench history / sentinel
     "HISTORY_SCHEMA_VERSION",

@@ -1,6 +1,6 @@
-"""Trace and profile export: Chrome trace-event JSON, collapsed stacks.
+"""Trace export: Chrome trace-event JSON, collapsed stacks.
 
-Two interchange formats turn recordings into things existing viewers
+Two interchange formats turn span recordings into things existing viewers
 open directly:
 
 * **Chrome trace-event JSON** (:func:`to_chrome_trace` /
@@ -12,13 +12,10 @@ open directly:
   whose wall clocks are unrelated — still renders as one strictly
   nested timeline per root.  CLI: ``repro trace export out.jsonl
   --format chrome``.
-* **Collapsed stacks** (:func:`to_collapsed_stacks` for span trees,
-  :func:`pstats_to_collapsed` for the PR-7 ``cProfile`` dumps): the
-  ``a;b;c <value>`` lines flamegraph.pl / speedscope / inferno consume.
-  Span stacks carry exact self-time microseconds; ``pstats`` stacks are
-  the standard caller-edge *approximation* (cProfile keeps caller/callee
-  edges, not full stacks), documented as such.  CLI: ``repro trace
-  export out.jsonl --format collapsed`` and ``repro profile flame DIR``.
+* **Collapsed stacks** (:func:`to_collapsed_stacks`): the ``a;b;c
+  <value>`` lines flamegraph.pl / speedscope / inferno consume, one per
+  distinct span-kind path, carrying exact self-time microseconds.  CLI:
+  ``repro trace export out.jsonl --format collapsed``.
 
 Exports are derived views: they read a finished recording and never
 touch recording itself or any canonical output.
@@ -27,7 +24,6 @@ touch recording itself or any canonical output.
 from __future__ import annotations
 
 import json
-import pstats
 from pathlib import Path
 
 from repro.obs.trace import Span, load_trace
@@ -37,7 +33,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "to_collapsed_stacks",
-    "pstats_to_collapsed",
     "export_trace",
 ]
 
@@ -162,75 +157,6 @@ def to_collapsed_stacks(spans: list[Span]) -> str:
     lines = [
         f"{stack} {int(round(value * 1e6))}"
         for stack, value in sorted(totals.items())
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-# ----------------------------------------------------------------------
-# pstats -> collapsed stacks (flamegraph from cProfile dumps)
-# ----------------------------------------------------------------------
-def _func_label(func: tuple) -> str:
-    filename, lineno, name = func
-    if filename == "~":  # built-ins
-        return name.strip("<>")
-    return f"{Path(filename).name}:{lineno}:{name}"
-
-
-def pstats_to_collapsed(
-    stats: "pstats.Stats | str | Path", max_depth: int = 48
-) -> str:
-    """Approximate collapsed stacks from a ``pstats`` profile.
-
-    ``cProfile`` records caller->callee *edges* (with per-edge
-    cumulative time), not full call stacks, so exact stacks are
-    unrecoverable; like flameprof, this walks the call graph from the
-    roots, attributing each function's self time to the current path
-    and descending into callees proportionally to their per-edge
-    cumulative times.  Recursion is cut by refusing to revisit a frame
-    already on the path; values are integer microseconds.
-    """
-    if not isinstance(stats, pstats.Stats):
-        stats = pstats.Stats(str(stats))
-    raw = stats.stats  # func -> (cc, nc, tt, ct, callers)
-    callees: dict[tuple, list[tuple[tuple, float]]] = {}
-    total_in: dict[tuple, float] = {}
-    for func, (_cc, _nc, _tt, _ct, callers) in raw.items():
-        for caller, edge in callers.items():
-            edge_ct = edge[3]
-            callees.setdefault(caller, []).append((func, edge_ct))
-            total_in[func] = total_in.get(func, 0.0) + edge_ct
-
-    totals: dict[str, float] = {}
-
-    def emit(func: tuple, path: tuple, share: float) -> None:
-        _cc, _nc, tt, ct, _callers = raw[func]
-        label = _func_label(func)
-        stack = ";".join(path + (label,))
-        if ct > 0:
-            self_here = share * (tt / ct)
-        else:  # pragma: no cover - zero-cost frames
-            self_here = share
-        if self_here > 0:
-            totals[stack] = totals.get(stack, 0.0) + self_here
-        if len(path) + 1 >= max_depth:
-            return
-        for callee, edge_ct in sorted(
-            callees.get(func, ()), key=lambda e: _func_label(e[0])
-        ):
-            callee_label = _func_label(callee)
-            if callee_label in path or callee_label == label:
-                continue  # cycle: stop rather than double-count
-            if ct <= 0 or edge_ct <= 0:
-                continue
-            emit(callee, path + (label,), share * (edge_ct / ct))
-
-    roots = [func for func in raw if not raw[func][4]]
-    for func in sorted(roots, key=_func_label):
-        emit(func, (), raw[func][3])
-    lines = [
-        f"{stack} {int(round(value * 1e6))}"
-        for stack, value in sorted(totals.items())
-        if int(round(value * 1e6)) > 0
     ]
     return "\n".join(lines) + "\n" if lines else ""
 

@@ -34,7 +34,8 @@ __all__ = ["random_spg", "random_spg_with_elevation", "random_weights"]
 #: retained period: the paper's Greedy forwards work only to right/down
 #: neighbours, so on pipeline-like graphs it can reach at most p + q - 1
 #: cores, and heavier scales would make it fail deterministically (the
-#: paper's own weight scale is unpublished; see EXPERIMENTS.md).
+#: paper's own weight scale is unpublished; ROADMAP.md item 4 plans its
+#: calibration).
 W_RANGE = (2e7, 2e8)
 #: Default per-edge communication range, in bytes (rescaled by CCR anyway).
 D_RANGE = (1e3, 1e6)

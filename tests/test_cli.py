@@ -86,22 +86,57 @@ class TestMap:
 
 
 class TestCompare:
+    """``repro solve`` with several specs prints their comparison."""
+
+    FIVE = ("Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D")
+
     def test_compare_runs_all(self):
-        code, text = run_cli("compare", "-w", "DCT", "--seed", "0")
+        code, text = run_cli("solve", "-w", "DCT", "--seed", "0",
+                             "--solver", *self.FIVE)
         assert code == 0
-        for h in ("Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D"):
+        for h in self.FIVE:
             assert h in text
 
     def test_normalised_column(self):
-        _code, text = run_cli("compare", "-w", "DCT", "--seed", "0")
-        assert "1.000" in text  # the winner
+        # The five paper heuristics on DCT at seed 0, as a pinned table.
+        _code, text = run_cli("solve", "-w", "DCT", "--seed", "0",
+                              "-s", *self.FIVE)
+        assert text == (
+            "DCT on 4x4, T = 1 s\n"
+            "heuristic  energy [J]  normalised  cores\n"
+            "---------  ----------  ----------  -----\n"
+            "Random     0.5706      1.030       3\n"
+            "Greedy     0.5540      1.000       3\n"
+            "DPA2D      0.5540      1.000       3\n"
+            "DPA1D      0.5540      1.000       3\n"
+            "DPA2D1D    0.5540      1.000       3\n"
+        )
 
     def test_explicit_period(self):
         code, text = run_cli(
-            "compare", "-w", "FFT", "-T", "10.0", "--seed", "0"
+            "solve", "-w", "FFT", "-T", "10.0", "--seed", "0",
+            "--solver", *self.FIVE,
         )
         assert code == 0
         assert "T = 10" in text
+
+    def test_specs_in_given_order(self):
+        code, text = run_cli("solve", "-w", "DCT", "-T", "1.0",
+                             "-s", "dpa1d", "greedy+refine")
+        assert code == 0
+        rows = [ln.split()[0] for ln in text.splitlines()[3:]]
+        assert rows == ["dpa1d", "greedy+refine"]
+
+    def test_bad_or_duplicate_spec_exits_2(self):
+        code, text = run_cli("solve", "-w", "DCT", "-s", "greedy", "nope")
+        assert code == 2 and "nope" in text
+        code, text = run_cli("solve", "-w", "DCT", "-s", "greedy", "greedy")
+        assert code == 2 and "duplicate" in text
+
+    def test_compare_command_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "-w", "DCT")
+        assert exc.value.code == 2
 
 
 class TestExperiment:
@@ -536,10 +571,9 @@ class TestObservability:
         assert stats["access"]["hits"] == 1
         assert stats["access"]["rows_never_hit"] == 0
 
-    def test_profile_dumps(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    def test_profile_flag_is_gone(self, tmp_path):
         prof = tmp_path / "prof"
-        code, _ = run_cli(*self.SWEEP, "--profile", str(prof))
-        assert code == 0
-        assert list(prof.glob("cli-*.pstats"))
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*self.SWEEP, "--profile", str(prof))
+        assert exc.value.code == 2
+        assert not prof.exists()

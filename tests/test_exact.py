@@ -343,6 +343,23 @@ class TestExactOracles:
         _im, obj = ilp_optimal(prob)
         assert obj == pytest.approx(bf, rel=1e-6)
 
+    @given(g=small_spgs)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_ilp_optimum_is_a_dag_partition(self, g, two_speed_model):
+        # The converse of TestIlpEncoding: the ILP's convexity rows admit
+        # convex clusters with a cyclic quotient ({a1, b2} and {a2, b1}
+        # over two parallel branches), so check every optimum against the
+        # strict DAG-partition rule.
+        prob = oracle_instance(g, CMPGrid(2, 2, two_speed_model))
+        try:
+            mapping, obj = ilp_optimal(prob)
+        except HeuristicFailure:
+            return
+        breakdown = validate(mapping, prob.period, require_dag_partition=True)
+        assert breakdown.total == pytest.approx(obj, rel=1e-9)
+
     @given(small_spgs)
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

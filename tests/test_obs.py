@@ -1,4 +1,4 @@
-"""The observability battery: tracing, metrics, profiling, invariance.
+"""The observability battery: tracing, metrics, invariance.
 
 The hard contract under test is that telemetry is strictly out of band:
 canonical sweep reports are byte-identical whether observability is on
@@ -38,7 +38,6 @@ from repro.obs import (
     render_trace_summary,
     summarize_spans,
 )
-from repro.obs.profile import PROFILE_ENV, maybe_profile
 from repro.obs.session import (
     absorb,
     active,
@@ -478,24 +477,3 @@ class TestStoreAccounting:
         assert s.metrics.counters["store.puts"] == 1
         assert s.metrics.counters["store.hits"] == 1
         assert s.metrics.counters["store.misses"] == 1
-
-
-# ----------------------------------------------------------------------
-# Profiling hooks
-# ----------------------------------------------------------------------
-class TestProfiling:
-    def test_unarmed_is_transparent(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
-        with maybe_profile("tag") as prof:
-            assert prof is None
-
-    def test_armed_dumps_pstats(self, tmp_path, monkeypatch):
-        import pstats
-
-        target = tmp_path / "prof"
-        monkeypatch.setenv(PROFILE_ENV, str(target))
-        with maybe_profile("cli"):
-            sum(range(1000))
-        dumps = list(target.glob("cli-*.pstats"))
-        assert len(dumps) == 1
-        pstats.Stats(str(dumps[0]))  # parses

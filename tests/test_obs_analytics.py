@@ -3,7 +3,7 @@
 Covers the post-processing layers above the recorders: percentile
 exactness, self-time/critical-path attribution, trace diff and its
 budget gate, Chrome/collapsed export (including absorbed multi-worker
-traces), profile merging, the ``BENCH_history.jsonl`` sentinel, the
+traces), the ``BENCH_history.jsonl`` sentinel, the
 sweep progress heartbeat, and the CLI entry points for all of them —
 plus the out-of-band contract: reports stay byte-identical with
 progress/tracing on.
@@ -11,7 +11,6 @@ progress/tracing on.
 
 from __future__ import annotations
 
-import cProfile
 import io
 import json
 
@@ -42,7 +41,6 @@ from repro.obs.analyze import (
 )
 from repro.obs.export import (
     export_trace,
-    pstats_to_collapsed,
     to_chrome_trace,
     to_collapsed_stacks,
     write_chrome_trace,
@@ -55,13 +53,6 @@ from repro.obs.history import (
     load_history,
     render_check,
     render_history,
-)
-from repro.obs.profile import (
-    PROFILE_ENV,
-    find_profile_dumps,
-    maybe_profile,
-    merge_profiles,
-    render_merged_profile,
 )
 from repro.obs.progress import SweepProgress, as_progress
 from repro.obs.summarize import percentile
@@ -334,60 +325,6 @@ class TestCollapsedStacks:
             "root;stage.b": "3000000",
         }
         assert to_collapsed_stacks([]) == ""
-
-    def test_pstats_conversion(self, tmp_path):
-        def inner():
-            return sum(i * i for i in range(20000))
-
-        def outer():
-            return inner() + inner()
-
-        prof = cProfile.Profile()
-        prof.enable()
-        outer()
-        prof.disable()
-        dump = tmp_path / "x.pstats"
-        prof.dump_stats(dump)
-        text = pstats_to_collapsed(dump)
-        assert text
-        for line in text.splitlines():
-            stack, value = line.rsplit(" ", 1)
-            assert int(value) > 0
-            frames = stack.split(";")
-            assert len(frames) == len(set(frames))  # cycle guard held
-        assert any("outer" in ln and "inner" in ln
-                   for ln in text.splitlines())
-
-
-# ----------------------------------------------------------------------
-# Profile merging (repro profile merge DIR)
-# ----------------------------------------------------------------------
-class TestProfileMerge:
-    def _dumps(self, tmp_path, monkeypatch, n=2):
-        monkeypatch.setenv(PROFILE_ENV, str(tmp_path))
-        for _ in range(n):
-            with maybe_profile("worker"):
-                sum(i for i in range(5000))
-        return find_profile_dumps(tmp_path)
-
-    def test_merge_aggregates_all_dumps(self, tmp_path, monkeypatch):
-        files = self._dumps(tmp_path, monkeypatch)
-        assert len(files) == 2
-        merged = merge_profiles(tmp_path)
-        single = merge_profiles([files[0]])
-        assert merged.total_calls >= single.total_calls
-
-    def test_render_names_the_dumps(self, tmp_path, monkeypatch):
-        self._dumps(tmp_path, monkeypatch)
-        text = render_merged_profile(tmp_path, top=5)
-        assert "Merged profile: 2 dump(s)" in text
-        assert "cumulative" in text
-
-    def test_missing_inputs_raise(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="not a directory"):
-            find_profile_dumps(tmp_path / "nope")
-        with pytest.raises(FileNotFoundError, match="no \\*.pstats"):
-            merge_profiles(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -771,22 +708,13 @@ class TestCLI:
             code, out = run_cli("trace", action, str(bad))
             assert code == 2 and "bad trace file" in out
 
-    def test_profile_merge_and_flame(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, str(tmp_path))
-        with maybe_profile("worker"):
-            sum(i for i in range(10000))
-        monkeypatch.delenv(PROFILE_ENV)
-        code, out = run_cli("profile", "merge", str(tmp_path),
-                            "--top", "5")
-        assert code == 0 and "Merged profile" in out
-        out_file = tmp_path / "flame.txt"
-        code, _ = run_cli("profile", "flame", str(tmp_path), "--out",
-                          str(out_file))
-        assert code == 0 and out_file.read_text()
-
     def test_profile_merge_empty_dir_exits_2(self, tmp_path):
-        code, out = run_cli("profile", "merge", str(tmp_path))
-        assert code == 2 and "profile error" in out
+        # The cProfile merger is gone: flamegraphs come from
+        # 'trace export --format collapsed', and argparse rejects the
+        # old command.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("profile", "merge", str(tmp_path))
+        assert exc.value.code == 2
 
     def test_bench_check_and_history(self, tmp_path):
         hist = tmp_path / "h.jsonl"

@@ -175,8 +175,9 @@ class TestSweepCli:
 
     def test_compare_on_benes(self):
         code, text = self.run_cli(
-            "compare", "--random", "10", "--topology", "benes",
+            "solve", "--random", "10", "--topology", "benes",
             "--grid", "2x2", "--seed", "2",
+            "-s", "Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D",
         )
         assert code == 0
         assert "Greedy" in text
